@@ -28,8 +28,7 @@ from .semantics import (Consistency, DecisivenessReport, EmptyDataset, LabeledRu
                         decisiveness, evaluate)
 from .validation import (ContradictionBudget, ContradictionResult, ContradictionStatus,
                          Exhausted, RefinementOutcome, TargetNotInRuleset, ValidationReport,
-                         check_contradiction, check_preserved_consistency,
-                         check_target_resolution, refine_loop)
+                         check_contradiction, check_preserved_consistency, refine_loop)
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,7 @@ __all__ = [
     "UnboundVariable", "ValidationReport", "Var", "Violation", "apply_edits",
     "ast_from_json", "ast_to_json", "build_evidence", "build_metrics_report",
     "build_prompt", "change_minimality", "check_contradiction",
-    "check_preserved_consistency", "check_target_resolution", "check_vocabulary",
+    "check_preserved_consistency", "check_vocabulary",
     "classify_consistency", "decisiveness", "default_config", "diff_rules", "evaluate",
     "generate_candidate", "grammar_compliance", "make_oracle", "make_reference_fixture",
     "odd_spec", "oracle_label", "parse_candidate_response", "parse_rule", "print_rule",

@@ -44,23 +44,6 @@ class AppState:
     json_diagnostics: bool = False
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs for a refinement run; construction implies every
-    referenced file loaded cleanly (fail-fast, before any output exists)."""
-    rules_path: Path
-    dataset_path: Path
-    config_path: Path
-    generator: str
-    max_attempts: int
-    eps_eq: float
-    max_radius: int
-    search_budget: int
-    contradiction_budget: ContradictionBudget
-    seed: int
-    output_dir: Path
-
-
 def _emit_error(state: AppState, kind: str, message: str) -> None:
     if state.json_diagnostics:
         click.echo(json.dumps({"error": kind, "message": message}), err=True)
@@ -87,6 +70,20 @@ def _load_inputs(state: AppState, loader, path):
     except storage.FormatError as exc:
         _emit_error(state, "format", str(exc))
         sys.exit(EXIT_FORMAT)
+
+
+def _load_runs_in_domain(state: AppState, dataset_path, config_path):
+    """Load a dataset and an oracle config, and refuse, as a format error, a
+    run outside the config's declared domain (or lacking one of its
+    variables): such a run cannot be searched or scored."""
+    runs = _load_inputs(state, storage.load_dataset, dataset_path)
+    config = _load_inputs(state, storage.load_oracle_config, config_path)
+    for lineno, run in enumerate(runs, start=2):
+        if not config.odd.contains_point(run.x):
+            _emit_error(state, "format", f"{dataset_path}: line {lineno}: "
+                                         f"run outside the declared domain: {run.x}")
+            sys.exit(EXIT_FORMAT)
+    return runs, config
 
 
 def _load_raw_json(state: AppState, path):
@@ -192,8 +189,7 @@ def cf(state: AppState, rules_path, rule_id, dataset_path, config_path, max_radi
        search_budget, out_path):
     """Build the counterfactual evidence file for an inconsistent rule."""
     rules = _load_inputs(state, storage.load_rules, rules_path)
-    runs = _load_inputs(state, storage.load_dataset, dataset_path)
-    config = _load_inputs(state, storage.load_oracle_config, config_path)
+    runs, config = _load_runs_in_domain(state, dataset_path, config_path)
     rule = _pick_rule(rules, rule_id)
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
     try:
@@ -255,25 +251,16 @@ def refine(state: AppState, rules_path, rule_id, dataset_path, config_path, gene
            subdivision_depth, samples, seed, out_dir):
     """Run the refine-validate loop on an inconsistent rule."""
     rules = _load_inputs(state, storage.load_rules, rules_path)
-    runs = _load_inputs(state, storage.load_dataset, dataset_path)
-    config = _load_inputs(state, storage.load_oracle_config, config_path)
-    run_config = RunConfig(
-        rules_path=rules_path, dataset_path=dataset_path, config_path=config_path,
-        generator=generator, max_attempts=max_attempts, eps_eq=eps_eq,
-        max_radius=max_radius, search_budget=search_budget,
-        contradiction_budget=ContradictionBudget(grid_cap=grid_cap,
-                                                 subdivision_depth=subdivision_depth,
-                                                 samples=samples, seed=seed),
-        seed=seed, output_dir=out_dir)
+    runs, config = _load_runs_in_domain(state, dataset_path, config_path)
     target = _pick_rule(rules, rule_id)
     gen = _make_generator(state, generator, mock_script, runs, config.odd, eps_eq)
-    limits = SearchLimits(max_radius_steps=run_config.max_radius,
-                          budget=run_config.search_budget)
+    limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
+    budget = ContradictionBudget(grid_cap=grid_cap, subdivision_depth=subdivision_depth,
+                                 samples=samples, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outcome = refine_loop(target, rules, runs, make_oracle(config), config.odd, gen,
-                              run_config.max_attempts, eps_eq=run_config.eps_eq,
-                              limits=limits, budget=run_config.contradiction_budget)
+                              max_attempts, eps_eq=eps_eq, limits=limits, budget=budget)
     except NoInconsistency as exc:
         raise UsageFailure(str(exc))
     except Exhausted as exc:
@@ -337,8 +324,7 @@ def metrics_cmd(state: AppState, rules_path, rule_id, dataset_path, config_path,
                 outcome_path, raw_path, out_path):
     """Score a refinement: decisiveness gain, validity, compliance, minimality."""
     rules = _load_inputs(state, storage.load_rules, rules_path)
-    runs = _load_inputs(state, storage.load_dataset, dataset_path)
-    config = _load_inputs(state, storage.load_oracle_config, config_path)
+    runs, config = _load_runs_in_domain(state, dataset_path, config_path)
     outcome = _load_inputs(state, storage.load_outcome, outcome_path)
     target = _pick_rule(rules, rule_id)
     raw_text = (Path(raw_path).read_text(encoding="utf-8") if raw_path

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .counterfactual import Oracle
 from .grammar import OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
-from .semantics import (Consistency, LabeledRun, Outcome, PolarizedRule, Polarity,
-                        classify_consistency, decisiveness, evaluate)
+from .semantics import LabeledRun, Outcome, PolarizedRule, Polarity, decisiveness, evaluate
 
 DEFAULT_ODD = odd_spec([
     ("ego_speed", 0.0, 30.0, 0.5),
@@ -142,7 +141,3 @@ def make_reference_fixture(seed: int = 42) -> Fixture:
     return Fixture(dataset=runs, baseline_rule=baseline,
                    expected_mismatches=FIXTURE_MISMATCHES, config=config)
 
-
-def mismatch_runs(rule: PolarizedRule, dataset: list[LabeledRun]) -> list[int]:
-    return [idx for idx, run in enumerate(dataset)
-            if classify_consistency(rule, run) is Consistency.INCONSISTENT]

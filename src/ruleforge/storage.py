@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 from .counterfactual import CounterfactualPair, EvidenceFile
@@ -61,6 +62,8 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
                 x = {name: float(cell) for name, cell in zip(features, row)}
             except ValueError:
                 _fail(path, f"line {lineno}: non-numeric feature value")
+            if not all(math.isfinite(v) for v in x.values()):
+                _fail(path, f"line {lineno}: non-finite feature value")
             label = row[-1]
             if label not in (Outcome.PASS.value, Outcome.FAIL.value):
                 _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {label!r}")
@@ -281,7 +284,9 @@ def _report_to_json(report: ValidationReport) -> dict:
         "attempt": report.attempt,
         "candidate_text": report.candidate_text,
         "contradiction": contradiction,
-        "preserved": {"broken_rule_ids": list(report.broken_rule_ids)},
+        # kept constant for schema 1: rules classify runs independently, so a
+        # candidate cannot break another rule (see validation)
+        "preserved": {"broken_rule_ids": []},
         "resolution": {
             "mismatch_before": report.mismatch_before,
             "mismatch_after": report.mismatch_after,
@@ -305,7 +310,6 @@ def _report_from_json(data) -> ValidationReport:
         attempt=data["attempt"],
         candidate_text=data.get("candidate_text"),
         contradiction=contradiction,
-        broken_rule_ids=tuple(data["preserved"]["broken_rule_ids"]),
         new_inconsistencies=data["new_inconsistencies"],
         mismatch_before=data["resolution"]["mismatch_before"],
         mismatch_after=data["resolution"]["mismatch_after"],

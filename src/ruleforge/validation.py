@@ -3,8 +3,13 @@
 A candidate replaces its target only after it clears, in order: the
 vocabulary whitelist, satisfiability of overlap with every opposite-polarity
 rule (no point in the domain may trigger a pass rule and a fail rule at
-once), preservation of historical rules' consistency, and strict reduction
-of the target's mismatch count without introducing new inconsistencies.
+once), strict reduction of the target's mismatch count, and preservation.
+Rules classify runs independently of one another, so swapping the target
+leaves every historical rule's verdicts unchanged and preservation reduces
+to "no new inconsistencies": no run may become inconsistent under the
+candidate that was not inconsistent under the target. The target and each
+candidate are scored once, and every gate after the contradiction check
+reads those two reports.
 Overlap checking is decided over the bounded domain box: a concrete witness
 (dataset points first, then the step grid, then seeded grid sampling) flags
 a contradiction; recursive interval-arithmetic subdivision proves clearance;
@@ -23,8 +28,8 @@ from .counterfactual import EvidenceFile, Oracle, SearchLimits, build_evidence
 from .generation import Edit, GenerationFailure, RefinementContext, generate_candidate
 from .grammar import (Const, Expr, GRAMMAR_TEXT, OddSpec, Relation, RelOp, RuleAst, Var,
                       check_vocabulary, print_rule)
-from .semantics import (Consistency, DEFAULT_EPS_EQ, LabeledRun, PolarizedRule,
-                        classify_consistency, decisiveness, evaluate)
+from .semantics import (DEFAULT_EPS_EQ, DecisivenessReport, LabeledRun, PolarizedRule,
+                        decisiveness, evaluate)
 
 
 class ContradictionStatus(Enum):
@@ -250,63 +255,16 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec, budget: ContradictionBudg
 
 
 # ---------------------------------------------------------------------------
-# Preservation and resolution checks.
+# Preservation check.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreservedReport:
-    broken_rule_ids: tuple[str, ...]
-    new_inconsistency_indices: tuple[int, ...]
-
-    @property
-    def new_inconsistencies(self) -> int:
-        return len(self.new_inconsistency_indices)
-
-
-def check_preserved_consistency(candidate: PolarizedRule, ruleset: list[PolarizedRule],
-                                dataset: list[LabeledRun],
-                                eps_eq: float = DEFAULT_EPS_EQ) -> PreservedReport:
-    """Re-classify every historical rule with the candidate substituted for
-    its target (matched by id). Rules classify runs independently of one
-    another, so breakage cannot arise here; the recomputation documents
-    that, and the report carries the runs where the candidate is
-    inconsistent although the original rule was not."""
-    target = next((r for r in ruleset if r.id == candidate.id), None)
-    if target is None:
-        raise TargetNotInRuleset(f"no rule with id {candidate.id!r} in the rule set")
-    broken: list[str] = []
-    for rule in ruleset:
-        if rule.id == candidate.id:
-            continue
-        for run in dataset:
-            before = classify_consistency(rule, run, eps_eq)
-            after = classify_consistency(rule, run, eps_eq)  # independent of the swap
-            if before is Consistency.CONSISTENT and after is Consistency.INCONSISTENT:
-                broken.append(rule.id)
-                break
-    new_indices = tuple(
-        idx for idx, run in enumerate(dataset)
-        if classify_consistency(candidate, run, eps_eq) is Consistency.INCONSISTENT
-        and classify_consistency(target, run, eps_eq) is not Consistency.INCONSISTENT
-    )
-    return PreservedReport(broken_rule_ids=tuple(broken),
-                           new_inconsistency_indices=new_indices)
-
-
-@dataclass(frozen=True)
-class ResolutionReport:
-    mismatch_before: int
-    mismatch_after: int
-
-
-def check_target_resolution(candidate: PolarizedRule, target: PolarizedRule,
-                            dataset: list[LabeledRun],
-                            eps_eq: float = DEFAULT_EPS_EQ) -> ResolutionReport:
-    return ResolutionReport(
-        mismatch_before=decisiveness(target, dataset, eps_eq).n_mismatch,
-        mismatch_after=decisiveness(candidate, dataset, eps_eq).n_mismatch,
-    )
+def check_preserved_consistency(before: DecisivenessReport,
+                                after: DecisivenessReport) -> tuple[int, ...]:
+    """Runs inconsistent under the candidate (after) but not under its target
+    (before); the preservation gate passes when this is empty."""
+    old = set(before.mismatches)
+    return tuple(idx for idx in after.mismatches if idx not in old)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +282,13 @@ class ContradictionSummary:
 @dataclass(frozen=True)
 class ValidationReport:
     attempt: int
-    candidate_text: str | None
-    contradiction: ContradictionSummary | None
-    broken_rule_ids: tuple[str, ...]
-    new_inconsistencies: int
-    mismatch_before: int | None
-    mismatch_after: int | None
     accepted: bool
     failure_summary: str | None
+    candidate_text: str | None = None
+    contradiction: ContradictionSummary | None = None
+    new_inconsistencies: int = 0
+    mismatch_before: int | None = None
+    mismatch_after: int | None = None
     diagnostics: tuple[str, ...] = field(default=())
 
 
@@ -364,30 +321,24 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
     """Generate-validate loop: evidence is built once, failed attempts feed
     their failure summaries back into the next prompt, and the first
     candidate to clear every gate is returned. Unknown contradiction status
-    counts as a rejection. Raises Exhausted after max_attempts rejections.
+    counts as a rejection. Raises TargetNotInRuleset before any work when no
+    rule in ruleset has the target's id, and Exhausted after max_attempts
+    rejections.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if not any(r.id == target.id for r in ruleset):
+        raise TargetNotInRuleset(f"no rule with id {target.id!r} in the rule set")
     evidence = build_evidence(target, dataset, oracle, odd, limits, eps_eq=eps_eq)
     historical = tuple(r for r in ruleset if r.id != target.id)
     opposing = [r for r in historical if r.polarity is not target.polarity]
-    base_mismatch = decisiveness(target, dataset, eps_eq).n_mismatch
+    before = decisiveness(target, dataset, eps_eq)
     reports: list[ValidationReport] = []
     summaries: list[str] = []
 
     def reject(attempt: int, summary: str, **fields) -> None:
-        reports.append(ValidationReport(
-            attempt=attempt,
-            candidate_text=fields.get("candidate_text"),
-            contradiction=fields.get("contradiction"),
-            broken_rule_ids=fields.get("broken_rule_ids", ()),
-            new_inconsistencies=fields.get("new_inconsistencies", 0),
-            mismatch_before=fields.get("mismatch_before"),
-            mismatch_after=fields.get("mismatch_after"),
-            accepted=False,
-            failure_summary=summary,
-            diagnostics=fields.get("diagnostics", ()),
-        ))
+        reports.append(ValidationReport(attempt=attempt, accepted=False,
+                                        failure_summary=summary, **fields))
         summaries.append(f"attempt {attempt}: {summary}")
 
     for attempt in range(1, max_attempts + 1):
@@ -424,49 +375,21 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
             reject(attempt, contra_failure, candidate_text=candidate_text,
                    contradiction=contradiction)
             continue
-        preserved = check_preserved_consistency(as_rule, list(ruleset), dataset, eps_eq)
-        if preserved.broken_rule_ids:
-            reject(attempt, f"breaks historical rules: {', '.join(preserved.broken_rule_ids)}",
-                   candidate_text=candidate_text, contradiction=contradiction,
-                   broken_rule_ids=preserved.broken_rule_ids,
-                   new_inconsistencies=preserved.new_inconsistencies)
+        after = decisiveness(as_rule, dataset, eps_eq)
+        new_indices = check_preserved_consistency(before, after)
+        scores = dict(candidate_text=candidate_text, contradiction=contradiction,
+                      mismatch_before=before.n_mismatch, mismatch_after=after.n_mismatch,
+                      new_inconsistencies=len(new_indices), diagnostics=after.diagnostics)
+        if after.n_mismatch >= before.n_mismatch:
+            reject(attempt, f"does not reduce mismatches ({before.n_mismatch} -> "
+                            f"{after.n_mismatch})", **scores)
             continue
-        diagnostics: list[str] = []
-        after_report = decisiveness(as_rule, dataset, eps_eq)
-        diagnostics.extend(after_report.diagnostics)
-        resolution = ResolutionReport(base_mismatch, after_report.n_mismatch)
-        if resolution.mismatch_after >= resolution.mismatch_before:
-            reject(attempt,
-                   f"does not reduce mismatches ({resolution.mismatch_before} -> "
-                   f"{resolution.mismatch_after})",
-                   candidate_text=candidate_text, contradiction=contradiction,
-                   mismatch_before=resolution.mismatch_before,
-                   mismatch_after=resolution.mismatch_after,
-                   new_inconsistencies=preserved.new_inconsistencies,
-                   diagnostics=tuple(diagnostics))
+        if new_indices:
+            reject(attempt, f"introduces {len(new_indices)} new inconsistencies "
+                            f"at runs {list(new_indices)}", **scores)
             continue
-        if preserved.new_inconsistencies:
-            reject(attempt,
-                   f"introduces {preserved.new_inconsistencies} new inconsistencies "
-                   f"at runs {list(preserved.new_inconsistency_indices)}",
-                   candidate_text=candidate_text, contradiction=contradiction,
-                   mismatch_before=resolution.mismatch_before,
-                   mismatch_after=resolution.mismatch_after,
-                   new_inconsistencies=preserved.new_inconsistencies,
-                   diagnostics=tuple(diagnostics))
-            continue
-        reports.append(ValidationReport(
-            attempt=attempt,
-            candidate_text=candidate_text,
-            contradiction=contradiction,
-            broken_rule_ids=(),
-            new_inconsistencies=0,
-            mismatch_before=resolution.mismatch_before,
-            mismatch_after=resolution.mismatch_after,
-            accepted=True,
-            failure_summary=None,
-            diagnostics=tuple(diagnostics),
-        ))
+        reports.append(ValidationReport(attempt=attempt, accepted=True, failure_summary=None,
+                                        **scores))
         return RefinementOutcome(
             refined=candidate.ast,
             change_log=tuple(candidate.change_log),

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +215,47 @@ class TestExitCodesAndFailFast:
         err = capsys.readouterr().err
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "format"
+
+    def test_non_finite_dataset_is_format_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("ego_speed,dist_front,lane_offset,outcome\n"
+                       "1,4.4,0,Fail\nnan,4.4,0,Fail\n")
+        code = main(["eval", "--rules", str(workspace / "rules.json"),
+                     "--dataset", str(bad)])
+        assert code == 2
+        assert "line 3: non-finite" in capsys.readouterr().err
+
+
+GOLDEN_OUTCOME = Path(__file__).parent / "golden" / "outcome.json"
+
+
+class TestOutOfDomainRows:
+    """A run outside the config's domain is refused before any output, by
+    every command that loads a dataset and a config."""
+
+    @pytest.fixture()
+    def off_domain(self, workspace, tmp_path):
+        # an inconsistent run for the baseline (holds, observed Fail) at a
+        # speed past the declared 0..30 range
+        text = (workspace / "dataset.csv").read_text() + "99,4.4,0,Fail\n"
+        path = tmp_path / "off_domain.csv"
+        path.write_text(text)
+        return path, len(text.splitlines())
+
+    @pytest.mark.parametrize("command,extra", [
+        ("cf", []),
+        ("refine", ["--generator", "local"]),
+        ("metrics", ["--outcome", str(GOLDEN_OUTCOME)]),
+    ])
+    def test_exit_2_and_no_output(self, workspace, tmp_path, capsys, off_domain,
+                                  command, extra):
+        dataset, last_line = off_domain
+        out = tmp_path / "out"
+        code = main([command, "--rules", str(workspace / "rules.json"),
+                     "--dataset", str(dataset),
+                     "--config", str(workspace / "oracle_config.json"),
+                     *extra, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"line {last_line}: run outside the declared domain" in err

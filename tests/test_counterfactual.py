@@ -5,7 +5,7 @@ import pytest
 
 from ruleforge import (CounterfactualNotFound, NoInconsistency, Oracle,
                        OracleBudgetExceeded, Outcome, PolarizedRule, Polarity, SearchLimits,
-                       build_evidence, make_oracle, odd_spec, parse_rule,
+                       build_evidence, decisiveness, make_oracle, odd_spec, parse_rule,
                        search_counterfactual)
 from ruleforge.semantics import LabeledRun
 
@@ -168,12 +168,11 @@ class TestBuildEvidence:
                            fixture42.config.odd)
 
     def test_pairs_follow_dataset_order(self, fixture42):
-        from ruleforge.scenario import mismatch_runs
         config = fixture42.config
         evidence = build_evidence(fixture42.baseline_rule, fixture42.dataset,
                                   make_oracle(config), config.odd)
         expected_x = [fixture42.dataset[i].x for i in
-                      mismatch_runs(fixture42.baseline_rule, fixture42.dataset)]
+                      decisiveness(fixture42.baseline_rule, fixture42.dataset).mismatches]
         assert [p.x for p in evidence.pairs] == expected_x
 
 

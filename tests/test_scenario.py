@@ -6,7 +6,7 @@ import pytest
 from ruleforge import (Outcome, OutOfDomain, decisiveness, default_config, evaluate,
                        make_oracle, make_reference_fixture, oracle_label, sample_dataset,
                        search_counterfactual)
-from ruleforge.scenario import ConstructionFailure, mismatch_runs
+from ruleforge.scenario import ConstructionFailure
 from ruleforge.storage import dataset_bytes
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
@@ -95,7 +95,7 @@ class TestReferenceFixture:
 
     def test_counterfactual_reachability_within_20_steps(self, fixture42):
         config = fixture42.config
-        for idx in mismatch_runs(fixture42.baseline_rule, fixture42.dataset):
+        for idx in decisiveness(fixture42.baseline_rule, fixture42.dataset).mismatches:
             run = fixture42.dataset[idx]
             pair = search_counterfactual(run.x, run.y, make_oracle(config), config.odd,
                                          max_radius_steps=20)
@@ -105,7 +105,7 @@ class TestReferenceFixture:
         # exhaustive within the L1 ball for a few mismatch runs
         config = fixture42.config
         odd = config.odd
-        indices = mismatch_runs(fixture42.baseline_rule, fixture42.dataset)[:3]
+        indices = decisiveness(fixture42.baseline_rule, fixture42.dataset).mismatches[:3]
         for idx in indices:
             run = fixture42.dataset[idx]
             pair = search_counterfactual(run.x, run.y, make_oracle(config), odd, 20)

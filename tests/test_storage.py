@@ -58,6 +58,13 @@ class TestDatasetCsv:
         with pytest.raises(storage.FormatError, match="line 2"):
             storage.load_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_feature(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,outcome\n1.0,Pass\n{cell},Fail\n")
+        with pytest.raises(storage.FormatError, match="line 3: non-finite"):
+            storage.load_dataset(path)
+
 
 class TestRulesJson:
     def test_round_trip(self, fixture42, tmp_path):

@@ -7,7 +7,7 @@ from ruleforge import (Consistency, ContradictionBudget, ContradictionStatus,
                        DeterministicGenerator, Exhausted, LabeledRun, MockGenerator,
                        Outcome, PolarizedRule, Polarity, TargetNotInRuleset,
                        check_contradiction, check_preserved_consistency,
-                       check_target_resolution, classify_consistency, decisiveness,
+                       classify_consistency, decisiveness,
                        evaluate, make_oracle, odd_spec, parse_rule, print_rule,
                        random_rule, refine_loop)
 
@@ -101,59 +101,73 @@ def _grid_sat(a, b, odd):
     return False
 
 
+def _refine(fixture, text, ruleset=None, target=None):
+    """refine_loop on the fixture with one scripted candidate."""
+    gen = MockGenerator([f"Rule: {text}"], fixture.config.odd)
+    return refine_loop(target or fixture.baseline_rule, ruleset or [fixture.baseline_rule],
+                       fixture.dataset, make_oracle(fixture.config), fixture.config.odd,
+                       gen, max_attempts=1)
+
+
 class TestPreservedConsistency:
     def test_refined_rule_preserves_fixture(self, fixture42):
         candidate = PolarizedRule("baseline-pass", Polarity.PASS_RULE, parse_rule(R1_STAR))
+        new = check_preserved_consistency(decisiveness(fixture42.baseline_rule,
+                                                       fixture42.dataset),
+                                          decisiveness(candidate, fixture42.dataset))
+        assert new == ()
         fail_rule = _fail("(dist_front > 30)", "hist-fail")
-        report = check_preserved_consistency(candidate,
-                                             [fixture42.baseline_rule, fail_rule],
-                                             fixture42.dataset)
-        assert report.broken_rule_ids == ()
-        assert report.new_inconsistencies == 0
+        outcome = _refine(fixture42, R1_STAR, [fixture42.baseline_rule, fail_rule])
+        assert outcome.reports[-1].new_inconsistencies == 0
 
     def test_identity_candidate_adds_nothing(self, fixture42):
-        report = check_preserved_consistency(fixture42.baseline_rule,
-                                             [fixture42.baseline_rule], fixture42.dataset)
-        assert report.new_inconsistencies == 0
+        report = decisiveness(fixture42.baseline_rule, fixture42.dataset)
+        assert check_preserved_consistency(report, report) == ()
 
     def test_over_broad_candidate_counts_new_inconsistencies(self, fixture42):
         candidate = PolarizedRule("baseline-pass", Polarity.PASS_RULE,
                                   parse_rule("(ego_speed > 0)"))
-        report = check_preserved_consistency(candidate, [fixture42.baseline_rule],
-                                             fixture42.dataset)
-        expected = sum(
-            1 for run in fixture42.dataset
+        new = check_preserved_consistency(decisiveness(fixture42.baseline_rule,
+                                                       fixture42.dataset),
+                                          decisiveness(candidate, fixture42.dataset))
+        expected = tuple(
+            idx for idx, run in enumerate(fixture42.dataset)
             if run.y is Outcome.FAIL and run.x["ego_speed"] > 0
             and classify_consistency(fixture42.baseline_rule, run)
             is not Consistency.INCONSISTENT)
-        assert expected > 0
-        assert report.new_inconsistencies == expected
+        assert expected
+        assert new == expected
 
     def test_target_not_in_ruleset(self, fixture42):
         stranger = PolarizedRule("nobody", Polarity.PASS_RULE, parse_rule("(ego_speed > 0)"))
         with pytest.raises(TargetNotInRuleset):
-            check_preserved_consistency(stranger, [fixture42.baseline_rule],
-                                        fixture42.dataset)
+            _refine(fixture42, R1_STAR, target=stranger)
 
 
 class TestTargetResolution:
+    """The resolution gate: mismatch_before/after come from one scoring of
+    the target and one of the candidate."""
+
     def test_fixture_resolution(self, fixture42):
-        candidate = PolarizedRule("c", Polarity.PASS_RULE, parse_rule(R1_STAR))
-        report = check_target_resolution(candidate, fixture42.baseline_rule,
-                                         fixture42.dataset)
+        report = _refine(fixture42, R1_STAR).reports[-1]
+        assert report.accepted
         assert report.mismatch_before == 27
         assert report.mismatch_after == 0
 
     def test_identity(self, fixture42):
-        report = check_target_resolution(fixture42.baseline_rule, fixture42.baseline_rule,
-                                         fixture42.dataset)
+        with pytest.raises(Exhausted) as err:
+            _refine(fixture42, print_rule(fixture42.baseline_rule.ast))
+        (report,) = err.value.reports
         assert report.mismatch_before == report.mismatch_after
 
     def test_widened_rule_regresses(self, fixture42):
-        widened = PolarizedRule("c", Polarity.PASS_RULE,
-                                parse_rule("(dist_front < 50) and (ego_speed > 0)"))
-        report = check_target_resolution(widened, fixture42.baseline_rule, fixture42.dataset)
+        with pytest.raises(Exhausted) as err:
+            _refine(fixture42, "(dist_front < 50) and (ego_speed > 0)")
+        (report,) = err.value.reports
         assert report.mismatch_after > report.mismatch_before
+        assert report.failure_summary == (f"does not reduce mismatches "
+                                          f"({report.mismatch_before} -> "
+                                          f"{report.mismatch_after})")
 
 
 class TestRefineLoop:
@@ -168,7 +182,6 @@ class TestRefineLoop:
         report = outcome.reports[-1]
         assert report.accepted
         assert report.contradiction.status is ContradictionStatus.CLEAR
-        assert report.broken_rule_ids == ()
         assert report.mismatch_after < report.mismatch_before
         assert report.new_inconsistencies == 0
 
@@ -233,6 +246,22 @@ class TestRefineLoop:
         (report,) = err.value.reports
         assert "does not reduce mismatches" in report.failure_summary
         assert report.mismatch_before == report.mismatch_after == 27
+
+    def test_new_inconsistencies_rejected(self, fixture42):
+        text = "(dist_front < 4.1) and (ego_speed > 0) or (dist_front > 48)"
+        candidate = PolarizedRule("baseline-pass", Polarity.PASS_RULE, parse_rule(text))
+        expected = [idx for idx, run in enumerate(fixture42.dataset)
+                    if classify_consistency(candidate, run) is Consistency.INCONSISTENT
+                    and classify_consistency(fixture42.baseline_rule, run)
+                    is not Consistency.INCONSISTENT]
+        assert expected
+        with pytest.raises(Exhausted) as err:
+            _refine(fixture42, text)
+        (report,) = err.value.reports
+        assert report.mismatch_after < report.mismatch_before
+        assert report.new_inconsistencies == len(expected)
+        assert report.failure_summary == (f"introduces {len(expected)} new inconsistencies "
+                                          f"at runs {expected}")
 
     def test_loop_bounded(self, fixture42):
         gen = MockGenerator([], fixture42.config.odd)
