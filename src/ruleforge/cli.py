@@ -23,7 +23,7 @@ from .grammar import ParseError, check_vocabulary, parse_rule, print_rule
 from .metrics import build_metrics_report, grammar_compliance, metrics_table
 from .scenario import default_config, make_oracle, make_reference_fixture, sample_dataset
 from .semantics import DEFAULT_EPS_EQ, PolarizedRule, decisiveness
-from .validation import ContradictionBudget, Exhausted, refine_loop
+from .validation import Exhausted, refine_loop
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,6 +51,11 @@ def _emit_error(state: AppState, kind: str, message: str) -> None:
         click.echo(f"error ({kind}): {message}", err=True)
 
 
+def _format_exit(state: AppState, message: str):
+    _emit_error(state, "format", message)
+    sys.exit(EXIT_FORMAT)
+
+
 def _pick_rule(rules, rule_id: str | None):
     if rule_id is None:
         if len(rules) == 1:
@@ -62,38 +67,28 @@ def _pick_rule(rules, rule_id: str | None):
     raise UsageFailure(f"no rule with id {rule_id!r}")
 
 
-def _load_inputs(state: AppState, loader, path):
+def _load_inputs(state: AppState, loader, path, *args):
     try:
-        return loader(path)
+        return loader(path, *args)
     except FileNotFoundError:
         raise UsageFailure(f"no such file: {path}")
     except storage.FormatError as exc:
-        _emit_error(state, "format", str(exc))
-        sys.exit(EXIT_FORMAT)
+        _format_exit(state, str(exc))
 
 
-def _load_runs_in_domain(state: AppState, dataset_path, config_path):
-    """Load a dataset and an oracle config, and refuse, as a format error, a
-    run outside the config's declared domain (or lacking one of its
-    variables): such a run cannot be searched or scored."""
+def _load_in_domain(state: AppState, rules_path, dataset_path, config_path):
+    """Load a dataset, an oracle config and rules. A run outside the config's
+    declared domain (or lacking one of its variables) cannot be searched or
+    scored, nor can a rule naming a variable the domain lacks: both are
+    refused as format errors."""
     runs = _load_inputs(state, storage.load_dataset, dataset_path)
     config = _load_inputs(state, storage.load_oracle_config, config_path)
     for lineno, run in enumerate(runs, start=2):
         if not config.odd.contains_point(run.x):
-            _emit_error(state, "format", f"{dataset_path}: line {lineno}: "
-                                         f"run outside the declared domain: {run.x}")
-            sys.exit(EXIT_FORMAT)
-    return runs, config
-
-
-def _load_raw_json(state: AppState, path):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise UsageFailure(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        _emit_error(state, "format", f"{path}: invalid JSON: {exc}")
-        sys.exit(EXIT_FORMAT)
+            _format_exit(state, f"{dataset_path}: line {lineno}: "
+                                f"run outside the declared domain: {run.x}")
+    rules = _load_inputs(state, storage.load_rules, rules_path, config.odd.names)
+    return rules, runs, config
 
 
 @click.group()
@@ -143,8 +138,8 @@ def sim(state: AppState, config_path, n, seed, reference_fixture, out_dir):
 @click.pass_obj
 def eval_cmd(state: AppState, rules_path, dataset_path, eps_eq, out_path):
     """Per-rule decisiveness over a labeled dataset."""
-    rules = _load_inputs(state, storage.load_rules, rules_path)
     runs = _load_inputs(state, storage.load_dataset, dataset_path)
+    rules = _load_inputs(state, storage.load_rules, rules_path, runs[0].x)
     results = []
     definitive_dgs = []
     for rule in rules:
@@ -188,8 +183,7 @@ def eval_cmd(state: AppState, rules_path, dataset_path, eps_eq, out_path):
 def cf(state: AppState, rules_path, rule_id, dataset_path, config_path, max_radius,
        search_budget, out_path):
     """Build the counterfactual evidence file for an inconsistent rule."""
-    rules = _load_inputs(state, storage.load_rules, rules_path)
-    runs, config = _load_runs_in_domain(state, dataset_path, config_path)
+    rules, runs, config = _load_in_domain(state, rules_path, dataset_path, config_path)
     rule = _pick_rule(rules, rule_id)
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
     try:
@@ -208,10 +202,9 @@ def _make_generator(state: AppState, generator: str, mock_script, runs, odd, eps
     if generator == "mock":
         if mock_script is None:
             raise UsageFailure("--generator mock requires --mock-script")
-        responses = _load_raw_json(state, mock_script)
+        responses = _load_inputs(state, storage.read_json, mock_script)
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-            _emit_error(state, "format", f"{mock_script}: expected a JSON list of strings")
-            sys.exit(EXIT_FORMAT)
+            _format_exit(state, f"{mock_script}: expected a JSON list of strings")
         return MockGenerator(responses, odd)
     missing = [name for name in (ENV_BASE_URL, ENV_API_KEY, ENV_MODEL)
                if not os.environ.get(name)]
@@ -235,32 +228,20 @@ def _make_generator(state: AppState, generator: str, mock_script, runs, odd, eps
 @click.option("--eps-eq", default=DEFAULT_EPS_EQ, show_default=True)
 @click.option("--max-radius", default=SearchLimits().max_radius_steps, show_default=True)
 @click.option("--search-budget", default=SearchLimits().budget, show_default=True)
-@click.option("--grid-cap", default=ContradictionBudget().grid_cap, show_default=True,
-              help="Deterministic grid probes allowed per contradiction check.")
-@click.option("--subdivision-depth", default=ContradictionBudget().subdivision_depth,
-              show_default=True, help="Interval refutation depth per contradiction check.")
-@click.option("--samples", default=ContradictionBudget().samples, show_default=True,
-              help="Seeded samples per contradiction check.")
-@click.option("--seed", default=0, show_default=True,
-              help="Seed for the contradiction checker's sampling stage.")
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=Path("."),
               show_default=True, help="Output directory.")
 @click.pass_obj
 def refine(state: AppState, rules_path, rule_id, dataset_path, config_path, generator,
-           mock_script, max_attempts, eps_eq, max_radius, search_budget, grid_cap,
-           subdivision_depth, samples, seed, out_dir):
+           mock_script, max_attempts, eps_eq, max_radius, search_budget, out_dir):
     """Run the refine-validate loop on an inconsistent rule."""
-    rules = _load_inputs(state, storage.load_rules, rules_path)
-    runs, config = _load_runs_in_domain(state, dataset_path, config_path)
+    rules, runs, config = _load_in_domain(state, rules_path, dataset_path, config_path)
     target = _pick_rule(rules, rule_id)
     gen = _make_generator(state, generator, mock_script, runs, config.odd, eps_eq)
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
-    budget = ContradictionBudget(grid_cap=grid_cap, subdivision_depth=subdivision_depth,
-                                 samples=samples, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outcome = refine_loop(target, rules, runs, make_oracle(config), config.odd, gen,
-                              max_attempts, eps_eq=eps_eq, limits=limits, budget=budget)
+                              max_attempts, eps_eq=eps_eq, limits=limits)
     except NoInconsistency as exc:
         raise UsageFailure(str(exc))
     except Exhausted as exc:
@@ -268,15 +249,11 @@ def refine(state: AppState, rules_path, rule_id, dataset_path, config_path, gene
         summary = "; ".join(r.failure_summary or "" for r in exc.reports)
         _emit_error(state, "refinement", f"exhausted after {len(exc.reports)} attempts: {summary}")
         sys.exit(EXIT_REFINEMENT)
-    dg_before = decisiveness(target, runs, eps_eq).dg
-    refined_rule = PolarizedRule(target.id, target.polarity, outcome.refined)
-    dg_after = decisiveness(refined_rule, runs, eps_eq).dg
-    storage.store_outcome(out_dir / "outcome.json", outcome, target.id, dg_before, dg_after)
-    (out_dir / "report.txt").write_text(_render_report(target, outcome, dg_before, dg_after),
-                                        encoding="utf-8")
+    storage.store_outcome(out_dir / "outcome.json", outcome, target.id)
+    (out_dir / "report.txt").write_text(_render_report(target, outcome), encoding="utf-8")
     _write_transcripts(out_dir, gen)
     click.echo(f"accepted on attempt {outcome.attempts}: {print_rule(outcome.refined)}")
-    click.echo(f"dg {dg_before:.4f} -> {dg_after:.4f}")
+    click.echo(f"dg {outcome.dg_before:.4f} -> {outcome.dg_after:.4f}")
 
 
 def _write_transcripts(out_dir: Path, gen) -> None:
@@ -291,12 +268,12 @@ def _write_transcripts(out_dir: Path, gen) -> None:
                                               encoding="utf-8")
 
 
-def _render_report(target, outcome, dg_before: float, dg_after: float) -> str:
+def _render_report(target, outcome) -> str:
     lines = [
         f"rule {target.id} ({target.polarity.value})",
         f"  before: {print_rule(target.ast)}",
         f"  after:  {print_rule(outcome.refined)}",
-        f"  decisiveness: {dg_before:.4f} -> {dg_after:.4f}",
+        f"  decisiveness: {outcome.dg_before:.4f} -> {outcome.dg_after:.4f}",
         f"  attempts: {outcome.attempts}",
         "",
         "change log:",
@@ -323,8 +300,7 @@ def _render_report(target, outcome, dg_before: float, dg_after: float) -> str:
 def metrics_cmd(state: AppState, rules_path, rule_id, dataset_path, config_path,
                 outcome_path, raw_path, out_path):
     """Score a refinement: decisiveness gain, validity, compliance, minimality."""
-    rules = _load_inputs(state, storage.load_rules, rules_path)
-    runs, config = _load_runs_in_domain(state, dataset_path, config_path)
+    rules, runs, config = _load_in_domain(state, rules_path, dataset_path, config_path)
     outcome = _load_inputs(state, storage.load_outcome, outcome_path)
     target = _pick_rule(rules, rule_id)
     raw_text = (Path(raw_path).read_text(encoding="utf-8") if raw_path
@@ -345,14 +321,15 @@ def metrics_cmd(state: AppState, rules_path, rule_id, dataset_path, config_path,
 def check(state: AppState, rules_path, config_path):
     """Parse and vet a rules file: vocabulary and grammar compliance."""
     config = _load_inputs(state, storage.load_oracle_config, config_path)
-    data = _load_raw_json(state, rules_path)
+    data = _load_inputs(state, storage.read_json, rules_path)
     if not isinstance(data, list):
-        _emit_error(state, "format", f"{rules_path}: rules file must be a JSON list")
-        sys.exit(EXIT_FORMAT)
+        _format_exit(state, f"{rules_path}: rules file must be a JSON list")
     failures = 0
     for i, entry in enumerate(data):
         rule_id = entry.get("id", f"#{i}") if isinstance(entry, dict) else f"#{i}"
         text = entry.get("text", "") if isinstance(entry, dict) else str(entry)
+        if not isinstance(text, str):
+            _format_exit(state, f"{rules_path}: rule {i} ({rule_id}): text must be a string")
         gc = grammar_compliance(text)
         try:
             ast = parse_rule(text)

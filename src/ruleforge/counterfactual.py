@@ -18,7 +18,7 @@ from decimal import Decimal
 from typing import Callable, Iterator
 
 from .grammar import OddSpec, print_rule
-from .semantics import Consistency, LabeledRun, Outcome, PolarizedRule, classify_consistency
+from .semantics import LabeledRun, Outcome, PolarizedRule, decisiveness
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RADIUS_STEPS = 20
@@ -157,8 +157,7 @@ def build_evidence(rule: PolarizedRule, dataset: list[LabeledRun], oracle: Oracl
     Runs whose search exhausts the radius or budget are listed as unresolved;
     together with the pairs they partition the inconsistent set.
     """
-    inconsistent = [idx for idx, run in enumerate(dataset)
-                    if classify_consistency(rule, run, eps_eq) is Consistency.INCONSISTENT]
+    inconsistent = decisiveness(rule, dataset, eps_eq).mismatches if dataset else ()
     if not inconsistent:
         raise NoInconsistency(f"rule {rule.id!r} has no inconsistent runs")
     pairs: list[CounterfactualPair] = []

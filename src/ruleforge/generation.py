@@ -26,7 +26,8 @@ import requests
 from .counterfactual import CounterfactualPair, EvidenceFile
 from .grammar import (Const, Conjunct, OddSpec, ParseError, Relation, RelOp, RuleAst,
                       STRICTNESS_SWAP, Var, check_vocabulary, direct_bound, fmt_number,
-                      parse_relation, parse_rule, print_relation, print_rule)
+                      parse_relation, parse_rule, print_conjunct, print_relation, print_rule,
+                      rule)
 from .semantics import LabeledRun, PolarizedRule, decisiveness
 
 FORMAT_EXEMPLAR = "(0<ARG2<5) and (ARG1>0) or (8<ARG2<12)"
@@ -76,14 +77,11 @@ class RefinementCandidate:
     explanation: str
     change_log: tuple[Edit, ...]
     source: CandidateSource
-    attempt: int = 1
-    raw_text: str | None = None
 
 
 @dataclass(frozen=True)
 class RejectedResponse:
     failure_summary: str
-    raw: str
 
 
 class GenerationFailure(Exception):
@@ -185,8 +183,8 @@ def _split_sections(text: str) -> tuple[str | None, str]:
 
 
 def parse_candidate_response(raw: str, odd: OddSpec,
-                             source: CandidateSource = CandidateSource.LLM,
-                             attempt: int = 1) -> RefinementCandidate | RejectedResponse:
+                             source: CandidateSource = CandidateSource.LLM
+                             ) -> RefinementCandidate | RejectedResponse:
     """Strict parse of a generator reply with a single bounded repair pass.
 
     Repairs: markdown code fences are stripped and prose around the rule
@@ -197,7 +195,7 @@ def parse_candidate_response(raw: str, odd: OddSpec,
     """
     text = _strip_fences(raw).strip()
     if not text:
-        return RejectedResponse("empty response", raw)
+        return RejectedResponse("empty response")
     rule_line, explanation = _split_sections(text)
     candidates = []
     if rule_line:
@@ -209,7 +207,7 @@ def parse_candidate_response(raw: str, odd: OddSpec,
     used_line = ""
     for line in candidates:
         if _TUPLE_FORM_RE.search(line):
-            return RejectedResponse("structural violation: list/tuple form", raw)
+            return RejectedResponse("structural violation: list/tuple form")
         try:
             parsed = parse_rule(line)
             used_line = line
@@ -217,16 +215,16 @@ def parse_candidate_response(raw: str, odd: OddSpec,
         except ParseError as exc:
             parse_failure = f"parse error: {exc}"
     if parsed is None:
-        return RejectedResponse(parse_failure, raw)
+        return RejectedResponse(parse_failure)
     violations = check_vocabulary(parsed, odd)
     if violations:
-        return RejectedResponse("; ".join(str(v) for v in violations), raw)
+        return RejectedResponse("; ".join(str(v) for v in violations))
     if not explanation:
         remainder = [line.strip() for line in text.splitlines()
                      if line.strip() and line.strip() != used_line]
         explanation = "\n".join(remainder)
     return RefinementCandidate(ast=parsed, explanation=explanation, change_log=(),
-                               source=source, attempt=attempt, raw_text=raw)
+                               source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +290,6 @@ def _conjunct_cost(old: Conjunct, new: Conjunct) -> int:
     return min(cost, _INF)
 
 
-def _print_disjunct_fragment(conj: Conjunct) -> str:
-    return " and ".join(print_relation(r) for r in conj.relations)
-
-
 def diff_rules(original: RuleAst, refined: RuleAst) -> tuple[Edit, ...]:
     """Edit script turning original into refined, using only the six allowed
     edit kinds. apply_edits(original, diff_rules(original, refined)) equals
@@ -308,10 +302,10 @@ def diff_rules(original: RuleAst, refined: RuleAst) -> tuple[Edit, ...]:
             d += 1
         elif op == "del":
             edits.append(Edit(EditKind.REMOVE_DISJUNCT, (d,),
-                              _print_disjunct_fragment(original.disjuncts[oi]), ""))
+                              print_conjunct(original.disjuncts[oi], wrap=False), ""))
         elif op == "ins":
             edits.append(Edit(EditKind.ADD_DISJUNCT, (d,), "",
-                              _print_disjunct_fragment(refined.disjuncts[ni])))
+                              print_conjunct(refined.disjuncts[ni], wrap=False)))
             d += 1
         else:  # sub: relation-level edits inside disjunct d
             rel_ops = _align(list(original.disjuncts[oi].relations),
@@ -357,11 +351,7 @@ def apply_edits(original: RuleAst, edits: tuple[Edit, ...]) -> RuleAst:
         else:  # ThresholdAdjust / OperatorReplace replace the whole relation
             d, j = edit.path
             work[d][j] = parse_relation(edit.after)
-    return RuleAst(tuple(Conjunct(tuple(rels)) for rels in work))
-
-
-def with_change_log(candidate: RefinementCandidate, target: RuleAst) -> RefinementCandidate:
-    return replace(candidate, change_log=diff_rules(target, candidate.ast))
+    return rule(*work)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +380,7 @@ def _var_const_positions(ast: RuleAst, feature: str) -> list[tuple[int, int, Rel
 def _replace_relation(ast: RuleAst, d: int, j: int, new_rel: Relation) -> RuleAst:
     work = [list(c.relations) for c in ast.disjuncts]
     work[d][j] = new_rel
-    return RuleAst(tuple(Conjunct(tuple(rels)) for rels in work))
+    return rule(*work)
 
 
 def _adjust_threshold(rel: Relation, value: float) -> Relation:
@@ -446,20 +436,20 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
             continue
         insert_at = len(work[d])
         work[d].append(new_rel)
-        add(RuleAst(tuple(Conjunct(tuple(rels)) for rels in work)),
+        add(rule(*work),
             Edit(EditKind.ADD_CONJUNCT, (d, insert_at), "", print_relation(new_rel)))
     for (d, j), rel in target.relations():
         if len(target.disjuncts[d].relations) > 1:
             work = [list(c.relations) for c in target.disjuncts]
             del work[d][j]
-            add(RuleAst(tuple(Conjunct(tuple(rels)) for rels in work)),
+            add(rule(*work),
                 Edit(EditKind.REMOVE_CONJUNCT, (d, j), print_relation(rel), ""))
     if len(target.disjuncts) > 1:
         for d, conj in enumerate(target.disjuncts):
             work = [list(c.relations) for c in target.disjuncts]
             del work[d]
-            add(RuleAst(tuple(Conjunct(tuple(rels)) for rels in work)),
-                Edit(EditKind.REMOVE_DISJUNCT, (d,), _print_disjunct_fragment(conj), ""))
+            add(rule(*work),
+                Edit(EditKind.REMOVE_DISJUNCT, (d,), print_conjunct(conj, wrap=False), ""))
     return out
 
 
@@ -495,8 +485,7 @@ class DeterministicGenerator:
                        f"{edit.before or '(none)'} -> {edit.after or '(removed)'}; "
                        f"mismatches {base} -> {best[0]}.")
         return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,),
-                                   source=CandidateSource.DETERMINISTIC,
-                                   raw_text=print_rule(ast))
+                                   source=CandidateSource.DETERMINISTIC)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +505,16 @@ class LlmConfig:
 class TranscriptEntry:
     prompt: str
     response: str
+
+
+def _candidate_from_reply(raw: str, odd: OddSpec, source: CandidateSource,
+                          target: RuleAst) -> RefinementCandidate:
+    """A parsed reply with its change log against the target; a rejected
+    reply raises GenerationFailure with the parser's summary."""
+    result = parse_candidate_response(raw, odd, source)
+    if isinstance(result, RejectedResponse):
+        raise GenerationFailure(result.failure_summary)
+    return replace(result, change_log=diff_rules(target, result.ast))
 
 
 class LlmGenerator:
@@ -548,10 +547,7 @@ class LlmGenerator:
         except (KeyError, IndexError, ValueError) as exc:
             raise GenerationFailure(f"malformed backend response: {exc}") from exc
         self.transcript.append(TranscriptEntry(prompt=prompt, response=content))
-        result = parse_candidate_response(content, self.odd, CandidateSource.LLM)
-        if isinstance(result, RejectedResponse):
-            raise GenerationFailure(result.failure_summary)
-        return with_change_log(result, ctx.target.ast)
+        return _candidate_from_reply(content, self.odd, CandidateSource.LLM, ctx.target.ast)
 
 
 class MockGenerator:
@@ -567,10 +563,7 @@ class MockGenerator:
             raise GenerationFailure("mock script exhausted")
         raw = self.responses[self._cursor]
         self._cursor += 1
-        result = parse_candidate_response(raw, self.odd, CandidateSource.MOCK)
-        if isinstance(result, RejectedResponse):
-            raise GenerationFailure(result.failure_summary)
-        return with_change_log(result, ctx.target.ast)
+        return _candidate_from_reply(raw, self.odd, CandidateSource.MOCK, ctx.target.ast)
 
 
 def generate_candidate(generator, ctx: RefinementContext) -> RefinementCandidate:

@@ -142,7 +142,7 @@ def expr_variables(expr: Expr) -> set[str]:
 
 
 def rule(*disjuncts) -> RuleAst:
-    """Build a RuleAst from lists of relations (test/fixture convenience)."""
+    """Build a RuleAst from lists of relations, one list per disjunct."""
     return RuleAst(tuple(Conjunct(tuple(rels)) for rels in disjuncts))
 
 

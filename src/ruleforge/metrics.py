@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import (Const, MIRROR, OddSpec, ParseError, Relation, RelOp, RuleAst, Token,
-                      TokenKind, Var, direct_bound, parse_tokens, tokenize)
+                      TokenKind, Var, check_vocabulary, direct_bound, parse_tokens,
+                      print_relation, rule, tokenize)
 from .semantics import DecisivenessReport
 
 
@@ -38,24 +39,12 @@ class SvReport:
 def semantic_validity(ast: RuleAst, odd: OddSpec) -> SvReport:
     """A predicate is invalid if it references an unknown variable or
     directly compares a variable against a constant outside that variable's
-    range. (Operators outside the whitelist cannot be represented in a
-    parsed rule, so they never contribute here.)"""
-    from .grammar import expr_variables, print_relation
-
-    n_pred = 0
-    invalid: list[str] = []
-    for _, rel in ast.relations():
-        n_pred += 1
-        names = expr_variables(rel.lhs) | expr_variables(rel.rhs)
-        bad = any(name not in odd for name in names)
-        if not bad:
-            bound = direct_bound(rel)
-            if bound is not None:
-                name, _, value = bound
-                var = odd.get(name)
-                bad = not (var.min <= value <= var.max)
-        if bad:
-            invalid.append(print_relation(rel))
+    range, that is, if check_vocabulary flags it. (Operators outside the
+    whitelist cannot be represented in a parsed rule, so they never
+    contribute here.)"""
+    relations = [rel for _, rel in ast.relations()]
+    invalid = [print_relation(rel) for rel in relations if check_vocabulary(rule([rel]), odd)]
+    n_pred = len(relations)
     return SvReport(sv=1.0 - len(invalid) / n_pred, n_invalid=len(invalid),
                     n_pred=n_pred, invalid_predicates=tuple(invalid))
 
@@ -192,7 +181,7 @@ def change_minimality(original: RuleAst, refined: RuleAst) -> CmReport:
     removed = len(remaining_orig)
     added_new_vars = sum(
         1 for rel in added
-        if any(name not in orig_vars for name in _relation_vars(rel)))
+        if not rule([rel]).variables() <= orig_vars)
     added_existing = len(added) - added_new_vars
     rewritten = min(removed, len(added))
     removed_redundant = removed - rewritten
@@ -226,12 +215,6 @@ def change_minimality(original: RuleAst, refined: RuleAst) -> CmReport:
         "n_original": n_orig,
         "n_refined": n_ref,
     })
-
-
-def _relation_vars(rel: Relation) -> set[str]:
-    from .grammar import expr_variables
-
-    return expr_variables(rel.lhs) | expr_variables(rel.rhs)
 
 
 def _over_constrained(orig: list[Relation], ref: list[Relation]) -> bool:

@@ -86,7 +86,6 @@ def sample_dataset(config: OracleConfig, n: int, seed: int) -> list[LabeledRun]:
 class Fixture:
     dataset: list[LabeledRun]
     baseline_rule: PolarizedRule
-    expected_mismatches: int
     config: OracleConfig
 
 
@@ -138,6 +137,5 @@ def make_reference_fixture(seed: int = 42) -> Fixture:
     if report.n_mismatch != FIXTURE_MISMATCHES:
         raise ConstructionFailure(
             f"expected {FIXTURE_MISMATCHES} mismatches, got {report.n_mismatch}")
-    return Fixture(dataset=runs, baseline_rule=baseline,
-                   expected_mismatches=FIXTURE_MISMATCHES, config=config)
+    return Fixture(dataset=runs, baseline_rule=baseline, config=config)
 

@@ -20,9 +20,9 @@ from .counterfactual import CounterfactualPair, EvidenceFile
 from .generation import Edit, EditKind
 from .grammar import OddSpec, OddVariable, ParseError, fmt_number, parse_rule, print_rule
 from .metrics import MetricsReport
-from .scenario import OracleConfig
+from .scenario import ConstructionFailure, OracleConfig
 from .semantics import LabeledRun, Outcome, PolarizedRule, Polarity
-from .validation import (ContradictionStatus, ContradictionSummary, RefinementOutcome,
+from .validation import (ContradictionResult, ContradictionStatus, RefinementOutcome,
                          ValidationReport)
 
 SCHEMA_VERSION = 1
@@ -100,7 +100,7 @@ def _write_json(path: str | Path, payload) -> None:
     Path(path).write_bytes(_json_bytes(payload))
 
 
-def _read_json(path: str | Path):
+def read_json(path: str | Path):
     path = Path(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
@@ -113,8 +113,10 @@ def _read_json(path: str | Path):
 # ---------------------------------------------------------------------------
 
 
-def load_rules(path: str | Path) -> list[PolarizedRule]:
-    data = _read_json(path)
+def load_rules(path: str | Path, variables=None) -> list[PolarizedRule]:
+    """Rules in file order. Given the variables the rules will be evaluated
+    over, a rule naming any other variable is refused: it cannot be scored."""
+    data = read_json(path)
     if not isinstance(data, list):
         _fail(path, "rules file must be a JSON list")
     rules = []
@@ -125,6 +127,8 @@ def load_rules(path: str | Path) -> list[PolarizedRule]:
         for key in ("id", "polarity", "text"):
             if key not in entry:
                 _fail(path, f"rule {i}: missing field {key!r}")
+            if not isinstance(entry[key], str):
+                _fail(path, f"rule {i}: field {key!r} must be a string, got {entry[key]!r}")
         try:
             polarity = Polarity(entry["polarity"])
         except ValueError:
@@ -134,10 +138,13 @@ def load_rules(path: str | Path) -> list[PolarizedRule]:
             ast = parse_rule(entry["text"])
         except ParseError as exc:
             _fail(path, f"rule {i} ({entry['id']}): {exc}")
+        if variables is not None and not ast.variables() <= set(variables):
+            _fail(path, f"rule {i} ({entry['id']}): unbound variable(s) "
+                        f"{sorted(ast.variables() - set(variables))}")
         if entry["id"] in seen_ids:
             _fail(path, f"rule {i}: duplicate id {entry['id']!r}")
         seen_ids.add(entry["id"])
-        rules.append(PolarizedRule(id=str(entry["id"]), polarity=polarity, ast=ast))
+        rules.append(PolarizedRule(id=entry["id"], polarity=polarity, ast=ast))
     if not rules:
         _fail(path, "rules file is empty")
     return rules
@@ -175,7 +182,7 @@ def odd_from_json(data, path="<odd>") -> OddSpec:
 
 
 def load_odd(path: str | Path) -> OddSpec:
-    data = _read_json(path)
+    data = read_json(path)
     if isinstance(data, dict) and "odd" in data:
         data = data["odd"]
     return odd_from_json(data, path)
@@ -195,16 +202,21 @@ def store_oracle_config(path: str | Path, config: OracleConfig) -> None:
 
 
 def load_oracle_config(path: str | Path) -> OracleConfig:
-    data = _read_json(path)
-    for key in ("odd", "safe_region", "seed"):
+    data = read_json(path)
+    if not isinstance(data, dict):
+        _fail(path, "oracle config must be a JSON object")
+    for key, kind, name in (("odd", dict, "an object"), ("safe_region", str, "a string"),
+                            ("seed", int, "an integer")):
         if key not in data:
             _fail(path, f"missing field {key!r}")
+        if not isinstance(data[key], kind) or isinstance(data[key], bool):
+            _fail(path, f"field {key!r} must be {name}, got {data[key]!r}")
     odd = odd_from_json(data["odd"], path)
     try:
-        safe_region = parse_rule(data["safe_region"])
-    except ParseError as exc:
+        return OracleConfig(odd=odd, safe_region=parse_rule(data["safe_region"]),
+                            seed=data["seed"])
+    except (ParseError, ConstructionFailure) as exc:
         _fail(path, f"safe_region: {exc}")
-    return OracleConfig(odd=odd, safe_region=safe_region, seed=int(data["seed"]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +276,7 @@ def store_evidence(path: str | Path, evidence: EvidenceFile) -> None:
 
 
 def load_evidence(path: str | Path) -> EvidenceFile:
-    return evidence_from_json(_read_json(path), path)
+    return evidence_from_json(read_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +313,7 @@ def _report_to_json(report: ValidationReport) -> dict:
 def _report_from_json(data) -> ValidationReport:
     contradiction = None
     if data.get("contradiction"):
-        contradiction = ContradictionSummary(
+        contradiction = ContradictionResult(
             status=ContradictionStatus(data["contradiction"]["status"]),
             witness=data["contradiction"]["witness"],
             opposing_rule_id=data["contradiction"]["opposing_rule_id"],
@@ -319,10 +331,8 @@ def _report_from_json(data) -> ValidationReport:
     )
 
 
-def outcome_to_json(outcome: RefinementOutcome, rule_id: str,
-                    dg_before: float | None = None,
-                    dg_after: float | None = None) -> dict:
-    payload = {
+def outcome_to_json(outcome: RefinementOutcome, rule_id: str) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "rule_id": rule_id,
         "refined_text": print_rule(outcome.refined),
@@ -334,21 +344,17 @@ def outcome_to_json(outcome: RefinementOutcome, rule_id: str,
         "attempts": outcome.attempts,
         "reports": [_report_to_json(r) for r in outcome.reports],
         "evidence": evidence_to_json(outcome.evidence),
+        "dg_before": outcome.dg_before,
+        "dg_after": outcome.dg_after,
     }
-    if dg_before is not None:
-        payload["dg_before"] = dg_before
-    if dg_after is not None:
-        payload["dg_after"] = dg_after
-    return payload
 
 
-def store_outcome(path: str | Path, outcome: RefinementOutcome, rule_id: str,
-                  dg_before: float | None = None, dg_after: float | None = None) -> None:
-    _write_json(path, outcome_to_json(outcome, rule_id, dg_before, dg_after))
+def store_outcome(path: str | Path, outcome: RefinementOutcome, rule_id: str) -> None:
+    _write_json(path, outcome_to_json(outcome, rule_id))
 
 
 def load_outcome(path: str | Path) -> RefinementOutcome:
-    data = _read_json(path)
+    data = read_json(path)
     try:
         return RefinementOutcome(
             refined=parse_rule(data["refined_text"]),
@@ -361,6 +367,8 @@ def load_outcome(path: str | Path) -> RefinementOutcome:
             attempts=data["attempts"],
             reports=tuple(_report_from_json(r) for r in data["reports"]),
             evidence=evidence_from_json(data["evidence"], path),
+            dg_before=data.get("dg_before"),
+            dg_after=data.get("dg_after"),
         )
     except (KeyError, TypeError, ValueError, ParseError) as exc:
         if isinstance(exc, FormatError):

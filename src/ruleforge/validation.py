@@ -9,7 +9,10 @@ leaves every historical rule's verdicts unchanged and preservation reduces
 to "no new inconsistencies": no run may become inconsistent under the
 candidate that was not inconsistent under the target. The target and each
 candidate are scored once, and every gate after the contradiction check
-reads those two reports.
+reads those two reports; the accepted outcome carries both decisiveness
+scores, so no caller scores the rules again. A report's contradiction
+verdict is the first non-Clear ContradictionResult, or an all-Clear one with
+no opposing rule id.
 Overlap checking is decided over the bounded domain box: a concrete witness
 (dataset points first, then the step grid, then seeded grid sampling) flags
 a contradiction; recursive interval-arithmetic subdivision proves clearance;
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .counterfactual import EvidenceFile, Oracle, SearchLimits, build_evidence
@@ -48,7 +51,7 @@ class ContradictionBudget:
 
 @dataclass(frozen=True)
 class ContradictionResult:
-    opposing_rule_id: str
+    opposing_rule_id: str | None  # None for the all-Clear verdict of a report
     status: ContradictionStatus
     witness: dict[str, float] | None = None
 
@@ -273,19 +276,12 @@ def check_preserved_consistency(before: DecisivenessReport,
 
 
 @dataclass(frozen=True)
-class ContradictionSummary:
-    status: ContradictionStatus
-    witness: dict[str, float] | None = None
-    opposing_rule_id: str | None = None
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     attempt: int
     accepted: bool
     failure_summary: str | None
     candidate_text: str | None = None
-    contradiction: ContradictionSummary | None = None
+    contradiction: ContradictionResult | None = None  # first non-Clear, else all-Clear
     new_inconsistencies: int = 0
     mismatch_before: int | None = None
     mismatch_after: int | None = None
@@ -300,6 +296,8 @@ class RefinementOutcome:
     attempts: int
     reports: tuple[ValidationReport, ...]
     evidence: EvidenceFile
+    dg_before: float | None = None  # decisiveness of the target
+    dg_after: float | None = None  # decisiveness of the refined rule
 
 
 class Exhausted(Exception):
@@ -350,7 +348,7 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
             failure_summary="\n".join(summaries) if summaries else None,
         )
         try:
-            candidate = replace(generate_candidate(generator, ctx), attempt=attempt)
+            candidate = generate_candidate(generator, ctx)
         except GenerationFailure as exc:
             reject(attempt, exc.summary)
             continue
@@ -361,19 +359,15 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
                    candidate_text=candidate_text)
             continue
         as_rule = PolarizedRule(target.id, target.polarity, candidate.ast)
-        contradiction = ContradictionSummary(ContradictionStatus.CLEAR)
-        contra_failure = None
-        for result in check_contradiction(as_rule, opposing, odd, budget, dataset, eps_eq):
-            if result.status is not ContradictionStatus.CLEAR:
-                contradiction = ContradictionSummary(result.status, result.witness,
-                                                     result.opposing_rule_id)
-                contra_failure = (f"contradiction {result.status.value} against rule "
-                                  f"{result.opposing_rule_id}"
-                                  + (f" at {result.witness}" if result.witness else ""))
-                break
-        if contra_failure:
-            reject(attempt, contra_failure, candidate_text=candidate_text,
-                   contradiction=contradiction)
+        contradiction = next(
+            (r for r in check_contradiction(as_rule, opposing, odd, budget, dataset, eps_eq)
+             if r.status is not ContradictionStatus.CLEAR),
+            ContradictionResult(None, ContradictionStatus.CLEAR))
+        if contradiction.status is not ContradictionStatus.CLEAR:
+            reject(attempt, f"contradiction {contradiction.status.value} against rule "
+                            f"{contradiction.opposing_rule_id}"
+                            + (f" at {contradiction.witness}" if contradiction.witness else ""),
+                   candidate_text=candidate_text, contradiction=contradiction)
             continue
         after = decisiveness(as_rule, dataset, eps_eq)
         new_indices = check_preserved_consistency(before, after)
@@ -397,5 +391,7 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
             attempts=attempt,
             reports=tuple(reports),
             evidence=evidence,
+            dg_before=before.dg,
+            dg_after=after.dg,
         )
     raise Exhausted(tuple(reports))

@@ -92,7 +92,7 @@ class TestRefine:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert main(["refine", *_args(workspace), "--generator", "local",
-                         "--seed", "0", "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
         assert (a / "outcome.json").read_bytes() == (b / "outcome.json").read_bytes()
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
@@ -259,3 +259,95 @@ class TestOutOfDomainRows:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"line {last_line}: run outside the declared domain" in err
+
+
+def _rules_file(tmp_path, entries):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(entries))
+    return path
+
+
+def _config_file(workspace, tmp_path, **fields):
+    data = json.loads((workspace / "oracle_config.json").read_text())
+    data.update(fields)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestMalformedFiles:
+    """A malformed rules or config file is a format error (exit 2) that names
+    the offending entry, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    def test_rule_text_not_a_string(self, workspace, tmp_path, capsys, command):
+        rules = _rules_file(tmp_path, [{"id": "r1", "polarity": "pass", "text": 5}])
+        extra = (["--dataset", str(workspace / "dataset.csv")] if command == "eval"
+                 else ["--config", str(workspace / "oracle_config.json")])
+        assert main([command, "--rules", str(rules), *extra]) == 2
+        assert "rule 0" in capsys.readouterr().err
+
+    def test_rule_id_is_a_list(self, workspace, tmp_path, capsys):
+        rules = _rules_file(tmp_path, [{"id": ["r1"], "polarity": "pass",
+                                        "text": "(dist_front < 5)"}])
+        assert main(["eval", "--rules", str(rules),
+                     "--dataset", str(workspace / "dataset.csv")]) == 2
+        assert "rule 0: field 'id' must be a string" in capsys.readouterr().err
+
+    def test_config_seed_not_an_integer(self, workspace, tmp_path, capsys):
+        config = _config_file(workspace, tmp_path, seed="abc")
+        out = tmp_path / "run"
+        assert main(["refine", "--rules", str(workspace / "rules.json"),
+                     "--dataset", str(workspace / "dataset.csv"), "--config", str(config),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "field 'seed' must be an integer" in capsys.readouterr().err
+
+    def test_config_safe_region_outside_its_odd(self, workspace, tmp_path, capsys):
+        config = _config_file(workspace, tmp_path, safe_region="(headway > 2)")
+        assert main(["check", "--rules", str(workspace / "rules.json"),
+                     "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "safe_region" in err and "headway" in err
+
+
+class TestUnboundRuleVariables:
+    """A rule naming a variable the dataset (eval) or the config's domain (cf,
+    refine, metrics) lacks is refused before any output."""
+
+    UNBOUND = [{"id": "baseline-pass", "polarity": "pass",
+                "text": "(dist_front < 5) and (headway > 0)"}]
+
+    def test_eval(self, workspace, tmp_path, capsys):
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--rules", str(_rules_file(tmp_path, self.UNBOUND)),
+                     "--dataset", str(workspace / "dataset.csv"), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "rule 0 (baseline-pass): unbound variable(s) ['headway']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,extra", [
+        ("cf", []),
+        ("refine", ["--generator", "local"]),
+        ("metrics", ["--outcome", str(GOLDEN_OUTCOME)]),
+    ])
+    def test_exit_2_and_no_output(self, workspace, tmp_path, capsys, command, extra):
+        out = tmp_path / "out"
+        code = main([command, "--rules", str(_rules_file(tmp_path, self.UNBOUND)),
+                     "--dataset", str(workspace / "dataset.csv"),
+                     "--config", str(workspace / "oracle_config.json"),
+                     *extra, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "unbound variable(s) ['headway']" in capsys.readouterr().err
+
+
+def test_refine_takes_its_scores_from_the_outcome(workspace, tmp_path, monkeypatch):
+    def no_rescoring(*args, **kwargs):
+        raise AssertionError("cli.refine scored a rule itself")
+
+    monkeypatch.setattr("ruleforge.cli.decisiveness", no_rescoring)
+    out = tmp_path / "run"
+    assert main(["refine", *_args(workspace), "--generator", "local", "--out", str(out)]) == 0
+    outcome = json.loads((out / "outcome.json").read_text())
+    assert round(outcome["dg_before"], 4) == 0.8636 and outcome["dg_after"] == 1.0
+    assert "decisiveness: 0.8636 -> 1.0000" in (out / "report.txt").read_text()

@@ -167,6 +167,11 @@ class TestBuildEvidence:
             build_evidence(consistent, fixture42.dataset, make_oracle(fixture42.config),
                            fixture42.config.odd)
 
+    def test_empty_dataset_raises(self, fixture42):
+        with pytest.raises(NoInconsistency):
+            build_evidence(fixture42.baseline_rule, [], make_oracle(fixture42.config),
+                           fixture42.config.odd)
+
     def test_pairs_follow_dataset_order(self, fixture42):
         config = fixture42.config
         evidence = build_evidence(fixture42.baseline_rule, fixture42.dataset,

@@ -1,10 +1,17 @@
-"""Golden artifacts: `sim --reference-fixture --seed 42` then `refine --generator
-local` must reproduce the checked-in outcome.json and report.txt byte for byte.
+"""Golden artifacts: `sim --reference-fixture --seed 42` then `refine` must
+reproduce the checked-in outcome.json and report.txt byte for byte.
+
+* `golden/`: `refine --generator local` on the fixture's rules.
+* `golden/flagged/`: `refine --generator mock` on the fixture's rules plus the
+  fail rule `(dist_front < 3)`. The first scripted reply overlaps that rule and
+  is rejected as Flagged with a witness; the second is accepted. It locks the
+  serialization of a rejected report with a witness.
 
 Regenerate the golden files only for an intended artifact change, with the
-same two commands, and say why in the change log.
+same commands, and say why in the change log.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -12,6 +19,14 @@ import pytest
 from ruleforge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+NEAR_FAIL_RULE = {"id": "near-fail", "polarity": "fail", "text": "(dist_front < 3)"}
+MOCK_SCRIPT = [
+    "Rule: (dist_front < 4.1) and (ego_speed > 0)\n"
+    "Explanation: tighten the headway bound to the observed flip.",
+    "Rule: (dist_front < 4.1) and (dist_front > 3.5) and (ego_speed > 0)\n"
+    "Explanation: tighten the headway bound and stay clear of near-fail.",
+]
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +41,38 @@ def refine_out(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def flagged_out(tmp_path_factory):
+    ws = tmp_path_factory.mktemp("flagged")
+    assert main(["sim", "--reference-fixture", "--seed", "42", "--out", str(ws)]) == 0
+    rules = ws / "rules_with_near_fail.json"
+    rules.write_text(json.dumps(json.loads((ws / "rules.json").read_text())
+                                + [NEAR_FAIL_RULE]))
+    script = ws / "script.json"
+    script.write_text(json.dumps(MOCK_SCRIPT))
+    out = ws / "run"
+    assert main(["refine", "--rules", str(rules), "--rule-id", "baseline-pass",
+                 "--dataset", str(ws / "dataset.csv"),
+                 "--config", str(ws / "oracle_config.json"),
+                 "--generator", "mock", "--mock-script", str(script),
+                 "--out", str(out)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("name", ["outcome.json", "report.txt"])
 def test_reference_refine_artifacts_match_golden(refine_out, name):
     assert (refine_out / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["outcome.json", "report.txt"])
+def test_flagged_attempt_artifacts_match_golden(flagged_out, name):
+    assert (flagged_out / name).read_bytes() == (GOLDEN / "flagged" / name).read_bytes()
+
+
+def test_flagged_golden_holds_a_witnessed_rejection():
+    reports = json.loads((GOLDEN / "flagged" / "outcome.json").read_text())["reports"]
+    assert [r["accepted"] for r in reports] == [False, True]
+    contradiction = reports[0]["contradiction"]
+    assert contradiction["status"] == "Flagged"
+    assert contradiction["opposing_rule_id"] == "near-fail"
+    assert contradiction["witness"]["dist_front"] < 3

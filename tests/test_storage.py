@@ -88,6 +88,15 @@ class TestRulesJson:
         with pytest.raises(storage.FormatError):
             storage.load_rules(path)
 
+    @pytest.mark.parametrize("field,value", [("text", 5), ("text", None), ("id", ["r"]),
+                                             ("id", 3), ("polarity", ["pass"])])
+    def test_non_string_field_names_it(self, tmp_path, field, value):
+        path = tmp_path / "rules.json"
+        entry = {"id": "r", "polarity": "pass", "text": "(x > 0)", field: value}
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(storage.FormatError, match=f"rule 0: field '{field}' must be a string"):
+            storage.load_rules(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "rules.json"
         entry = {"id": "r", "polarity": "pass", "text": "(x > 0)"}
@@ -165,17 +174,33 @@ class TestOracleConfigJson:
         with pytest.raises(storage.FormatError, match="safe_region"):
             storage.load_oracle_config(path)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", "abc", "field 'seed' must be an integer"),
+        ("seed", True, "field 'seed' must be an integer"),
+        ("safe_region", 4, "field 'safe_region' must be a string"),
+        ("safe_region", "(headway > 2)", "safe_region: .*UnknownVariable.*headway"),
+    ])
+    def test_bad_field_names_it(self, fixture42, tmp_path, field, value, message):
+        path = tmp_path / "config.json"
+        storage.store_oracle_config(path, fixture42.config)
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(storage.FormatError, match=message):
+            storage.load_oracle_config(path)
+
 
 class TestOutcomeJson:
     def test_round_trip(self, outcome42, tmp_path):
         path = tmp_path / "outcome.json"
-        storage.store_outcome(path, outcome42, "baseline-pass", dg_before=0.8636,
-                              dg_after=1.0)
+        storage.store_outcome(path, outcome42, "baseline-pass")
         loaded = storage.load_outcome(path)
         assert loaded.refined == outcome42.refined
         assert loaded.change_log == outcome42.change_log
         assert loaded.attempts == outcome42.attempts
         assert loaded.reports == outcome42.reports
+        assert (loaded.dg_before, loaded.dg_after) == (outcome42.dg_before, outcome42.dg_after)
+        assert round(loaded.dg_before, 4) == 0.8636 and loaded.dg_after == 1.0
         data = json.loads(path.read_text())
         assert data["schema_version"] == 1
         assert data["dg_after"] == 1.0
