@@ -238,17 +238,18 @@ def refine(state: AppState, rules_path, rule_id, dataset_path, config_path, gene
     target = _pick_rule(rules, rule_id)
     gen = _make_generator(state, generator, mock_script, runs, config.odd, eps_eq)
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outcome = refine_loop(target, rules, runs, make_oracle(config), config.odd, gen,
                               max_attempts, eps_eq=eps_eq, limits=limits)
     except NoInconsistency as exc:
         raise UsageFailure(str(exc))
     except Exhausted as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
         _write_transcripts(out_dir, gen)
         summary = "; ".join(r.failure_summary or "" for r in exc.reports)
         _emit_error(state, "refinement", f"exhausted after {len(exc.reports)} attempts: {summary}")
         sys.exit(EXIT_REFINEMENT)
+    out_dir.mkdir(parents=True, exist_ok=True)
     storage.store_outcome(out_dir / "outcome.json", outcome, target.id)
     (out_dir / "report.txt").write_text(_render_report(target, outcome), encoding="utf-8")
     _write_transcripts(out_dir, gen)
@@ -302,6 +303,10 @@ def metrics_cmd(state: AppState, rules_path, rule_id, dataset_path, config_path,
     """Score a refinement: decisiveness gain, validity, compliance, minimality."""
     rules, runs, config = _load_in_domain(state, rules_path, dataset_path, config_path)
     outcome = _load_inputs(state, storage.load_outcome, outcome_path)
+    unbound = outcome.refined.variables() - set(config.odd.names)
+    if unbound:
+        _format_exit(state, f"{outcome_path}: refined rule: unbound variable(s) "
+                            f"{sorted(unbound)}")
     target = _pick_rule(rules, rule_id)
     raw_text = (Path(raw_path).read_text(encoding="utf-8") if raw_path
                 else print_rule(outcome.refined))

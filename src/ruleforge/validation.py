@@ -13,24 +13,24 @@ reads those two reports; the accepted outcome carries both decisiveness
 scores, so no caller scores the rules again. A report's contradiction
 verdict is the first non-Clear ContradictionResult, or an all-Clear one with
 no opposing rule id.
-Overlap checking is decided over the bounded domain box: a concrete witness
-(dataset points first, then the step grid, then seeded grid sampling) flags
-a contradiction; recursive interval-arithmetic subdivision proves clearance;
-anything undecided within budget stays Unknown and is treated as a
-rejection.
+Overlap is decided per pair of conjuncts, one from each rule, over the box
+that the pair's direct bounds cut out of the domain: an empty box, or one in
+which interval subdivision refutes the pair's other relations, proves the
+pair disjoint; otherwise a dataset point or a step-grid point in the box
+where both rules hold flags it. Unknown is treated as a rejection.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .counterfactual import EvidenceFile, Oracle, SearchLimits, build_evidence
 from .generation import Edit, GenerationFailure, RefinementContext, generate_candidate
 from .grammar import (Const, Expr, GRAMMAR_TEXT, OddSpec, Relation, RelOp, RuleAst, Var,
-                      check_vocabulary, print_rule)
+                      check_vocabulary, direct_bound, expr_variables, print_rule)
 from .semantics import (DEFAULT_EPS_EQ, DecisivenessReport, LabeledRun, PolarizedRule,
                         decisiveness, evaluate)
 
@@ -43,10 +43,8 @@ class ContradictionStatus(Enum):
 
 @dataclass(frozen=True)
 class ContradictionBudget:
-    grid_cap: int = 100_000  # max deterministic grid probes
+    grid_cap: int = 100_000  # max grid probes per pair of conjuncts
     subdivision_depth: int = 12
-    samples: int = 10_000
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class TargetNotInRuleset(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Interval arithmetic over a box: three-valued truth of rules.
+# Interval arithmetic over a box: three-valued truth of relations.
 # ---------------------------------------------------------------------------
 
 _FULL_LINE = (-math.inf, math.inf, True)
@@ -116,11 +114,13 @@ def _relation_truth(rel: Relation, box, eps_eq: float) -> bool | None:
         return True if lo > 0 else (False if hi <= 0 else None)
     if rel.op is RelOp.GE:
         return True if lo >= 0 else (False if hi < 0 else None)
-    if rel.op is RelOp.EQ:
-        return True if (-eps_eq <= lo and hi <= eps_eq) else (False if (lo > eps_eq or hi < -eps_eq) else None)
-    # NE
-    inner = True if (-eps_eq <= lo and hi <= eps_eq) else (False if (lo > eps_eq or hi < -eps_eq) else None)
-    return None if inner is None else not inner
+    # The band |lhs - rhs| <= eps_eq, its ends rounded as _cut_box rounds
+    # the band of a direct ==.
+    inner = (True if (rhi - eps_eq <= llo and lhi <= rlo + eps_eq)
+             else (False if (llo > rhi + eps_eq or lhi < rlo - eps_eq) else None))
+    if rel.op is RelOp.EQ or inner is None:
+        return inner
+    return not inner  # NE
 
 
 def _and3(values) -> bool | None:
@@ -133,99 +133,87 @@ def _and3(values) -> bool | None:
     return result
 
 
-def _or3(values) -> bool | None:
-    result: bool | None = False
-    for v in values:
-        if v is True:
-            return True
-        if v is None:
-            result = None
-    return result
+def _refute(relations: list[Relation], box, depth: int, eps_eq: float) -> bool:
+    """True when interval subdivision proves that the conjunction of the
+    relations holds nowhere in the closed box."""
+    truth = _and3(_relation_truth(r, box, eps_eq) for r in relations)
+    if truth is not None:
+        return not truth
+    if depth <= 0 or not box:
+        return False
+    name, (lo, hi) = max(box.items(), key=lambda kv: kv[1][1] - kv[1][0])
+    mid = (lo + hi) / 2
+    return all(_refute(relations, {**box, name: sub}, depth - 1, eps_eq)
+               for sub in ((lo, mid), (mid, hi)))
 
 
-def _rule_truth(ast: RuleAst, box, eps_eq: float) -> bool | None:
-    return _or3(_and3(_relation_truth(r, box, eps_eq) for r in conj.relations)
-                for conj in ast.disjuncts)
+# ---------------------------------------------------------------------------
+# Boxes cut out of the domain by direct bounds.
+# ---------------------------------------------------------------------------
 
 
-def _grid_point_in_box(box, odd: OddSpec) -> dict[str, float] | None:
-    point = {}
+def _cut_box(relations, odd: OddSpec, eps_eq: float):
+    """(box, residual): the box {name: (lower end, upper end)} that the
+    direct bounds among the relations cut out of the domain, and the
+    relations that are no box (!= and compound sides). == is the closed band
+    [c - eps_eq, c + eps_eq].
+
+    A lower end is (value, open) and an upper end (value, closed), so tuple
+    order makes max()/min() pick the tighter end, x lies inside when
+    lower < (x, True) and (x, False) < upper, and the box is empty when some
+    lower >= upper."""
+    lower = {v.name: (v.min, False) for v in odd.variables}
+    upper = {v.name: (v.max, True) for v in odd.variables}
+    residual = []
+    for rel in relations:
+        bound = direct_bound(rel)
+        if bound is None or bound[1] is RelOp.NE:
+            residual.append(rel)
+            continue
+        name, op, c = bound
+        band = eps_eq if op is RelOp.EQ else 0.0
+        if op in (RelOp.GT, RelOp.GE, RelOp.EQ):
+            lower[name] = max(lower[name], (c - band, op is RelOp.GT))
+        if op in (RelOp.LT, RelOp.LE, RelOp.EQ):
+            upper[name] = min(upper[name], (c + band, op is not RelOp.LT))
+    return {name: (lower[name], upper[name]) for name in lower}, residual
+
+
+def _grid_in_box(box, odd: OddSpec, cap: int):
+    """The step-grid points inside the box, lowest first, strided per axis
+    to at most cap points."""
+    axes = []
     for v in odd.variables:
         lo, hi = box[v.name]
-        k_lo = max(0, math.ceil((lo - v.min) / v.step - 1e-9))
-        k_hi = min(v.grid_count - 1, math.floor((hi - v.min) / v.step + 1e-9))
-        if k_lo > k_hi:
-            return None
-        point[v.name] = v.grid_value(k_lo)
-    return point
+        first = max(0, math.floor((lo[0] - v.min) / v.step))
+        last = min(v.grid_count - 1, math.ceil((hi[0] - v.min) / v.step))
+        values = (v.grid_value(k) for k in range(first, last + 1))
+        axes.append([x for x in values if lo < (x, True) and (x, False) < hi])
+    if math.prod(map(len, axes)) > cap:
+        per_dim = max(1, int(cap ** (1.0 / len(axes))))
+        axes = [xs[::math.ceil(len(xs) / per_dim)] for xs in axes]
+    for combo in itertools.product(*axes):
+        yield dict(zip(odd.names, combo))
 
 
 def _satisfies_both(a: RuleAst, b: RuleAst, x: dict[str, float], eps_eq: float) -> bool:
     return evaluate(a, x, eps_eq) and evaluate(b, x, eps_eq)
 
 
-def _refute(a: RuleAst, b: RuleAst, box, odd: OddSpec, depth: int, eps_eq: float):
-    """'refuted' | ('witness', point) | 'unknown' over the box."""
-    truth = _and3((_rule_truth(a, box, eps_eq), _rule_truth(b, box, eps_eq)))
-    if truth is False:
-        return "refuted"
-    if truth is True:
-        point = _grid_point_in_box(box, odd)
-        if point is not None and _satisfies_both(a, b, point, eps_eq):
-            return ("witness", point)
-        return "unknown"  # satisfiable off-grid; nothing reportable
-    if depth <= 0:
-        return "unknown"
-    name, (lo, hi) = max(box.items(), key=lambda kv: kv[1][1] - kv[1][0])
-    if hi - lo <= 0:
-        return "unknown"
-    mid = (lo + hi) / 2
-    results = []
-    for sub in ((lo, mid), (mid, hi)):
-        child = dict(box)
-        child[name] = sub
-        results.append(_refute(a, b, child, odd, depth - 1, eps_eq))
-    for r in results:
-        if isinstance(r, tuple):
-            return r
-    if all(r == "refuted" for r in results):
-        return "refuted"
-    return "unknown"
-
-
-def _grid_strides(odd: OddSpec, cap: int) -> list[int]:
-    counts = [v.grid_count for v in odd.variables]
-    total = math.prod(counts)
-    if total <= cap:
-        return [1] * len(counts)
-    per_dim = max(1, int(cap ** (1.0 / len(counts))))
-    return [max(1, math.ceil(c / per_dim)) for c in counts]
-
-
-def _coarse_grid(odd: OddSpec, cap: int):
-    strides = _grid_strides(odd, cap)
-    axes = [[v.grid_value(k) for k in range(0, v.grid_count, stride)]
-            for v, stride in zip(odd.variables, strides)]
-
-    def walk(i, binding):
-        if i == len(axes):
-            yield dict(binding)
-            return
-        name = odd.variables[i].name
-        for value in axes[i]:
-            binding[name] = value
-            yield from walk(i + 1, binding)
-
-    yield from walk(0, {})
-
-
 def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
                         odd: OddSpec, budget: ContradictionBudget = ContradictionBudget(),
                         dataset: list[LabeledRun] | None = None,
                         eps_eq: float = DEFAULT_EPS_EQ) -> list[ContradictionResult]:
-    """Per opposing rule: Flagged with a grid witness where both rules hold,
-    Clear when interval subdivision refutes joint satisfiability over the
-    whole domain box, Unknown otherwise."""
+    """Per opposing rule: Flagged with a witness where both rules hold (a
+    dataset point first, else a step-grid point), Clear when every pair of
+    conjuncts, one from each rule, is proven disjoint, Unknown otherwise.
+
+    A pair of conjuncts is disjoint when the box its direct bounds cut out
+    of the domain is empty, or when interval subdivision refutes its other
+    relations over that box. A pair comes out Unknown in three ways: the
+    subdivision depth runs out, a possible division by zero taints the
+    bounds, or the rules overlap only off the step grid (ego_speed == 0
+    against ego_speed > 0)."""
     results = []
     for other in opposing:
         if other.polarity is candidate.polarity:
@@ -240,21 +228,23 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec, budget: ContradictionBudg
     for run in dataset or []:
         if _satisfies_both(a, b, run.x, eps_eq):
             return (ContradictionStatus.FLAGGED, dict(run.x))
-    for point in _coarse_grid(odd, budget.grid_cap):
-        if _satisfies_both(a, b, point, eps_eq):
-            return (ContradictionStatus.FLAGGED, point)
-    rng = random.Random(budget.seed)
-    for _ in range(budget.samples):
-        point = {v.name: v.grid_value(rng.randrange(v.grid_count)) for v in odd.variables}
-        if _satisfies_both(a, b, point, eps_eq):
-            return (ContradictionStatus.FLAGGED, point)
-    box = {v.name: (v.min, v.max) for v in odd.variables}
-    outcome = _refute(a, b, box, odd, budget.subdivision_depth, eps_eq)
-    if outcome == "refuted":
-        return (ContradictionStatus.CLEAR, None)
-    if isinstance(outcome, tuple):
-        return (ContradictionStatus.FLAGGED, outcome[1])
-    return (ContradictionStatus.UNKNOWN, None)
+    status = ContradictionStatus.CLEAR
+    for ca in a.disjuncts:
+        for cb in b.disjuncts:
+            box, residual = _cut_box(ca.relations + cb.relations, odd, eps_eq)
+            if any(lo >= hi for lo, hi in box.values()):
+                continue
+            # cheaper than walking the box; splits only the residual's variables
+            closure = {n: (box[n][0][0], box[n][1][0])
+                       for rel in residual for side in (rel.lhs, rel.rhs)
+                       for n in expr_variables(side)}
+            if _refute(residual, closure, budget.subdivision_depth, eps_eq):
+                continue
+            for point in _grid_in_box(box, odd, budget.grid_cap):
+                if _satisfies_both(a, b, point, eps_eq):
+                    return (ContradictionStatus.FLAGGED, point)
+            status = ContradictionStatus.UNKNOWN
+    return (status, None)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,35 @@ class TestRefine:
         assert (a / "outcome.json").read_bytes() == (b / "outcome.json").read_bytes()
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
+    def test_complementary_fail_rule_is_clear(self, workspace, tmp_path):
+        # the fail rule shares the boundary dist_front = 4.2 with the refined rule
+        rules = json.loads((workspace / "rules.json").read_text())
+        rules.append({"id": "complementary", "polarity": "fail",
+                      "text": "(dist_front >= 4.2) and (ego_speed > 0)"})
+        rules_path = _rules_file(tmp_path, rules)
+        out = tmp_path / "run"
+        code = main(["refine", "--rules", str(rules_path), "--rule-id", "baseline-pass",
+                     "--dataset", str(workspace / "dataset.csv"),
+                     "--config", str(workspace / "oracle_config.json"),
+                     "--generator", "local", "--out", str(out)])
+        assert code == 0
+        outcome = json.loads((out / "outcome.json").read_text())
+        assert outcome["refined_text"] == "(dist_front < 4.2) and (ego_speed > 0)"
+        assert outcome["reports"][-1]["contradiction"] == {
+            "status": "Clear", "witness": None, "opposing_rule_id": None}
+
+    def test_consistent_rule_exits_1_without_out_dir(self, workspace, tmp_path, capsys):
+        rules_path = _rules_file(tmp_path, [{"id": "ok", "polarity": "pass",
+                                             "text": "(dist_front < 4.05) and (ego_speed > 0)"}])
+        out = tmp_path / "run"
+        code = main(["refine", "--rules", str(rules_path),
+                     "--dataset", str(workspace / "dataset.csv"),
+                     "--config", str(workspace / "oracle_config.json"),
+                     "--generator", "local", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "rule 'ok' has no inconsistent runs" in capsys.readouterr().err
+
     def test_mock_bad_candidate_exhausts_with_exit_3(self, workspace, tmp_path):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(["[[('gt','ARG1','0')]]"]))
@@ -149,6 +178,20 @@ class TestMetricsCommand:
         assert data["gc"]["score"] == 1.0
         assert data["sv"]["score"] == 1.0
         assert "CM" in capsys.readouterr().out
+
+    def test_refined_rule_with_unbound_variable_is_format_error(self, workspace, tmp_path,
+                                                                capsys):
+        data = json.loads(GOLDEN_OUTCOME.read_text())
+        data["refined_text"] = "(dist_front < 4.2) and (headway > 0)"
+        outcome_path = tmp_path / "outcome.json"
+        outcome_path.write_text(json.dumps(data))
+        out = tmp_path / "metrics.json"
+        code = main(["metrics", *_args(workspace), "--outcome", str(outcome_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert (f"{outcome_path}: refined rule: unbound variable(s) ['headway']"
+                in capsys.readouterr().err)
 
 
 class TestCheck:

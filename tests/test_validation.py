@@ -10,6 +10,8 @@ from ruleforge import (Consistency, ContradictionBudget, ContradictionStatus,
                        classify_consistency, decisiveness,
                        evaluate, make_oracle, odd_spec, parse_rule, print_rule,
                        random_rule, refine_loop)
+from ruleforge.grammar import Const, Relation, RelOp, Var, direct_bound, rule
+from ruleforge.semantics import DEFAULT_EPS_EQ
 
 R1_STAR = "(dist_front < 4.1) and (ego_speed > 0)"
 
@@ -42,10 +44,62 @@ class TestCheckContradiction:
 
     def test_division_near_zero_with_tight_budget_is_unknown(self):
         odd = odd_spec([("ARG1", 1.0, 10.0, 1.0), ("ARG2", -1.0, 1.0, 0.5)])
-        budget = ContradictionBudget(grid_cap=4, subdivision_depth=3, samples=5, seed=0)
+        budget = ContradictionBudget(grid_cap=4, subdivision_depth=3)
         (result,) = check_contradiction(_pass("(ARG1 / ARG2 > 100)"),
                                         [_fail("(ARG1 / ARG2 > 200)")], odd, budget)
         assert result.status is ContradictionStatus.UNKNOWN
+
+    def test_complementary_pair_at_a_shared_boundary_is_clear(self, odd):
+        (result,) = check_contradiction(_pass("(dist_front < 4.2) and (ego_speed > 0)"),
+                                        [_fail("(dist_front >= 4.2)")], odd)
+        assert result.status is ContradictionStatus.CLEAR
+
+    def test_gap_pair_is_clear(self, odd):
+        (result,) = check_contradiction(_pass(R1_STAR),
+                                        [_fail("(dist_front >= 4.2) and (ego_speed > 0)")],
+                                        odd)
+        assert result.status is ContradictionStatus.CLEAR
+
+    def test_closed_ends_meeting_are_flagged_at_the_boundary(self, odd):
+        (result,) = check_contradiction(_pass("(dist_front <= 4.2)"),
+                                        [_fail("(dist_front >= 4.2)")], odd)
+        assert result.status is ContradictionStatus.FLAGGED
+        assert result.witness["dist_front"] == 4.2
+
+    def test_overlap_only_off_the_grid_is_unknown(self, odd):
+        # both hold on 0 < ego_speed <= eps_eq, which holds no grid point
+        (result,) = check_contradiction(_pass("(ego_speed == 0)"),
+                                        [_fail("(ego_speed > 0)")], odd)
+        assert result.status is ContradictionStatus.UNKNOWN
+        assert result.witness is None
+
+    @pytest.mark.parametrize("c", ["0", "1", "2.5", "3"])
+    def test_equality_against_its_negation_is_clear(self, c):
+        # the != band must be refuted over the == box however c +- eps_eq rounds
+        odd = odd_spec([("a", 0.0, 4.0, 1.0)])
+        (result,) = check_contradiction(_pass(f"(a == {c})"), [_fail(f"(a != {c})")], odd)
+        assert result.status is ContradictionStatus.CLEAR
+
+    def test_direct_bound_pairs_against_brute_force(self):
+        rng = random.Random(4)
+        domains = [odd_spec([("a", 0.0, 4.0, 1.0)]),
+                   odd_spec([("a", 0.0, 4.0, 1.0), ("b", -1.0, 1.0, 0.5)])]
+        seen = set()
+        for trial in range(200):
+            odd = domains[trial % 2]
+            pass_rule = PolarizedRule("p", Polarity.PASS_RULE, _random_bound_rule(rng, odd))
+            fail_rule = PolarizedRule("f", Polarity.FAIL_RULE, _random_bound_rule(rng, odd))
+            (result,) = check_contradiction(pass_rule, [fail_rule], odd)
+            both = lambda x: evaluate(pass_rule.ast, x) and evaluate(fail_rule.ast, x)
+            reference_sat = any(both(x) for x in _reference_points(odd, pass_rule.ast,
+                                                                    fail_rule.ast))
+            grid_sat = _grid_sat(pass_rule.ast, fail_rule.ast, odd)
+            assert (result.status is ContradictionStatus.CLEAR) == (not reference_sat)
+            assert (result.status is ContradictionStatus.FLAGGED) == grid_sat
+            if grid_sat:
+                assert both(result.witness)
+            seen.add(result.status)
+        assert seen == set(ContradictionStatus)
 
     def test_same_polarity_rejected(self):
         odd = odd_spec([("x", 0.0, 1.0, 1.0)])
@@ -99,6 +153,41 @@ def _grid_sat(a, b, odd):
         if evaluate(a, x) and evaluate(b, x):
             return True
     return False
+
+
+def _random_bound_rule(rng, odd):
+    """1-2 conjuncts of 1-2 relations, each a variable against a constant on
+    its grid or halfway between two grid values, either way round."""
+    conjuncts = []
+    for _ in range(rng.randint(1, 2)):
+        relations = []
+        for _ in range(rng.randint(1, 2)):
+            var = rng.choice(odd.variables)
+            c = Const(round(var.min + rng.randrange(2 * var.grid_count - 1) * var.step / 2,
+                            var.decimals + 1))
+            op = rng.choice(list(RelOp))
+            relations.append(Relation(Var(var.name), op, c) if rng.random() < 0.8
+                             else Relation(c, op, Var(var.name)))
+        conjuncts.append(relations)
+    return rule(*conjuncts)
+
+
+def _reference_points(odd, *asts):
+    """Per variable: every grid value, every constant c bounding it and
+    c +- eps_eq, and the midpoints between consecutive such values; the
+    points are their product over the domain."""
+    axes = []
+    for var in odd.variables:
+        values = set(var.grid_values())
+        for ast in asts:
+            for _, rel in ast.relations():
+                name, _, c = direct_bound(rel)
+                if name == var.name:
+                    values |= {c, c - DEFAULT_EPS_EQ, c + DEFAULT_EPS_EQ}
+        values = sorted(x for x in values if var.min <= x <= var.max)
+        axes.append(values + [(lo + hi) / 2 for lo, hi in zip(values, values[1:])])
+    for combo in itertools.product(*axes):
+        yield dict(zip(odd.names, combo))
 
 
 def _refine(fixture, text, ruleset=None, target=None):
