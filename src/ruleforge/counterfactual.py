@@ -6,13 +6,14 @@ returns the first probe whose observed outcome flips. Enumeration order is
 fixed so results are reproducible: rings of increasing total step count;
 within a ring, offset vectors ordered feature-major in declared ODD order
 with negative offsets before positive ones and untouched-feature
-continuations last. Probes that would leave a feature's [min, max] range are
-skipped, so every probe stays inside the domain and the step-unit L1 of the
-result is exact.
+continuations last. Offsets that would leave a feature's [min, max] range
+are never enumerated, so every probe stays inside the domain, each probe
+costs exactly one oracle query, and the step-unit L1 of the result is exact.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Iterator
@@ -81,24 +82,22 @@ def _dec(value: float) -> Decimal:
     return Decimal(repr(value))
 
 
-def _offset_vectors(budgets: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """Offset vectors with sum of magnitudes exactly `total`, feature-major.
+def _offset_vectors(down: list[int], up: list[int], total: int) -> Iterator[tuple[int, ...]]:
+    """Offset vectors with sum of magnitudes exactly `total`, feature-major,
+    each offset m within [-down[i], up[i]] for its feature i.
 
     Per feature the candidate multiples are ordered ascending over the
     nonzero values (negatives first), with 0 last so vectors touching
     earlier features enumerate before those that leave them unchanged.
     """
-    if not budgets:
+    if not down:
         if total == 0:
             yield ()
         return
-    head_budget, rest = budgets[0], budgets[1:]
-    limit = min(head_budget, total)
-    choices = list(range(-limit, 0)) + list(range(1, limit + 1)) + [0]
+    choices = itertools.chain(range(-min(down[0], total), 0),
+                              range(1, min(up[0], total) + 1), (0,))
     for m in choices:
-        if abs(m) > total:
-            continue
-        for tail in _offset_vectors(rest, total - abs(m)):
+        for tail in _offset_vectors(down[1:], up[1:], total - abs(m)):
             yield (m, *tail)
 
 
@@ -119,27 +118,22 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     # Largest in-range magnitude per feature, per direction.
     down = [int((base[v.name] - _dec(v.min)) / _dec(v.step)) for v in features]
     up = [int((_dec(v.max) - base[v.name]) / _dec(v.step)) for v in features]
+    # Per feature, each in-range offset m within the radius limit, computed
+    # once: m -> (probe value, delta).
+    tables = [{m: (float(base[v.name] + _dec(v.step) * m), float(_dec(v.step) * m))
+               for m in range(-min(d, max_radius_steps), min(u, max_radius_steps) + 1)}
+              for v, d, u in zip(features, down, up)]
     used = 0
     for radius in range(1, max_radius_steps + 1):
-        per_feature = [min(max(d, u), radius) for d, u in zip(down, up)]
-        for offsets in _offset_vectors(per_feature, radius):
-            probe = dict(x)
-            delta: dict[str, float] = {}
-            in_range = True
-            for v, m, d_cap, u_cap in zip(features, offsets, down, up):
-                if m == 0:
-                    continue
-                if m < -d_cap or m > u_cap:
-                    in_range = False
-                    break
-                step_delta = _dec(v.step) * m
-                probe[v.name] = float(base[v.name] + step_delta)
-                delta[v.name] = float(step_delta)
-            if not in_range:
-                continue
+        for offsets in _offset_vectors(down, up, radius):
             if used >= budget:
                 raise OracleBudgetExceeded(f"budget of {budget} queries exhausted at radius {radius}")
             used += 1
+            probe = dict(x)
+            delta: dict[str, float] = {}
+            for v, table, m in zip(features, tables, offsets):
+                if m:
+                    probe[v.name], delta[v.name] = table[m]
             y_cf = oracle.query(probe)
             if y_cf is not y:
                 l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))

@@ -132,6 +132,11 @@ class RuleAst:
             names |= expr_variables(rel.lhs) | expr_variables(rel.rhs)
         return names
 
+    def __getstate__(self):
+        # The fields only: what is cached on the AST (the compiled rule of
+        # semantics.compile_rule) cannot be pickled and is rebuilt on use.
+        return {"disjuncts": self.disjuncts}
+
 
 def expr_variables(expr: Expr) -> set[str]:
     if isinstance(expr, Var):
@@ -549,7 +554,8 @@ def fmt_number(value: float) -> str:
     return text or "0"
 
 
-_PREC = {ArithOp.ADD: 1, ArithOp.SUB: 1, ArithOp.MUL: 2, ArithOp.DIV: 2}
+#: Binding strength of the arithmetic operators (printer and rule compiler).
+PRECEDENCE = {ArithOp.ADD: 1, ArithOp.SUB: 1, ArithOp.MUL: 2, ArithOp.DIV: 2}
 
 
 def print_expr(expr: Expr, parent_prec: int = 0) -> str:
@@ -557,7 +563,7 @@ def print_expr(expr: Expr, parent_prec: int = 0) -> str:
         return expr.name
     if isinstance(expr, Const):
         return fmt_number(expr.value)
-    prec = _PREC[expr.op]
+    prec = PRECEDENCE[expr.op]
     text = f"{print_expr(expr.left, prec)} {expr.op.value} {print_expr(expr.right, prec + 1)}"
     return f"({text})" if prec < parent_prec else text
 

@@ -3,14 +3,22 @@
 A rule carries a polarity: a pass rule asserts the Pass verdict wherever it
 holds, a fail rule asserts Fail. Holding-but-wrong is Inconsistent; not
 holding is Inconclusive and the observed outcome is ignored.
+
+Every evaluation goes through one function per rule, generated from its AST
+and compiled on first use (compile_rule). == and != hold within eps_eq; a
+division by zero makes its relation false and appends "division by zero in
+<relation>" to the diagnostics, in rule order; a variable missing from the
+input raises UnboundVariable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
-from .grammar import Const, Expr, Relation, RelOp, RuleAst, Var, print_relation
+from .grammar import (PRECEDENCE, ArithOp, BinOp, Const, Expr, Relation, RelOp, RuleAst, Var,
+                      print_relation, print_rule)
 
 DEFAULT_EPS_EQ = 1e-9
 
@@ -61,52 +69,92 @@ class EmptyDataset(ValueError):
     pass
 
 
-def eval_expr(expr: Expr, x: dict[str, float]) -> float:
-    """Evaluate an arithmetic expression; raises ZeroDivisionError on a zero
-    divisor and UnboundVariable on a missing binding."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return x[expr.name]
-        except KeyError:
-            raise UnboundVariable(expr.name) from None
-    left = eval_expr(expr.left, x)
-    right = eval_expr(expr.right, x)
-    op = expr.op.value
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if right == 0:
-        raise ZeroDivisionError
-    return left / right
+#: A compiled rule: holds(x, eps_eq, diagnostics) -> bool.
+Holds = Callable[[dict[str, float], float, list[str] | None], bool]
 
 
-def eval_relation(rel: Relation, x: dict[str, float], eps_eq: float = DEFAULT_EPS_EQ,
-                  diagnostics: list[str] | None = None) -> bool:
-    """Truth of one relation. Equality holds within eps_eq; a division by
-    zero makes the relation false and records a diagnostic."""
+def _has_division(expr: Expr) -> bool:
+    return isinstance(expr, BinOp) and (expr.op is ArithOp.DIV or _has_division(expr.left)
+                                        or _has_division(expr.right))
+
+
+def _source(e: Expr, slot: Callable[[object], str], parent_prec: int = 0) -> str:
+    """Python source of an expression, parenthesised only where Python would
+    otherwise group it differently from the AST."""
+    if isinstance(e, Var):
+        return f"x[{e.name!r}]"
+    if isinstance(e, Const):
+        return slot(e.value)
+    prec = PRECEDENCE[e.op]
+    text = f"{_source(e.left, slot, prec)} {e.op.value} {_source(e.right, slot, prec + 1)}"
+    return f"({text})" if prec < parent_prec else text
+
+
+def _build(ast: RuleAst) -> Holds:
+    """Generate, compile and return the Python function of one rule.
+
+    Variables read x[name] (the name is a validated identifier, quoted with
+    repr); constants and diagnostic texts are bound as named slots, never
+    written into the source. Arithmetic keeps the AST's grouping, so every
+    float operation is the one the rule spells. The slots are parameters of
+    a factory whose closures are the rule, so no reference cycle holds a
+    dead rule's code."""
+    slots: dict[str, object] = {"UnboundVariable": UnboundVariable}
+    helpers: list[str] = []
+
+    def slot(value) -> str:
+        name = f"_k{len(slots)}"
+        slots[name] = value
+        return name
+
+    def relation(rel: Relation) -> str:
+        if rel.op in (RelOp.EQ, RelOp.NE):
+            cmp = "<=" if rel.op is RelOp.EQ else ">"
+            test = f"abs({_source(rel.lhs, slot, 1)} - {_source(rel.rhs, slot, 2)}) {cmp} eps"
+        else:
+            test = f"{_source(rel.lhs, slot)} {rel.op.value} {_source(rel.rhs, slot)}"
+        if not (_has_division(rel.lhs) or _has_division(rel.rhs)):
+            return test
+        # A zero divisor makes this relation false and records a diagnostic.
+        name = f"_r{len(helpers)}"
+        message = slot(f"division by zero in {print_relation(rel)}")
+        helpers.append(f"    def {name}(x, eps, diag):\n"
+                       f"        try:\n"
+                       f"            return {test}\n"
+                       f"        except ZeroDivisionError:\n"
+                       f"            if diag is not None:\n"
+                       f"                diag.append({message})\n"
+                       f"            return False\n")
+        return f"{name}(x, eps, diag)"
+
+    body = " or ".join("(" + " and ".join(relation(rel) for rel in conj.relations) + ")"
+                       for conj in ast.disjuncts)
+    source = (f"def make({', '.join(slots)}):\n" + "".join(helpers)
+              + "    def holds(x, eps, diag):\n"
+                "        try:\n"
+              + f"            return True if {body} else False\n"
+                "        except KeyError as exc:\n"
+                "            raise UnboundVariable(exc.args[0]) from None\n"
+                "    return holds\n")
+    namespace: dict[str, object] = {}
+    exec(compile(source, f"<rule {print_rule(ast)}>", "exec"), namespace)
+    return namespace.pop("make")(**slots)
+
+
+def compile_rule(ast: RuleAst) -> Holds:
+    """The rule as one function holds(x, eps_eq, diagnostics).
+
+    Built on the first call for an AST object and kept on that object, so a
+    later call is one attribute read: the AST is never hashed. Relations
+    short-circuit in rule order, equality holds within eps_eq, a division by
+    zero makes its relation false and appends a diagnostic (when diagnostics
+    is a list), and a missing binding raises UnboundVariable."""
     try:
-        lhs = eval_expr(rel.lhs, x)
-        rhs = eval_expr(rel.rhs, x)
-    except ZeroDivisionError:
-        if diagnostics is not None:
-            diagnostics.append(f"division by zero in {print_relation(rel)}")
-        return False
-    if rel.op is RelOp.LT:
-        return lhs < rhs
-    if rel.op is RelOp.LE:
-        return lhs <= rhs
-    if rel.op is RelOp.GT:
-        return lhs > rhs
-    if rel.op is RelOp.GE:
-        return lhs >= rhs
-    if rel.op is RelOp.EQ:
-        return abs(lhs - rhs) <= eps_eq
-    return abs(lhs - rhs) > eps_eq  # NE
+        return ast._holds
+    except AttributeError:
+        holds = _build(ast)
+        object.__setattr__(ast, "_holds", holds)  # RuleAst is frozen
+        return holds
 
 
 def evaluate(ast: RuleAst, x: dict[str, float], eps_eq: float = DEFAULT_EPS_EQ,
@@ -115,10 +163,7 @@ def evaluate(ast: RuleAst, x: dict[str, float], eps_eq: float = DEFAULT_EPS_EQ,
 
     Raises UnboundVariable if x misses a variable appearing in the rule.
     """
-    return any(
-        all(eval_relation(rel, x, eps_eq, diagnostics) for rel in conj.relations)
-        for conj in ast.disjuncts
-    )
+    return compile_rule(ast)(x, eps_eq, diagnostics)
 
 
 def classify_consistency(rule: PolarizedRule, run: LabeledRun,
@@ -152,21 +197,22 @@ def decisiveness(rule: PolarizedRule, dataset: list[LabeledRun],
     """
     if not dataset:
         raise EmptyDataset("decisiveness needs a non-empty dataset")
+    holds = compile_rule(rule.ast)
+    verdict = rule.polarity.verdict
     diagnostics: list[str] = []
     mismatches = []
     definitive = 0
     for idx, run in enumerate(dataset):
-        verdict = classify_consistency(rule, run, eps_eq, diagnostics)
-        if verdict is not Consistency.INCONCLUSIVE:
+        if holds(run.x, eps_eq, diagnostics):
             definitive += 1
-        if verdict is Consistency.INCONSISTENT:
-            mismatches.append(idx)
+            if run.y is not verdict:
+                mismatches.append(idx)
     n = len(dataset)
     return DecisivenessReport(
         dg=1.0 - len(mismatches) / n,
         n=n,
         n_mismatch=len(mismatches),
-        mismatches=tuple(sorted(mismatches)),
+        mismatches=tuple(mismatches),
         fully_inconclusive=definitive == 0,
         diagnostics=tuple(diagnostics),
     )

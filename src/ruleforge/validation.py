@@ -32,7 +32,7 @@ from .generation import Edit, GenerationFailure, RefinementContext, generate_can
 from .grammar import (Const, Expr, GRAMMAR_TEXT, OddSpec, Relation, RelOp, RuleAst, Var,
                       check_vocabulary, direct_bound, expr_variables, print_rule)
 from .semantics import (DEFAULT_EPS_EQ, DecisivenessReport, LabeledRun, PolarizedRule,
-                        decisiveness, evaluate)
+                        compile_rule, decisiveness)
 
 
 class ContradictionStatus(Enum):
@@ -99,6 +99,8 @@ def _safe_mul(a: float, b: float) -> float:
 
 
 def _relation_truth(rel: Relation, box, eps_eq: float) -> bool | None:
+    if rel.lhs == rel.rhs and rel.op in (RelOp.LT, RelOp.GT, RelOp.NE):
+        return False  # e < e, e > e and e != e hold nowhere, nor where e divides by zero
     llo, lhi, ltaint = _interval(rel.lhs, box)
     rlo, rhi, rtaint = _interval(rel.rhs, box)
     if ltaint or rtaint:
@@ -196,10 +198,6 @@ def _grid_in_box(box, odd: OddSpec, cap: int):
         yield dict(zip(odd.names, combo))
 
 
-def _satisfies_both(a: RuleAst, b: RuleAst, x: dict[str, float], eps_eq: float) -> bool:
-    return evaluate(a, x, eps_eq) and evaluate(b, x, eps_eq)
-
-
 def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
                         odd: OddSpec, budget: ContradictionBudget = ContradictionBudget(),
                         dataset: list[LabeledRun] | None = None,
@@ -225,8 +223,13 @@ def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
 
 def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec, budget: ContradictionBudget,
                  dataset, eps_eq) -> tuple[ContradictionStatus, dict[str, float] | None]:
+    holds_a, holds_b = compile_rule(a), compile_rule(b)
+
+    def both(x: dict[str, float]) -> bool:
+        return holds_a(x, eps_eq, None) and holds_b(x, eps_eq, None)
+
     for run in dataset or []:
-        if _satisfies_both(a, b, run.x, eps_eq):
+        if both(run.x):
             return (ContradictionStatus.FLAGGED, dict(run.x))
     status = ContradictionStatus.CLEAR
     for ca in a.disjuncts:
@@ -241,7 +244,7 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec, budget: ContradictionBudg
             if _refute(residual, closure, budget.subdivision_depth, eps_eq):
                 continue
             for point in _grid_in_box(box, odd, budget.grid_cap):
-                if _satisfies_both(a, b, point, eps_eq):
+                if both(point):
                     return (ContradictionStatus.FLAGGED, point)
             status = ContradictionStatus.UNKNOWN
     return (status, None)

@@ -150,6 +150,25 @@ class TestBudget:
         with pytest.raises(CounterfactualNotFound):
             search_counterfactual({"a": 5.0}, Outcome.FAIL, oracle, odd, 2)
 
+    @pytest.mark.parametrize("start", [(0, 0, 0), (4, 0, 3), (2, 1, 1), (4, 1, 2)])
+    @pytest.mark.parametrize("radius", [1, 3, 6, 12])
+    def test_every_in_domain_probe_is_one_query(self, start, radius):
+        # two corners, an interior point and an edge point; the oracle never flips
+        odd = odd_spec([("a", 0.0, 2.0, 0.5), ("b", -1.0, 1.0, 1.0), ("c", 0.0, 0.9, 0.3)])
+        x = {v.name: v.grid_value(k) for v, k in zip(odd.variables, start)}
+        expected = sum(
+            1 for key in itertools.product(*(range(v.grid_count) for v in odd.variables))
+            if 0 < sum(abs(k - k0) for k, k0 in zip(key, start)) <= radius)
+        oracle = Oracle(lambda p: Outcome.PASS)
+        with pytest.raises(CounterfactualNotFound):
+            search_counterfactual(x, Outcome.PASS, oracle, odd, radius, budget=expected)
+        assert oracle.queries == expected
+        if expected:
+            short = Oracle(lambda p: Outcome.PASS)
+            with pytest.raises(OracleBudgetExceeded):
+                search_counterfactual(x, Outcome.PASS, short, odd, radius, budget=expected - 1)
+            assert short.queries == expected - 1
+
 
 class TestBuildEvidence:
     def test_rule_text_is_canonical(self, fixture42):

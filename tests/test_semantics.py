@@ -1,10 +1,16 @@
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleforge import (Consistency, EmptyDataset, LabeledRun, Outcome, PolarizedRule,
-                       Polarity, UnboundVariable, classify_consistency, decisiveness,
-                       evaluate, parse_rule, random_rule)
+from ruleforge import (Consistency, DecisivenessReport, EmptyDataset, LabeledRun, Outcome,
+                       PolarizedRule, Polarity, UnboundVariable, classify_consistency,
+                       decisiveness, evaluate, odd_spec, parse_rule, print_rule, random_rule,
+                       semantics)
+from ruleforge.grammar import Const, RelOp, Var, direct_bound, print_relation
+from ruleforge.semantics import DEFAULT_EPS_EQ
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
 R1 = parse_rule("(dist_front < 5.0) and (ego_speed > 0)")
@@ -23,10 +29,20 @@ class TestEvaluate:
         ast = parse_rule("(ARG1 / ARG2 > 1)")
         assert evaluate(ast, {"ARG1": 3.0, "ARG2": 0.0}, diagnostics=diagnostics) is False
         assert diagnostics and "division by zero" in diagnostics[0]
+        # one diagnostic per relation reached, in rule order
+        diagnostics = []
+        ast = parse_rule("(a / b > 0) or (c / b < 0) and (a > 5) or (a / c > 0)")
+        assert evaluate(ast, {"a": 1.0, "b": 0.0, "c": 0.0}, diagnostics=diagnostics) is False
+        assert diagnostics == ["division by zero in (a / b > 0)",
+                               "division by zero in (c / b < 0)",
+                               "division by zero in (a / c > 0)"]
 
     def test_unbound_variable(self):
-        with pytest.raises(UnboundVariable):
+        with pytest.raises(UnboundVariable) as info:
             evaluate(R1, {"dist_front": 4.2})
+        assert info.value.name == "ego_speed"
+        # dist_front < 5.0 fails first, so ego_speed is never read
+        assert evaluate(R1, {"dist_front": 6.0}) is False
 
     def test_eq_tolerance(self):
         ast = parse_rule("x == 1")
@@ -141,3 +157,171 @@ class TestMonotonicTightening:
         loose_bad = set(decisiveness(loose_rule, data).mismatches)
         tight_bad = set(decisiveness(tight_rule, data).mismatches)
         assert tight_bad <= loose_bad
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the scalar tree walk it replaced, kept here
+# as the reference only.
+# ---------------------------------------------------------------------------
+
+
+def _ref_expr(expr, x):
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return x[expr.name]
+        except KeyError:
+            raise UnboundVariable(expr.name) from None
+    left = _ref_expr(expr.left, x)
+    right = _ref_expr(expr.right, x)
+    op = expr.op.value
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if right == 0:
+        raise ZeroDivisionError
+    return left / right
+
+
+def _ref_relation(rel, x, eps_eq, diagnostics):
+    try:
+        lhs = _ref_expr(rel.lhs, x)
+        rhs = _ref_expr(rel.rhs, x)
+    except ZeroDivisionError:
+        if diagnostics is not None:
+            diagnostics.append(f"division by zero in {print_relation(rel)}")
+        return False
+    if rel.op is RelOp.LT:
+        return lhs < rhs
+    if rel.op is RelOp.LE:
+        return lhs <= rhs
+    if rel.op is RelOp.GT:
+        return lhs > rhs
+    if rel.op is RelOp.GE:
+        return lhs >= rhs
+    if rel.op is RelOp.EQ:
+        return abs(lhs - rhs) <= eps_eq
+    return abs(lhs - rhs) > eps_eq
+
+
+def _ref_evaluate(ast, x, eps_eq=DEFAULT_EPS_EQ, diagnostics=None):
+    return any(all(_ref_relation(rel, x, eps_eq, diagnostics) for rel in conj.relations)
+               for conj in ast.disjuncts)
+
+
+def _ref_decisiveness(rule, dataset, eps_eq=DEFAULT_EPS_EQ):
+    diagnostics, mismatches, definitive = [], [], 0
+    for idx, run in enumerate(dataset):
+        if _ref_evaluate(rule.ast, run.x, eps_eq, diagnostics):
+            definitive += 1
+            if rule.polarity.verdict is not run.y:
+                mismatches.append(idx)
+    n = len(dataset)
+    return DecisivenessReport(dg=1.0 - len(mismatches) / n, n=n, n_mismatch=len(mismatches),
+                              mismatches=tuple(mismatches), fully_inconclusive=definitive == 0,
+                              diagnostics=tuple(diagnostics))
+
+
+def _outcome(fn, ast, x, eps_eq):
+    """(truth, diagnostics) of one evaluation, or the unbound variable's name."""
+    diagnostics = []
+    try:
+        return fn(ast, x, eps_eq, diagnostics), diagnostics
+    except UnboundVariable as exc:
+        return ("unbound", exc.name), diagnostics
+
+
+DIV_DOMAIN = odd_spec([("a", -2.0, 2.0, 0.5), ("b", -1.0, 1.0, 0.25), ("c", 0.0, 3.0, 1.0)])
+DIV_RULES = [
+    "(a / b > 1)",
+    "(a / (b - 1) <= 2) and (a - (b + c) == 1)",
+    "(a != 1 / b * c) or (c < 2)",
+    "(a / b / c < 1) or (b == a / c) or (c - a / b >= 0.5)",
+    "(1 / (a - b) > 0) and (c / b != 2) or (a * b - c <= -1)",
+    "(a - b - c < 0) and (a - (b - c) > 0)",
+    "(a * (b + c) == a * b + a * c)",
+]
+EPS_VALUES = (DEFAULT_EPS_EQ, 1e-6, 1e-3, 0.25)
+
+
+def _probe_points(ast, odd, rng, eps_eq):
+    """Random grid points, points that zero each variable (a divisor), and
+    points at c +- eps_eq and c +- 2 eps_eq of every direct bound."""
+    def grid_point():
+        return {v.name: v.grid_value(rng.randrange(v.grid_count)) for v in odd.variables}
+    points = [grid_point() for _ in range(6)]
+    for name in odd.names:
+        points.append({**grid_point(), name: 0.0})
+    for _, rel in ast.relations():
+        bound = direct_bound(rel)
+        if bound is not None:
+            name, _, c = bound
+            points += [{**grid_point(), name: c + k * eps_eq} for k in (-2, -1, 0, 1, 2)]
+    return points
+
+
+class TestCompiledEvaluator:
+    @pytest.mark.parametrize("eps_eq", EPS_VALUES)
+    def test_matches_the_tree_walk(self, eps_eq):
+        rng = random.Random(31)
+        asts = ([random_rule(seed, DIV_DOMAIN, 3, 3) for seed in range(500)]
+                + [parse_rule(text) for text in DIV_RULES])
+        divisions = 0
+        for ast in asts:
+            for x in _probe_points(ast, DIV_DOMAIN, rng, eps_eq):
+                expected = _outcome(_ref_evaluate, ast, x, eps_eq)
+                got = _outcome(evaluate, ast, x, eps_eq)
+                assert got == expected, (print_rule(ast), x)
+                if isinstance(expected[0], bool):
+                    assert got[0] is expected[0]  # a real bool, never a truthy operand
+                divisions += bool(expected[1])
+                # one variable missing: the same name is unbound, or the
+                # short-circuit never reads it in either evaluator
+                drop = rng.choice(DIV_DOMAIN.names)
+                partial = {k: v for k, v in x.items() if k != drop}
+                assert (_outcome(evaluate, ast, partial, eps_eq)
+                        == _outcome(_ref_evaluate, ast, partial, eps_eq))
+        assert divisions > 100
+
+    @pytest.mark.parametrize("eps_eq", EPS_VALUES)
+    def test_decisiveness_reports_match(self, eps_eq):
+        rng = random.Random(5)
+        data = [LabeledRun({v.name: v.grid_value(rng.randrange(v.grid_count))
+                            for v in DIV_DOMAIN.variables}, rng.choice(list(Outcome)))
+                for _ in range(120)]
+        asts = ([random_rule(seed, DIV_DOMAIN, 2, 3) for seed in range(100)]
+                + [parse_rule(text) for text in DIV_RULES])
+        for i, ast in enumerate(asts):
+            rule = PolarizedRule("r", list(Polarity)[i % 2], ast)
+            assert decisiveness(rule, data, eps_eq) == _ref_decisiveness(rule, data, eps_eq)
+
+    def test_each_ast_is_compiled_once(self, monkeypatch):
+        built = []
+        real_build = semantics._build
+
+        def counting_build(ast):
+            built.append(ast)
+            return real_build(ast)
+
+        monkeypatch.setattr(semantics, "_build", counting_build)
+        ast = parse_rule("(a < 1) and (b / a > 0)")
+        twin = parse_rule("(a < 1) and (b / a > 0)")
+        data = [LabeledRun({"a": 0.5, "b": 1.0}, Outcome.PASS)] * 10
+        for _ in range(5):
+            evaluate(ast, {"a": 0.5, "b": 1.0})
+            decisiveness(PolarizedRule("r", Polarity.PASS_RULE, ast), data)
+            classify_consistency(PolarizedRule("r", Polarity.FAIL_RULE, ast), data[0])
+        assert built == [ast] and built[0] is ast
+        evaluate(twin, {"a": 0.5, "b": 1.0})  # an equal AST is a separate object
+        assert len(built) == 2 and built[1] is twin
+
+    def test_compiled_ast_still_pickles(self):
+        ast = parse_rule("(a < 1) and (b / a > 0)")
+        assert evaluate(ast, {"a": 0.5, "b": 1.0}) is True
+        copy = pickle.loads(pickle.dumps(ast))
+        assert copy == ast
+        assert evaluate(copy, {"a": 0.5, "b": 1.0}) is True

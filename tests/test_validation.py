@@ -81,25 +81,22 @@ class TestCheckContradiction:
         assert result.status is ContradictionStatus.CLEAR
 
     def test_direct_bound_pairs_against_brute_force(self):
-        rng = random.Random(4)
-        domains = [odd_spec([("a", 0.0, 4.0, 1.0)]),
-                   odd_spec([("a", 0.0, 4.0, 1.0), ("b", -1.0, 1.0, 0.5)])]
-        seen = set()
-        for trial in range(200):
-            odd = domains[trial % 2]
-            pass_rule = PolarizedRule("p", Polarity.PASS_RULE, _random_bound_rule(rng, odd))
-            fail_rule = PolarizedRule("f", Polarity.FAIL_RULE, _random_bound_rule(rng, odd))
-            (result,) = check_contradiction(pass_rule, [fail_rule], odd)
-            both = lambda x: evaluate(pass_rule.ast, x) and evaluate(fail_rule.ast, x)
-            reference_sat = any(both(x) for x in _reference_points(odd, pass_rule.ast,
-                                                                    fail_rule.ast))
-            grid_sat = _grid_sat(pass_rule.ast, fail_rule.ast, odd)
-            assert (result.status is ContradictionStatus.CLEAR) == (not reference_sat)
-            assert (result.status is ContradictionStatus.FLAGGED) == grid_sat
-            if grid_sat:
-                assert both(result.witness)
-            seen.add(result.status)
-        assert seen == set(ContradictionStatus)
+        _check_pairs_against_brute_force(random.Random(4), 200, same_share=0.0)
+
+    def test_same_expression_sides_against_brute_force(self):
+        # v < v, v > v and v != v hold nowhere; v <= v, v >= v and v == v everywhere
+        _check_pairs_against_brute_force(random.Random(12), 200, same_share=0.2)
+
+    def test_same_variable_relation_is_refuted(self, odd):
+        (result,) = check_contradiction(
+            _pass("(ego_speed <= 10.5)"),
+            [_fail("(lane_offset > lane_offset) and (lane_offset >= 0.4)")], odd)
+        assert result.status is ContradictionStatus.CLEAR
+        (result,) = check_contradiction(
+            _pass("(ego_speed < ego_speed) or (dist_front == 13.4)"),
+            [_fail("(dist_front <= 14)")], odd)
+        assert result.status is ContradictionStatus.FLAGGED
+        assert result.witness["dist_front"] == 13.4
 
     def test_same_polarity_rejected(self):
         odd = odd_spec([("x", 0.0, 1.0, 1.0)])
@@ -155,14 +152,41 @@ def _grid_sat(a, b, odd):
     return False
 
 
-def _random_bound_rule(rng, odd):
+def _check_pairs_against_brute_force(rng, trials, same_share):
+    """Clear iff no reference point satisfies both rules; Flagged iff some
+    grid point does, with a witness that satisfies both."""
+    domains = [odd_spec([("a", 0.0, 4.0, 1.0)]),
+               odd_spec([("a", 0.0, 4.0, 1.0), ("b", -1.0, 1.0, 0.5)])]
+    seen = set()
+    for trial in range(trials):
+        odd = domains[trial % 2]
+        pass_rule = PolarizedRule("p", Polarity.PASS_RULE, _random_bound_rule(rng, odd, same_share))
+        fail_rule = PolarizedRule("f", Polarity.FAIL_RULE, _random_bound_rule(rng, odd, same_share))
+        (result,) = check_contradiction(pass_rule, [fail_rule], odd)
+        both = lambda x: evaluate(pass_rule.ast, x) and evaluate(fail_rule.ast, x)
+        reference_sat = any(both(x) for x in _reference_points(odd, pass_rule.ast,
+                                                                fail_rule.ast))
+        grid_sat = _grid_sat(pass_rule.ast, fail_rule.ast, odd)
+        assert (result.status is ContradictionStatus.CLEAR) == (not reference_sat)
+        assert (result.status is ContradictionStatus.FLAGGED) == grid_sat
+        if grid_sat:
+            assert both(result.witness)
+        seen.add(result.status)
+    assert seen == set(ContradictionStatus)
+
+
+def _random_bound_rule(rng, odd, same_share=0.0):
     """1-2 conjuncts of 1-2 relations, each a variable against a constant on
-    its grid or halfway between two grid values, either way round."""
+    its grid or halfway between two grid values, either way round; with
+    probability same_share a relation compares a variable with itself."""
     conjuncts = []
     for _ in range(rng.randint(1, 2)):
         relations = []
         for _ in range(rng.randint(1, 2)):
             var = rng.choice(odd.variables)
+            if same_share and rng.random() < same_share:
+                relations.append(Relation(Var(var.name), rng.choice(list(RelOp)), Var(var.name)))
+                continue
             c = Const(round(var.min + rng.randrange(2 * var.grid_count - 1) * var.step / 2,
                             var.decimals + 1))
             op = rng.choice(list(RelOp))
@@ -181,7 +205,7 @@ def _reference_points(odd, *asts):
         values = set(var.grid_values())
         for ast in asts:
             for _, rel in ast.relations():
-                name, _, c = direct_bound(rel)
+                name, _, c = direct_bound(rel) or (None, None, None)
                 if name == var.name:
                     values |= {c, c - DEFAULT_EPS_EQ, c + DEFAULT_EPS_EQ}
         values = sorted(x for x in values if var.min <= x <= var.max)
