@@ -23,7 +23,7 @@ from .grammar import ParseError, check_vocabulary, parse_rule, print_rule
 from .metrics import build_metrics_report, grammar_compliance, metrics_table
 from .scenario import default_config, make_oracle, make_reference_fixture, sample_dataset
 from .semantics import DEFAULT_EPS_EQ, PolarizedRule, decisiveness
-from .validation import Exhausted, refine_loop
+from .validation import DEFAULT_MAX_ATTEMPTS, Exhausted, refine_loop
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -103,7 +103,8 @@ def cli(ctx, json_diagnostics):
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(path_type=Path),
               help="Oracle config JSON; defaults to the built-in scenario.")
-@click.option("--n", default=198, show_default=True, help="Number of runs to sample.")
+@click.option("--n", type=click.IntRange(min=1), default=198, show_default=True,
+              help="Number of runs to sample.")
 @click.option("--seed", default=42, show_default=True)
 @click.option("--reference-fixture", is_flag=True,
               help="Emit the canned 198-run / 27-mismatch fixture instead of sampling.")
@@ -224,7 +225,8 @@ def _make_generator(state: AppState, generator: str, mock_script, runs, odd, eps
               show_default=True)
 @click.option("--mock-script", type=click.Path(path_type=Path),
               help="JSON list of scripted responses for --generator mock.")
-@click.option("--max-attempts", default=5, show_default=True)
+@click.option("--max-attempts", type=click.IntRange(min=1), default=DEFAULT_MAX_ATTEMPTS,
+              show_default=True)
 @click.option("--eps-eq", default=DEFAULT_EPS_EQ, show_default=True)
 @click.option("--max-radius", default=SearchLimits().max_radius_steps, show_default=True)
 @click.option("--search-budget", default=SearchLimits().budget, show_default=True)

@@ -19,7 +19,7 @@ from decimal import Decimal
 from typing import Callable, Iterator
 
 from .grammar import OddSpec, print_rule
-from .semantics import LabeledRun, Outcome, PolarizedRule, decisiveness
+from .semantics import DEFAULT_EPS_EQ, LabeledRun, Outcome, PolarizedRule, decisiveness
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RADIUS_STEPS = 20
@@ -145,7 +145,7 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
 
 def build_evidence(rule: PolarizedRule, dataset: list[LabeledRun], oracle: Oracle,
                    odd: OddSpec, limits: SearchLimits = SearchLimits(),
-                   dataset_ref: str = "", eps_eq: float = 1e-9) -> EvidenceFile:
+                   dataset_ref: str = "", eps_eq: float = DEFAULT_EPS_EQ) -> EvidenceFile:
     """One counterfactual search per inconsistent run, in dataset order.
 
     Runs whose search exhausts the radius or budget are listed as unresolved;

@@ -21,14 +21,12 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from enum import Enum
 
-import requests
-
 from .counterfactual import CounterfactualPair, EvidenceFile
 from .grammar import (Const, Conjunct, OddSpec, ParseError, Relation, RelOp, RuleAst,
                       STRICTNESS_SWAP, Var, check_vocabulary, direct_bound, fmt_number,
                       parse_relation, parse_rule, print_conjunct, print_relation, print_rule,
                       rule)
-from .semantics import LabeledRun, PolarizedRule, decisiveness
+from .semantics import DEFAULT_EPS_EQ, LabeledRun, PolarizedRule, decisiveness
 
 FORMAT_EXEMPLAR = "(0<ARG2<5) and (ARG1>0) or (8<ARG2<12)"
 
@@ -458,7 +456,8 @@ class DeterministicGenerator:
     edits, enumeration order). Fails when no edit strictly reduces the
     target's mismatch count."""
 
-    def __init__(self, dataset: list[LabeledRun], odd: OddSpec, eps_eq: float = 1e-9):
+    def __init__(self, dataset: list[LabeledRun], odd: OddSpec,
+                 eps_eq: float = DEFAULT_EPS_EQ):
         self.dataset = dataset
         self.odd = odd
         self.eps_eq = eps_eq
@@ -529,23 +528,34 @@ class LlmGenerator:
         self.transcript: list[TranscriptEntry] = []
 
     def generate(self, ctx: RefinementContext) -> RefinementCandidate:
+        # Imported here so that only the llm path loads the HTTP stack.
+        import http.client
+        import json
+        import urllib.request
+
         prompt = build_prompt(ctx, self.odd)
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
-        payload = {
-            "model": self.config.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": 0,
-        }
-        headers = {"Authorization": f"Bearer {self.config.api_key}"}
+        request = urllib.request.Request(
+            self.config.base_url.rstrip("/") + "/chat/completions",
+            data=json.dumps({
+                "model": self.config.model,
+                "messages": [{"role": "user", "content": prompt}],
+                "temperature": 0,
+            }).encode("utf-8"),
+            headers={"Content-Type": "application/json",
+                     "Authorization": f"Bearer {self.config.api_key}"},
+            method="POST")
+        # URLError (HTTPError, for status >= 400, included) and timeouts are OSErrors.
         try:
-            response = requests.post(url, json=payload, headers=headers,
-                                     timeout=self.config.timeout)
-            response.raise_for_status()
-            content = response.json()["choices"][0]["message"]["content"]
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=self.config.timeout) as response:
+                body = response.read()
+        except (OSError, http.client.HTTPException) as exc:
             raise GenerationFailure(f"transport error: {exc}") from exc
-        except (KeyError, IndexError, ValueError) as exc:
+        try:
+            content = json.loads(body)["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise GenerationFailure(f"malformed backend response: {exc}") from exc
+        if not isinstance(content, str):
+            raise GenerationFailure(f"malformed backend response: content is {content!r}")
         self.transcript.append(TranscriptEntry(prompt=prompt, response=content))
         return _candidate_from_reply(content, self.odd, CandidateSource.LLM, ctx.target.ast)
 

@@ -267,7 +267,7 @@ def evidence_from_json(data, path="<evidence>") -> EvidenceFile:
             pairs=pairs,
             unresolved=tuple(int(i) for i in data["unresolved"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         _fail(path, f"bad evidence file: {exc}")
 
 
@@ -370,7 +370,7 @@ def load_outcome(path: str | Path) -> RefinementOutcome:
             dg_before=data.get("dg_before"),
             dg_after=data.get("dg_after"),
         )
-    except (KeyError, TypeError, ValueError, ParseError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ParseError) as exc:
         if isinstance(exc, FormatError):
             raise
         _fail(path, f"bad outcome file: {exc}")

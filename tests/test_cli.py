@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ruleforge
 from ruleforge.cli import main
 
 
@@ -193,6 +197,22 @@ class TestMetricsCommand:
         assert (f"{outcome_path}: refined rule: unbound variable(s) ['headway']"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data.update(reports=[1]),
+        lambda data: data["evidence"]["pairs"][0].update(x=[4.2]),
+    ], ids=["report-not-an-object", "evidence-x-not-an-object"])
+    def test_malformed_outcome_is_format_error(self, workspace, tmp_path, capsys, corrupt):
+        data = json.loads(GOLDEN_OUTCOME.read_text())
+        corrupt(data)
+        outcome_path = tmp_path / "outcome.json"
+        outcome_path.write_text(json.dumps(data))
+        out = tmp_path / "metrics.json"
+        code = main(["metrics", *_args(workspace), "--outcome", str(outcome_path),
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert f"{outcome_path}: bad " in capsys.readouterr().err
+
 
 class TestCheck:
     def test_clean_rules_pass(self, workspace, capsys):
@@ -230,6 +250,14 @@ class TestExitCodesAndFailFast:
 
     def test_bad_flag_is_usage_error(self, workspace):
         assert main(["refine", *_args(workspace), "--generator", "telepathy"]) == 1
+
+    @pytest.mark.parametrize("command,count", [("sim", "--n"), ("refine", "--max-attempts")])
+    def test_count_below_one_is_usage_error(self, workspace, tmp_path, capsys, command, count):
+        inputs = _args(workspace) if command == "refine" else []
+        out = tmp_path / "out"
+        assert main([command, *inputs, count, "0", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"Invalid value for '{count}'" in capsys.readouterr().err
 
     def test_malformed_dataset_is_format_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -394,3 +422,16 @@ def test_refine_takes_its_scores_from_the_outcome(workspace, tmp_path, monkeypat
     outcome = json.loads((out / "outcome.json").read_text())
     assert round(outcome["dg_before"], 4) == 0.8636 and outcome["dg_after"] == 1.0
     assert "decisiveness: 0.8636 -> 1.0000" in (out / "report.txt").read_text()
+
+
+def test_import_loads_no_http_stack_and_no_third_party_module_but_click():
+    """Only LlmGenerator.generate needs HTTP, so importing the CLI loads
+    neither the stdlib HTTP client nor any third-party package except click."""
+    probe = ("import sys; before = set(sys.modules); import ruleforge.cli; "
+             "new = set(sys.modules) - before; "
+             "print(sorted(new & {'urllib.request', 'http.client'})); "
+             "print(sorted({m.split('.')[0] for m in new} - set(sys.stdlib_module_names)))")
+    src = str(Path(ruleforge.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.splitlines() == ["[]", "['click', 'ruleforge']"]

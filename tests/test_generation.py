@@ -1,7 +1,9 @@
+import io
 import json
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 
 from ruleforge import (CandidateSource, DeterministicGenerator, EditKind, EvidenceFile,
                        GenerationFailure, LabeledRun, LlmConfig, LlmGenerator,
@@ -9,7 +11,7 @@ from ruleforge import (CandidateSource, DeterministicGenerator, EditKind, Eviden
                        RefinementContext, RejectedResponse, apply_edits, build_evidence,
                        build_prompt, diff_rules, generate_candidate, make_oracle,
                        parse_candidate_response, parse_rule, print_rule, random_rule,
-                       search_counterfactual)
+                       refine_loop, search_counterfactual)
 from ruleforge.generation import FORMAT_EXEMPLAR, enumerate_single_edits
 from ruleforge.grammar import GRAMMAR_TEXT
 from ruleforge.semantics import decisiveness
@@ -241,52 +243,105 @@ class TestMockGenerator:
             generate_candidate(gen, x1_context)
 
 
-class _FakeResponse:
-    def __init__(self, content):
-        self._content = content
+def _reply(content):
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
 
-    def raise_for_status(self):
-        pass
 
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+def _fake_urlopen(monkeypatch, *replies):
+    """Replace urlopen with a fake that answers its calls in order, each
+    with a body (bytes) or by raising an exception. Returns the list of
+    (request, timeout) it was called with."""
+    calls = []
+    pending = list(replies)
+
+    def fake_urlopen(request, timeout=None):
+        calls.append((request, timeout))
+        reply = pending.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return io.BytesIO(reply)  # readable, and usable as a context manager
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    return calls
+
+
+def _llm(fixture42, base_url="http://llm.example"):
+    return LlmGenerator(LlmConfig(base_url, "key", "m", timeout=12.5), fixture42.config.odd)
 
 
 class TestLlmGenerator:
     def test_parses_backend_reply(self, fixture42, x1_context, monkeypatch):
-        captured = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            captured["url"] = url
-            captured["payload"] = json
-            return _FakeResponse("Rule: (dist_front < 4.1) and (ego_speed > 0)\n"
-                                 "Explanation: tightened")
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        gen = LlmGenerator(LlmConfig("http://llm.example/v1", "key", "test-model"),
-                           fixture42.config.odd)
+        _fake_urlopen(monkeypatch, _reply("Rule: (dist_front < 4.1) and (ego_speed > 0)\n"
+                                          "Explanation: tightened"))
+        gen = _llm(fixture42)
         candidate = generate_candidate(gen, x1_context)
         assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
         assert candidate.source is CandidateSource.LLM
         assert apply_edits(fixture42.baseline_rule.ast, candidate.change_log) == candidate.ast
-        assert captured["url"] == "http://llm.example/v1/chat/completions"
-        assert captured["payload"]["temperature"] == 0
         assert len(gen.transcript) == 1
         assert gen.transcript[0].response.startswith("Rule:")
 
-    def test_transport_error_is_generation_failure(self, fixture42, x1_context, monkeypatch):
-        def fake_post(*args, **kwargs):
-            raise requests.ConnectionError("refused")
+    def test_request_sent(self, fixture42, x1_context, monkeypatch):
+        calls = _fake_urlopen(monkeypatch, _reply("Rule: (dist_front < 4.1)"))
+        generate_candidate(_llm(fixture42, "http://llm.example/v1/"), x1_context)
+        [(request, timeout)] = calls
+        assert request.full_url == "http://llm.example/v1/chat/completions"
+        assert request.get_method() == "POST"
+        assert request.get_header("Content-type") == "application/json"
+        assert request.get_header("Authorization") == "Bearer key"
+        assert timeout == 12.5
+        payload = json.loads(request.data)
+        assert payload == {"model": "m", "temperature": 0,
+                           "messages": [{"role": "user",
+                                         "content": build_prompt(x1_context,
+                                                                 fixture42.config.odd)}]}
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        gen = LlmGenerator(LlmConfig("http://llm.example", "key", "m"), fixture42.config.odd)
+    def test_transport_error_is_generation_failure(self, fixture42, x1_context, monkeypatch):
+        _fake_urlopen(monkeypatch, urllib.error.URLError("refused"))
+        gen = _llm(fixture42)
         with pytest.raises(GenerationFailure, match="transport error"):
             generate_candidate(gen, x1_context)
+        assert gen.transcript == []
+
+    @pytest.mark.parametrize("error", [
+        urllib.error.HTTPError("http://llm.example/chat/completions", 500,
+                               "Internal Server Error", {}, None),
+        TimeoutError("timed out"),
+    ], ids=["http-500", "timeout"])
+    def test_http_error_and_timeout_are_transport_errors(self, fixture42, x1_context,
+                                                         monkeypatch, error):
+        _fake_urlopen(monkeypatch, error)
+        with pytest.raises(GenerationFailure, match="transport error"):
+            generate_candidate(_llm(fixture42), x1_context)
+
+    @pytest.mark.parametrize("body", [
+        b"<html>busy</html>",
+        json.dumps({"choices": []}).encode(),
+        json.dumps([{"message": {"content": "Rule: (dist_front < 4.1)"}}]).encode(),
+        _reply(None),
+    ], ids=["not-json", "no-choices", "list-body", "null-content"])
+    def test_malformed_reply_is_generation_failure(self, fixture42, x1_context, monkeypatch,
+                                                   body):
+        _fake_urlopen(monkeypatch, body)
+        gen = _llm(fixture42)
+        with pytest.raises(GenerationFailure, match="malformed backend response"):
+            generate_candidate(gen, x1_context)
+        assert gen.transcript == []
 
     def test_rejected_reply_is_generation_failure(self, fixture42, x1_context, monkeypatch):
-        monkeypatch.setattr(requests, "post",
-                            lambda *a, **k: _FakeResponse("[[('gt','ARG1','0')]]"))
-        gen = LlmGenerator(LlmConfig("http://llm.example", "key", "m"), fixture42.config.odd)
+        _fake_urlopen(monkeypatch, _reply("[[('gt','ARG1','0')]]"))
+        gen = _llm(fixture42)
         with pytest.raises(GenerationFailure, match="structural violation"):
             generate_candidate(gen, x1_context)
         assert len(gen.transcript) == 1  # audit trail kept even for rejects
+
+    def test_malformed_reply_feeds_the_next_attempt(self, fixture42, monkeypatch):
+        calls = _fake_urlopen(monkeypatch, _reply(None),
+                              _reply("Rule: (dist_front < 4.1) and (ego_speed > 0)"))
+        outcome = refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule],
+                              fixture42.dataset, make_oracle(fixture42.config),
+                              fixture42.config.odd, _llm(fixture42))
+        assert outcome.attempts == 2
+        assert outcome.reports[0].failure_summary.startswith("malformed backend response")
+        second_prompt = json.loads(calls[1][0].data)["messages"][0]["content"]
+        assert "attempt 1: malformed backend response" in second_prompt
