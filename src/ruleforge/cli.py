@@ -9,6 +9,7 @@ is written.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -91,6 +92,13 @@ def _load_in_domain(state: AppState, rules_path, dataset_path, config_path):
     return rules, runs, config
 
 
+def _tolerance(ctx, param, value: float) -> float:
+    # click.FloatRange(min=0) would still admit NaN and inf; no tolerance means either.
+    if not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"{value} is not a finite number >= 0")
+    return value
+
+
 @click.group()
 @click.option("--json", "json_diagnostics", is_flag=True,
               help="Machine-readable JSON diagnostics on stderr.")
@@ -133,7 +141,8 @@ def sim(state: AppState, config_path, n, seed, reference_fixture, out_dir):
 @cli.command("eval")
 @click.option("--rules", "rules_path", type=click.Path(path_type=Path), required=True)
 @click.option("--dataset", "dataset_path", type=click.Path(path_type=Path), required=True)
-@click.option("--eps-eq", default=DEFAULT_EPS_EQ, show_default=True)
+@click.option("--eps-eq", type=float, default=DEFAULT_EPS_EQ, show_default=True,
+              callback=_tolerance)
 @click.option("--out", "out_path", type=click.Path(path_type=Path),
               help="Write the JSON report here instead of stdout.")
 @click.pass_obj
@@ -175,9 +184,10 @@ def eval_cmd(state: AppState, rules_path, dataset_path, eps_eq, out_path):
 @click.option("--dataset", "dataset_path", type=click.Path(path_type=Path), required=True)
 @click.option("--config", "config_path", type=click.Path(path_type=Path), required=True,
               help="Oracle config JSON (the re-execution stand-in).")
-@click.option("--max-radius", default=SearchLimits().max_radius_steps, show_default=True)
-@click.option("--search-budget", default=SearchLimits().budget, show_default=True,
-              help="Oracle queries allowed per counterfactual search.")
+@click.option("--max-radius", type=click.IntRange(min=1),
+              default=SearchLimits().max_radius_steps, show_default=True)
+@click.option("--search-budget", type=click.IntRange(min=1), default=SearchLimits().budget,
+              show_default=True, help="Oracle queries allowed per counterfactual search.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=Path("evidence.json"),
               show_default=True)
 @click.pass_obj
@@ -227,9 +237,12 @@ def _make_generator(state: AppState, generator: str, mock_script, runs, odd, eps
               help="JSON list of scripted responses for --generator mock.")
 @click.option("--max-attempts", type=click.IntRange(min=1), default=DEFAULT_MAX_ATTEMPTS,
               show_default=True)
-@click.option("--eps-eq", default=DEFAULT_EPS_EQ, show_default=True)
-@click.option("--max-radius", default=SearchLimits().max_radius_steps, show_default=True)
-@click.option("--search-budget", default=SearchLimits().budget, show_default=True)
+@click.option("--eps-eq", type=float, default=DEFAULT_EPS_EQ, show_default=True,
+              callback=_tolerance)
+@click.option("--max-radius", type=click.IntRange(min=1),
+              default=SearchLimits().max_radius_steps, show_default=True)
+@click.option("--search-budget", type=click.IntRange(min=1), default=SearchLimits().budget,
+              show_default=True)
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=Path("."),
               show_default=True, help="Output directory.")
 @click.pass_obj

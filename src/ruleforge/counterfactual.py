@@ -9,6 +9,9 @@ with negative offsets before positive ones and untouched-feature
 continuations last. Offsets that would leave a feature's [min, max] range
 are never enumerated, so every probe stays inside the domain, each probe
 costs exactly one oracle query, and the step-unit L1 of the result is exact.
+A ring's vectors come from one iterative walk that descends only into
+prefixes whose remainder the later features can take up, so no step of the
+walk is wasted; a probe's delta is built only when its outcome flips.
 """
 
 from __future__ import annotations
@@ -89,16 +92,55 @@ def _offset_vectors(down: list[int], up: list[int], total: int) -> Iterator[tupl
     Per feature the candidate multiples are ordered ascending over the
     nonzero values (negatives first), with 0 last so vectors touching
     earlier features enumerate before those that leave them unchanged.
+
+    The walk is iterative: one choice iterator per feature on a stack. A
+    feature is offered only the multiples whose remainder the later features
+    can take up, so every choice ends in at least one vector; a vector is
+    complete once its remainder is 0, and the last feature takes up what
+    is left exactly.
     """
-    if not down:
-        if total == 0:
-            yield ()
+    n = len(down)
+    # reach[i]: the most steps features i.. can take up together.
+    reach = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        reach[i] = reach[i + 1] + max(down[i], up[i])
+    if total > reach[0]:
         return
-    choices = itertools.chain(range(-min(down[0], total), 0),
-                              range(1, min(up[0], total) + 1), (0,))
-    for m in choices:
-        for tail in _offset_vectors(down[1:], up[1:], total - abs(m)):
-            yield (m, *tail)
+    if not n:
+        yield ()
+        return
+    last = n - 1
+    # ends[r]: the last feature's offsets that take up a remainder of r.
+    ends = [[0]] + [[m for m in (-r, r) if -down[last] <= m <= up[last]]
+                    for r in range(1, total + 1)]
+
+    def choices(i: int, rest: int) -> Iterator[int]:
+        least = max(1, rest - reach[i + 1])
+        zero = (0,) if rest <= reach[i + 1] else ()
+        return itertools.chain(range(-min(down[i], rest), 1 - least),
+                               range(least, min(up[i], rest) + 1), zero)
+
+    vec = [0] * n
+    zeros = [0] * n
+    rests = [total] * n
+    stack = [choices(0, total)]
+    while stack:
+        i = len(stack) - 1
+        for m in stack[i]:
+            vec[i] = m
+            rest = rests[i] - abs(m)
+            if not rest:  # every later feature stays at 0
+                vec[i + 1:] = zeros[i + 1:]
+                yield tuple(vec)
+            elif i + 1 < last:
+                rests[i + 1] = rest
+                stack.append(choices(i + 1, rest))
+                break
+            else:
+                for vec[last] in ends[rest]:
+                    yield tuple(vec)
+        else:
+            stack.pop()
 
 
 def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: OddSpec,
@@ -118,9 +160,10 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     # Largest in-range magnitude per feature, per direction.
     down = [int((base[v.name] - _dec(v.min)) / _dec(v.step)) for v in features]
     up = [int((_dec(v.max) - base[v.name]) / _dec(v.step)) for v in features]
-    # Per feature, each in-range offset m within the radius limit, computed
-    # once: m -> (probe value, delta).
-    tables = [{m: (float(base[v.name] + _dec(v.step) * m), float(_dec(v.step) * m))
+    names = odd.names
+    # Per feature, the probe value of each in-range offset m within the
+    # radius limit, computed once: m -> value.
+    tables = [{m: float(base[v.name] + _dec(v.step) * m)
                for m in range(-min(d, max_radius_steps), min(u, max_radius_steps) + 1)}
               for v, d, u in zip(features, down, up)]
     used = 0
@@ -130,12 +173,12 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
                 raise OracleBudgetExceeded(f"budget of {budget} queries exhausted at radius {radius}")
             used += 1
             probe = dict(x)
-            delta: dict[str, float] = {}
-            for v, table, m in zip(features, tables, offsets):
+            for name, table, m in zip(names, tables, offsets):
                 if m:
-                    probe[v.name], delta[v.name] = table[m]
+                    probe[name] = table[m]
             y_cf = oracle.query(probe)
             if y_cf is not y:
+                delta = {v.name: float(_dec(v.step) * m) for v, m in zip(features, offsets) if m}
                 l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
                 return CounterfactualPair(x=dict(x), y=y, x_cf=probe, y_cf=y_cf,
                                           delta=delta, l1=l1,

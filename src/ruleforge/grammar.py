@@ -204,6 +204,8 @@ class OddSpec:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise GrammarError("ODD variable names must be unique")
+        # contains_point runs on every oracle query: read the bounds once.
+        object.__setattr__(self, "_bounds", tuple((v.name, v.min, v.max) for v in self.variables))
 
     @property
     def names(self) -> list[str]:
@@ -219,7 +221,12 @@ class OddSpec:
         return any(v.name == name for v in self.variables)
 
     def contains_point(self, x: dict[str, float], tol: float = 1e-9) -> bool:
-        return all(v.name in x and v.contains(x[v.name], tol) for v in self.variables)
+        """Every variable is bound in x and within its range, up to tol;
+        NaN and infinities are outside."""
+        for name, lo, hi in self._bounds:
+            if name not in x or not lo - tol <= x[name] <= hi + tol:
+                return False
+        return True
 
 
 def odd_spec(variables: list[tuple[str, float, float, float]]) -> OddSpec:

@@ -259,6 +259,29 @@ class TestExitCodesAndFailFast:
         assert not out.exists()
         assert f"Invalid value for '{count}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,option,value", [
+        *[(command, "--eps-eq", value) for command in ("eval", "refine")
+          for value in ("nan", "inf", "-inf", "-1", "-1e-12")],
+        *[(command, option, value) for command in ("cf", "refine")
+          for option in ("--max-radius", "--search-budget") for value in ("0", "-1")],
+    ])
+    def test_meaningless_numeric_option_is_usage_error(self, workspace, tmp_path, capsys,
+                                                       command, option, value):
+        inputs = _args(workspace)[:4] if command == "eval" else _args(workspace)
+        out = tmp_path / "out"
+        assert main([command, *inputs, option, value, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"Invalid value for '{option}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,option,value", [
+        ("eval", "--eps-eq", "0"), ("refine", "--eps-eq", "0"),
+        ("cf", "--max-radius", "1"), ("cf", "--search-budget", "1"),
+    ])
+    def test_numeric_option_at_its_bound_is_accepted(self, workspace, tmp_path,
+                                                     command, option, value):
+        inputs = _args(workspace)[:4] if command == "eval" else _args(workspace)
+        assert main([command, *inputs, option, value, "--out", str(tmp_path / "out")]) == 0
+
     def test_malformed_dataset_is_format_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,8 @@ from ruleforge import (CounterfactualNotFound, NoInconsistency, Oracle,
                        OracleBudgetExceeded, Outcome, PolarizedRule, Polarity, SearchLimits,
                        build_evidence, decisiveness, make_oracle, odd_spec, parse_rule,
                        search_counterfactual)
+from ruleforge.cli import main
+from ruleforge.counterfactual import _offset_vectors
 from ruleforge.semantics import LabeledRun
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
@@ -214,3 +218,69 @@ class TestPartialBudgetPartition:
                                   SearchLimits(max_radius_steps=2, budget=100))
         assert len(evidence.pairs) == 1
         assert evidence.unresolved == (1,)
+
+
+# ---------------------------------------------------------------------------
+# The iterative enumeration against the recursive generator it replaced, kept
+# here as the reference only.
+# ---------------------------------------------------------------------------
+
+
+def _ref_offset_vectors(down, up, total):
+    if not down:
+        if total == 0:
+            yield ()
+        return
+    choices = itertools.chain(range(-min(down[0], total), 0),
+                              range(1, min(up[0], total) + 1), (0,))
+    for m in choices:
+        for tail in _ref_offset_vectors(down[1:], up[1:], total - abs(m)):
+            yield (m, *tail)
+
+
+class TestOffsetEnumeration:
+    @pytest.mark.parametrize("down,up,total", [
+        ([], [], 0), ([], [], 1),                      # zero features
+        ([3, 2], [1, 4], 0), ([0], [0], 0),            # total == 0
+        ([0, 0, 0], [2, 1, 3], 3),                     # no room below
+        ([2, 1, 3], [0, 0, 0], 4),                     # no room above
+        ([0], [0], 1), ([0, 0], [0, 0], 2),            # no room at all
+        ([3, 3, 1], [0, 3, 0], 6), ([4, 4, 1], [4, 4, 0], 5),  # last feature short
+        ([1, 1], [1, 1], 5),                           # beyond every feature's reach
+    ])
+    def test_edge_cases_match_the_recursive_reference(self, down, up, total):
+        assert list(_offset_vectors(down, up, total)) == list(_ref_offset_vectors(down, up, total))
+
+    def test_random_cases_match_the_recursive_reference(self):
+        rng = random.Random(7)
+        nonempty = 0
+        for _ in range(400):
+            n = rng.randint(0, 5)
+            down = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
+            up = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
+            total = rng.randint(0, 12)
+            expected = list(_ref_offset_vectors(down, up, total))
+            assert list(_offset_vectors(down, up, total)) == expected, (down, up, total)
+            nonempty += bool(expected)
+        assert nonempty >= 200  # most cases enumerate something
+
+
+GOLDEN_EVIDENCE = Path(__file__).parent / "golden" / "evidence.json"
+
+
+def test_evidence_matches_golden(tmp_path, monkeypatch):
+    """`sim --reference-fixture --seed 42`, then, in the output directory,
+    `cf --rules rules.json --dataset dataset.csv --config oracle_config.json
+    --search-budget 40 --out evidence.json` must reproduce the checked-in
+    file byte for byte: 16 pairs and 11 runs unresolved within the budget.
+    Regenerate it only for an intended change to the search or its file
+    format, with the same commands.
+    """
+    monkeypatch.chdir(tmp_path)  # the file records the dataset path as given
+    assert main(["sim", "--reference-fixture", "--seed", "42", "--out", "."]) == 0
+    assert main(["cf", "--rules", "rules.json", "--dataset", "dataset.csv",
+                 "--config", "oracle_config.json", "--search-budget", "40",
+                 "--out", "evidence.json"]) == 0
+    assert (tmp_path / "evidence.json").read_bytes() == GOLDEN_EVIDENCE.read_bytes()
+    golden = json.loads(GOLDEN_EVIDENCE.read_text())
+    assert (len(golden["pairs"]), len(golden["unresolved"])) == (16, 11)

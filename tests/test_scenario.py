@@ -1,12 +1,14 @@
 import itertools
 import math
+import pickle
+import random
 
 import pytest
 
 from ruleforge import (Outcome, OutOfDomain, decisiveness, default_config, evaluate,
-                       make_oracle, make_reference_fixture, oracle_label, sample_dataset,
-                       search_counterfactual)
-from ruleforge.scenario import ConstructionFailure
+                       make_oracle, make_reference_fixture, odd_spec, oracle_label,
+                       parse_rule, sample_dataset, search_counterfactual)
+from ruleforge.scenario import DEFAULT_ODD, ConstructionFailure, OracleConfig
 from ruleforge.storage import dataset_bytes
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
@@ -129,3 +131,87 @@ class TestReferenceFixture:
         bad_odd = odd_spec([("ego_speed", 0.0, 30.0, 0.5)])
         with pytest.raises(ConstructionFailure):
             OracleConfig(odd=bad_odd, safe_region=parse_rule("dist_front < 1"), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The domain guard on every oracle query against the per-variable predicate
+# it replaced, kept here as the reference only.
+# ---------------------------------------------------------------------------
+
+GUARD_ODDS = [
+    DEFAULT_ODD,
+    odd_spec([(f"f{i}", -3.0 * i, 2.5 + i, 0.5) for i in range(8)]),
+    odd_spec([("a", -1e-3, 1e-3, 1e-4), ("b", 7.0, 7.0, 1.0)]),  # tiny and degenerate ranges
+    odd_spec([("big", -1e6, 1e9, 1000.0)]),
+]
+TOL = 1e-9
+
+
+def _ref_contains_point(odd, x, tol=TOL):
+    return all(v.name in x and v.contains(x[v.name], tol) for v in odd.variables)
+
+
+def _guard_values(v, rng, tol):
+    """Values for one variable: the range ends, the tolerance edges and one
+    ulp past them either way, non-finite values and random draws around the
+    range."""
+    edges = [v.min - tol, v.max + tol]
+    values = [v.min, v.max, *edges, math.nan, math.inf, -math.inf]
+    values += [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+    span = v.max - v.min or 1.0
+    values += [rng.uniform(v.min - span, v.max + span) for _ in range(4)]
+    return values
+
+
+def _guard_points(odd, rng, tol=TOL):
+    inside = {v.name: rng.uniform(v.min, v.max) for v in odd.variables}
+    for v in odd.variables:
+        for value in _guard_values(v, rng, tol):
+            yield {**inside, v.name: value}
+    for name in odd.names:
+        yield {k: val for k, val in inside.items() if k != name}  # a variable missing
+    yield {**inside, "extra": 1.0, "other": math.nan}  # extra keys are ignored
+    yield {"extra": 1.0}
+    for _ in range(200):
+        yield {v.name: rng.choice(_guard_values(v, rng, tol)) for v in odd.variables}
+
+
+class TestDomainGuard:
+    @pytest.mark.parametrize("odd", GUARD_ODDS, ids=lambda odd: ",".join(odd.names))
+    @pytest.mark.parametrize("tol", [TOL, 0.0, 0.25])
+    def test_matches_the_per_variable_predicate(self, odd, tol):
+        rng = random.Random(5)
+        seen = set()
+        for x in _guard_points(odd, rng, tol):
+            expected = _ref_contains_point(odd, x, tol)
+            assert odd.contains_point(x, tol) is expected, x
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_default_tolerance_is_1e_9(self):
+        v = DEFAULT_ODD.get("ego_speed")
+        edge = {"ego_speed": v.max + 1e-9, "dist_front": 0.0, "lane_offset": 0.0}
+        assert DEFAULT_ODD.contains_point(edge)
+        assert not DEFAULT_ODD.contains_point(
+            {**edge, "ego_speed": math.nextafter(v.max + 1e-9, math.inf)})
+
+    def test_survives_pickling(self):
+        odd = pickle.loads(pickle.dumps(GUARD_ODDS[1]))
+        assert odd == GUARD_ODDS[1]
+        x = {name: 0.0 for name in odd.names}
+        assert odd.contains_point(x) and not odd.contains_point({**x, "f0": math.nan})
+
+    @pytest.mark.parametrize("odd", GUARD_ODDS, ids=lambda odd: ",".join(odd.names))
+    def test_oracle_refuses_every_point_the_guard_refuses(self, odd):
+        first = odd.variables[0]
+        config = OracleConfig(odd, parse_rule(f"{first.name} >= {first.min}"), seed=0)
+        rng = random.Random(6)
+        refused = 0
+        for x in _guard_points(odd, rng):
+            if _ref_contains_point(odd, x):
+                assert oracle_label(config, x) in (Outcome.PASS, Outcome.FAIL)
+            else:
+                refused += 1
+                with pytest.raises(OutOfDomain):
+                    oracle_label(config, x)
+        assert refused
