@@ -9,9 +9,14 @@ with negative offsets before positive ones and untouched-feature
 continuations last. Offsets that would leave a feature's [min, max] range
 are never enumerated, so every probe stays inside the domain, each probe
 costs exactly one oracle query, and the step-unit L1 of the result is exact.
-A ring's vectors come from one iterative walk that descends only into
+A ring's probes come from one iterative walk that descends only into
 prefixes whose remainder the later features can take up, so no step of the
-walk is wasted; a probe's delta is built only when its outcome flips.
+walk is wasted. The walk builds the probes in place, in one working dict
+where a feature's value is written only when its offset changes, and each
+oracle query gets its own copy of it, so no oracle sees a dict that is
+later changed. A feature's probe values are computed ring by ring, the
+offsets +-r when ring r starts; a probe's delta is built only when its
+outcome flips.
 """
 
 from __future__ import annotations
@@ -85,19 +90,30 @@ def _dec(value: float) -> Decimal:
     return Decimal(repr(value))
 
 
-def _offset_vectors(down: list[int], up: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """Offset vectors with sum of magnitudes exactly `total`, feature-major,
-    each offset m within [-down[i], up[i]] for its feature i.
+def _ring_walk(x: dict[str, float], names: list[str], values: list[dict[int, float]],
+               down: list[int], up: list[int], total: int,
+               offsets: list[int]) -> Iterator[dict[str, float]]:
+    """The probes of one ring: every offset vector with sum of magnitudes
+    exactly `total`, each offset m within [-down[i], up[i]] for its feature
+    i, in enumeration order.
 
     Per feature the candidate multiples are ordered ascending over the
     nonzero values (negatives first), with 0 last so vectors touching
     earlier features enumerate before those that leave them unchanged.
 
+    Each probe is x with feature names[i] set to values[i][m], where
+    values[i][0] must be x's own value. The probe is built in place in one
+    working dict, which is yielded and must be copied, not kept or changed:
+    a feature's value is written only when its offset changes. `offsets`,
+    all 0 on entry, holds the yielded probe's vector, and is all 0 again
+    once the ring is walked to its end.
+
     The walk is iterative: one choice iterator per feature on a stack. A
     feature is offered only the multiples whose remainder the later features
     can take up, so every choice ends in at least one vector; a vector is
     complete once its remainder is 0, and the last feature takes up what
-    is left exactly.
+    is left exactly. A feature whose choices run out returns to 0, so the
+    features past the top of the stack are always at 0.
     """
     n = len(down)
     # reach[i]: the most steps features i.. can take up together.
@@ -106,10 +122,12 @@ def _offset_vectors(down: list[int], up: list[int], total: int) -> Iterator[tupl
         reach[i] = reach[i + 1] + max(down[i], up[i])
     if total > reach[0]:
         return
+    work = dict(x)
     if not n:
-        yield ()
+        yield work
         return
     last = n - 1
+    last_name, last_values = names[last], values[last]
     # ends[r]: the last feature's offsets that take up a remainder of r.
     ends = [[0]] + [[m for m in (-r, r) if -down[last] <= m <= up[last]]
                     for r in range(1, total + 1)]
@@ -120,27 +138,33 @@ def _offset_vectors(down: list[int], up: list[int], total: int) -> Iterator[tupl
         return itertools.chain(range(-min(down[i], rest), 1 - least),
                                range(least, min(up[i], rest) + 1), zero)
 
-    vec = [0] * n
-    zeros = [0] * n
     rests = [total] * n
     stack = [choices(0, total)]
     while stack:
         i = len(stack) - 1
+        name, table = names[i], values[i]
         for m in stack[i]:
-            vec[i] = m
+            offsets[i] = m
+            work[name] = table[m]
             rest = rests[i] - abs(m)
-            if not rest:  # every later feature stays at 0
-                vec[i + 1:] = zeros[i + 1:]
-                yield tuple(vec)
+            if not rest:
+                yield work
             elif i + 1 < last:
                 rests[i + 1] = rest
                 stack.append(choices(i + 1, rest))
                 break
             else:
-                for vec[last] in ends[rest]:
-                    yield tuple(vec)
+                for end in ends[rest]:
+                    offsets[last] = end
+                    work[last_name] = last_values[end]
+                    yield work
+                offsets[last] = 0
+                work[last_name] = last_values[0]
         else:
             stack.pop()
+            if offsets[i]:
+                offsets[i] = 0
+                work[name] = table[0]
 
 
 def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: OddSpec,
@@ -155,34 +179,32 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     """
     if not odd.contains_point(x):
         raise ValueError("input lies outside the declared domain")
-    features = list(odd.variables)
-    base = {v.name: _dec(x[v.name]) for v in features}
-    # Largest in-range magnitude per feature, per direction.
-    down = [int((base[v.name] - _dec(v.min)) / _dec(v.step)) for v in features]
-    up = [int((_dec(v.max) - base[v.name]) / _dec(v.step)) for v in features]
     names = odd.names
-    # Per feature, the probe value of each in-range offset m within the
-    # radius limit, computed once: m -> value.
-    tables = [{m: float(base[v.name] + _dec(v.step) * m)
-               for m in range(-min(d, max_radius_steps), min(u, max_radius_steps) + 1)}
-              for v, d, u in zip(features, down, up)]
+    base = [_dec(x[name]) for name in names]
+    steps = [_dec(v.step) for v in odd.variables]
+    # Largest in-range magnitude per feature, per direction.
+    down = [int((b - _dec(v.min)) / s) for v, b, s in zip(odd.variables, base, steps)]
+    up = [int((_dec(v.max) - b) / s) for v, b, s in zip(odd.variables, base, steps)]
+    # Per feature, the probe value of each offset m walked so far: m -> value.
+    # Offset 0 is the run's own value; ring r adds its in-range -r and r.
+    values = [{0: x[name]} for name in names]
+    offsets = [0] * len(names)
     used = 0
     for radius in range(1, max_radius_steps + 1):
-        for offsets in _offset_vectors(down, up, radius):
+        for table, b, s, d, u in zip(values, base, steps, down, up):
+            for m in (-radius, radius):
+                if -d <= m <= u:
+                    table[m] = float(b + s * m)
+        for probe in _ring_walk(x, names, values, down, up, radius, offsets):
             if used >= budget:
                 raise OracleBudgetExceeded(f"budget of {budget} queries exhausted at radius {radius}")
             used += 1
-            probe = dict(x)
-            for name, table, m in zip(names, tables, offsets):
-                if m:
-                    probe[name] = table[m]
-            y_cf = oracle.query(probe)
+            y_cf = oracle.query(dict(probe))
             if y_cf is not y:
-                delta = {v.name: float(_dec(v.step) * m) for v, m in zip(features, offsets) if m}
+                delta = {name: float(s * m) for name, s, m in zip(names, steps, offsets) if m}
                 l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
-                return CounterfactualPair(x=dict(x), y=y, x_cf=probe, y_cf=y_cf,
-                                          delta=delta, l1=l1,
-                                          l1_steps=sum(abs(m) for m in offsets))
+                return CounterfactualPair(x=dict(x), y=y, x_cf=dict(probe), y_cf=y_cf,
+                                          delta=delta, l1=l1, l1_steps=radius)
     raise CounterfactualNotFound(f"no flip within {max_radius_steps} steps")
 
 

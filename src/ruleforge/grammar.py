@@ -155,6 +155,9 @@ def rule(*disjuncts) -> RuleAst:
 # ODD: the declared input domain, one bounded stepped range per variable.
 # ---------------------------------------------------------------------------
 
+# How far outside its declared range a value may lie and still be in the domain.
+DOMAIN_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OddVariable:
@@ -192,7 +195,7 @@ class OddVariable:
         k = min(max(k, 0), self.grid_count - 1)
         return self.grid_value(k)
 
-    def contains(self, value: float, tol: float = 1e-9) -> bool:
+    def contains(self, value: float, tol: float = DOMAIN_TOL) -> bool:
         return self.min - tol <= value <= self.max + tol
 
 
@@ -204,8 +207,8 @@ class OddSpec:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise GrammarError("ODD variable names must be unique")
-        # contains_point runs on every oracle query: read the bounds once.
-        object.__setattr__(self, "_bounds", tuple((v.name, v.min, v.max) for v in self.variables))
+        # contains_point runs on every oracle query: widen the bounds once.
+        object.__setattr__(self, "_widened", self._widen(DOMAIN_TOL))
 
     @property
     def names(self) -> list[str]:
@@ -220,12 +223,23 @@ class OddSpec:
     def __contains__(self, name: str) -> bool:
         return any(v.name == name for v in self.variables)
 
-    def contains_point(self, x: dict[str, float], tol: float = 1e-9) -> bool:
+    def _widen(self, tol: float) -> tuple[tuple[str, float, float], ...]:
+        return tuple((v.name, v.min - tol, v.max + tol) for v in self.variables)
+
+    def contains_point(self, x: dict[str, float], tol: float = DOMAIN_TOL) -> bool:
         """Every variable is bound in x and within its range, up to tol;
-        NaN and infinities are outside."""
-        for name, lo, hi in self._bounds:
-            if name not in x or not lo - tol <= x[name] <= hi + tol:
-                return False
+        NaN and infinities are outside.
+
+        The bounds for the default tol are widened once, when the spec is
+        built, to the same floats `min - tol` and `max + tol` give; any
+        other tol widens them on each call."""
+        bounds = self._widened if tol == DOMAIN_TOL else self._widen(tol)
+        try:
+            for name, lo, hi in bounds:
+                if not lo <= x[name] <= hi:
+                    return False
+        except KeyError:
+            return False
         return True
 
 

@@ -41,6 +41,9 @@ def _fail(path, message: str):
 # ---------------------------------------------------------------------------
 
 
+_OUTCOMES = {outcome.value: outcome for outcome in Outcome}
+
+
 def load_dataset(path: str | Path) -> list[LabeledRun]:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -54,20 +57,25 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
         features = header[:-1]
         if not features:
             _fail(path, "no feature columns")
+        if len(set(header)) != len(header):
+            # a run keyed by column name would keep only the last copy
+            duplicate = next(name for i, name in enumerate(header) if name in header[:i])
+            _fail(path, f"duplicated column {duplicate!r}")
         runs = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 _fail(path, f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                x = {name: float(cell) for name, cell in zip(features, row)}
+                # zip stops at the last feature, so the outcome cell is never converted
+                x = dict(zip(features, map(float, row)))
             except ValueError:
                 _fail(path, f"line {lineno}: non-numeric feature value")
-            if not all(math.isfinite(v) for v in x.values()):
+            if not all(map(math.isfinite, x.values())):
                 _fail(path, f"line {lineno}: non-finite feature value")
-            label = row[-1]
-            if label not in (Outcome.PASS.value, Outcome.FAIL.value):
-                _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {label!r}")
-            runs.append(LabeledRun(x=x, y=Outcome(label)))
+            y = _OUTCOMES.get(row[-1])
+            if y is None:
+                _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
+            runs.append(LabeledRun(x=x, y=y))
     if not runs:
         _fail(path, "dataset has no runs")
     return runs

@@ -319,6 +319,19 @@ class TestExitCodesAndFailFast:
         assert code == 2
         assert "line 3: non-finite" in capsys.readouterr().err
 
+    def test_duplicated_dataset_column_is_format_error(self, workspace, tmp_path, capsys):
+        # the first dist_front makes this run a mismatch for the baseline; the
+        # second would hide it
+        bad = tmp_path / "dup.csv"
+        bad.write_text("dist_front,dist_front,ego_speed,lane_offset,outcome\n"
+                       "4.2,30,1,0,Fail\n")
+        out = tmp_path / "out"
+        code = main(["eval", "--rules", str(workspace / "rules.json"),
+                     "--dataset", str(bad), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "duplicated column 'dist_front'" in capsys.readouterr().err
+
 
 GOLDEN_OUTCOME = Path(__file__).parent / "golden" / "outcome.json"
 

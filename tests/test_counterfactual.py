@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from ruleforge import (CounterfactualNotFound, NoInconsistency, Oracle,
                        build_evidence, decisiveness, make_oracle, odd_spec, parse_rule,
                        search_counterfactual)
 from ruleforge.cli import main
-from ruleforge.counterfactual import _offset_vectors
+from ruleforge.counterfactual import _ring_walk
 from ruleforge.semantics import LabeledRun
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
@@ -221,8 +222,8 @@ class TestPartialBudgetPartition:
 
 
 # ---------------------------------------------------------------------------
-# The iterative enumeration against the recursive generator it replaced, kept
-# here as the reference only.
+# The ring walk's enumeration against the recursive generator it replaced,
+# kept here as the reference only.
 # ---------------------------------------------------------------------------
 
 
@@ -238,6 +239,23 @@ def _ref_offset_vectors(down, up, total):
             yield (m, *tail)
 
 
+def _walk_offsets(down, up, total):
+    """The offset vectors of one ring, read from the walk's `offsets` at each
+    probe; each probe must hold exactly the values its vector selects."""
+    names = [f"f{i}" for i in range(len(down))]
+    # distinct values per feature and offset, so a stale write shows
+    values = [{m: 100.0 * i + m for m in range(-d, u + 1)}
+              for i, (d, u) in enumerate(zip(down, up))]
+    x = {name: table[0] for name, table in zip(names, values)}
+    offsets = [0] * len(down)
+    vectors = []
+    for probe in _ring_walk(x, names, values, down, up, total, offsets):
+        assert probe == {name: table[m] for name, table, m in zip(names, values, offsets)}
+        vectors.append(tuple(offsets))
+    assert offsets == [0] * len(down)  # a ring walked to its end leaves no offset behind
+    return vectors
+
+
 class TestOffsetEnumeration:
     @pytest.mark.parametrize("down,up,total", [
         ([], [], 0), ([], [], 1),                      # zero features
@@ -249,7 +267,7 @@ class TestOffsetEnumeration:
         ([1, 1], [1, 1], 5),                           # beyond every feature's reach
     ])
     def test_edge_cases_match_the_recursive_reference(self, down, up, total):
-        assert list(_offset_vectors(down, up, total)) == list(_ref_offset_vectors(down, up, total))
+        assert _walk_offsets(down, up, total) == list(_ref_offset_vectors(down, up, total))
 
     def test_random_cases_match_the_recursive_reference(self):
         rng = random.Random(7)
@@ -260,9 +278,83 @@ class TestOffsetEnumeration:
             up = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
             total = rng.randint(0, 12)
             expected = list(_ref_offset_vectors(down, up, total))
-            assert list(_offset_vectors(down, up, total)) == expected, (down, up, total)
+            assert _walk_offsets(down, up, total) == expected, (down, up, total)
             nonempty += bool(expected)
         assert nonempty >= 200  # most cases enumerate something
+
+
+def _ref_probes(x, odd, max_radius):
+    """Every probe of a search in order, built from the reference offsets
+    with the Decimal expression of the search before the walk built them in
+    place: a copy of x with each moved feature at float(base + step * m)."""
+    def dec(value):
+        return Decimal(repr(value))
+
+    down = [int((dec(x[v.name]) - dec(v.min)) / dec(v.step)) for v in odd.variables]
+    up = [int((dec(v.max) - dec(x[v.name])) / dec(v.step)) for v in odd.variables]
+    for radius in range(1, max_radius + 1):
+        for offsets in _ref_offset_vectors(down, up, radius):
+            probe = dict(x)
+            for v, m in zip(odd.variables, offsets):
+                if m:
+                    probe[v.name] = float(dec(x[v.name]) + dec(v.step) * m)
+            yield probe
+
+
+def random_stepped_instance(rng):
+    """1-4 features with decimal steps and offset origins, a grid point x
+    that also carries a key the domain does not declare."""
+    variables = []
+    for i in range(rng.randint(1, 4)):
+        step = rng.choice((0.1, 0.25, 0.3, 0.5, 1.0, 2.5))
+        lo = rng.choice((-1.5, -0.3, 0.0, 0.7, 12.1))
+        variables.append((f"f{i}", lo, round(lo + step * rng.randint(0, 6), 6), step))
+    odd = odd_spec(variables)
+    x = {"tag": 7.0}
+    x.update({v.name: v.grid_value(rng.randrange(v.grid_count)) for v in odd.variables})
+    return odd, x
+
+
+class TestProbeSequence:
+    """The dicts handed to the oracle are the reference probes, in order and
+    value by value; each query gets its own dict."""
+
+    @pytest.mark.parametrize("mutate", [False, True], ids=["reader", "mutator"])
+    def test_probes_match_the_reference(self, mutate):
+        rng = random.Random(11)
+        flipped = 0
+        for _ in range(150):
+            odd, x = random_stepped_instance(rng)
+            max_radius = rng.randint(1, 8)
+            expected = list(_ref_probes(x, odd, max_radius))
+            flip_at = rng.randrange(len(expected) + 1) if expected else 0
+            seen, copies = [], []
+
+            def label(probe):
+                seen.append(probe)
+                copies.append(dict(probe))
+                if mutate:  # a misbehaving oracle must not reach later probes or x_cf
+                    for name in odd.names:
+                        probe[name] = -999.0
+                    probe["extra"] = 1.0
+                return Outcome.PASS if len(seen) > flip_at else Outcome.FAIL
+
+            x_before = dict(x)
+            if flip_at < len(expected):
+                pair = search_counterfactual(x, Outcome.FAIL, Oracle(label), odd, max_radius)
+                assert pair.x_cf == expected[flip_at]
+                assert list(pair.x_cf) == list(x)  # key order of the run
+                assert pair.x_cf is not seen[-1]
+                flipped += 1
+            else:
+                with pytest.raises(CounterfactualNotFound):
+                    search_counterfactual(x, Outcome.FAIL, Oracle(label), odd, max_radius)
+            assert copies == expected[:flip_at + 1]
+            assert len({id(probe) for probe in seen}) == len(seen)
+            if not mutate:  # no dict handed out was changed after its query
+                assert seen == copies
+            assert x == x_before
+        assert flipped >= 100
 
 
 GOLDEN_EVIDENCE = Path(__file__).parent / "golden" / "evidence.json"

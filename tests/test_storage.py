@@ -65,6 +65,25 @@ class TestDatasetCsv:
         with pytest.raises(storage.FormatError, match="line 3: non-finite"):
             storage.load_dataset(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("a,b,outcome\n1,2,Pass\n1,Fail\n", "line 3: expected 3 fields, got 2"),
+        ("a,b,outcome\n1,2,3,Pass\n", "line 2: expected 3 fields, got 4"),
+        ("a,outcome\n1,Pass\n\n", "line 3: expected 2 fields, got 0"),
+        ("", "empty dataset file"),
+        ("a,outcome\n", "dataset has no runs"),
+        ("outcome\nPass\n", "no feature columns"),
+        ("dist_front,dist_front,ego_speed,lane_offset,outcome\n4.2,30,1,0,Fail\n",
+         "duplicated column 'dist_front'"),
+        ("a,outcome,outcome\n1,2,Pass\n", "duplicated column 'outcome'"),
+    ], ids=["short-row", "long-row", "blank-row", "empty-file", "header-only",
+            "outcome-only", "duplicated-feature", "duplicated-outcome"])
+    def test_refusal_names_the_fault(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(storage.FormatError) as excinfo:
+            storage.load_dataset(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
 
 class TestRulesJson:
     def test_round_trip(self, fixture42, tmp_path):
