@@ -92,6 +92,13 @@ def _load_in_domain(state: AppState, rules_path, dataset_path, config_path):
     return rules, runs, config
 
 
+def _made_parent(path: Path) -> Path:
+    """path, once the directory it lies in exists: a file named by --out may
+    lie under directories not made yet, as sim and refine's --out may."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _tolerance(ctx, param, value: float) -> float:
     # click.FloatRange(min=0) would still admit NaN and inf; no tolerance means either.
     if not (math.isfinite(value) and value >= 0):
@@ -173,7 +180,7 @@ def eval_cmd(state: AppState, rules_path, dataset_path, eps_eq, out_path):
     }
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        _made_parent(out_path).write_text(text, encoding="utf-8")
     else:
         click.echo(text, nl=False)
 
@@ -202,7 +209,7 @@ def cf(state: AppState, rules_path, rule_id, dataset_path, config_path, max_radi
                                   dataset_ref=str(dataset_path))
     except NoInconsistency as exc:
         raise UsageFailure(str(exc))
-    storage.store_evidence(out_path, evidence)
+    storage.store_evidence(_made_parent(out_path), evidence)
     click.echo(f"wrote {len(evidence.pairs)} pairs "
                f"({len(evidence.unresolved)} unresolved) to {out_path}")
 
@@ -330,7 +337,7 @@ def metrics_cmd(state: AppState, rules_path, rule_id, dataset_path, config_path,
         before=decisiveness(target, runs),
         after=decisiveness(refined_rule, runs),
         refined=outcome.refined, original=target.ast, odd=config.odd, raw_text=raw_text)
-    storage.store_metrics(out_path, report)
+    storage.store_metrics(_made_parent(out_path), report)
     click.echo(metrics_table(report, label=target.id[:12]))
 
 

@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from functools import cached_property
 
 
 class RelOp(Enum):
@@ -174,12 +175,15 @@ class OddVariable:
         if not (math.isfinite(self.step) and self.step > 0):
             raise GrammarError(f"step for {self.name} must be positive")
 
-    @property
+    # The grid facts are pure functions of the fields and are read for every
+    # coordinate drawn: each is computed on first use and kept on the
+    # instance (outside the fields, so equality, hash and repr ignore it).
+    @cached_property
     def decimals(self) -> int:
         """Decimal places of the step; grid values are rounded to this."""
         return max(0, -Decimal(repr(self.step)).as_tuple().exponent)
 
-    @property
+    @cached_property
     def grid_count(self) -> int:
         """Number of grid points in [min, max] at step spacing."""
         return int(math.floor((self.max - self.min) / self.step + 1e-9)) + 1

@@ -1,10 +1,13 @@
 """Synthetic driving-scenario oracle and seeded dataset construction.
 
 Stands in for an expensive simulator: a ground-truth safe region expressed
-in the rule DSL labels any in-domain input deterministically. The canned
-fixture pairs a 198-run dataset with a baseline pass rule that mismatches
-the oracle on exactly 27 runs, so refinement experiments have a stable,
-reproducible starting point.
+in the rule DSL labels any in-domain input deterministically. Every label
+first checks the point against the ODD (OddSpec.contains_point; a refusal
+is OutOfDomain), then calls the safe region's function from
+semantics.compile_rule, which is compiled once and kept on the rule. The
+canned fixture pairs a 198-run dataset with a baseline pass rule that
+mismatches the oracle on exactly 27 runs, so refinement experiments have a
+stable, reproducible starting point.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 
 from .counterfactual import Oracle
 from .grammar import OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
-from .semantics import LabeledRun, Outcome, PolarizedRule, Polarity, decisiveness, evaluate
+from .semantics import (DEFAULT_EPS_EQ, LabeledRun, Outcome, PolarizedRule, Polarity,
+                        compile_rule, decisiveness, evaluate)
 
 DEFAULT_ODD = odd_spec([
     ("ego_speed", 0.0, 30.0, 0.5),
@@ -59,7 +63,7 @@ def oracle_label(config: OracleConfig, x: dict[str, float]) -> Outcome:
     """Pass iff x satisfies the configured safe region. Deterministic."""
     if not config.odd.contains_point(x):
         raise OutOfDomain(f"input outside declared ranges: {x}")
-    return Outcome.PASS if evaluate(config.safe_region, x) else Outcome.FAIL
+    return Outcome.PASS if compile_rule(config.safe_region)(x, DEFAULT_EPS_EQ, None) else Outcome.FAIL
 
 
 def make_oracle(config: OracleConfig) -> Oracle:

@@ -81,13 +81,24 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
     return runs
 
 
+class _NumberText(dict):
+    """fmt_number of each float looked up, formatted on its first lookup.
+    Exact as a cache: the only distinct floats that compare equal, -0.0 and
+    0.0, both print "0"."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = fmt_number(value)
+        return text
+
+
 def dataset_bytes(runs: list[LabeledRun]) -> bytes:
     features = list(runs[0].x.keys())
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(features + ["outcome"])
-    for run in runs:
-        writer.writerow([fmt_number(run.x[name]) for name in features] + [run.y.value])
+    # Grid datasets repeat a few hundred values per column: format each once.
+    text = _NumberText()
+    writer.writerows([text[run.x[name]] for name in features] + [run.y.value] for run in runs)
     return buffer.getvalue().encode("utf-8")
 
 

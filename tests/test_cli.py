@@ -242,6 +242,28 @@ class TestCheck:
         assert "gc=1.000" not in out  # reported gc is below 1
 
 
+class TestOutUnderMissingDirectory:
+    """Every verb creates the parent of the file --out names, as `sim` and
+    `refine` create their output directory."""
+
+    def test_eval(self, workspace, tmp_path):
+        out = tmp_path / "no" / "dir" / "e.json"
+        assert main(["eval", "--rules", str(workspace / "rules.json"),
+                     "--dataset", str(workspace / "dataset.csv"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"][0]["n_mismatch"] == 27
+
+    def test_cf(self, workspace, tmp_path):
+        out = tmp_path / "no" / "dir" / "evidence.json"
+        assert main(["cf", *_args(workspace), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["pairs"]) == 27
+
+    def test_metrics(self, workspace, tmp_path):
+        out = tmp_path / "no" / "dir" / "metrics.json"
+        assert main(["metrics", *_args(workspace), "--outcome", str(GOLDEN_OUTCOME),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["dg_after"] == 1.0
+
+
 class TestExitCodesAndFailFast:
     def test_missing_file_is_usage_error(self, workspace, tmp_path):
         code = main(["eval", "--rules", str(tmp_path / "absent.json"),

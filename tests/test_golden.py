@@ -6,6 +6,11 @@ reproduce the checked-in outcome.json and report.txt byte for byte.
   fail rule `(dist_front < 3)`. The first scripted reply overlaps that rule and
   is rejected as Flagged with a witness; the second is accepted. It locks the
   serialization of a rejected report with a witness.
+* `golden/sim/`: the files `sim` writes (sampler, oracle label and CSV
+  writer bytes) for `--reference-fixture --seed 42` (`fixture/`), for
+  `--n 500 --seed 7` on the default config (`n500/`), and for `--n 300` on
+  `steps/oracle_config.json`, whose steps 0.05, 0.25 and 10 run over
+  negative ranges (`steps/`).
 
 Regenerate the golden files only for an intended artifact change, with the
 same commands, and say why in the change log.
@@ -76,3 +81,20 @@ def test_flagged_golden_holds_a_witnessed_rejection():
     assert contradiction["status"] == "Flagged"
     assert contradiction["opposing_rule_id"] == "near-fail"
     assert contradiction["witness"]["dist_front"] < 3
+
+
+SIM_CASES = {
+    "fixture": ["--reference-fixture", "--seed", "42"],
+    "n500": ["--n", "500", "--seed", "7"],
+    "steps": ["--n", "300", "--config", str(GOLDEN / "sim" / "steps" / "oracle_config.json")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIM_CASES))
+def test_sim_files_match_golden(tmp_path, case):
+    expected = GOLDEN / "sim" / case
+    assert main(["sim", *SIM_CASES[case], "--out", str(tmp_path)]) == 0
+    names = sorted(path.name for path in expected.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes(), name

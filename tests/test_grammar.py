@@ -1,3 +1,9 @@
+import dataclasses
+import math
+import pickle
+import random
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +11,7 @@ from hypothesis import strategies as st
 from ruleforge import (ParseError, RelOp, TokenKind, Var, ast_from_json, ast_to_json,
                        check_vocabulary, evaluate, parse_rule, print_rule, random_rule,
                        tokenize)
-from ruleforge.grammar import Const, GrammarError, Relation, fmt_number, rule
+from ruleforge.grammar import Const, GrammarError, OddVariable, Relation, fmt_number, rule
 
 R1 = "(dist_front < 5.0) and (ego_speed > 0)"
 EXEMPLAR = "(0 < ARG2 < 5) and (ARG1 > 0) or (8 < ARG2 < 12)"
@@ -239,3 +245,89 @@ class TestRandomRule:
             printed = print_rule(ast)
             assert parse_rule(printed) == ast
             assert grammar_compliance(printed).gc == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The grid facts of an ODD variable against the per-call formulas they
+# replaced, kept here as the reference only.
+# ---------------------------------------------------------------------------
+
+
+def _ref_decimals(v):
+    return max(0, -Decimal(repr(v.step)).as_tuple().exponent)
+
+
+def _ref_grid_count(v):
+    return int(math.floor((v.max - v.min) / v.step + 1e-9)) + 1
+
+
+def _ref_grid_value(v, k):
+    return round(v.min + k * v.step, _ref_decimals(v))
+
+
+GRID_STEPS = [1e-7, 0.05, 0.1, 2.5, 10.0]
+
+
+def _grid_variables(seed):
+    """Random variables for each step: on-grid and off-grid ends, spans that
+    are and are not a whole number of steps, and min == max."""
+    rng = random.Random(seed)
+    for step in GRID_STEPS:
+        for _ in range(6):
+            lo = rng.choice([round(rng.uniform(-50, 50), rng.randrange(4)),
+                             rng.uniform(-50, 50),
+                             rng.randrange(-20, 20) * step])
+            span = rng.randrange(0, 400) * step + rng.choice([0.0, step * rng.random()])
+            yield OddVariable("v", lo, lo + span, step)
+        yield OddVariable("v", lo, lo, step)
+
+
+def _assert_grid_facts_match(v):
+    assert _ref_grid_count(v) <= 1000  # the grid is listed in full below
+    assert v.decimals == _ref_decimals(v)
+    assert v.grid_count == _ref_grid_count(v)
+    assert v.grid_values() == [_ref_grid_value(v, k) for k in range(_ref_grid_count(v))]
+    for k in (0, v.grid_count - 1, v.grid_count, -1):
+        assert v.grid_value(k) == _ref_grid_value(v, k)
+
+
+class TestGridFacts:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_the_per_call_formulas(self, seed):
+        for v in _grid_variables(seed):
+            _assert_grid_facts_match(v)
+
+    def test_degenerate_range_has_one_point(self):
+        for step in GRID_STEPS:
+            v = OddVariable("v", 7.25, 7.25, step)
+            assert v.grid_count == 1 and v.grid_values() == [_ref_grid_value(v, 0)]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_survive_pickling(self, seed):
+        for v in _grid_variables(seed):
+            v.grid_value(0)  # facts already computed before the round trip
+            for copy in (pickle.loads(pickle.dumps(v)),
+                         pickle.loads(pickle.dumps(OddVariable(v.name, v.min, v.max, v.step)))):
+                assert copy == v and hash(copy) == hash(v) and repr(copy) == repr(v)
+                _assert_grid_facts_match(copy)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_follow_dataclasses_replace(self, seed):
+        rng = random.Random(seed)
+        for v in _grid_variables(seed):
+            v.grid_value(0)
+            step = rng.choice(GRID_STEPS)
+            for changed in (dataclasses.replace(v, step=v.step * 2),
+                            dataclasses.replace(v, max=v.max + rng.randrange(1, 50) * v.step),
+                            dataclasses.replace(v, min=v.min - 3 * v.step),
+                            dataclasses.replace(v, max=v.min + rng.randrange(300) * step,
+                                                step=step)):
+                _assert_grid_facts_match(changed)
+
+    def test_equality_hash_and_repr_are_the_fields(self):
+        a = OddVariable("v", -1.0, 2.0, 0.05)
+        b = OddVariable("v", -1.0, 2.0, 0.05)
+        a.grid_values()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert repr(a) == "OddVariable(name='v', min=-1.0, max=2.0, step=0.05)"
+        assert a != OddVariable("v", -1.0, 2.0, 0.1)

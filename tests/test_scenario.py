@@ -215,3 +215,46 @@ class TestDomainGuard:
                 with pytest.raises(OutOfDomain):
                     oracle_label(config, x)
         assert refused
+
+
+PICKLE_CONFIGS = [
+    default_config(7),
+    OracleConfig(GUARD_ODDS[1], parse_rule("(f1 + f2 < 3) and (f0 / f3 > 1) or (f7 == 2.5)"), 3),
+    OracleConfig(GUARD_ODDS[2], parse_rule("(a != 0) and (a > 0.0005) or (b > 7)"), 0),
+]
+
+
+def _label_or_refusal(config, x):
+    try:
+        return oracle_label(config, x)
+    except OutOfDomain as exc:
+        return str(exc)
+
+
+class TestOracleConfigPickling:
+    @pytest.mark.parametrize("config", PICKLE_CONFIGS, ids=lambda c: ",".join(c.odd.names))
+    def test_reloaded_config_compares_equal_and_labels_alike(self, config):
+        oracle_label(config, {v.name: v.min for v in config.odd.variables})  # used first
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and hash(copy) == hash(config) and repr(copy) == repr(config)
+        rng = random.Random(9)
+        points = list(_guard_points(config.odd, rng))
+        points += [{v.name: v.grid_value(rng.randrange(v.grid_count)) for v in config.odd.variables}
+                   for _ in range(300)]
+        labels = [_label_or_refusal(config, x) for x in points]
+        assert [_label_or_refusal(copy, x) for x in points] == labels
+        assert {Outcome.PASS, Outcome.FAIL} <= set(labels)
+
+    def test_refusal_names_the_point(self):
+        x = {"ego_speed": 31.0, "dist_front": 1.0, "lane_offset": 0.0}
+        with pytest.raises(OutOfDomain) as excinfo:
+            oracle_label(default_config(), x)
+        assert str(excinfo.value) == f"input outside declared ranges: {x}"
+        with pytest.raises(OutOfDomain) as excinfo:
+            oracle_label(default_config(), {"ego_speed": 1.0})
+        assert str(excinfo.value) == "input outside declared ranges: {'ego_speed': 1.0}"
+
+    def test_configs_compare_by_their_fields(self):
+        assert default_config(3) == default_config(3)
+        assert hash(default_config(3)) == hash(default_config(3))
+        assert default_config(3) != default_config(4)

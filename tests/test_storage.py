@@ -1,10 +1,14 @@
+import csv
+import io
 import json
+import random
 
 import pytest
 
 from ruleforge import (DeterministicGenerator, build_evidence, make_oracle, parse_rule,
                        refine_loop)
-from ruleforge.semantics import PolarizedRule, Polarity
+from ruleforge.grammar import fmt_number
+from ruleforge.semantics import LabeledRun, Outcome, PolarizedRule, Polarity
 from ruleforge import storage
 
 
@@ -83,6 +87,46 @@ class TestDatasetCsv:
         with pytest.raises(storage.FormatError) as excinfo:
             storage.load_dataset(path)
         assert str(excinfo.value) == f"{path}: {message}"
+
+
+def _ref_dataset_bytes(runs):
+    """The writer formatting every cell on its own, kept as the reference only."""
+    features = list(runs[0].x.keys())
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(features + ["outcome"])
+    for run in runs:
+        writer.writerow([fmt_number(run.x[name]) for name in features] + [run.y.value])
+    return buffer.getvalue().encode("utf-8")
+
+
+WRITER_VALUES = [0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 1e17, 9999999999999998.0, 1e-7, -1e-7,
+                 5e-324, 1e300, 0.1 + 0.2, 4.05, -2.0, 123456789.125, 30.5, 0.30000000000000004]
+
+
+class TestDatasetWriter:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_cell_formatting(self, seed):
+        rng = random.Random(seed)
+        names = ["a", "b_2", "lane_offset"]
+        runs = [LabeledRun({name: rng.choice(WRITER_VALUES + [rng.uniform(-1e3, 1e3)])
+                            for name in names}, rng.choice(list(Outcome)))
+                for _ in range(300)]
+        assert storage.dataset_bytes(runs) == _ref_dataset_bytes(runs)
+
+    def test_signed_zeros_both_print_zero(self):
+        runs = [LabeledRun({"a": -0.0, "b": 0.0}, Outcome.PASS),
+                LabeledRun({"a": 0.0, "b": -0.0}, Outcome.FAIL)]
+        assert storage.dataset_bytes(runs) == b"a,b,outcome\n0,0,Pass\n0,0,Fail\n"
+        assert storage.dataset_bytes(runs) == _ref_dataset_bytes(runs)
+
+    def test_extremes_and_fixture(self, fixture42):
+        runs = [LabeledRun({"a": v, "b": w}, Outcome.FAIL)
+                for v in WRITER_VALUES for w in WRITER_VALUES]
+        data = storage.dataset_bytes(runs)
+        assert data == _ref_dataset_bytes(runs)
+        assert b"\n10000000000000000,0.0000001,Fail\n" in data
+        assert storage.dataset_bytes(fixture42.dataset) == _ref_dataset_bytes(fixture42.dataset)
 
 
 class TestRulesJson:
