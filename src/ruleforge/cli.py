@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -133,7 +133,9 @@ def sim(state: AppState, config_path, n, seed, reference_fixture, out_dir):
         config, runs = fixture.config, fixture.dataset
         rules = [fixture.baseline_rule]
     else:
-        config = (_load_inputs(state, storage.load_oracle_config, config_path)
+        # The written config records the seed the runs were drawn with.
+        config = (replace(_load_inputs(state, storage.load_oracle_config, config_path),
+                          seed=seed)
                   if config_path else default_config(seed))
         runs = sample_dataset(config, n, seed)
         rules = None

@@ -9,28 +9,40 @@ with negative offsets before positive ones and untouched-feature
 continuations last. Offsets that would leave a feature's [min, max] range
 are never enumerated, so every probe stays inside the domain, each probe
 costs exactly one oracle query, and the step-unit L1 of the result is exact.
-A ring's probes come from one iterative walk that descends only into
+
+A ring's probes come from two parts of the offset vector. The leading
+features are walked by one iterative stack walk, which descends only into
 prefixes whose remainder the later features can take up, so no step of the
-walk is wasted. The walk builds the probes in place, in one working dict
-where a feature's value is written only when its offset changes, and each
-oracle query gets its own copy of it, so no oracle sees a dict that is
-later changed. A feature's probe values are computed ring by ring, the
-offsets +-r when ring r starts; a probe's delta is built only when its
-outcome flips.
+walk is wasted; it writes each leading feature's value into one working
+dict only when the feature's offset changes. At each complete prefix, the
+trailing features (fewer than half of the domain's, and at most three) come
+from a table of the search: for that remainder, every in-domain offset
+vector of those features, in enumeration order, with the values it moves.
+So a prefix hands out its probes without stepping the walk. A probe is the
+working dict merged with one table entry, a new dict per oracle query, so
+no oracle sees a dict that is later changed. A feature's offset choices at
+a remainder and a remainder's table are made when first needed and kept
+for the rest of the search; probe values are computed ring by ring, and a
+probe's delta only when its outcome flips. The Decimal forms of an ODD
+variable's bounds and step are computed once per variable.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 from .grammar import OddSpec, print_rule
 from .semantics import DEFAULT_EPS_EQ, LabeledRun, Outcome, PolarizedRule, decisiveness
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RADIUS_STEPS = 20
+# The most trailing features a search reads from per-remainder tables. A
+# table over three features holds at most 4r^2 + 2 vectors at remainder r,
+# so a search keeps at most about 11,500 entries up to the default radius.
+TABLE_FEATURES = 3
 
 
 class CounterfactualNotFound(Exception):
@@ -90,81 +102,137 @@ def _dec(value: float) -> Decimal:
     return Decimal(repr(value))
 
 
-def _ring_walk(x: dict[str, float], names: list[str], values: list[dict[int, float]],
-               down: list[int], up: list[int], total: int,
-               offsets: list[int]) -> Iterator[dict[str, float]]:
-    """The probes of one ring: every offset vector with sum of magnitudes
-    exactly `total`, each offset m within [-down[i], up[i]] for its feature
-    i, in enumeration order.
+class _Memo(dict):
+    """A dict that makes a missing key's value with `make(key)` on first
+    lookup, and keeps it."""
+    __slots__ = ("make",)
+
+    @classmethod
+    def of(cls, make: Callable, known=()) -> _Memo:
+        memo = cls(known)
+        memo.make = make
+        return memo
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+# One entry of a trailing-feature table: the offsets of the trailing
+# features, and the values of those whose offset is not 0.
+TableEntry = tuple[tuple[int, ...], dict[str, float]]
+
+
+def _trailing(n: int) -> int:
+    """How many of a domain's n features the tables cover: fewer than
+    half, so that every table is reused by many prefixes, and at most
+    TABLE_FEATURES."""
+    return min(TABLE_FEATURES, (n - 1) // 2) if n else 0
+
+
+def _choices(down: int, up: int, after: int, rest: int) -> tuple[int, ...]:
+    """A feature's offsets at remainder rest, in enumeration order: those
+    within [-down, up] whose remainder the later features, which take up at
+    most `after` steps together, can take up."""
+    least = max(1, rest - after)
+    return (*range(-min(down, rest), 1 - least),
+            *range(least, min(up, rest) + 1),
+            *((0,) if rest <= after else ()))
+
+
+def _table(name: str, values: dict[int, float], pick: Callable[[int], tuple[int, ...]],
+           shorter: dict[int, list[TableEntry]], rest: int) -> list[TableEntry]:
+    """Every offset vector of a feature and the features after it at
+    remainder rest, in enumeration order: the feature's choices (`pick`)
+    each followed by the later features' table (`shorter`)."""
+    table: list[TableEntry] = []
+    for m in pick(rest):
+        tails = shorter[rest - abs(m)]
+        if m:
+            move = {name: values[m]}
+            table += [((m, *vec), move | moved) for vec, moved in tails]
+        else:
+            table += [((0, *vec), moved) for vec, moved in tails]
+    return table
+
+
+class _Rings:
+    """The probes of one search's rings around x, leaf by leaf.
+
+    Feature i may move by an offset m within [-down[i], up[i]]; its probe
+    value at m is values[i][m], where values[i][0] must be x's own value and
+    the offsets +-r must be there before ring r is walked.
 
     Per feature the candidate multiples are ordered ascending over the
     nonzero values (negatives first), with 0 last so vectors touching
-    earlier features enumerate before those that leave them unchanged.
-
-    Each probe is x with feature names[i] set to values[i][m], where
-    values[i][0] must be x's own value. The probe is built in place in one
-    working dict, which is yielded and must be copied, not kept or changed:
-    a feature's value is written only when its offset changes. `offsets`,
-    all 0 on entry, holds the yielded probe's vector, and is all 0 again
-    once the ring is walked to its end.
-
-    The walk is iterative: one choice iterator per feature on a stack. A
+    earlier features enumerate before those that leave them unchanged. A
     feature is offered only the multiples whose remainder the later features
-    can take up, so every choice ends in at least one vector; a vector is
-    complete once its remainder is 0, and the last feature takes up what
-    is left exactly. A feature whose choices run out returns to 0, so the
-    features past the top of the stack are always at 0.
+    can take up, so every choice ends in at least one vector. A feature's
+    choices at a remainder, and the table of a remainder, are made on first
+    use and kept for the rest of the search.
     """
-    n = len(down)
-    # reach[i]: the most steps features i.. can take up together.
-    reach = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        reach[i] = reach[i + 1] + max(down[i], up[i])
-    if total > reach[0]:
-        return
-    work = dict(x)
-    if not n:
-        yield work
-        return
-    last = n - 1
-    last_name, last_values = names[last], values[last]
-    # ends[r]: the last feature's offsets that take up a remainder of r.
-    ends = [[0]] + [[m for m in (-r, r) if -down[last] <= m <= up[last]]
-                    for r in range(1, total + 1)]
 
-    def choices(i: int, rest: int) -> Iterator[int]:
-        least = max(1, rest - reach[i + 1])
-        zero = (0,) if rest <= reach[i + 1] else ()
-        return itertools.chain(range(-min(down[i], rest), 1 - least),
-                               range(least, min(up[i], rest) + 1), zero)
+    def __init__(self, x: dict[str, float], names: list[str], values: list[dict[int, float]],
+                 down: list[int], up: list[int]):
+        n = len(names)
+        self.names, self.values = names, values
+        self.lead = lead = n - _trailing(n)
+        # reach[i]: the most steps features i.. can take up together.
+        self.reach = reach = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            reach[i] = reach[i + 1] + max(down[i], up[i])
+        picks = [partial(_choices, down[i], up[i], reach[i + 1]) for i in range(n)]
+        # choices[i][r]: leading feature i's offsets at remainder r.
+        self.choices = [_Memo.of(pick) for pick in picks[:lead]]
+        # tables[r]: the trailing features' table at remainder r, made from
+        # the tables of ever shorter suffixes of the features. Remainder 0
+        # has one vector, all zeros.
+        tables: dict[int, list[TableEntry]] = {0: [((), {})]}
+        for f in range(n - 1, lead - 1, -1):
+            tables = _Memo.of(partial(_table, names[f], values[f], picks[f], tables),
+                              {0: [((0,) * (n - f), {})]})
+        self.tables = tables
+        #: The probe's values of the leading features, x's own elsewhere.
+        self.work = dict(x)
+        #: The leading features' offsets at the current leaf.
+        self.offsets = [0] * lead
+        self._rests = [0] * lead
 
-    rests = [total] * n
-    stack = [choices(0, total)]
-    while stack:
-        i = len(stack) - 1
-        name, table = names[i], values[i]
-        for m in stack[i]:
-            offsets[i] = m
-            work[name] = table[m]
-            rest = rests[i] - abs(m)
-            if not rest:
-                yield work
-            elif i + 1 < last:
-                rests[i + 1] = rest
-                stack.append(choices(i + 1, rest))
-                break
+    def leaves(self, total: int) -> Iterator[list[TableEntry]]:
+        """The probes of ring `total`, every offset vector with sum of
+        magnitudes exactly `total`, in enumeration order: one table per
+        complete prefix of the leading features. Each probe is `work`, as it
+        stands when the table is yielded, merged with one entry's values;
+        `offsets` then holds the prefix. Once the ring is walked to its end
+        both are as they were at its start.
+        """
+        if total > self.reach[0]:
+            return
+        tables = self.tables
+        if not self.lead:  # no features: the empty vector
+            yield tables[total]
+            return
+        work, names, values, choices = self.work, self.names, self.values, self.choices
+        offsets, rests, last = self.offsets, self._rests, self.lead - 1
+        rests[0] = total
+        stack = [iter(choices[0][total])]
+        while stack:
+            i = len(stack) - 1
+            name, table = names[i], values[i]
+            for m in stack[i]:
+                offsets[i] = m
+                work[name] = table[m]
+                rest = rests[i] - abs(m)
+                if rest and i < last:
+                    rests[i + 1] = rest
+                    stack.append(iter(choices[i + 1][rest]))
+                    break
+                yield tables[rest]
             else:
-                for end in ends[rest]:
-                    offsets[last] = end
-                    work[last_name] = last_values[end]
-                    yield work
-                offsets[last] = 0
-                work[last_name] = last_values[0]
-        else:
-            stack.pop()
-            if offsets[i]:
-                offsets[i] = 0
-                work[name] = table[0]
+                stack.pop()
+                if offsets[i]:
+                    offsets[i] = 0
+                    work[name] = table[0]
 
 
 def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: OddSpec,
@@ -180,48 +248,59 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     if not odd.contains_point(x):
         raise ValueError("input lies outside the declared domain")
     names = odd.names
+    exact = [v.exact for v in odd.variables]
     base = [_dec(x[name]) for name in names]
-    steps = [_dec(v.step) for v in odd.variables]
+    steps = [step for _, _, step in exact]
     # Largest in-range magnitude per feature, per direction.
-    down = [int((b - _dec(v.min)) / s) for v, b, s in zip(odd.variables, base, steps)]
-    up = [int((_dec(v.max) - b) / s) for v, b, s in zip(odd.variables, base, steps)]
+    down = [int((b - lo) / s) for (lo, _, s), b in zip(exact, base)]
+    up = [int((hi - b) / s) for (_, hi, s), b in zip(exact, base)]
     # Per feature, the probe value of each offset m walked so far: m -> value.
     # Offset 0 is the run's own value; ring r adds its in-range -r and r.
     values = [{0: x[name]} for name in names]
-    offsets = [0] * len(names)
+    rings = _Rings(x, names, values, down, up)
+    work, query = rings.work, oracle.query
     used = 0
     for radius in range(1, max_radius_steps + 1):
         for table, b, s, d, u in zip(values, base, steps, down, up):
             for m in (-radius, radius):
                 if -d <= m <= u:
                     table[m] = float(b + s * m)
-        for probe in _ring_walk(x, names, values, down, up, radius, offsets):
-            if used >= budget:
-                raise OracleBudgetExceeded(f"budget of {budget} queries exhausted at radius {radius}")
-            used += 1
-            y_cf = oracle.query(dict(probe))
-            if y_cf is not y:
-                delta = {name: float(s * m) for name, s, m in zip(names, steps, offsets) if m}
-                l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
-                return CounterfactualPair(x=dict(x), y=y, x_cf=dict(probe), y_cf=y_cf,
-                                          delta=delta, l1=l1, l1_steps=radius)
+        for leaf in rings.leaves(radius):
+            for vec, moved in leaf:
+                if used >= budget:
+                    raise OracleBudgetExceeded(f"budget of {budget} queries exhausted "
+                                               f"at radius {radius}")
+                used += 1
+                y_cf = query(work | moved)
+                if y_cf is not y:
+                    offsets = (*rings.offsets, *vec)
+                    delta = {name: float(s * m) for name, s, m in zip(names, steps, offsets) if m}
+                    l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
+                    return CounterfactualPair(x=dict(x), y=y, x_cf=work | moved, y_cf=y_cf,
+                                              delta=delta, l1=l1, l1_steps=radius)
     raise CounterfactualNotFound(f"no flip within {max_radius_steps} steps")
 
 
 def build_evidence(rule: PolarizedRule, dataset: list[LabeledRun], oracle: Oracle,
                    odd: OddSpec, limits: SearchLimits = SearchLimits(),
-                   dataset_ref: str = "", eps_eq: float = DEFAULT_EPS_EQ) -> EvidenceFile:
+                   dataset_ref: str = "", eps_eq: float = DEFAULT_EPS_EQ,
+                   mismatches: Sequence[int] | None = None) -> EvidenceFile:
     """One counterfactual search per inconsistent run, in dataset order.
 
-    Runs whose search exhausts the radius or budget are listed as unresolved;
-    together with the pairs they partition the inconsistent set.
+    `mismatches` are the inconsistent runs' indices, as
+    `decisiveness(rule, dataset, eps_eq).mismatches` gives them; a caller
+    that has scored the rule passes them in, and they are computed when
+    not given. Runs whose search exhausts the radius or budget are listed
+    as unresolved; together with the pairs they partition the inconsistent
+    set.
     """
-    inconsistent = decisiveness(rule, dataset, eps_eq).mismatches if dataset else ()
-    if not inconsistent:
+    if mismatches is None:
+        mismatches = decisiveness(rule, dataset, eps_eq).mismatches if dataset else ()
+    if not mismatches:
         raise NoInconsistency(f"rule {rule.id!r} has no inconsistent runs")
     pairs: list[CounterfactualPair] = []
     unresolved: list[int] = []
-    for idx in inconsistent:
+    for idx in mismatches:
         run = dataset[idx]
         try:
             pairs.append(search_counterfactual(run.x, run.y, oracle, odd,

@@ -62,6 +62,7 @@ class RefinementContext:
     target: PolarizedRule
     historical: tuple[PolarizedRule, ...]
     evidence: EvidenceFile
+    mismatch_before: int  # the target's mismatch count over the dataset
     failure_summary: str | None = None
 
     def __post_init__(self):
@@ -454,7 +455,8 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
 class DeterministicGenerator:
     """Offline generator: best single edit by (fewest mismatches, fewest
     edits, enumeration order). Fails when no edit strictly reduces the
-    target's mismatch count."""
+    target's mismatch count, which the context carries (`mismatch_before`,
+    over the same dataset)."""
 
     def __init__(self, dataset: list[LabeledRun], odd: OddSpec,
                  eps_eq: float = DEFAULT_EPS_EQ):
@@ -466,7 +468,7 @@ class DeterministicGenerator:
         if not ctx.evidence.pairs:
             raise GenerationFailure("no counterfactual evidence pairs")
         target = ctx.target
-        base = decisiveness(target, self.dataset, self.eps_eq).n_mismatch
+        base = ctx.mismatch_before
         candidates = enumerate_single_edits(target.ast, ctx.evidence, self.odd)
         best: tuple[int, int, int] | None = None
         best_candidate: tuple[RuleAst, Edit] | None = None

@@ -179,9 +179,15 @@ class OddVariable:
     # coordinate drawn: each is computed on first use and kept on the
     # instance (outside the fields, so equality, hash and repr ignore it).
     @cached_property
+    def exact(self) -> tuple[Decimal, Decimal, Decimal]:
+        """min, max and step as the Decimals of their reprs, for exact grid
+        arithmetic."""
+        return Decimal(repr(self.min)), Decimal(repr(self.max)), Decimal(repr(self.step))
+
+    @cached_property
     def decimals(self) -> int:
         """Decimal places of the step; grid values are rounded to this."""
-        return max(0, -Decimal(repr(self.step)).as_tuple().exponent)
+        return max(0, -self.exact[2].as_tuple().exponent)
 
     @cached_property
     def grid_count(self) -> int:

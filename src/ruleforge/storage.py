@@ -192,12 +192,15 @@ def odd_from_json(data, path="<odd>") -> OddSpec:
     if not isinstance(data, dict) or "variables" not in data:
         _fail(path, 'expected an object with a "variables" list')
     try:
-        return OddSpec(tuple(
+        odd = OddSpec(tuple(
             OddVariable(v["name"], float(v["min"]), float(v["max"]), float(v["step"]))
             for v in data["variables"]
         ))
     except (KeyError, TypeError, ValueError) as exc:
         _fail(path, f"bad variable entry: {exc}")
+    if not odd.variables:
+        _fail(path, "the ODD declares no variables")
+    return odd
 
 
 def load_odd(path: str | Path) -> OddSpec:

@@ -309,21 +309,22 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
                 limits: SearchLimits = SearchLimits(),
                 budget: ContradictionBudget = ContradictionBudget(),
                 grammar_doc: str = GRAMMAR_TEXT) -> RefinementOutcome:
-    """Generate-validate loop: evidence is built once, failed attempts feed
-    their failure summaries back into the next prompt, and the first
-    candidate to clear every gate is returned. Unknown contradiction status
-    counts as a rejection. Raises TargetNotInRuleset before any work when no
-    rule in ruleset has the target's id, and Exhausted after max_attempts
-    rejections.
+    """Generate-validate loop: the target is scored and its evidence built
+    once, failed attempts feed their failure summaries back into the next
+    prompt, and the first candidate to clear every gate is returned.
+    Unknown contradiction status counts as a rejection. Raises
+    TargetNotInRuleset before any work when no rule in ruleset has the
+    target's id, and Exhausted after max_attempts rejections.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     if not any(r.id == target.id for r in ruleset):
         raise TargetNotInRuleset(f"no rule with id {target.id!r} in the rule set")
-    evidence = build_evidence(target, dataset, oracle, odd, limits, eps_eq=eps_eq)
+    before = decisiveness(target, dataset, eps_eq)
+    evidence = build_evidence(target, dataset, oracle, odd, limits, eps_eq=eps_eq,
+                              mismatches=before.mismatches)
     historical = tuple(r for r in ruleset if r.id != target.id)
     opposing = [r for r in historical if r.polarity is not target.polarity]
-    before = decisiveness(target, dataset, eps_eq)
     reports: list[ValidationReport] = []
     summaries: list[str] = []
 
@@ -338,6 +339,7 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
             target=target,
             historical=historical,
             evidence=evidence,
+            mismatch_before=before.n_mismatch,
             failure_summary="\n".join(summaries) if summaries else None,
         )
         try:

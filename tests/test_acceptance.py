@@ -20,6 +20,7 @@ from ruleforge import (Consistency, ContradictionStatus, CounterfactualNotFound,
                        refine_loop, search_counterfactual)
 from ruleforge.generation import generate_candidate
 from ruleforge.grammar import GRAMMAR_TEXT
+from ruleforge.scenario import FIXTURE_MISMATCHES
 
 TUPLE_TEXT = "[[('greater_than_func','ARG1','0')]]"
 
@@ -73,7 +74,8 @@ def test_criterion_3_worked_example_fidelity():
                             rule_text=print_rule(fixture.baseline_rule.ast),
                             dataset_ref="fixture", pairs=(pair,), unresolved=())
     ctx = RefinementContext(grammar_doc=GRAMMAR_TEXT, target=fixture.baseline_rule,
-                            historical=(), evidence=evidence)
+                            historical=(), evidence=evidence,
+                            mismatch_before=FIXTURE_MISMATCHES)
     generator = DeterministicGenerator(fixture.dataset, fixture.config.odd)
     candidate = generate_candidate(generator, ctx)
     assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"

@@ -8,6 +8,8 @@ import pytest
 
 import ruleforge
 from ruleforge.cli import main
+from ruleforge.grammar import print_rule
+from ruleforge.semantics import decisiveness
 
 
 @pytest.fixture()
@@ -42,6 +44,18 @@ class TestSim:
         assert main(["sim", "--n", "25", "--seed", "3", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "dataset.csv").read_text().splitlines()
         assert len(lines) == 26
+
+    def test_config_records_the_seed_drawn_with(self, workspace, tmp_path):
+        config = _config_file(workspace, tmp_path, seed=3)
+        out = tmp_path / "out"
+        assert main(["sim", "--n", "5", "--seed", "9", "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "oracle_config.json").read_text())["seed"] == 9
+        again = tmp_path / "again"
+        assert main(["sim", "--n", "5", "--seed", "9", "--config", str(out / "oracle_config.json"),
+                     "--out", str(again)]) == 0
+        for name in ("dataset.csv", "oracle_config.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestEval:
@@ -432,6 +446,19 @@ class TestMalformedFiles:
         assert not out.exists()
         assert "field 'seed' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sim", "cf"])
+    def test_config_odd_without_variables(self, workspace, tmp_path, capsys, command):
+        config = _config_file(workspace, tmp_path, odd={"variables": []}, safe_region="1 < 2")
+        out = tmp_path / "out"
+        argv = (["sim", "--n", "3", "--config", str(config), "--out", str(out)]
+                if command == "sim" else
+                ["cf", "--rules", str(workspace / "rules.json"),
+                 "--dataset", str(workspace / "dataset.csv"), "--config", str(config),
+                 "--out", str(out / "evidence.json")])
+        assert main(argv) == 2
+        assert not out.exists()
+        assert "the ODD declares no variables" in capsys.readouterr().err
+
     def test_config_safe_region_outside_its_odd(self, workspace, tmp_path, capsys):
         config = _config_file(workspace, tmp_path, safe_region="(headway > 2)")
         assert main(["check", "--rules", str(workspace / "rules.json"),
@@ -480,6 +507,25 @@ def test_refine_takes_its_scores_from_the_outcome(workspace, tmp_path, monkeypat
     outcome = json.loads((out / "outcome.json").read_text())
     assert round(outcome["dg_before"], 4) == 0.8636 and outcome["dg_after"] == 1.0
     assert "decisiveness: 0.8636 -> 1.0000" in (out / "report.txt").read_text()
+
+
+def test_refine_scores_the_target_once(workspace, tmp_path, monkeypatch):
+    """A local refine scores its target over the dataset once: the evidence
+    build and the generator reuse refine_loop's report."""
+    scored = []
+
+    def counting(rule, *args, **kwargs):
+        scored.append(print_rule(rule.ast))
+        return decisiveness(rule, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ruleforge") and \
+                getattr(module, "decisiveness", None) is decisiveness:
+            monkeypatch.setattr(module, "decisiveness", counting)
+    assert main(["refine", *_args(workspace), "--generator", "local",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert scored.count("(dist_front < 5) and (ego_speed > 0)") == 1
+    assert len(scored) > 1  # the candidates are scored through the same name
 
 
 def test_import_loads_no_http_stack_and_no_third_party_module_but_click():

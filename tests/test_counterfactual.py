@@ -11,7 +11,7 @@ from ruleforge import (CounterfactualNotFound, NoInconsistency, Oracle,
                        build_evidence, decisiveness, make_oracle, odd_spec, parse_rule,
                        search_counterfactual)
 from ruleforge.cli import main
-from ruleforge.counterfactual import _ring_walk
+from ruleforge.counterfactual import _Rings
 from ruleforge.semantics import LabeledRun
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
@@ -240,19 +240,24 @@ def _ref_offset_vectors(down, up, total):
 
 
 def _walk_offsets(down, up, total):
-    """The offset vectors of one ring, read from the walk's `offsets` at each
-    probe; each probe must hold exactly the values its vector selects."""
+    """The offset vectors of one ring, read from the walk's prefix `offsets`
+    and each table entry's trailing offsets at each probe; each probe must
+    hold exactly the values its vector selects."""
     names = [f"f{i}" for i in range(len(down))]
     # distinct values per feature and offset, so a stale write shows
     values = [{m: 100.0 * i + m for m in range(-d, u + 1)}
               for i, (d, u) in enumerate(zip(down, up))]
     x = {name: table[0] for name, table in zip(names, values)}
-    offsets = [0] * len(down)
+    rings = _Rings(x, names, values, down, up)
     vectors = []
-    for probe in _ring_walk(x, names, values, down, up, total, offsets):
-        assert probe == {name: table[m] for name, table, m in zip(names, values, offsets)}
-        vectors.append(tuple(offsets))
-    assert offsets == [0] * len(down)  # a ring walked to its end leaves no offset behind
+    for leaf in rings.leaves(total):
+        for vec, moved in leaf:
+            offsets = (*rings.offsets, *vec)
+            probe = rings.work | moved
+            assert probe == {name: table[m] for name, table, m in zip(names, values, offsets)}
+            vectors.append(offsets)
+    # a ring walked to its end leaves no offset or value behind
+    assert rings.offsets == [0] * rings.lead and rings.work == x
     return vectors
 
 
@@ -315,6 +320,23 @@ def random_stepped_instance(rng):
     return odd, x
 
 
+def random_wide_instance(rng):
+    """5-8 features on grids of 1-6 points, and a run x on an edge or a
+    corner of most of them, whose keys come in a shuffled order."""
+    variables = []
+    for i in range(rng.randint(5, 8)):
+        step = rng.choice((0.1, 0.25, 0.3, 0.5, 1.0))
+        lo = rng.choice((-1.5, -0.3, 0.0, 0.7))
+        variables.append((f"f{i}", lo, round(lo + step * rng.randint(0, 5), 6), step))
+    odd = odd_spec(variables)
+    keys = {v.name: v.grid_value(rng.choice((0, v.grid_count - 1, rng.randrange(v.grid_count))))
+            for v in odd.variables}
+    keys["tag"] = 7.0
+    order = list(keys)
+    rng.shuffle(order)
+    return odd, {name: keys[name] for name in order}
+
+
 class TestProbeSequence:
     """The dicts handed to the oracle are the reference probes, in order and
     value by value; each query gets its own dict."""
@@ -356,6 +378,47 @@ class TestProbeSequence:
             assert x == x_before
         assert flipped >= 100
 
+    def test_wide_domains_match_the_reference(self):
+        """5-8 features, where the trailing features come from tables: every
+        probe, the flipped pair, and where a budget cuts the search."""
+        rng = random.Random(29)
+        outcomes = {"flipped": 0, "budget": 0, "not found": 0}
+        for _ in range(100):
+            odd, x = random_wide_instance(rng)
+            max_radius = rng.randint(1, 5)
+            expected = list(_ref_probes(x, odd, max_radius))
+            budget = rng.randrange(len(expected) + 1) if rng.random() < 0.4 else len(expected)
+            never = len(expected)
+            flip_at = never if rng.random() < 0.3 else rng.randrange(never + 1)
+            copies = []
+
+            def label(probe):
+                copies.append(dict(probe))
+                return Outcome.PASS if len(copies) > flip_at else Outcome.FAIL
+
+            oracle = Oracle(label)
+            if flip_at < min(budget, len(expected)):
+                pair = search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius, budget)
+                assert pair.x_cf == expected[flip_at] and list(pair.x_cf) == list(x)
+                steps = {v.name: Decimal(repr(v.step)) for v in odd.variables}
+                moves = {name: round((pair.x_cf[name] - x[name]) / float(steps[name]))
+                         for name in odd.names if pair.x_cf[name] != x[name]}
+                assert pair.delta == {name: float(steps[name] * m) for name, m in moves.items()}
+                assert pair.l1 == float(sum(abs(Decimal(repr(d))) for d in pair.delta.values()))
+                assert pair.l1_steps == sum(abs(m) for m in moves.values())
+                outcomes["flipped"] += 1
+            elif budget < len(expected):
+                with pytest.raises(OracleBudgetExceeded):
+                    search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius, budget)
+                outcomes["budget"] += 1
+            else:
+                with pytest.raises(CounterfactualNotFound):
+                    search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius, budget)
+                outcomes["not found"] += 1
+            assert copies == expected[:min(flip_at + 1, budget)]
+            assert oracle.queries == len(copies)
+        assert min(outcomes.values()) >= 8, outcomes
+
 
 GOLDEN_EVIDENCE = Path(__file__).parent / "golden" / "evidence.json"
 
@@ -376,3 +439,29 @@ def test_evidence_matches_golden(tmp_path, monkeypatch):
     assert (tmp_path / "evidence.json").read_bytes() == GOLDEN_EVIDENCE.read_bytes()
     golden = json.loads(GOLDEN_EVIDENCE.read_text())
     assert (len(golden["pairs"]), len(golden["unresolved"])) == (16, 11)
+
+
+GOLDEN_WIDE = Path(__file__).parent / "golden" / "wide"
+
+
+def test_wide_evidence_matches_golden(tmp_path, monkeypatch):
+    """An 8-feature search, locked byte for byte. The inputs in `golden/wide/`
+    are the `perfbench` wide domain and safe region (`oracle_config.json`,
+    seed 5), its baseline pass rule (`rules.json`), and the dataset of
+    `sim --n 400 --seed 5 --config oracle_config.json`. In that directory,
+    `cf --rules rules.json --dataset dataset.csv --config oracle_config.json
+    --search-budget 2000 --out ../evidence_wide.json` must reproduce the
+    checked-in file: 8 pairs, of radius 1 to 4, and 4 runs whose search ran
+    out of budget. Regenerate it only for an intended change to the search
+    or its file format, with the same commands.
+    """
+    monkeypatch.chdir(GOLDEN_WIDE)  # the file records the dataset path as given
+    out = tmp_path / "evidence_wide.json"
+    assert main(["cf", "--rules", "rules.json", "--dataset", "dataset.csv",
+                 "--config", "oracle_config.json", "--search-budget", "2000",
+                 "--out", str(out)]) == 0
+    golden = GOLDEN_WIDE.parent / "evidence_wide.json"
+    assert out.read_bytes() == golden.read_bytes()
+    evidence = json.loads(golden.read_text())
+    assert (len(evidence["pairs"]), len(evidence["unresolved"])) == (8, 4)
+    assert sorted({pair["l1_steps"] for pair in evidence["pairs"]}) == [1, 2, 3, 4]

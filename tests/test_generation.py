@@ -27,7 +27,9 @@ def x1_context(fixture42):
                             rule_text=print_rule(fixture42.baseline_rule.ast),
                             dataset_ref="fixture", pairs=(pair,), unresolved=())
     return RefinementContext(grammar_doc=GRAMMAR_TEXT, target=fixture42.baseline_rule,
-                             historical=(), evidence=evidence)
+                             historical=(), evidence=evidence,
+                             mismatch_before=decisiveness(fixture42.baseline_rule,
+                                                          fixture42.dataset).n_mismatch)
 
 
 class TestBuildPrompt:
@@ -60,7 +62,8 @@ class TestBuildPrompt:
         with pytest.raises(ValueError):
             RefinementContext(grammar_doc=GRAMMAR_TEXT, target=fixture42.baseline_rule,
                               historical=(fixture42.baseline_rule,),
-                              evidence=x1_context.evidence)
+                              evidence=x1_context.evidence,
+                              mismatch_before=x1_context.mismatch_before)
 
 
 class TestParseCandidateResponse:
@@ -165,7 +168,7 @@ class TestDeterministicGenerator:
             decisiveness(PolarizedRule("c", Polarity.PASS_RULE, ast), data).n_mismatch >= base
             for ast, _ in swept)
         ctx = RefinementContext(grammar_doc=GRAMMAR_TEXT, target=target_rule,
-                                historical=(), evidence=evidence)
+                                historical=(), evidence=evidence, mismatch_before=base)
         gen = DeterministicGenerator(data, arg_odd)
         with pytest.raises(GenerationFailure, match="no improving edit"):
             generate_candidate(gen, ctx)
