@@ -26,7 +26,7 @@ from .grammar import (Const, Conjunct, OddSpec, ParseError, Relation, RelOp, Rul
                       STRICTNESS_SWAP, Var, check_vocabulary, direct_bound, fmt_number,
                       parse_relation, parse_rule, print_conjunct, print_relation, print_rule,
                       rule)
-from .semantics import DEFAULT_EPS_EQ, LabeledRun, PolarizedRule, decisiveness
+from .semantics import DEFAULT_EPS_EQ, LabeledRun, PolarizedRule, compile_rule
 
 FORMAT_EXEMPLAR = "(0<ARG2<5) and (ARG1>0) or (8<ARG2<12)"
 
@@ -399,9 +399,12 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
     """All single-edit candidates in the fixed generation order: midpoint
     threshold moves, strictness swaps, midpoint bounds on the perturbed
     feature, then removals. Duplicates (same resulting rule) keep their
-    first position."""
+    first position; an edit already built once (same relation at the same
+    position, or the same bound on the same disjunct) is skipped before its
+    rule is built."""
     out: list[tuple[RuleAst, Edit]] = []
     seen: set[str] = {print_rule(target)}
+    built: set[tuple] = set()
 
     def add(ast: RuleAst, edit: Edit):
         key = print_rule(ast)
@@ -409,30 +412,31 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
             seen.add(key)
             out.append((ast, edit))
 
-    pair_feature_rel = [
-        (pair, feature, d, j, rel)
+    moves = [
+        (d, j, rel, feature, pair.x_cf[feature] < pair.x[feature],
+         _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals))
         for pair in evidence.pairs
         for feature in _changed_features(pair, odd)
         for d, j, rel in _var_const_positions(target, feature)
     ]
-    for pair, feature, d, j, rel in pair_feature_rel:
-        mid = _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals)
+    for d, j, rel, feature, down, mid in moves:
         new_rel = _adjust_threshold(rel, mid)
-        if new_rel != rel:
+        if new_rel != rel and ("move", d, j, new_rel) not in built:
+            built.add(("move", d, j, new_rel))
             add(_replace_relation(target, d, j, new_rel),
                 Edit(EditKind.THRESHOLD_ADJUST, (d, j), print_relation(rel), print_relation(new_rel)))
-    for pair, feature, d, j, rel in pair_feature_rel:
+    for d, j, rel, feature, down, mid in moves:
         swapped = _swap_strictness(rel)
-        if swapped is not None:
+        if swapped is not None and ("swap", d, j) not in built:
+            built.add(("swap", d, j))
             add(_replace_relation(target, d, j, swapped),
                 Edit(EditKind.OPERATOR_REPLACE, (d, j), print_relation(rel), print_relation(swapped)))
-    for pair, feature, d, j, rel in pair_feature_rel:
-        mid = _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals)
-        op = RelOp.LT if pair.x_cf[feature] < pair.x[feature] else RelOp.GT
-        new_rel = Relation(Var(feature), op, Const(mid))
-        work = [list(c.relations) for c in target.disjuncts]
-        if new_rel in work[d]:
+    for d, j, rel, feature, down, mid in moves:
+        new_rel = Relation(Var(feature), RelOp.LT if down else RelOp.GT, Const(mid))
+        if ("bound", d, new_rel) in built or new_rel in target.disjuncts[d].relations:
             continue
+        built.add(("bound", d, new_rel))
+        work = [list(c.relations) for c in target.disjuncts]
         insert_at = len(work[d])
         work[d].append(new_rel)
         add(rule(*work),
@@ -456,7 +460,14 @@ class DeterministicGenerator:
     """Offline generator: best single edit by (fewest mismatches, fewest
     edits, enumeration order). Fails when no edit strictly reduces the
     target's mismatch count, which the context carries (`mismatch_before`,
-    over the same dataset)."""
+    over the same dataset).
+
+    Only a run whose label differs from the target's verdict can mismatch,
+    so candidates are counted over those runs alone. A later candidate wins
+    only with fewer mismatches than the best so far, so each count stops at
+    that best (at `mismatch_before` before any best exists), a candidate
+    that reaches it is cut, and the search ends at a count of 0. Only the
+    chosen candidate's count is exact; refine_loop scores it in full."""
 
     def __init__(self, dataset: list[LabeledRun], odd: OddSpec,
                  eps_eq: float = DEFAULT_EPS_EQ):
@@ -469,22 +480,26 @@ class DeterministicGenerator:
             raise GenerationFailure("no counterfactual evidence pairs")
         target = ctx.target
         base = ctx.mismatch_before
-        candidates = enumerate_single_edits(target.ast, ctx.evidence, self.odd)
-        best: tuple[int, int, int] | None = None
-        best_candidate: tuple[RuleAst, Edit] | None = None
-        for order, (ast, edit) in enumerate(candidates):
-            n_mismatch = decisiveness(PolarizedRule(target.id, target.polarity, ast),
-                                      self.dataset, self.eps_eq).n_mismatch
-            key = (n_mismatch, 1, order)
-            if best is None or key < best:
-                best = key
-                best_candidate = (ast, edit)
-        if best is None or best[0] >= base:
+        verdict = target.polarity.verdict
+        wrong = [run.x for run in self.dataset if run.y is not verdict]
+        cap, best = base, None
+        for ast, edit in enumerate_single_edits(target.ast, ctx.evidence, self.odd):
+            if cap == 0:
+                break
+            holds, n_mismatch = compile_rule(ast), 0
+            for x in wrong:
+                if holds(x, self.eps_eq, None):
+                    n_mismatch += 1
+                    if n_mismatch == cap:
+                        break
+            else:
+                cap, best = n_mismatch, (ast, edit)
+        if best is None:
             raise GenerationFailure("no improving edit")
-        ast, edit = best_candidate
+        ast, edit = best
         explanation = (f"Applied {edit.kind.value} at {edit.path}: "
                        f"{edit.before or '(none)'} -> {edit.after or '(removed)'}; "
-                       f"mismatches {base} -> {best[0]}.")
+                       f"mismatches {base} -> {cap}.")
         return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,),
                                    source=CandidateSource.DETERMINISTIC)
 

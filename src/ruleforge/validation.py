@@ -8,8 +8,8 @@ Rules classify runs independently of one another, so swapping the target
 leaves every historical rule's verdicts unchanged and preservation reduces
 to "no new inconsistencies": no run may become inconsistent under the
 candidate that was not inconsistent under the target. The target and each
-candidate are scored once, and every gate after the contradiction check
-reads those two reports; the accepted outcome carries both decisiveness
+candidate that reaches the gates are scored in full once, here, and every
+gate after the contradiction check reads those two reports; the accepted outcome carries both decisiveness
 scores, so no caller scores the rules again. A report's contradiction
 verdict is the first non-Clear ContradictionResult, or an all-Clear one with
 no opposing rule id.
@@ -65,17 +65,21 @@ class TargetNotInRuleset(ValueError):
 _FULL_LINE = (-math.inf, math.inf, True)
 
 
-def _interval(expr: Expr, box: dict[str, tuple[float, float]]) -> tuple[float, float, bool]:
+def _interval(expr: Expr, box: dict[str, tuple[float, float]]
+              ) -> tuple[float, float, bool] | None:
     """(lo, hi, tainted): bounds of the expression over the box. tainted
     means a division by zero is possible inside, so no truth value may be
-    concluded from the bounds."""
+    concluded from the bounds. None means some divisor is 0 everywhere in
+    the box, so the expression divides by zero at every point."""
     if isinstance(expr, Const):
         return (expr.value, expr.value, False)
     if isinstance(expr, Var):
         lo, hi = box[expr.name]
         return (lo, hi, False)
-    llo, lhi, ltaint = _interval(expr.left, box)
-    rlo, rhi, rtaint = _interval(expr.right, box)
+    left, right = _interval(expr.left, box), _interval(expr.right, box)
+    if left is None or right is None:
+        return None
+    (llo, lhi, ltaint), (rlo, rhi, rtaint) = left, right
     if ltaint or rtaint:
         return _FULL_LINE
     op = expr.op.value
@@ -87,7 +91,7 @@ def _interval(expr: Expr, box: dict[str, tuple[float, float]]) -> tuple[float, f
         products = [_safe_mul(a, b) for a in (llo, lhi) for b in (rlo, rhi)]
         return (min(products), max(products), False)
     if rlo <= 0 <= rhi:
-        return _FULL_LINE
+        return None if rlo == rhi == 0 else _FULL_LINE
     quotients = [a / b for a in (llo, lhi) for b in (rlo, rhi)]
     return (min(quotients), max(quotients), False)
 
@@ -101,8 +105,10 @@ def _safe_mul(a: float, b: float) -> float:
 def _relation_truth(rel: Relation, box, eps_eq: float) -> bool | None:
     if rel.lhs == rel.rhs and rel.op in (RelOp.LT, RelOp.GT, RelOp.NE):
         return False  # e < e, e > e and e != e hold nowhere, nor where e divides by zero
-    llo, lhi, ltaint = _interval(rel.lhs, box)
-    rlo, rhi, rtaint = _interval(rel.rhs, box)
+    left, right = _interval(rel.lhs, box), _interval(rel.rhs, box)
+    if left is None or right is None:
+        return False  # a division by zero makes the relation false
+    (llo, lhi, ltaint), (rlo, rhi, rtaint) = left, right
     if ltaint or rtaint:
         return None
     lo, hi = llo - rhi, lhi - rlo  # bounds of lhs - rhs

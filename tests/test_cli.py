@@ -511,7 +511,9 @@ def test_refine_takes_its_scores_from_the_outcome(workspace, tmp_path, monkeypat
 
 def test_refine_scores_the_target_once(workspace, tmp_path, monkeypatch):
     """A local refine scores its target over the dataset once: the evidence
-    build and the generator reuse refine_loop's report."""
+    build and the generator reuse refine_loop's report. The generator counts
+    its candidates without a decisiveness pass, so the accepted candidate is
+    scored once too, by refine_loop."""
     scored = []
 
     def counting(rule, *args, **kwargs):
@@ -524,8 +526,8 @@ def test_refine_scores_the_target_once(workspace, tmp_path, monkeypatch):
             monkeypatch.setattr(module, "decisiveness", counting)
     assert main(["refine", *_args(workspace), "--generator", "local",
                  "--out", str(tmp_path / "run")]) == 0
-    assert scored.count("(dist_front < 5) and (ego_speed > 0)") == 1
-    assert len(scored) > 1  # the candidates are scored through the same name
+    outcome = json.loads((tmp_path / "run" / "outcome.json").read_text())
+    assert scored == ["(dist_front < 5) and (ego_speed > 0)", outcome["refined_text"]]
 
 
 def test_import_loads_no_http_stack_and_no_third_party_module_but_click():

@@ -1,20 +1,28 @@
 import io
 import json
+import random
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ruleforge import (CandidateSource, DeterministicGenerator, EditKind, EvidenceFile,
                        GenerationFailure, LabeledRun, LlmConfig, LlmGenerator,
-                       MockGenerator, Oracle, Outcome, PolarizedRule, Polarity,
-                       RefinementContext, RejectedResponse, apply_edits, build_evidence,
-                       build_prompt, diff_rules, generate_candidate, make_oracle,
+                       MockGenerator, NoInconsistency, Oracle, Outcome, PolarizedRule,
+                       Polarity, RefinementCandidate, RefinementContext, RejectedResponse,
+                       SearchLimits, apply_edits, build_evidence, build_prompt, diff_rules,
+                       evaluate, generate_candidate, make_oracle, odd_spec,
                        parse_candidate_response, parse_rule, print_rule, random_rule,
                        refine_loop, search_counterfactual)
-from ruleforge.generation import FORMAT_EXEMPLAR, enumerate_single_edits
-from ruleforge.grammar import GRAMMAR_TEXT
-from ruleforge.semantics import decisiveness
+from ruleforge import generation
+from ruleforge.generation import (FORMAT_EXEMPLAR, Edit, _adjust_threshold, _changed_features,
+                                  _midpoint, _replace_relation, _swap_strictness,
+                                  _var_const_positions, enumerate_single_edits)
+from ruleforge.grammar import (GRAMMAR_TEXT, Const, Relation, RelOp, Var, print_conjunct,
+                               print_relation, rule)
+from ruleforge.semantics import compile_rule, decisiveness
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
 
@@ -348,3 +356,184 @@ class TestLlmGenerator:
         assert outcome.reports[0].failure_summary.startswith("malformed backend response")
         second_prompt = json.loads(calls[1][0].data)["messages"][0]["content"]
         assert "attempt 1: malformed backend response" in second_prompt
+
+
+# ---------------------------------------------------------------------------
+# Capped candidate scoring against the full-decisiveness reference.
+# ---------------------------------------------------------------------------
+
+def _reference_single_edits(target, evidence, odd):
+    """The enumeration that builds every edit before deduplicating by rule
+    text: the reference for enumerate_single_edits."""
+    from ruleforge.generation import (Edit, _adjust_threshold, _changed_features, _midpoint,
+                                      _replace_relation, _swap_strictness,
+                                      _var_const_positions)
+    from ruleforge.grammar import Const, Relation, RelOp, Var, print_conjunct, print_relation, rule
+    out = []
+    seen = {print_rule(target)}
+
+    def add(ast, edit):
+        key = print_rule(ast)
+        if key not in seen:
+            seen.add(key)
+            out.append((ast, edit))
+
+    pair_feature_rel = [
+        (pair, feature, d, j, rel)
+        for pair in evidence.pairs
+        for feature in _changed_features(pair, odd)
+        for d, j, rel in _var_const_positions(target, feature)
+    ]
+    for pair, feature, d, j, rel in pair_feature_rel:
+        mid = _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals)
+        new_rel = _adjust_threshold(rel, mid)
+        if new_rel != rel:
+            add(_replace_relation(target, d, j, new_rel),
+                Edit(EditKind.THRESHOLD_ADJUST, (d, j), print_relation(rel), print_relation(new_rel)))
+    for pair, feature, d, j, rel in pair_feature_rel:
+        swapped = _swap_strictness(rel)
+        if swapped is not None:
+            add(_replace_relation(target, d, j, swapped),
+                Edit(EditKind.OPERATOR_REPLACE, (d, j), print_relation(rel), print_relation(swapped)))
+    for pair, feature, d, j, rel in pair_feature_rel:
+        mid = _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals)
+        op = RelOp.LT if pair.x_cf[feature] < pair.x[feature] else RelOp.GT
+        new_rel = Relation(Var(feature), op, Const(mid))
+        work = [list(c.relations) for c in target.disjuncts]
+        if new_rel in work[d]:
+            continue
+        insert_at = len(work[d])
+        work[d].append(new_rel)
+        add(rule(*work),
+            Edit(EditKind.ADD_CONJUNCT, (d, insert_at), "", print_relation(new_rel)))
+    for (d, j), rel in target.relations():
+        if len(target.disjuncts[d].relations) > 1:
+            work = [list(c.relations) for c in target.disjuncts]
+            del work[d][j]
+            add(rule(*work),
+                Edit(EditKind.REMOVE_CONJUNCT, (d, j), print_relation(rel), ""))
+    if len(target.disjuncts) > 1:
+        for d, conj in enumerate(target.disjuncts):
+            work = [list(c.relations) for c in target.disjuncts]
+            del work[d]
+            add(rule(*work),
+                Edit(EditKind.REMOVE_DISJUNCT, (d,), print_conjunct(conj, wrap=False), ""))
+    return out
+
+
+def _reference_generate(dataset, odd, ctx):
+    """Every candidate scored by a full decisiveness pass; the same key and
+    texts as DeterministicGenerator.generate. Returns the candidate or the
+    failure summary, and the full count of every candidate."""
+    if not ctx.evidence.pairs:
+        return "no counterfactual evidence pairs", []
+    target = ctx.target
+    base = ctx.mismatch_before
+    candidates = _reference_single_edits(target.ast, ctx.evidence, odd)
+    scores = [decisiveness(PolarizedRule(target.id, target.polarity, ast), dataset).n_mismatch
+              for ast, _ in candidates]
+    best = min(((n, 1, order) for order, n in enumerate(scores)), default=None)
+    if best is None or best[0] >= base:
+        return "no improving edit", scores
+    ast, edit = candidates[best[2]]
+    explanation = (f"Applied {edit.kind.value} at {edit.path}: "
+                   f"{edit.before or '(none)'} -> {edit.after or '(removed)'}; "
+                   f"mismatches {base} -> {best[0]}.")
+    return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,),
+                               source=CandidateSource.DETERMINISTIC), scores
+
+
+_WORLD_DOMAINS = (
+    odd_spec([("a", 0.0, 10.0, 1.0)]),
+    odd_spec([("a", 0.0, 10.0, 1.0), ("b", -2.0, 2.0, 0.5)]),
+    odd_spec([("a", 0.0, 4.0, 0.5), ("b", -1.0, 1.0, 0.25), ("c", 0.0, 30.0, 5.0)]),
+)
+
+
+def _small_world(seed):
+    """A random oracle (safe region), a pass or fail target, 5-60 grid runs
+    labelled by the oracle with about 10% of labels flipped, and the
+    target's evidence; None when the target has no inconsistent run."""
+    rng = random.Random(seed)
+    odd = _WORLD_DOMAINS[rng.randrange(len(_WORLD_DOMAINS))]
+    safe = random_rule(rng.randrange(10 ** 6), odd, 2, 2)
+    polarity = rng.choice([Polarity.PASS_RULE, Polarity.FAIL_RULE])
+    target = PolarizedRule("t", polarity, random_rule(rng.randrange(10 ** 6), odd, 2, 3))
+
+    def label(x):
+        return Outcome.PASS if evaluate(safe, x) else Outcome.FAIL
+
+    data = []
+    for _ in range(rng.randint(5, 60)):
+        x = {v.name: v.grid_value(rng.randrange(v.grid_count)) for v in odd.variables}
+        y = label(x)
+        if rng.random() < 0.1:
+            y = Outcome.FAIL if y is Outcome.PASS else Outcome.PASS
+        data.append(LabeledRun(x, y))
+    before = decisiveness(target, data)
+    try:
+        evidence = build_evidence(target, data, Oracle(label), odd, SearchLimits(6, 300),
+                                  mismatches=before.mismatches)
+    except NoInconsistency:
+        return None
+    return odd, data, RefinementContext(grammar_doc=GRAMMAR_TEXT, target=target, historical=(),
+                                        evidence=evidence, mismatch_before=before.n_mismatch)
+
+
+def _generate_or_summary(generator, ctx):
+    try:
+        return generator.generate(ctx)
+    except GenerationFailure as exc:
+        return exc.summary
+
+
+class TestCappedScoring:
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    @example(172)  # the best count stays above 0: later candidates are cut, not skipped
+    def test_same_candidates_and_choice_as_full_scoring(self, seed):
+        world = _small_world(seed)
+        assume(world is not None)
+        odd, data, ctx = world
+        assert (enumerate_single_edits(ctx.target.ast, ctx.evidence, odd)
+                == _reference_single_edits(ctx.target.ast, ctx.evidence, odd))
+        expected, _ = _reference_generate(data, odd, ctx)
+        assert _generate_or_summary(DeterministicGenerator(data, odd), ctx) == expected
+
+    def _counting_generator(self, data, odd, monkeypatch):
+        """A generator whose compiled candidates count their evaluations."""
+        calls = []
+
+        def counting_compile(ast):
+            holds = compile_rule(ast)
+            calls.append(0)
+            slot = len(calls) - 1
+
+            def counted(x, eps, diag):
+                calls[slot] += 1
+                return holds(x, eps, diag)
+            return counted
+
+        monkeypatch.setattr(generation, "compile_rule", counting_compile)
+        return DeterministicGenerator(data, odd), calls
+
+    def test_cap_cuts_without_ending_the_search(self, monkeypatch):
+        odd, data, ctx = _small_world(179)
+        expected, scores = _reference_generate(data, odd, ctx)
+        best = min(scores)
+        assert 0 < best < ctx.mismatch_before
+        assert any(n > best for n in scores[scores.index(best) + 1:])
+        generator, calls = self._counting_generator(data, odd, monkeypatch)
+        assert generator.generate(ctx) == expected
+        assert len(calls) == len(scores)  # no count reached 0, so every candidate ran
+        wrong = sum(run.y is not ctx.target.polarity.verdict for run in data)
+        assert sum(calls) < len(scores) * wrong
+
+    def test_search_ends_at_a_count_of_zero(self, fixture42, x1_context, monkeypatch):
+        _, scores = _reference_generate(fixture42.dataset, fixture42.config.odd, x1_context)
+        first_zero = scores.index(0)
+        assert first_zero < len(scores) - 1
+        generator, calls = self._counting_generator(fixture42.dataset, fixture42.config.odd,
+                                                    monkeypatch)
+        generator.generate(x1_context)
+        assert len(calls) == first_zero + 1  # the candidates after it are never compiled

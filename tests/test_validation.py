@@ -98,6 +98,20 @@ class TestCheckContradiction:
         assert result.status is ContradictionStatus.FLAGGED
         assert result.witness["dist_front"] == 13.4
 
+    @pytest.mark.parametrize("candidate", [
+        "(ego_speed / 0 != 6.5) and (dist_front < 4)",
+        "(dist_front < 4) and (6.5 < ego_speed / (lane_offset * 0) + 1)",
+        "(ego_speed / (lane_offset / 0) >= 0) and (dist_front < 4)",
+    ])
+    def test_divisor_zero_everywhere_is_refuted(self, odd, candidate):
+        # a division by zero makes its relation false at every point
+        (result,) = check_contradiction(_pass(candidate), [_fail("(dist_front < 3)")], odd)
+        assert result.status is ContradictionStatus.CLEAR
+        (result,) = check_contradiction(_pass(candidate.replace(") and (", ") or (")),
+                                        [_fail("(dist_front < 3)")], odd)
+        assert result.status is ContradictionStatus.FLAGGED
+        assert result.witness["dist_front"] < 3
+
     def test_same_polarity_rejected(self):
         odd = odd_spec([("x", 0.0, 1.0, 1.0)])
         with pytest.raises(ValueError):
