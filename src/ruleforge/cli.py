@@ -71,8 +71,8 @@ def _pick_rule(rules, rule_id: str | None):
 def _load_inputs(state: AppState, loader, path, *args):
     try:
         return loader(path, *args)
-    except FileNotFoundError:
-        raise UsageFailure(f"no such file: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise UsageFailure(f"cannot read {path}: {exc.strerror or exc}")
     except storage.FormatError as exc:
         _format_exit(state, str(exc))
 
@@ -332,7 +332,7 @@ def metrics_cmd(state: AppState, rules_path, rule_id, dataset_path, config_path,
         _format_exit(state, f"{outcome_path}: refined rule: unbound variable(s) "
                             f"{sorted(unbound)}")
     target = _pick_rule(rules, rule_id)
-    raw_text = (Path(raw_path).read_text(encoding="utf-8") if raw_path
+    raw_text = (_load_inputs(state, storage.read_text, raw_path) if raw_path
                 else print_rule(outcome.refined))
     refined_rule = PolarizedRule(target.id, target.polarity, outcome.refined)
     report = build_metrics_report(

@@ -22,19 +22,13 @@ from decimal import Decimal
 from enum import Enum
 
 from .counterfactual import CounterfactualPair, EvidenceFile
-from .grammar import (Const, Conjunct, OddSpec, ParseError, Relation, RelOp, RuleAst,
-                      STRICTNESS_SWAP, Var, check_vocabulary, direct_bound, fmt_number,
-                      parse_relation, parse_rule, print_conjunct, print_relation, print_rule,
-                      rule)
+from .grammar import (GRAMMAR_TEXT, Const, Conjunct, OddSpec, ParseError, Relation, RelOp,
+                      RuleAst, STRICTNESS_SWAP, Var, check_vocabulary, direct_bound,
+                      fmt_number, parse_relation, parse_rule, print_conjunct, print_relation,
+                      print_rule, rule)
 from .semantics import DEFAULT_EPS_EQ, LabeledRun, PolarizedRule, compile_rule
 
 FORMAT_EXEMPLAR = "(0<ARG2<5) and (ARG1>0) or (8<ARG2<12)"
-
-
-class CandidateSource(Enum):
-    DETERMINISTIC = "Deterministic"
-    LLM = "LLM"
-    MOCK = "Mock"
 
 
 class EditKind(Enum):
@@ -58,7 +52,6 @@ class Edit:
 
 @dataclass(frozen=True)
 class RefinementContext:
-    grammar_doc: str
     target: PolarizedRule
     historical: tuple[PolarizedRule, ...]
     evidence: EvidenceFile
@@ -75,12 +68,6 @@ class RefinementCandidate:
     ast: RuleAst
     explanation: str
     change_log: tuple[Edit, ...]
-    source: CandidateSource
-
-
-@dataclass(frozen=True)
-class RejectedResponse:
-    failure_summary: str
 
 
 class GenerationFailure(Exception):
@@ -106,7 +93,7 @@ def build_prompt(ctx: RefinementContext, odd: OddSpec) -> str:
     lines.append("You refine safety operational rules. Work strictly inside the grammar below.")
     lines.append("")
     lines.append("Grammar:")
-    lines.append(ctx.grammar_doc)
+    lines.append(GRAMMAR_TEXT)
     lines.append("")
     lines.append("Allowed vocabulary (whitelist):")
     lines.append("- variables: " + ", ".join(
@@ -181,20 +168,18 @@ def _split_sections(text: str) -> tuple[str | None, str]:
     return rule_line, explanation
 
 
-def parse_candidate_response(raw: str, odd: OddSpec,
-                             source: CandidateSource = CandidateSource.LLM
-                             ) -> RefinementCandidate | RejectedResponse:
+def parse_candidate_response(raw: str, odd: OddSpec) -> RefinementCandidate:
     """Strict parse of a generator reply with a single bounded repair pass.
 
     Repairs: markdown code fences are stripped and prose around the rule
     line is trimmed. List/tuple-shaped replies are structural violations and
     are rejected outright rather than fixed. Anything that still fails to
-    parse, or uses out-of-vocabulary names or out-of-range bounds, comes
-    back as a RejectedResponse whose summary feeds the next prompt.
+    parse, or uses out-of-vocabulary names or out-of-range bounds, raises
+    GenerationFailure with a summary that feeds the next prompt.
     """
     text = _strip_fences(raw).strip()
     if not text:
-        return RejectedResponse("empty response")
+        raise GenerationFailure("empty response")
     rule_line, explanation = _split_sections(text)
     candidates = []
     if rule_line:
@@ -206,7 +191,7 @@ def parse_candidate_response(raw: str, odd: OddSpec,
     used_line = ""
     for line in candidates:
         if _TUPLE_FORM_RE.search(line):
-            return RejectedResponse("structural violation: list/tuple form")
+            raise GenerationFailure("structural violation: list/tuple form")
         try:
             parsed = parse_rule(line)
             used_line = line
@@ -214,16 +199,15 @@ def parse_candidate_response(raw: str, odd: OddSpec,
         except ParseError as exc:
             parse_failure = f"parse error: {exc}"
     if parsed is None:
-        return RejectedResponse(parse_failure)
+        raise GenerationFailure(parse_failure)
     violations = check_vocabulary(parsed, odd)
     if violations:
-        return RejectedResponse("; ".join(str(v) for v in violations))
+        raise GenerationFailure("; ".join(str(v) for v in violations))
     if not explanation:
         remainder = [line.strip() for line in text.splitlines()
                      if line.strip() and line.strip() != used_line]
         explanation = "\n".join(remainder)
-    return RefinementCandidate(ast=parsed, explanation=explanation, change_log=(),
-                               source=source)
+    return RefinementCandidate(ast=parsed, explanation=explanation, change_log=())
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +484,7 @@ class DeterministicGenerator:
         explanation = (f"Applied {edit.kind.value} at {edit.path}: "
                        f"{edit.before or '(none)'} -> {edit.after or '(removed)'}; "
                        f"mismatches {base} -> {cap}.")
-        return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,),
-                                   source=CandidateSource.DETERMINISTIC)
+        return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,))
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +506,11 @@ class TranscriptEntry:
     response: str
 
 
-def _candidate_from_reply(raw: str, odd: OddSpec, source: CandidateSource,
-                          target: RuleAst) -> RefinementCandidate:
+def _candidate_from_reply(raw: str, odd: OddSpec, target: RuleAst) -> RefinementCandidate:
     """A parsed reply with its change log against the target; a rejected
     reply raises GenerationFailure with the parser's summary."""
-    result = parse_candidate_response(raw, odd, source)
-    if isinstance(result, RejectedResponse):
-        raise GenerationFailure(result.failure_summary)
-    return replace(result, change_log=diff_rules(target, result.ast))
+    candidate = parse_candidate_response(raw, odd)
+    return replace(candidate, change_log=diff_rules(target, candidate.ast))
 
 
 class LlmGenerator:
@@ -574,7 +554,7 @@ class LlmGenerator:
         if not isinstance(content, str):
             raise GenerationFailure(f"malformed backend response: content is {content!r}")
         self.transcript.append(TranscriptEntry(prompt=prompt, response=content))
-        return _candidate_from_reply(content, self.odd, CandidateSource.LLM, ctx.target.ast)
+        return _candidate_from_reply(content, self.odd, ctx.target.ast)
 
 
 class MockGenerator:
@@ -590,7 +570,7 @@ class MockGenerator:
             raise GenerationFailure("mock script exhausted")
         raw = self.responses[self._cursor]
         self._cursor += 1
-        return _candidate_from_reply(raw, self.odd, CandidateSource.MOCK, ctx.target.ast)
+        return _candidate_from_reply(raw, self.odd, ctx.target.ast)
 
 
 def generate_candidate(generator, ctx: RefinementContext) -> RefinementCandidate:

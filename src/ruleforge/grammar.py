@@ -200,14 +200,6 @@ class OddVariable:
     def grid_values(self) -> list[float]:
         return [self.grid_value(k) for k in range(self.grid_count)]
 
-    def snap(self, value: float) -> float:
-        k = round((value - self.min) / self.step)
-        k = min(max(k, 0), self.grid_count - 1)
-        return self.grid_value(k)
-
-    def contains(self, value: float, tol: float = DOMAIN_TOL) -> bool:
-        return self.min - tol <= value <= self.max + tol
-
 
 @dataclass(frozen=True)
 class OddSpec:
@@ -218,7 +210,8 @@ class OddSpec:
         if len(set(names)) != len(names):
             raise GrammarError("ODD variable names must be unique")
         # contains_point runs on every oracle query: widen the bounds once.
-        object.__setattr__(self, "_widened", self._widen(DOMAIN_TOL))
+        object.__setattr__(self, "_widened", tuple(
+            (v.name, v.min - DOMAIN_TOL, v.max + DOMAIN_TOL) for v in self.variables))
 
     @property
     def names(self) -> list[str]:
@@ -233,19 +226,11 @@ class OddSpec:
     def __contains__(self, name: str) -> bool:
         return any(v.name == name for v in self.variables)
 
-    def _widen(self, tol: float) -> tuple[tuple[str, float, float], ...]:
-        return tuple((v.name, v.min - tol, v.max + tol) for v in self.variables)
-
-    def contains_point(self, x: dict[str, float], tol: float = DOMAIN_TOL) -> bool:
-        """Every variable is bound in x and within its range, up to tol;
-        NaN and infinities are outside.
-
-        The bounds for the default tol are widened once, when the spec is
-        built, to the same floats `min - tol` and `max + tol` give; any
-        other tol widens them on each call."""
-        bounds = self._widened if tol == DOMAIN_TOL else self._widen(tol)
+    def contains_point(self, x: dict[str, float]) -> bool:
+        """Every variable is bound in x and within its range, up to
+        DOMAIN_TOL; NaN and infinities are outside."""
         try:
-            for name, lo, hi in bounds:
+            for name, lo, hi in self._widened:
                 if not lo <= x[name] <= hi:
                     return False
         except KeyError:
@@ -612,41 +597,6 @@ def print_rule(ast: RuleAst) -> str:
     """Deterministic canonical text: binary relations, each parenthesized."""
     many = len(ast.disjuncts) > 1
     return " or ".join(print_conjunct(c, wrap=many) for c in ast.disjuncts)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange form.
-# ---------------------------------------------------------------------------
-
-
-def expr_to_json(expr: Expr):
-    if isinstance(expr, Var):
-        return {"var": expr.name}
-    if isinstance(expr, Const):
-        return {"const": expr.value}
-    return {"bin": {"op": expr.op.value, "l": expr_to_json(expr.left), "r": expr_to_json(expr.right)}}
-
-
-def expr_from_json(data) -> Expr:
-    if "var" in data:
-        return Var(data["var"])
-    if "const" in data:
-        return Const(float(data["const"]))
-    bin_ = data["bin"]
-    return BinOp(ArithOp(bin_["op"]), expr_from_json(bin_["l"]), expr_from_json(bin_["r"]))
-
-
-def ast_to_json(ast: RuleAst) -> dict:
-    return {"or": [{"and": [{"lhs": expr_to_json(r.lhs), "op": r.op.value, "rhs": expr_to_json(r.rhs)}
-                            for r in conj.relations]}
-                   for conj in ast.disjuncts]}
-
-
-def ast_from_json(data: dict) -> RuleAst:
-    return RuleAst(tuple(
-        Conjunct(tuple(Relation(expr_from_json(r["lhs"]), RelOp(r["op"]), expr_from_json(r["rhs"]))
-                       for r in conj["and"]))
-        for conj in data["or"]))
 
 
 # ---------------------------------------------------------------------------

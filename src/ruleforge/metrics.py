@@ -55,10 +55,6 @@ class GcReport:
     n_viol: int
     n_tok: int
 
-    @property
-    def empty_input(self) -> bool:
-        return self.n_tok == 0
-
 
 def grammar_compliance(raw: str) -> GcReport:
     """Tokenize and reparse with one-token-discard recovery.

@@ -37,12 +37,6 @@ class Polarity(Enum):
         return Outcome.PASS if self is Polarity.PASS_RULE else Outcome.FAIL
 
 
-class Consistency(Enum):
-    CONSISTENT = "Consistent"
-    INCONSISTENT = "Inconsistent"
-    INCONCLUSIVE = "Inconclusive"
-
-
 @dataclass(frozen=True)
 class LabeledRun:
     x: dict[str, float]
@@ -164,18 +158,6 @@ def evaluate(ast: RuleAst, x: dict[str, float], eps_eq: float = DEFAULT_EPS_EQ,
     Raises UnboundVariable if x misses a variable appearing in the rule.
     """
     return compile_rule(ast)(x, eps_eq, diagnostics)
-
-
-def classify_consistency(rule: PolarizedRule, run: LabeledRun,
-                         eps_eq: float = DEFAULT_EPS_EQ,
-                         diagnostics: list[str] | None = None) -> Consistency:
-    """Classify one run: Inconclusive when the rule does not hold; otherwise
-    Consistent iff the polarity's verdict equals the observed outcome."""
-    if not evaluate(rule.ast, run.x, eps_eq, diagnostics):
-        return Consistency.INCONCLUSIVE
-    if rule.polarity.verdict is run.y:
-        return Consistency.CONSISTENT
-    return Consistency.INCONSISTENT
 
 
 @dataclass(frozen=True)

@@ -46,36 +46,39 @@ _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 
 def load_dataset(path: str | Path) -> list[LabeledRun]:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            _fail(path, "empty dataset file")
-        if not header or header[-1] != "outcome":
-            _fail(path, 'last column must be "outcome"')
-        features = header[:-1]
-        if not features:
-            _fail(path, "no feature columns")
-        if len(set(header)) != len(header):
-            # a run keyed by column name would keep only the last copy
-            duplicate = next(name for i, name in enumerate(header) if name in header[:i])
-            _fail(path, f"duplicated column {duplicate!r}")
-        runs = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                _fail(path, f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                # zip stops at the last feature, so the outcome cell is never converted
-                x = dict(zip(features, map(float, row)))
-            except ValueError:
-                _fail(path, f"line {lineno}: non-numeric feature value")
-            if not all(map(math.isfinite, x.values())):
-                _fail(path, f"line {lineno}: non-finite feature value")
-            y = _OUTCOMES.get(row[-1])
-            if y is None:
-                _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
-            runs.append(LabeledRun(x=x, y=y))
+                header = next(reader)
+            except StopIteration:
+                _fail(path, "empty dataset file")
+            if not header or header[-1] != "outcome":
+                _fail(path, 'last column must be "outcome"')
+            features = header[:-1]
+            if not features:
+                _fail(path, "no feature columns")
+            if len(set(header)) != len(header):
+                # a run keyed by column name would keep only the last copy
+                duplicate = next(name for i, name in enumerate(header) if name in header[:i])
+                _fail(path, f"duplicated column {duplicate!r}")
+            runs = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    _fail(path, f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    # zip stops at the last feature, so the outcome cell is never converted
+                    x = dict(zip(features, map(float, row)))
+                except ValueError:
+                    _fail(path, f"line {lineno}: non-numeric feature value")
+                if not all(map(math.isfinite, x.values())):
+                    _fail(path, f"line {lineno}: non-finite feature value")
+                y = _OUTCOMES.get(row[-1])
+                if y is None:
+                    _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
+                runs.append(LabeledRun(x=x, y=y))
+    except UnicodeDecodeError as exc:
+        _fail(path, f"not UTF-8 text: {exc.reason}")
     if not runs:
         _fail(path, "dataset has no runs")
     return runs
@@ -119,10 +122,18 @@ def _write_json(path: str | Path, payload) -> None:
     Path(path).write_bytes(_json_bytes(payload))
 
 
-def read_json(path: str | Path):
+def read_text(path: str | Path) -> str:
+    """The file's text; bytes that are not UTF-8 are a FormatError."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}")
+
+
+def read_json(path: str | Path):
+    try:
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         _fail(path, f"invalid JSON: {exc}")
 
@@ -201,17 +212,6 @@ def odd_from_json(data, path="<odd>") -> OddSpec:
     if not odd.variables:
         _fail(path, "the ODD declares no variables")
     return odd
-
-
-def load_odd(path: str | Path) -> OddSpec:
-    data = read_json(path)
-    if isinstance(data, dict) and "odd" in data:
-        data = data["odd"]
-    return odd_from_json(data, path)
-
-
-def store_odd(path: str | Path, odd: OddSpec) -> None:
-    _write_json(path, {"schema_version": SCHEMA_VERSION, **odd_to_json(odd)})
 
 
 def store_oracle_config(path: str | Path, config: OracleConfig) -> None:
@@ -295,10 +295,6 @@ def evidence_from_json(data, path="<evidence>") -> EvidenceFile:
 
 def store_evidence(path: str | Path, evidence: EvidenceFile) -> None:
     _write_json(path, evidence_to_json(evidence))
-
-
-def load_evidence(path: str | Path) -> EvidenceFile:
-    return evidence_from_json(read_json(path), path)
 
 
 # ---------------------------------------------------------------------------

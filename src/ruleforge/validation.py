@@ -29,8 +29,8 @@ from enum import Enum
 
 from .counterfactual import EvidenceFile, Oracle, SearchLimits, build_evidence
 from .generation import Edit, GenerationFailure, RefinementContext, generate_candidate
-from .grammar import (Const, Expr, GRAMMAR_TEXT, OddSpec, Relation, RelOp, RuleAst, Var,
-                      check_vocabulary, direct_bound, expr_variables, print_rule)
+from .grammar import (Const, Expr, OddSpec, Relation, RelOp, RuleAst, Var, check_vocabulary,
+                      direct_bound, expr_variables, print_rule)
 from .semantics import (DEFAULT_EPS_EQ, DecisivenessReport, LabeledRun, PolarizedRule,
                         compile_rule, decisiveness)
 
@@ -86,6 +86,8 @@ def _interval(expr: Expr, box: dict[str, tuple[float, float]]
     if op == "+":
         return (llo + rlo, lhi + rhi, False)
     if op == "-":
+        if expr.left == expr.right and math.isfinite(llo) and math.isfinite(lhi):
+            return (0.0, 0.0, False)  # e - e is exactly 0 wherever e is finite
         return (llo - rhi, lhi - rlo, False)
     if op == "*":
         products = [_safe_mul(a, b) for a in (llo, lhi) for b in (rlo, rhi)]
@@ -312,9 +314,7 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
                 dataset: list[LabeledRun], oracle: Oracle, odd: OddSpec, generator,
                 max_attempts: int = DEFAULT_MAX_ATTEMPTS, *,
                 eps_eq: float = DEFAULT_EPS_EQ,
-                limits: SearchLimits = SearchLimits(),
-                budget: ContradictionBudget = ContradictionBudget(),
-                grammar_doc: str = GRAMMAR_TEXT) -> RefinementOutcome:
+                limits: SearchLimits = SearchLimits()) -> RefinementOutcome:
     """Generate-validate loop: the target is scored and its evidence built
     once, failed attempts feed their failure summaries back into the next
     prompt, and the first candidate to clear every gate is returned.
@@ -341,7 +341,6 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
 
     for attempt in range(1, max_attempts + 1):
         ctx = RefinementContext(
-            grammar_doc=grammar_doc,
             target=target,
             historical=historical,
             evidence=evidence,
@@ -361,7 +360,8 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
             continue
         as_rule = PolarizedRule(target.id, target.polarity, candidate.ast)
         contradiction = next(
-            (r for r in check_contradiction(as_rule, opposing, odd, budget, dataset, eps_eq)
+            (r for r in check_contradiction(as_rule, opposing, odd, dataset=dataset,
+                                           eps_eq=eps_eq)
              if r.status is not ContradictionStatus.CLEAR),
             ContradictionResult(None, ContradictionStatus.CLEAR))
         if contradiction.status is not ContradictionStatus.CLEAR:

@@ -10,16 +10,14 @@ import time
 
 import pytest
 
-from ruleforge import (Consistency, ContradictionStatus, CounterfactualNotFound,
-                       DeterministicGenerator, EditKind, EvidenceFile, LabeledRun,
-                       MockGenerator, Oracle, Outcome, PolarizedRule, Polarity,
-                       RefinementContext, RejectedResponse, check_contradiction,
-                       classify_consistency, decisiveness, evaluate, grammar_compliance,
+from ruleforge import (ContradictionStatus, CounterfactualNotFound, DeterministicGenerator,
+                       EditKind, EvidenceFile, GenerationFailure, LabeledRun, MockGenerator,
+                       Oracle, Outcome, PolarizedRule, Polarity, RefinementContext,
+                       check_contradiction, decisiveness, evaluate, grammar_compliance,
                        change_minimality, make_oracle, make_reference_fixture, odd_spec,
                        parse_candidate_response, parse_rule, print_rule, random_rule,
                        refine_loop, search_counterfactual)
 from ruleforge.generation import generate_candidate
-from ruleforge.grammar import GRAMMAR_TEXT
 from ruleforge.scenario import FIXTURE_MISMATCHES
 
 TUPLE_TEXT = "[[('greater_than_func','ARG1','0')]]"
@@ -73,8 +71,7 @@ def test_criterion_3_worked_example_fidelity():
     evidence = EvidenceFile(rule_id=fixture.baseline_rule.id,
                             rule_text=print_rule(fixture.baseline_rule.ast),
                             dataset_ref="fixture", pairs=(pair,), unresolved=())
-    ctx = RefinementContext(grammar_doc=GRAMMAR_TEXT, target=fixture.baseline_rule,
-                            historical=(), evidence=evidence,
+    ctx = RefinementContext(target=fixture.baseline_rule, historical=(), evidence=evidence,
                             mismatch_before=FIXTURE_MISMATCHES)
     generator = DeterministicGenerator(fixture.dataset, fixture.config.odd)
     candidate = generate_candidate(generator, ctx)
@@ -85,21 +82,24 @@ def test_criterion_3_worked_example_fidelity():
 
 
 def test_criterion_4_consistency_table_totality():
+    # Scored by decisiveness on a one-run dataset: the run is a mismatch iff
+    # Inconsistent, and the rule is fully inconclusive iff Inconclusive.
     hold_rule = parse_rule("v > 0")
     expected = {
-        (Polarity.PASS_RULE, True, Outcome.PASS): Consistency.CONSISTENT,
-        (Polarity.FAIL_RULE, True, Outcome.PASS): Consistency.INCONSISTENT,
-        (Polarity.PASS_RULE, True, Outcome.FAIL): Consistency.INCONSISTENT,
-        (Polarity.FAIL_RULE, True, Outcome.FAIL): Consistency.CONSISTENT,
-        (Polarity.PASS_RULE, False, Outcome.PASS): Consistency.INCONCLUSIVE,
-        (Polarity.PASS_RULE, False, Outcome.FAIL): Consistency.INCONCLUSIVE,
-        (Polarity.FAIL_RULE, False, Outcome.PASS): Consistency.INCONCLUSIVE,
-        (Polarity.FAIL_RULE, False, Outcome.FAIL): Consistency.INCONCLUSIVE,
+        (Polarity.PASS_RULE, True, Outcome.PASS): "Consistent",
+        (Polarity.FAIL_RULE, True, Outcome.PASS): "Inconsistent",
+        (Polarity.PASS_RULE, True, Outcome.FAIL): "Inconsistent",
+        (Polarity.FAIL_RULE, True, Outcome.FAIL): "Consistent",
+        (Polarity.PASS_RULE, False, Outcome.PASS): "Inconclusive",
+        (Polarity.PASS_RULE, False, Outcome.FAIL): "Inconclusive",
+        (Polarity.FAIL_RULE, False, Outcome.PASS): "Inconclusive",
+        (Polarity.FAIL_RULE, False, Outcome.FAIL): "Inconclusive",
     }
     for (polarity, holds, yv), want in expected.items():
         rule = PolarizedRule("r", polarity, hold_rule)
-        run = LabeledRun({"v": 1.0 if holds else -1.0}, yv)
-        assert classify_consistency(rule, run) is want
+        report = decisiveness(rule, [LabeledRun({"v": 1.0 if holds else -1.0}, yv)])
+        assert (report.n_mismatch == 1) is (want == "Inconsistent")
+        assert report.fully_inconclusive is (want == "Inconclusive")
     _ok(4, "all 8 (polarity x holds x outcome) cases classified exactly")
 
 
@@ -192,8 +192,8 @@ def test_criterion_7_grammar_closure():
         assert report.gc == 1.0, f"seed {seed}: {printed}"
     lesson1 = grammar_compliance(TUPLE_TEXT)
     assert lesson1.gc < 1.0
-    rejected = parse_candidate_response(TUPLE_TEXT, odd)
-    assert isinstance(rejected, RejectedResponse)
+    with pytest.raises(GenerationFailure, match="structural violation: list/tuple form"):
+        parse_candidate_response(TUPLE_TEXT, odd)
     _ok(7, f"1000 rules round-trip at gc=1.0; tuple text scores gc={lesson1.gc:.2f} "
            f"and is rejected")
 

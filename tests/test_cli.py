@@ -541,3 +541,56 @@ def test_import_loads_no_http_stack_and_no_third_party_module_but_click():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout.splitlines() == ["[]", "['click', 'ruleforge']"]
+
+
+class TestUnreadableInput:
+    """Bytes that are not UTF-8 are a format error (exit 2) naming the file;
+    a path that cannot be read is a usage error (exit 1). Neither escapes as
+    an exception."""
+
+    def test_undecodable_dataset(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"ego_speed,dist_front,lane_offset,outcome\n1,4.4,0,Fail\xff\n")
+        assert main(["eval", "--rules", str(workspace / "rules.json"),
+                     "--dataset", str(bad)]) == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_undecodable_rules(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "rules.json"
+        bad.write_bytes(b'[{"id": "r\xff", "polarity": "pass", "text": "ego_speed > 0"}]')
+        assert main(["eval", "--rules", str(bad),
+                     "--dataset", str(workspace / "dataset.csv")]) == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--rules", "--dataset", "--config", "--mock-script"])
+    def test_directory_as_input(self, workspace, tmp_path, capsys, option):
+        script, folder = tmp_path / "script.json", tmp_path / "folder"
+        script.write_text('["Rule: (dist_front < 4.2) and (ego_speed > 0)"]')
+        folder.mkdir()
+        args = _args(workspace, "--generator", "mock", "--mock-script", str(script),
+                     "--out", str(tmp_path / "run"))
+        args[args.index(option) + 1] = str(folder)
+        assert main(["refine", *args]) == 1
+        assert not (tmp_path / "run").exists()
+        assert f"cannot read {folder}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,code", [(None, 1), (b"(dist_front < 4.2)\xff", 2)],
+                             ids=["missing", "undecodable"])
+    def test_unreadable_raw_text(self, workspace, tmp_path, capsys, raw, code):
+        raw_path = tmp_path / "raw.txt"
+        if raw is not None:
+            raw_path.write_bytes(raw)
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", *_args(workspace), "--outcome", str(GOLDEN_OUTCOME),
+                     "--raw", str(raw_path), "--out", str(out)]) == code
+        assert not out.exists()
+        assert str(raw_path) in capsys.readouterr().err
+
+
+def test_public_names_resolve_once():
+    names = ruleforge.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(ruleforge, name) for name in names)
+    namespace = {}
+    exec("from ruleforge import *", namespace)
+    assert set(names) <= namespace.keys()

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ruleforge import (CandidateSource, DeterministicGenerator, EditKind, EvidenceFile,
-                       GenerationFailure, LabeledRun, LlmConfig, LlmGenerator,
-                       MockGenerator, NoInconsistency, Oracle, Outcome, PolarizedRule,
-                       Polarity, RefinementCandidate, RefinementContext, RejectedResponse,
-                       SearchLimits, apply_edits, build_evidence, build_prompt, diff_rules,
+from ruleforge import (DeterministicGenerator, EditKind, EvidenceFile, GenerationFailure,
+                       LabeledRun, LlmConfig, LlmGenerator, MockGenerator, NoInconsistency,
+                       Oracle, Outcome, PolarizedRule, Polarity, RefinementCandidate,
+                       RefinementContext, SearchLimits, apply_edits, build_evidence, build_prompt, diff_rules,
                        evaluate, generate_candidate, make_oracle, odd_spec,
                        parse_candidate_response, parse_rule, print_rule, random_rule,
                        refine_loop, search_counterfactual)
@@ -34,8 +33,7 @@ def x1_context(fixture42):
     evidence = EvidenceFile(rule_id=fixture42.baseline_rule.id,
                             rule_text=print_rule(fixture42.baseline_rule.ast),
                             dataset_ref="fixture", pairs=(pair,), unresolved=())
-    return RefinementContext(grammar_doc=GRAMMAR_TEXT, target=fixture42.baseline_rule,
-                             historical=(), evidence=evidence,
+    return RefinementContext(target=fixture42.baseline_rule, historical=(), evidence=evidence,
                              mismatch_before=decisiveness(fixture42.baseline_rule,
                                                           fixture42.dataset).n_mismatch)
 
@@ -68,7 +66,7 @@ class TestBuildPrompt:
 
     def test_target_not_in_historical(self, fixture42, x1_context):
         with pytest.raises(ValueError):
-            RefinementContext(grammar_doc=GRAMMAR_TEXT, target=fixture42.baseline_rule,
+            RefinementContext(target=fixture42.baseline_rule,
                               historical=(fixture42.baseline_rule,),
                               evidence=x1_context.evidence,
                               mismatch_before=x1_context.mismatch_before)
@@ -78,21 +76,19 @@ class TestParseCandidateResponse:
     def test_fenced_code_block_repaired(self, odd):
         raw = "```\nRule: (dist_front < 4.1) and (ego_speed > 0)\nExplanation: tightened\n```"
         result = parse_candidate_response(raw, odd)
-        assert not isinstance(result, RejectedResponse)
         assert print_rule(result.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
         assert result.explanation == "tightened"
 
     def test_tuple_list_form_rejected(self, odd):
-        result = parse_candidate_response("[[('greater_than_func','ARG1','0')]]", odd)
-        assert isinstance(result, RejectedResponse)
-        assert result.failure_summary == "structural violation: list/tuple form"
+        with pytest.raises(GenerationFailure) as excinfo:
+            parse_candidate_response("[[('greater_than_func','ARG1','0')]]", odd)
+        assert excinfo.value.summary == "structural violation: list/tuple form"
 
     def test_clean_rule_with_explanation(self, odd):
         raw = ("Rule: (dist_front < 4.1) and (ego_speed > 0)\n"
                "Explanation: Tightened the distance threshold toward the counterfactual\n"
                "boundary to exclude the failing neighborhood.")
         result = parse_candidate_response(raw, odd)
-        assert not isinstance(result, RejectedResponse)
         assert "Tightened the distance threshold" in result.explanation
 
     def test_prose_trimmed_without_labels(self, odd):
@@ -100,27 +96,24 @@ class TestParseCandidateResponse:
                "(dist_front < 4.1) and (ego_speed > 0)\n"
                "This keeps the speed condition untouched.")
         result = parse_candidate_response(raw, odd)
-        assert not isinstance(result, RejectedResponse)
         assert print_rule(result.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
 
     def test_out_of_vocabulary_rejected(self, odd):
-        result = parse_candidate_response("Rule: (ARG3 > 1)", odd)
-        assert isinstance(result, RejectedResponse)
-        assert "UnknownVariable" in result.failure_summary
+        with pytest.raises(GenerationFailure, match="UnknownVariable"):
+            parse_candidate_response("Rule: (ARG3 > 1)", odd)
 
     def test_out_of_range_bound_rejected(self, odd):
-        result = parse_candidate_response("Rule: (dist_front < 120)", odd)
-        assert isinstance(result, RejectedResponse)
-        assert "OutOfRangeBound" in result.failure_summary
+        with pytest.raises(GenerationFailure, match="OutOfRangeBound"):
+            parse_candidate_response("Rule: (dist_front < 120)", odd)
 
     def test_unparseable_rejected(self, odd):
-        result = parse_candidate_response("I could not find a refinement.", odd)
-        assert isinstance(result, RejectedResponse)
+        with pytest.raises(GenerationFailure, match="^parse error: "):
+            parse_candidate_response("I could not find a refinement.", odd)
 
     def test_empty_rejected(self, odd):
-        result = parse_candidate_response("   \n", odd)
-        assert isinstance(result, RejectedResponse)
-        assert result.failure_summary == "empty response"
+        with pytest.raises(GenerationFailure) as excinfo:
+            parse_candidate_response("   \n", odd)
+        assert excinfo.value.summary == "empty response"
 
 
 class TestDeterministicGenerator:
@@ -128,7 +121,6 @@ class TestDeterministicGenerator:
         gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
         candidate = generate_candidate(gen, x1_context)
         assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
-        assert candidate.source is CandidateSource.DETERMINISTIC
         assert [e.kind for e in candidate.change_log] == [EditKind.THRESHOLD_ADJUST]
 
     def test_deterministic(self, fixture42, x1_context):
@@ -175,8 +167,8 @@ class TestDeterministicGenerator:
         assert all(
             decisiveness(PolarizedRule("c", Polarity.PASS_RULE, ast), data).n_mismatch >= base
             for ast, _ in swept)
-        ctx = RefinementContext(grammar_doc=GRAMMAR_TEXT, target=target_rule,
-                                historical=(), evidence=evidence, mismatch_before=base)
+        ctx = RefinementContext(target=target_rule, historical=(), evidence=evidence,
+                                mismatch_before=base)
         gen = DeterministicGenerator(data, arg_odd)
         with pytest.raises(GenerationFailure, match="no improving edit"):
             generate_candidate(gen, ctx)
@@ -246,7 +238,6 @@ class TestMockGenerator:
             generate_candidate(gen, x1_context)
         candidate = generate_candidate(gen, x1_context)
         assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
-        assert candidate.source is CandidateSource.MOCK
 
     def test_exhausted_script(self, fixture42, x1_context):
         gen = MockGenerator([], fixture42.config.odd)
@@ -287,7 +278,6 @@ class TestLlmGenerator:
         gen = _llm(fixture42)
         candidate = generate_candidate(gen, x1_context)
         assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
-        assert candidate.source is CandidateSource.LLM
         assert apply_edits(fixture42.baseline_rule.ast, candidate.change_log) == candidate.ast
         assert len(gen.transcript) == 1
         assert gen.transcript[0].response.startswith("Rule:")
@@ -439,8 +429,7 @@ def _reference_generate(dataset, odd, ctx):
     explanation = (f"Applied {edit.kind.value} at {edit.path}: "
                    f"{edit.before or '(none)'} -> {edit.after or '(removed)'}; "
                    f"mismatches {base} -> {best[0]}.")
-    return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,),
-                               source=CandidateSource.DETERMINISTIC), scores
+    return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,)), scores
 
 
 _WORLD_DOMAINS = (
@@ -476,8 +465,8 @@ def _small_world(seed):
                                   mismatches=before.mismatches)
     except NoInconsistency:
         return None
-    return odd, data, RefinementContext(grammar_doc=GRAMMAR_TEXT, target=target, historical=(),
-                                        evidence=evidence, mismatch_before=before.n_mismatch)
+    return odd, data, RefinementContext(target=target, historical=(), evidence=evidence,
+                                        mismatch_before=before.n_mismatch)
 
 
 def _generate_or_summary(generator, ctx):

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleforge import (ParseError, RelOp, TokenKind, Var, ast_from_json, ast_to_json,
-                       check_vocabulary, evaluate, parse_rule, print_rule, random_rule,
-                       tokenize)
+from ruleforge import (ParseError, RelOp, TokenKind, Var, check_vocabulary, evaluate,
+                       parse_rule, print_rule, random_rule, tokenize)
 from ruleforge.grammar import Const, GrammarError, OddVariable, Relation, fmt_number, rule
 
 R1 = "(dist_front < 5.0) and (ego_speed > 0)"
@@ -181,14 +180,6 @@ class TestRoundTrip:
         printed = print_rule(rule([Relation(Var("x"), RelOp.LT, Const(value))]))
         reparsed = parse_rule(printed)
         assert reparsed.disjuncts[0].relations[0].rhs.value == value
-
-    def test_json_interchange_round_trip(self, odd):
-        for seed in range(50):
-            ast = random_rule(seed, odd, 3, 3)
-            data = ast_to_json(ast)
-            assert ast_from_json(data) == ast
-        data = ast_to_json(parse_rule(R1))
-        assert data["or"][0]["and"][0]["op"] == "<"
 
 
 class TestDesugaringSoundness:

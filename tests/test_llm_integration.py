@@ -9,7 +9,6 @@ import pytest
 from ruleforge import (EvidenceFile, LlmConfig, LlmGenerator, Outcome, RefinementContext,
                        generate_candidate, make_oracle, make_reference_fixture, print_rule,
                        search_counterfactual)
-from ruleforge.grammar import GRAMMAR_TEXT
 from ruleforge.scenario import FIXTURE_MISMATCHES
 
 REQUIRED = ("RULEFORGE_LLM_BASE_URL", "RULEFORGE_LLM_API_KEY", "RULEFORGE_LLM_MODEL")
@@ -29,8 +28,7 @@ def test_live_backend_produces_grammar_valid_candidate():
     evidence = EvidenceFile(rule_id=fixture.baseline_rule.id,
                             rule_text=print_rule(fixture.baseline_rule.ast),
                             dataset_ref="fixture", pairs=(pair,), unresolved=())
-    ctx = RefinementContext(grammar_doc=GRAMMAR_TEXT, target=fixture.baseline_rule,
-                            historical=(), evidence=evidence,
+    ctx = RefinementContext(target=fixture.baseline_rule, historical=(), evidence=evidence,
                             mismatch_before=FIXTURE_MISMATCHES)
     generator = LlmGenerator(
         LlmConfig(base_url=os.environ[REQUIRED[0]], api_key=os.environ[REQUIRED[1]],

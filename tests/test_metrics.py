@@ -57,7 +57,6 @@ class TestGrammarCompliance:
     def test_empty_input_flagged(self):
         report = grammar_compliance("")
         assert report.gc == 0.0 and report.n_tok == 0
-        assert report.empty_input
 
     def test_score_recomputable_from_counts(self):
         report = grammar_compliance("(ARG1 > 0) and and (ARG2 > 3)")

@@ -1,14 +1,14 @@
 import pickle
 import random
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleforge import (Consistency, DecisivenessReport, EmptyDataset, LabeledRun, Outcome,
-                       PolarizedRule, Polarity, UnboundVariable, classify_consistency,
-                       decisiveness, evaluate, odd_spec, parse_rule, print_rule, random_rule,
-                       semantics)
+from ruleforge import (DecisivenessReport, EmptyDataset, LabeledRun, Outcome, PolarizedRule,
+                       Polarity, UnboundVariable, decisiveness, evaluate, odd_spec, parse_rule,
+                       print_rule, random_rule, semantics)
 from ruleforge.grammar import Const, RelOp, Var, direct_bound, print_relation
 from ruleforge.semantics import DEFAULT_EPS_EQ
 
@@ -63,6 +63,14 @@ def _run(holds: bool, y: Outcome) -> LabeledRun:
     return LabeledRun(x={"v": 1.0 if holds else -1.0}, y=y)
 
 
+class Consistency(Enum):
+    """What one run is to a rule: decisiveness counts it a mismatch when
+    Inconsistent, and a rule Inconclusive on every run is fully inconclusive."""
+    CONSISTENT = "Consistent"
+    INCONSISTENT = "Inconsistent"
+    INCONCLUSIVE = "Inconclusive"
+
+
 class TestClassifyConsistency:
     @pytest.mark.parametrize("polarity,holds,y,expected", [
         (Polarity.PASS_RULE, True, Outcome.PASS, Consistency.CONSISTENT),
@@ -75,15 +83,15 @@ class TestClassifyConsistency:
         (Polarity.FAIL_RULE, False, Outcome.FAIL, Consistency.INCONCLUSIVE),
     ])
     def test_all_cases(self, polarity, holds, y, expected):
-        rule = PolarizedRule("r", polarity, HOLD)
-        assert classify_consistency(rule, _run(holds, y)) is expected
+        report = decisiveness(PolarizedRule("r", polarity, HOLD), [_run(holds, y)])
+        assert (report.n_mismatch == 1) is (expected is Consistency.INCONSISTENT)
+        assert report.fully_inconclusive is (expected is Consistency.INCONCLUSIVE)
 
     def test_inconclusive_iff_not_holding(self):
         rule = PolarizedRule("r", Polarity.PASS_RULE, HOLD)
         for holds in (True, False):
             for y in Outcome:
-                verdict = classify_consistency(rule, _run(holds, y))
-                assert (verdict is Consistency.INCONCLUSIVE) == (not holds)
+                assert decisiveness(rule, [_run(holds, y)]).fully_inconclusive is (not holds)
 
 
 class TestDecisiveness:
@@ -314,7 +322,7 @@ class TestCompiledEvaluator:
         for _ in range(5):
             evaluate(ast, {"a": 0.5, "b": 1.0})
             decisiveness(PolarizedRule("r", Polarity.PASS_RULE, ast), data)
-            classify_consistency(PolarizedRule("r", Polarity.FAIL_RULE, ast), data[0])
+            decisiveness(PolarizedRule("r", Polarity.FAIL_RULE, ast), data[:1])
         assert built == [ast] and built[0] is ast
         evaluate(twin, {"a": 0.5, "b": 1.0})  # an equal AST is a separate object
         assert len(built) == 2 and built[1] is twin

@@ -179,7 +179,7 @@ class TestEvidenceJson:
     def test_reload_structural_equality(self, evidence27, tmp_path):
         path = tmp_path / "evidence.json"
         storage.store_evidence(path, evidence27)
-        assert storage.load_evidence(path) == evidence27
+        assert storage.evidence_from_json(storage.read_json(path), path) == evidence27
 
     def test_schema_version_and_shape(self, evidence27, tmp_path):
         path = tmp_path / "evidence.json"
@@ -216,20 +216,6 @@ class TestOracleConfigJson:
         assert loaded == fixture42.config
         data = json.loads(path.read_text())
         assert data["schema_version"] == 1
-
-    def test_load_odd_accepts_bare_and_config_forms(self, fixture42, tmp_path):
-        config_path = tmp_path / "config.json"
-        storage.store_oracle_config(config_path, fixture42.config)
-        assert storage.load_odd(config_path) == fixture42.config.odd
-        bare_path = tmp_path / "odd.json"
-        bare_path.write_text(json.dumps(storage.odd_to_json(fixture42.config.odd)))
-        assert storage.load_odd(bare_path) == fixture42.config.odd
-
-    def test_odd_store_load_round_trip(self, fixture42, tmp_path):
-        path = tmp_path / "odd.json"
-        storage.store_odd(path, fixture42.config.odd)
-        assert storage.load_odd(path) == fixture42.config.odd
-        assert json.loads(path.read_text())["schema_version"] == 1
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "config.json"
