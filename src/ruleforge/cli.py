@@ -1,8 +1,10 @@
 """Command-line pipeline: simulate, evaluate, localize, refine, score, check.
 
 Exit codes: 0 success, 1 usage error, 2 parse/format error, 3 refinement
-exhausted or validation rejection. Diagnostics go to stderr, as JSON when
---json is set. All inputs are loaded and validated before any output file
+exhausted or validation rejection. Each fault is raised where it is found;
+main alone reports it on stderr, as "error (<kind>): <message>" or, under
+--json, as one JSON line {"error", "message"}. All inputs are loaded and
+validated, and an --out of the wrong kind refused, before any output file
 is written.
 """
 
@@ -12,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -36,59 +38,46 @@ ENV_API_KEY = "RULEFORGE_LLM_API_KEY"
 ENV_MODEL = "RULEFORGE_LLM_MODEL"
 
 
-class UsageFailure(click.ClickException):
-    exit_code = EXIT_USAGE
+class Refusal(Exception):
+    """A fault a command found; main reports it under its kind and exits
+    with its code."""
 
-
-@dataclass
-class AppState:
-    json_diagnostics: bool = False
-
-
-def _emit_error(state: AppState, kind: str, message: str) -> None:
-    if state.json_diagnostics:
-        click.echo(json.dumps({"error": kind, "message": message}), err=True)
-    else:
-        click.echo(f"error ({kind}): {message}", err=True)
-
-
-def _format_exit(state: AppState, message: str):
-    _emit_error(state, "format", message)
-    sys.exit(EXIT_FORMAT)
+    def __init__(self, message: str, kind: str = "usage", exit_code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.kind = kind
+        self.exit_code = exit_code
 
 
 def _pick_rule(rules, rule_id: str | None):
     if rule_id is None:
         if len(rules) == 1:
             return rules[0]
-        raise UsageFailure("multiple rules in file; pass --rule-id")
+        raise Refusal("multiple rules in file; pass --rule-id")
     for rule in rules:
         if rule.id == rule_id:
             return rule
-    raise UsageFailure(f"no rule with id {rule_id!r}")
+    raise Refusal(f"no rule with id {rule_id!r}")
 
 
-def _load_inputs(state: AppState, loader, path, *args):
+def _load_inputs(loader, path, *args):
     try:
         return loader(path, *args)
     except OSError as exc:  # missing, a directory, unreadable
-        raise UsageFailure(f"cannot read {path}: {exc.strerror or exc}")
-    except storage.FormatError as exc:
-        _format_exit(state, str(exc))
+        raise Refusal(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _load_in_domain(state: AppState, rules_path, dataset_path, config_path):
+def _load_in_domain(rules_path, dataset_path, config_path):
     """Load a dataset, an oracle config and rules. A run outside the config's
     declared domain (or lacking one of its variables) cannot be searched or
     scored, nor can a rule naming a variable the domain lacks: both are
     refused as format errors."""
-    runs = _load_inputs(state, storage.load_dataset, dataset_path)
-    config = _load_inputs(state, storage.load_oracle_config, config_path)
+    runs = _load_inputs(storage.load_dataset, dataset_path)
+    config = _load_inputs(storage.load_oracle_config, config_path)
     for lineno, run in enumerate(runs, start=2):
         if not config.odd.contains_point(run.x):
-            _format_exit(state, f"{dataset_path}: line {lineno}: "
-                                f"run outside the declared domain: {run.x}")
-    rules = _load_inputs(state, storage.load_rules, rules_path, config.odd.names)
+            raise storage.FormatError(f"{dataset_path}: line {lineno}: "
+                                      f"run outside the declared domain: {run.x}")
+    rules = _load_inputs(storage.load_rules, rules_path, config.odd.names)
     return rules, runs, config
 
 
@@ -109,10 +98,10 @@ def _tolerance(ctx, param, value: float) -> float:
 @click.group()
 @click.option("--json", "json_diagnostics", is_flag=True,
               help="Machine-readable JSON diagnostics on stderr.")
-@click.pass_context
-def cli(ctx, json_diagnostics):
+@click.pass_obj
+def cli(obj: dict, json_diagnostics):
     """Grammar-constrained refinement of safety operational rules."""
-    ctx.obj = AppState(json_diagnostics=json_diagnostics)
+    obj["json"] = json_diagnostics
 
 
 @cli.command()
@@ -123,10 +112,9 @@ def cli(ctx, json_diagnostics):
 @click.option("--seed", default=42, show_default=True)
 @click.option("--reference-fixture", is_flag=True,
               help="Emit the canned 198-run / 27-mismatch fixture instead of sampling.")
-@click.option("--out", "out_dir", type=click.Path(path_type=Path), default=Path("."),
-              show_default=True, help="Output directory.")
-@click.pass_obj
-def sim(state: AppState, config_path, n, seed, reference_fixture, out_dir):
+@click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
+              default=Path("."), show_default=True, help="Output directory.")
+def sim(config_path, n, seed, reference_fixture, out_dir):
     """Sample a labeled dataset from the synthetic oracle."""
     if reference_fixture:
         fixture = make_reference_fixture(seed)
@@ -134,7 +122,7 @@ def sim(state: AppState, config_path, n, seed, reference_fixture, out_dir):
         rules = [fixture.baseline_rule]
     else:
         # The written config records the seed the runs were drawn with.
-        config = (replace(_load_inputs(state, storage.load_oracle_config, config_path),
+        config = (replace(_load_inputs(storage.load_oracle_config, config_path),
                           seed=seed)
                   if config_path else default_config(seed))
         runs = sample_dataset(config, n, seed)
@@ -152,13 +140,12 @@ def sim(state: AppState, config_path, n, seed, reference_fixture, out_dir):
 @click.option("--dataset", "dataset_path", type=click.Path(path_type=Path), required=True)
 @click.option("--eps-eq", type=float, default=DEFAULT_EPS_EQ, show_default=True,
               callback=_tolerance)
-@click.option("--out", "out_path", type=click.Path(path_type=Path),
+@click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
               help="Write the JSON report here instead of stdout.")
-@click.pass_obj
-def eval_cmd(state: AppState, rules_path, dataset_path, eps_eq, out_path):
+def eval_cmd(rules_path, dataset_path, eps_eq, out_path):
     """Per-rule decisiveness over a labeled dataset."""
-    runs = _load_inputs(state, storage.load_dataset, dataset_path)
-    rules = _load_inputs(state, storage.load_rules, rules_path, runs[0].x)
+    runs = _load_inputs(storage.load_dataset, dataset_path)
+    rules = _load_inputs(storage.load_rules, rules_path, runs[0].x)
     results = []
     definitive_dgs = []
     for rule in rules:
@@ -180,11 +167,10 @@ def eval_cmd(state: AppState, rules_path, dataset_path, eps_eq, out_path):
         "aggregate_dg": (sum(definitive_dgs) / len(definitive_dgs)
                          if definitive_dgs else None),
     }
-    text = json.dumps(payload, indent=2) + "\n"
     if out_path:
-        _made_parent(out_path).write_text(text, encoding="utf-8")
+        storage.write_json(_made_parent(out_path), payload)
     else:
-        click.echo(text, nl=False)
+        click.echo(storage.json_text(payload), nl=False)
 
 
 @cli.command()
@@ -197,39 +183,34 @@ def eval_cmd(state: AppState, rules_path, dataset_path, eps_eq, out_path):
               default=SearchLimits().max_radius_steps, show_default=True)
 @click.option("--search-budget", type=click.IntRange(min=1), default=SearchLimits().budget,
               show_default=True, help="Oracle queries allowed per counterfactual search.")
-@click.option("--out", "out_path", type=click.Path(path_type=Path), default=Path("evidence.json"),
-              show_default=True)
-@click.pass_obj
-def cf(state: AppState, rules_path, rule_id, dataset_path, config_path, max_radius,
-       search_budget, out_path):
+@click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
+              default=Path("evidence.json"), show_default=True)
+def cf(rules_path, rule_id, dataset_path, config_path, max_radius, search_budget, out_path):
     """Build the counterfactual evidence file for an inconsistent rule."""
-    rules, runs, config = _load_in_domain(state, rules_path, dataset_path, config_path)
+    rules, runs, config = _load_in_domain(rules_path, dataset_path, config_path)
     rule = _pick_rule(rules, rule_id)
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
-    try:
-        evidence = build_evidence(rule, runs, make_oracle(config), config.odd, limits,
-                                  dataset_ref=str(dataset_path))
-    except NoInconsistency as exc:
-        raise UsageFailure(str(exc))
+    evidence = build_evidence(rule, runs, make_oracle(config), config.odd, limits,
+                              dataset_ref=str(dataset_path))
     storage.store_evidence(_made_parent(out_path), evidence)
     click.echo(f"wrote {len(evidence.pairs)} pairs "
                f"({len(evidence.unresolved)} unresolved) to {out_path}")
 
 
-def _make_generator(state: AppState, generator: str, mock_script, runs, odd, eps_eq):
+def _make_generator(generator: str, mock_script, runs, odd, eps_eq):
     if generator == "local":
         return DeterministicGenerator(runs, odd, eps_eq)
     if generator == "mock":
         if mock_script is None:
-            raise UsageFailure("--generator mock requires --mock-script")
-        responses = _load_inputs(state, storage.read_json, mock_script)
+            raise Refusal("--generator mock requires --mock-script")
+        responses = _load_inputs(storage.read_json, mock_script)
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
-            _format_exit(state, f"{mock_script}: expected a JSON list of strings")
+            raise storage.FormatError(f"{mock_script}: expected a JSON list of strings")
         return MockGenerator(responses, odd)
     missing = [name for name in (ENV_BASE_URL, ENV_API_KEY, ENV_MODEL)
                if not os.environ.get(name)]
     if missing:
-        raise UsageFailure("llm generator needs environment variables: " + ", ".join(missing))
+        raise Refusal("llm generator needs environment variables: " + ", ".join(missing))
     config = LlmConfig(base_url=os.environ[ENV_BASE_URL], api_key=os.environ[ENV_API_KEY],
                        model=os.environ[ENV_MODEL])
     return LlmGenerator(config, odd)
@@ -252,27 +233,24 @@ def _make_generator(state: AppState, generator: str, mock_script, runs, odd, eps
               default=SearchLimits().max_radius_steps, show_default=True)
 @click.option("--search-budget", type=click.IntRange(min=1), default=SearchLimits().budget,
               show_default=True)
-@click.option("--out", "out_dir", type=click.Path(path_type=Path), default=Path("."),
-              show_default=True, help="Output directory.")
-@click.pass_obj
-def refine(state: AppState, rules_path, rule_id, dataset_path, config_path, generator,
+@click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
+              default=Path("."), show_default=True, help="Output directory.")
+def refine(rules_path, rule_id, dataset_path, config_path, generator,
            mock_script, max_attempts, eps_eq, max_radius, search_budget, out_dir):
     """Run the refine-validate loop on an inconsistent rule."""
-    rules, runs, config = _load_in_domain(state, rules_path, dataset_path, config_path)
+    rules, runs, config = _load_in_domain(rules_path, dataset_path, config_path)
     target = _pick_rule(rules, rule_id)
-    gen = _make_generator(state, generator, mock_script, runs, config.odd, eps_eq)
+    gen = _make_generator(generator, mock_script, runs, config.odd, eps_eq)
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
     try:
         outcome = refine_loop(target, rules, runs, make_oracle(config), config.odd, gen,
                               max_attempts, eps_eq=eps_eq, limits=limits)
-    except NoInconsistency as exc:
-        raise UsageFailure(str(exc))
     except Exhausted as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_transcripts(out_dir, gen)
         summary = "; ".join(r.failure_summary or "" for r in exc.reports)
-        _emit_error(state, "refinement", f"exhausted after {len(exc.reports)} attempts: {summary}")
-        sys.exit(EXIT_REFINEMENT)
+        raise Refusal(f"exhausted after {len(exc.reports)} attempts: {summary}",
+                      "refinement", EXIT_REFINEMENT)
     out_dir.mkdir(parents=True, exist_ok=True)
     storage.store_outcome(out_dir / "outcome.json", outcome, target.id)
     (out_dir / "report.txt").write_text(_render_report(target, outcome), encoding="utf-8")
@@ -289,8 +267,7 @@ def _write_transcripts(out_dir: Path, gen) -> None:
         "schema_version": storage.SCHEMA_VERSION,
         "transcripts": [{"prompt": t.prompt, "response": t.response} for t in transcript],
     }
-    (out_dir / "transcripts.json").write_text(json.dumps(payload, indent=2) + "\n",
-                                              encoding="utf-8")
+    storage.write_json(out_dir / "transcripts.json", payload)
 
 
 def _render_report(target, outcome) -> str:
@@ -319,20 +296,19 @@ def _render_report(target, outcome) -> str:
 @click.option("--raw", "raw_path", type=click.Path(path_type=Path),
               help="Raw generator text for grammar compliance; defaults to the "
                    "canonical refined rule.")
-@click.option("--out", "out_path", type=click.Path(path_type=Path), default=Path("metrics.json"),
-              show_default=True)
-@click.pass_obj
-def metrics_cmd(state: AppState, rules_path, rule_id, dataset_path, config_path,
-                outcome_path, raw_path, out_path):
+@click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
+              default=Path("metrics.json"), show_default=True)
+def metrics_cmd(rules_path, rule_id, dataset_path, config_path, outcome_path, raw_path,
+                out_path):
     """Score a refinement: decisiveness gain, validity, compliance, minimality."""
-    rules, runs, config = _load_in_domain(state, rules_path, dataset_path, config_path)
-    outcome = _load_inputs(state, storage.load_outcome, outcome_path)
+    rules, runs, config = _load_in_domain(rules_path, dataset_path, config_path)
+    outcome = _load_inputs(storage.load_outcome, outcome_path)
     unbound = outcome.refined.variables() - set(config.odd.names)
     if unbound:
-        _format_exit(state, f"{outcome_path}: refined rule: unbound variable(s) "
-                            f"{sorted(unbound)}")
+        raise storage.FormatError(f"{outcome_path}: refined rule: unbound variable(s) "
+                                  f"{sorted(unbound)}")
     target = _pick_rule(rules, rule_id)
-    raw_text = (_load_inputs(state, storage.read_text, raw_path) if raw_path
+    raw_text = (_load_inputs(storage.read_text, raw_path) if raw_path
                 else print_rule(outcome.refined))
     refined_rule = PolarizedRule(target.id, target.polarity, outcome.refined)
     report = build_metrics_report(
@@ -346,19 +322,18 @@ def metrics_cmd(state: AppState, rules_path, rule_id, dataset_path, config_path,
 @cli.command()
 @click.option("--rules", "rules_path", type=click.Path(path_type=Path), required=True)
 @click.option("--config", "config_path", type=click.Path(path_type=Path), required=True)
-@click.pass_obj
-def check(state: AppState, rules_path, config_path):
+def check(rules_path, config_path):
     """Parse and vet a rules file: vocabulary and grammar compliance."""
-    config = _load_inputs(state, storage.load_oracle_config, config_path)
-    data = _load_inputs(state, storage.read_json, rules_path)
+    config = _load_inputs(storage.load_oracle_config, config_path)
+    data = _load_inputs(storage.read_json, rules_path)
     if not isinstance(data, list):
-        _format_exit(state, f"{rules_path}: rules file must be a JSON list")
+        raise storage.FormatError(f"{rules_path}: rules file must be a JSON list")
     failures = 0
     for i, entry in enumerate(data):
         rule_id = entry.get("id", f"#{i}") if isinstance(entry, dict) else f"#{i}"
         text = entry.get("text", "") if isinstance(entry, dict) else str(entry)
         if not isinstance(text, str):
-            _format_exit(state, f"{rules_path}: rule {i} ({rule_id}): text must be a string")
+            raise storage.FormatError(f"{rules_path}: rule {i} ({rule_id}): text must be a string")
         gc = grammar_compliance(text)
         try:
             ast = parse_rule(text)
@@ -373,25 +348,25 @@ def check(state: AppState, rules_path, config_path):
         if violations:
             failures += 1
     if failures:
-        _emit_error(state, "check", f"{failures} rule(s) failed validation")
-        sys.exit(EXIT_FORMAT)
+        raise Refusal(f"{failures} rule(s) failed validation", "check", EXIT_FORMAT)
 
 
 def main(argv=None) -> int:
+    obj: dict = {}  # the group callback records --json here
     try:
-        cli.main(args=argv, standalone_mode=False)
+        cli.main(args=argv, standalone_mode=False, obj=obj)
         return EXIT_OK
     except click.UsageError as exc:
-        click.echo(f"error (usage): {exc.format_message()}", err=True)
-        return EXIT_USAGE
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_USAGE if exc.exit_code == 1 else exc.exit_code
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        kind, message, code = "usage", exc.format_message(), EXIT_USAGE
+    except Refusal as exc:
+        kind, message, code = exc.kind, str(exc), exc.exit_code
     except storage.FormatError as exc:
-        click.echo(f"error (format): {exc}", err=True)
-        return EXIT_FORMAT
+        kind, message, code = "format", str(exc), EXIT_FORMAT
+    except NoInconsistency as exc:
+        kind, message, code = "usage", str(exc), EXIT_USAGE
+    click.echo(json.dumps({"error": kind, "message": message}) if obj.get("json")
+               else f"error ({kind}): {message}", err=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -114,12 +114,14 @@ def store_dataset(path: str | Path, runs: list[LabeledRun]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+def json_text(payload) -> str:
+    """The one JSON form of every artifact: indented, non-ASCII kept as is,
+    newline-terminated."""
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def _write_json(path: str | Path, payload) -> None:
-    Path(path).write_bytes(_json_bytes(payload))
+def write_json(path: str | Path, payload) -> None:
+    Path(path).write_bytes(json_text(payload).encode("utf-8"))
 
 
 def read_text(path: str | Path) -> str:
@@ -181,7 +183,7 @@ def load_rules(path: str | Path, variables=None) -> list[PolarizedRule]:
 
 
 def store_rules(path: str | Path, rules: list[PolarizedRule]) -> None:
-    _write_json(path, [
+    write_json(path, [
         {"id": r.id, "polarity": r.polarity.value, "text": print_rule(r.ast)}
         for r in rules
     ])
@@ -215,7 +217,7 @@ def odd_from_json(data, path="<odd>") -> OddSpec:
 
 
 def store_oracle_config(path: str | Path, config: OracleConfig) -> None:
-    _write_json(path, {
+    write_json(path, {
         "schema_version": SCHEMA_VERSION,
         "odd": odd_to_json(config.odd),
         "safe_region": print_rule(config.safe_region),
@@ -294,7 +296,7 @@ def evidence_from_json(data, path="<evidence>") -> EvidenceFile:
 
 
 def store_evidence(path: str | Path, evidence: EvidenceFile) -> None:
-    _write_json(path, evidence_to_json(evidence))
+    write_json(path, evidence_to_json(evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,7 @@ def outcome_to_json(outcome: RefinementOutcome, rule_id: str) -> dict:
 
 
 def store_outcome(path: str | Path, outcome: RefinementOutcome, rule_id: str) -> None:
-    _write_json(path, outcome_to_json(outcome, rule_id))
+    write_json(path, outcome_to_json(outcome, rule_id))
 
 
 def load_outcome(path: str | Path) -> RefinementOutcome:
@@ -418,4 +420,4 @@ def metrics_to_json(report: MetricsReport) -> dict:
 
 
 def store_metrics(path: str | Path, report: MetricsReport) -> None:
-    _write_json(path, metrics_to_json(report))
+    write_json(path, metrics_to_json(report))

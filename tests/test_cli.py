@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ruleforge
+from ruleforge import storage
 from ruleforge.cli import main
 from ruleforge.grammar import print_rule
 from ruleforge.semantics import decisiveness
@@ -585,6 +587,112 @@ class TestUnreadableInput:
                      "--raw", str(raw_path), "--out", str(out)]) == code
         assert not out.exists()
         assert str(raw_path) in capsys.readouterr().err
+
+
+def _tree(root: Path) -> dict:
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+class TestOutOfTheWrongKind:
+    """An --out naming a directory where a file is written (eval, cf,
+    metrics), or a file where a directory is made (sim, refine), is a usage
+    error found before any work: nothing is written, no oracle is built and
+    no traceback escapes."""
+
+    @pytest.mark.parametrize("command", ["sim", "eval", "cf", "refine", "metrics"])
+    def test_exit_1_and_nothing_written(self, workspace, tmp_path, capsys, monkeypatch,
+                                        command):
+        built = []
+        monkeypatch.setattr("ruleforge.cli.make_oracle", built.append)
+        inputs = {"sim": ["--reference-fixture"], "eval": _args(workspace)[:4],
+                  "cf": _args(workspace), "refine": _args(workspace, "--generator", "local"),
+                  "metrics": _args(workspace, "--outcome", str(GOLDEN_OUTCOME))}[command]
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        out = workspace / "rules.json" if command in ("sim", "refine") else taken
+        before = _tree(tmp_path)
+        assert main([command, *inputs, "--out", str(out)]) == 1
+        assert _tree(tmp_path) == before
+        assert built == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error (usage): Invalid value for '--out'")
+
+
+class TestOneJsonWriter:
+    """eval's report and transcripts.json are written as every other JSON
+    artifact is: UTF-8, non-ASCII text kept as is."""
+
+    def test_eval_report_keeps_non_ascii_rule_ids(self, workspace, tmp_path, capsys):
+        rules = _rules_file(tmp_path, [{"id": "règle", "polarity": "pass",
+                                        "text": "(dist_front < 5) and (ego_speed > 0)"}])
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--rules", str(rules), "--dataset", str(workspace / "dataset.csv")]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        assert '"rule_id": "règle"' in text
+        assert capsys.readouterr().out == text
+        assert text == storage.json_text(json.loads(text))
+
+    def test_transcripts_keep_non_ascii_text(self, workspace, tmp_path, monkeypatch):
+        for name, value in (("RULEFORGE_LLM_BASE_URL", "http://llm.invalid"),
+                            ("RULEFORGE_LLM_API_KEY", "key"), ("RULEFORGE_LLM_MODEL", "m")):
+            monkeypatch.setenv(name, value)
+        reply = ("Rule: (dist_front < 4.2) and (ego_speed > 0)\n"
+                 "Explanation: seuil resserré")
+        body = json.dumps({"choices": [{"message": {"content": reply}}]}).encode("utf-8")
+        monkeypatch.setattr("urllib.request.urlopen",
+                            lambda request, timeout=None: io.BytesIO(body))
+        out = tmp_path / "run"
+        assert main(["refine", *_args(workspace), "--generator", "llm", "--out", str(out)]) == 0
+        text = (out / "transcripts.json").read_text(encoding="utf-8")
+        assert "seuil resserré" in text
+        assert text == storage.json_text(json.loads(text))
+
+
+_REFUSALS = {
+    "click-usage-error": (1, "usage", lambda ws, tmp: [
+        "eval", *_args(ws)[:4], "--eps-eq", "nan"]),
+    "unknown-rule-id": (1, "usage", lambda ws, tmp: [
+        "refine", *_args(ws), "--rule-id", "nope", "--out", str(tmp / "run")]),
+    "consistent-rule": (1, "usage", lambda ws, tmp: [
+        "cf", "--rules", str(_rules_file(tmp, [{
+            "id": "ok", "polarity": "pass",
+            "text": "(dist_front < 4.05) and (ego_speed > 0)"}])),
+        *_args(ws)[2:], "--out", str(tmp / "e.json")]),
+    "malformed-dataset": (2, "format", lambda ws, tmp: [
+        "eval", "--rules", str(ws / "rules.json"), "--dataset", str(_text_file(
+            tmp / "bad.csv", "a,b\n1,2\n"))]),
+    "exhausted-mock-script": (3, "refinement", lambda ws, tmp: [
+        "refine", *_args(ws), "--generator", "mock", "--mock-script", str(_text_file(
+            tmp / "script.json", json.dumps(["", "no rule here"]))),
+        "--max-attempts", "2", "--out", str(tmp / "run")]),
+    "failing-check": (2, "check", lambda ws, tmp: [
+        "check", "--rules", str(_rules_file(tmp, [{
+            "id": "bad", "polarity": "pass", "text": "(headway > 2)"}])),
+        "--config", str(ws / "oracle_config.json")]),
+}
+
+
+def _text_file(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_each_refusal_is_one_stderr_line(workspace, tmp_path, capsys, case, as_json):
+    """Every kind of refusal is reported once, by main, with its exit code;
+    under --json as one JSON object."""
+    code, kind, argv = _REFUSALS[case]
+    assert main([*(["--json"] if as_json else []), *argv(workspace, tmp_path)]) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    if as_json:
+        payload = json.loads(line)
+        assert payload["error"] == kind and payload["message"]
+    else:
+        assert line.startswith(f"error ({kind}): ")
 
 
 def test_public_names_resolve_once():
