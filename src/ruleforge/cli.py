@@ -11,13 +11,13 @@ is written.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import storage
 from .counterfactual import NoInconsistency, SearchLimits, build_evidence
@@ -25,7 +25,7 @@ from .generation import DeterministicGenerator, LlmConfig, LlmGenerator, MockGen
 from .grammar import ParseError, check_vocabulary, parse_rule, print_rule
 from .metrics import build_metrics_report, grammar_compliance, metrics_table
 from .scenario import default_config, make_oracle, make_reference_fixture, sample_dataset
-from .semantics import DEFAULT_EPS_EQ, PolarizedRule, decisiveness
+from .semantics import PolarizedRule, decisiveness
 from .validation import DEFAULT_MAX_ATTEMPTS, Exhausted, refine_loop
 
 EXIT_OK = 0
@@ -88,14 +88,7 @@ def _made_parent(path: Path) -> Path:
     return path
 
 
-def _tolerance(ctx, param, value: float) -> float:
-    # click.FloatRange(min=0) would still admit NaN and inf; no tolerance means either.
-    if not (math.isfinite(value) and value >= 0):
-        raise click.BadParameter(f"{value} is not a finite number >= 0")
-    return value
-
-
-@click.group()
+@click.group(no_args_is_help=False)  # no command is a usage error, one line like any other
 @click.option("--json", "json_diagnostics", is_flag=True,
               help="Machine-readable JSON diagnostics on stderr.")
 @click.pass_obj
@@ -114,9 +107,13 @@ def cli(obj: dict, json_diagnostics):
               help="Emit the canned 198-run / 27-mismatch fixture instead of sampling.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
               default=Path("."), show_default=True, help="Output directory.")
-def sim(config_path, n, seed, reference_fixture, out_dir):
+@click.pass_context
+def sim(ctx, config_path, n, seed, reference_fixture, out_dir):
     """Sample a labeled dataset from the synthetic oracle."""
     if reference_fixture:
+        # The fixture has its own config and run count; neither can be chosen.
+        if config_path or ctx.get_parameter_source("n") is not ParameterSource.DEFAULT:
+            raise click.UsageError("--reference-fixture takes neither --config nor --n", ctx)
         fixture = make_reference_fixture(seed)
         config, runs = fixture.config, fixture.dataset
         rules = [fixture.baseline_rule]
@@ -138,18 +135,16 @@ def sim(config_path, n, seed, reference_fixture, out_dir):
 @cli.command("eval")
 @click.option("--rules", "rules_path", type=click.Path(path_type=Path), required=True)
 @click.option("--dataset", "dataset_path", type=click.Path(path_type=Path), required=True)
-@click.option("--eps-eq", type=float, default=DEFAULT_EPS_EQ, show_default=True,
-              callback=_tolerance)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
               help="Write the JSON report here instead of stdout.")
-def eval_cmd(rules_path, dataset_path, eps_eq, out_path):
+def eval_cmd(rules_path, dataset_path, out_path):
     """Per-rule decisiveness over a labeled dataset."""
     runs = _load_inputs(storage.load_dataset, dataset_path)
     rules = _load_inputs(storage.load_rules, rules_path, runs[0].x)
     results = []
     definitive_dgs = []
     for rule in rules:
-        report = decisiveness(rule, runs, eps_eq)
+        report = decisiveness(rule, runs)
         if not report.fully_inconclusive:
             definitive_dgs.append(report.dg)
         results.append({
@@ -197,9 +192,9 @@ def cf(rules_path, rule_id, dataset_path, config_path, max_radius, search_budget
                f"({len(evidence.unresolved)} unresolved) to {out_path}")
 
 
-def _make_generator(generator: str, mock_script, runs, odd, eps_eq):
+def _make_generator(generator: str, mock_script, runs, odd):
     if generator == "local":
-        return DeterministicGenerator(runs, odd, eps_eq)
+        return DeterministicGenerator(runs, odd)
     if generator == "mock":
         if mock_script is None:
             raise Refusal("--generator mock requires --mock-script")
@@ -227,8 +222,6 @@ def _make_generator(generator: str, mock_script, runs, odd, eps_eq):
               help="JSON list of scripted responses for --generator mock.")
 @click.option("--max-attempts", type=click.IntRange(min=1), default=DEFAULT_MAX_ATTEMPTS,
               show_default=True)
-@click.option("--eps-eq", type=float, default=DEFAULT_EPS_EQ, show_default=True,
-              callback=_tolerance)
 @click.option("--max-radius", type=click.IntRange(min=1),
               default=SearchLimits().max_radius_steps, show_default=True)
 @click.option("--search-budget", type=click.IntRange(min=1), default=SearchLimits().budget,
@@ -236,15 +229,15 @@ def _make_generator(generator: str, mock_script, runs, odd, eps_eq):
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
               default=Path("."), show_default=True, help="Output directory.")
 def refine(rules_path, rule_id, dataset_path, config_path, generator,
-           mock_script, max_attempts, eps_eq, max_radius, search_budget, out_dir):
+           mock_script, max_attempts, max_radius, search_budget, out_dir):
     """Run the refine-validate loop on an inconsistent rule."""
     rules, runs, config = _load_in_domain(rules_path, dataset_path, config_path)
     target = _pick_rule(rules, rule_id)
-    gen = _make_generator(generator, mock_script, runs, config.odd, eps_eq)
+    gen = _make_generator(generator, mock_script, runs, config.odd)
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
     try:
         outcome = refine_loop(target, rules, runs, make_oracle(config), config.odd, gen,
-                              max_attempts, eps_eq=eps_eq, limits=limits)
+                              max_attempts, limits=limits)
     except Exhausted as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_transcripts(out_dir, gen)
@@ -325,15 +318,8 @@ def metrics_cmd(rules_path, rule_id, dataset_path, config_path, outcome_path, ra
 def check(rules_path, config_path):
     """Parse and vet a rules file: vocabulary and grammar compliance."""
     config = _load_inputs(storage.load_oracle_config, config_path)
-    data = _load_inputs(storage.read_json, rules_path)
-    if not isinstance(data, list):
-        raise storage.FormatError(f"{rules_path}: rules file must be a JSON list")
     failures = 0
-    for i, entry in enumerate(data):
-        rule_id = entry.get("id", f"#{i}") if isinstance(entry, dict) else f"#{i}"
-        text = entry.get("text", "") if isinstance(entry, dict) else str(entry)
-        if not isinstance(text, str):
-            raise storage.FormatError(f"{rules_path}: rule {i} ({rule_id}): text must be a string")
+    for rule_id, _, text in _load_inputs(storage.rule_entries, rules_path):
         gc = grammar_compliance(text)
         try:
             ast = parse_rule(text)
@@ -358,6 +344,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     except click.UsageError as exc:
         kind, message, code = "usage", exc.format_message(), EXIT_USAGE
+        if exc.ctx is not None:  # a group-level error comes before the group callback
+            obj["json"] = exc.ctx.find_root().params.get("json_diagnostics")
     except Refusal as exc:
         kind, message, code = exc.kind, str(exc), exc.exit_code
     except storage.FormatError as exc:

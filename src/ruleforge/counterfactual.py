@@ -35,7 +35,7 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from .grammar import OddSpec, print_rule
-from .semantics import DEFAULT_EPS_EQ, LabeledRun, Outcome, PolarizedRule, decisiveness
+from .semantics import LabeledRun, Outcome, PolarizedRule, decisiveness
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RADIUS_STEPS = 20
@@ -283,19 +283,18 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
 
 def build_evidence(rule: PolarizedRule, dataset: list[LabeledRun], oracle: Oracle,
                    odd: OddSpec, limits: SearchLimits = SearchLimits(),
-                   dataset_ref: str = "", eps_eq: float = DEFAULT_EPS_EQ,
-                   mismatches: Sequence[int] | None = None) -> EvidenceFile:
+                   dataset_ref: str = "", mismatches: Sequence[int] | None = None) -> EvidenceFile:
     """One counterfactual search per inconsistent run, in dataset order.
 
     `mismatches` are the inconsistent runs' indices, as
-    `decisiveness(rule, dataset, eps_eq).mismatches` gives them; a caller
+    `decisiveness(rule, dataset).mismatches` gives them; a caller
     that has scored the rule passes them in, and they are computed when
     not given. Runs whose search exhausts the radius or budget are listed
     as unresolved; together with the pairs they partition the inconsistent
     set.
     """
     if mismatches is None:
-        mismatches = decisiveness(rule, dataset, eps_eq).mismatches if dataset else ()
+        mismatches = decisiveness(rule, dataset).mismatches if dataset else ()
     if not mismatches:
         raise NoInconsistency(f"rule {rule.id!r} has no inconsistent runs")
     pairs: list[CounterfactualPair] = []

@@ -26,7 +26,7 @@ from .grammar import (GRAMMAR_TEXT, Const, Conjunct, OddSpec, ParseError, Relati
                       RuleAst, STRICTNESS_SWAP, Var, check_vocabulary, direct_bound,
                       fmt_number, parse_relation, parse_rule, print_conjunct, print_relation,
                       print_rule, rule)
-from .semantics import DEFAULT_EPS_EQ, LabeledRun, PolarizedRule, compile_rule
+from .semantics import LabeledRun, PolarizedRule, compile_rule
 
 FORMAT_EXEMPLAR = "(0<ARG2<5) and (ARG1>0) or (8<ARG2<12)"
 
@@ -453,11 +453,9 @@ class DeterministicGenerator:
     that reaches it is cut, and the search ends at a count of 0. Only the
     chosen candidate's count is exact; refine_loop scores it in full."""
 
-    def __init__(self, dataset: list[LabeledRun], odd: OddSpec,
-                 eps_eq: float = DEFAULT_EPS_EQ):
+    def __init__(self, dataset: list[LabeledRun], odd: OddSpec):
         self.dataset = dataset
         self.odd = odd
-        self.eps_eq = eps_eq
 
     def generate(self, ctx: RefinementContext) -> RefinementCandidate:
         if not ctx.evidence.pairs:
@@ -472,7 +470,7 @@ class DeterministicGenerator:
                 break
             holds, n_mismatch = compile_rule(ast), 0
             for x in wrong:
-                if holds(x, self.eps_eq, None):
+                if holds(x, None):
                     n_mismatch += 1
                     if n_mismatch == cap:
                         break

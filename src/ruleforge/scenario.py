@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .counterfactual import Oracle
 from .grammar import OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
-from .semantics import (DEFAULT_EPS_EQ, LabeledRun, Outcome, PolarizedRule, Polarity,
-                        compile_rule, decisiveness, evaluate)
+from .semantics import (LabeledRun, Outcome, PolarizedRule, Polarity, compile_rule,
+                        decisiveness, evaluate)
 
 DEFAULT_ODD = odd_spec([
     ("ego_speed", 0.0, 30.0, 0.5),
@@ -63,7 +63,7 @@ def oracle_label(config: OracleConfig, x: dict[str, float]) -> Outcome:
     """Pass iff x satisfies the configured safe region. Deterministic."""
     if not config.odd.contains_point(x):
         raise OutOfDomain(f"input outside declared ranges: {x}")
-    return Outcome.PASS if compile_rule(config.safe_region)(x, DEFAULT_EPS_EQ, None) else Outcome.FAIL
+    return Outcome.PASS if compile_rule(config.safe_region)(x, None) else Outcome.FAIL
 
 
 def make_oracle(config: OracleConfig) -> Oracle:

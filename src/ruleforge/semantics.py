@@ -5,7 +5,7 @@ holds, a fail rule asserts Fail. Holding-but-wrong is Inconsistent; not
 holding is Inconclusive and the observed outcome is ignored.
 
 Every evaluation goes through one function per rule, generated from its AST
-and compiled on first use (compile_rule). == and != hold within eps_eq; a
+and compiled on first use (compile_rule). == and != hold within EPS_EQ; a
 division by zero makes its relation false and appends "division by zero in
 <relation>" to the diagnostics, in rule order; a variable missing from the
 input raises UnboundVariable.
@@ -20,7 +20,8 @@ from typing import Callable
 from .grammar import (PRECEDENCE, ArithOp, BinOp, Const, Expr, Relation, RelOp, RuleAst, Var,
                       print_relation, print_rule)
 
-DEFAULT_EPS_EQ = 1e-9
+#: The tolerance of == and != in every rule, the oracle's safe region included.
+EPS_EQ = 1e-9
 
 
 class Outcome(Enum):
@@ -63,8 +64,8 @@ class EmptyDataset(ValueError):
     pass
 
 
-#: A compiled rule: holds(x, eps_eq, diagnostics) -> bool.
-Holds = Callable[[dict[str, float], float, list[str] | None], bool]
+#: A compiled rule: holds(x, diagnostics) -> bool.
+Holds = Callable[[dict[str, float], list[str] | None], bool]
 
 
 def _has_division(expr: Expr) -> bool:
@@ -93,7 +94,7 @@ def _build(ast: RuleAst) -> Holds:
     float operation is the one the rule spells. The slots are parameters of
     a factory whose closures are the rule, so no reference cycle holds a
     dead rule's code."""
-    slots: dict[str, object] = {"UnboundVariable": UnboundVariable}
+    slots: dict[str, object] = {"UnboundVariable": UnboundVariable, "eps": EPS_EQ}
     helpers: list[str] = []
 
     def slot(value) -> str:
@@ -112,19 +113,19 @@ def _build(ast: RuleAst) -> Holds:
         # A zero divisor makes this relation false and records a diagnostic.
         name = f"_r{len(helpers)}"
         message = slot(f"division by zero in {print_relation(rel)}")
-        helpers.append(f"    def {name}(x, eps, diag):\n"
+        helpers.append(f"    def {name}(x, diag):\n"
                        f"        try:\n"
                        f"            return {test}\n"
                        f"        except ZeroDivisionError:\n"
                        f"            if diag is not None:\n"
                        f"                diag.append({message})\n"
                        f"            return False\n")
-        return f"{name}(x, eps, diag)"
+        return f"{name}(x, diag)"
 
     body = " or ".join("(" + " and ".join(relation(rel) for rel in conj.relations) + ")"
                        for conj in ast.disjuncts)
     source = (f"def make({', '.join(slots)}):\n" + "".join(helpers)
-              + "    def holds(x, eps, diag):\n"
+              + "    def holds(x, diag):\n"
                 "        try:\n"
               + f"            return True if {body} else False\n"
                 "        except KeyError as exc:\n"
@@ -136,11 +137,11 @@ def _build(ast: RuleAst) -> Holds:
 
 
 def compile_rule(ast: RuleAst) -> Holds:
-    """The rule as one function holds(x, eps_eq, diagnostics).
+    """The rule as one function holds(x, diagnostics).
 
     Built on the first call for an AST object and kept on that object, so a
     later call is one attribute read: the AST is never hashed. Relations
-    short-circuit in rule order, equality holds within eps_eq, a division by
+    short-circuit in rule order, equality holds within EPS_EQ, a division by
     zero makes its relation false and appends a diagnostic (when diagnostics
     is a list), and a missing binding raises UnboundVariable."""
     try:
@@ -151,13 +152,13 @@ def compile_rule(ast: RuleAst) -> Holds:
         return holds
 
 
-def evaluate(ast: RuleAst, x: dict[str, float], eps_eq: float = DEFAULT_EPS_EQ,
+def evaluate(ast: RuleAst, x: dict[str, float],
              diagnostics: list[str] | None = None) -> bool:
     """Disjunction over conjunctions of relations.
 
     Raises UnboundVariable if x misses a variable appearing in the rule.
     """
-    return compile_rule(ast)(x, eps_eq, diagnostics)
+    return compile_rule(ast)(x, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,7 @@ class DecisivenessReport:
     diagnostics: tuple[str, ...] = field(default=())
 
 
-def decisiveness(rule: PolarizedRule, dataset: list[LabeledRun],
-                 eps_eq: float = DEFAULT_EPS_EQ) -> DecisivenessReport:
+def decisiveness(rule: PolarizedRule, dataset: list[LabeledRun]) -> DecisivenessReport:
     """dg = 1 - n_mismatch / n over the dataset.
 
     A rule that never holds scores dg = 1.0 by the formula; such rules are
@@ -185,7 +185,7 @@ def decisiveness(rule: PolarizedRule, dataset: list[LabeledRun],
     mismatches = []
     definitive = 0
     for idx, run in enumerate(dataset):
-        if holds(run.x, eps_eq, diagnostics):
+        if holds(run.x, diagnostics):
             definitive += 1
             if run.y is not verdict:
                 mismatches.append(idx)

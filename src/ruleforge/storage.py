@@ -145,13 +145,17 @@ def read_json(path: str | Path):
 # ---------------------------------------------------------------------------
 
 
-def load_rules(path: str | Path, variables=None) -> list[PolarizedRule]:
-    """Rules in file order. Given the variables the rules will be evaluated
-    over, a rule naming any other variable is refused: it cannot be scored."""
+def rule_entries(path: str | Path) -> list[tuple[str, Polarity, str]]:
+    """The rules file's entries as (id, polarity, text), in file order, its
+    structure checked and its texts not yet parsed: a non-empty JSON list of
+    objects whose id, polarity and text are strings, whose polarity is
+    "pass" or "fail", and whose ids are unique."""
     data = read_json(path)
     if not isinstance(data, list):
         _fail(path, "rules file must be a JSON list")
-    rules = []
+    if not data:
+        _fail(path, "rules file is empty")
+    entries = []
     seen_ids = set()
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
@@ -166,19 +170,26 @@ def load_rules(path: str | Path, variables=None) -> list[PolarizedRule]:
         except ValueError:
             _fail(path, f"rule {i}: field 'polarity' must be \"pass\" or \"fail\", "
                         f"got {entry['polarity']!r}")
-        try:
-            ast = parse_rule(entry["text"])
-        except ParseError as exc:
-            _fail(path, f"rule {i} ({entry['id']}): {exc}")
-        if variables is not None and not ast.variables() <= set(variables):
-            _fail(path, f"rule {i} ({entry['id']}): unbound variable(s) "
-                        f"{sorted(ast.variables() - set(variables))}")
         if entry["id"] in seen_ids:
             _fail(path, f"rule {i}: duplicate id {entry['id']!r}")
         seen_ids.add(entry["id"])
-        rules.append(PolarizedRule(id=entry["id"], polarity=polarity, ast=ast))
-    if not rules:
-        _fail(path, "rules file is empty")
+        entries.append((entry["id"], polarity, entry["text"]))
+    return entries
+
+
+def load_rules(path: str | Path, variables=None) -> list[PolarizedRule]:
+    """Rules in file order. Given the variables the rules will be evaluated
+    over, a rule naming any other variable is refused: it cannot be scored."""
+    rules = []
+    for i, (rule_id, polarity, text) in enumerate(rule_entries(path)):
+        try:
+            ast = parse_rule(text)
+        except ParseError as exc:
+            _fail(path, f"rule {i} ({rule_id}): {exc}")
+        if variables is not None and not ast.variables() <= set(variables):
+            _fail(path, f"rule {i} ({rule_id}): unbound variable(s) "
+                        f"{sorted(ast.variables() - set(variables))}")
+        rules.append(PolarizedRule(id=rule_id, polarity=polarity, ast=ast))
     return rules
 
 

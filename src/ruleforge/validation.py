@@ -31,8 +31,8 @@ from .counterfactual import EvidenceFile, Oracle, SearchLimits, build_evidence
 from .generation import Edit, GenerationFailure, RefinementContext, generate_candidate
 from .grammar import (Const, Expr, OddSpec, Relation, RelOp, RuleAst, Var, check_vocabulary,
                       direct_bound, expr_variables, print_rule)
-from .semantics import (DEFAULT_EPS_EQ, DecisivenessReport, LabeledRun, PolarizedRule,
-                        compile_rule, decisiveness)
+from .semantics import (EPS_EQ, DecisivenessReport, LabeledRun, PolarizedRule, compile_rule,
+                        decisiveness)
 
 
 class ContradictionStatus(Enum):
@@ -104,7 +104,7 @@ def _safe_mul(a: float, b: float) -> float:
     return a * b
 
 
-def _relation_truth(rel: Relation, box, eps_eq: float) -> bool | None:
+def _relation_truth(rel: Relation, box) -> bool | None:
     if rel.lhs == rel.rhs and rel.op in (RelOp.LT, RelOp.GT, RelOp.NE):
         return False  # e < e, e > e and e != e hold nowhere, nor where e divides by zero
     left, right = _interval(rel.lhs, box), _interval(rel.rhs, box)
@@ -124,10 +124,10 @@ def _relation_truth(rel: Relation, box, eps_eq: float) -> bool | None:
         return True if lo > 0 else (False if hi <= 0 else None)
     if rel.op is RelOp.GE:
         return True if lo >= 0 else (False if hi < 0 else None)
-    # The band |lhs - rhs| <= eps_eq, its ends rounded as _cut_box rounds
+    # The band |lhs - rhs| <= EPS_EQ, its ends rounded as _cut_box rounds
     # the band of a direct ==.
-    inner = (True if (rhi - eps_eq <= llo and lhi <= rlo + eps_eq)
-             else (False if (llo > rhi + eps_eq or lhi < rlo - eps_eq) else None))
+    inner = (True if (rhi - EPS_EQ <= llo and lhi <= rlo + EPS_EQ)
+             else (False if (llo > rhi + EPS_EQ or lhi < rlo - EPS_EQ) else None))
     if rel.op is RelOp.EQ or inner is None:
         return inner
     return not inner  # NE
@@ -143,17 +143,17 @@ def _and3(values) -> bool | None:
     return result
 
 
-def _refute(relations: list[Relation], box, depth: int, eps_eq: float) -> bool:
+def _refute(relations: list[Relation], box, depth: int) -> bool:
     """True when interval subdivision proves that the conjunction of the
     relations holds nowhere in the closed box."""
-    truth = _and3(_relation_truth(r, box, eps_eq) for r in relations)
+    truth = _and3(_relation_truth(r, box) for r in relations)
     if truth is not None:
         return not truth
     if depth <= 0 or not box:
         return False
     name, (lo, hi) = max(box.items(), key=lambda kv: kv[1][1] - kv[1][0])
     mid = (lo + hi) / 2
-    return all(_refute(relations, {**box, name: sub}, depth - 1, eps_eq)
+    return all(_refute(relations, {**box, name: sub}, depth - 1)
                for sub in ((lo, mid), (mid, hi)))
 
 
@@ -162,11 +162,11 @@ def _refute(relations: list[Relation], box, depth: int, eps_eq: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cut_box(relations, odd: OddSpec, eps_eq: float):
+def _cut_box(relations, odd: OddSpec):
     """(box, residual): the box {name: (lower end, upper end)} that the
     direct bounds among the relations cut out of the domain, and the
     relations that are no box (!= and compound sides). == is the closed band
-    [c - eps_eq, c + eps_eq].
+    [c - EPS_EQ, c + EPS_EQ].
 
     A lower end is (value, open) and an upper end (value, closed), so tuple
     order makes max()/min() pick the tighter end, x lies inside when
@@ -181,7 +181,7 @@ def _cut_box(relations, odd: OddSpec, eps_eq: float):
             residual.append(rel)
             continue
         name, op, c = bound
-        band = eps_eq if op is RelOp.EQ else 0.0
+        band = EPS_EQ if op is RelOp.EQ else 0.0
         if op in (RelOp.GT, RelOp.GE, RelOp.EQ):
             lower[name] = max(lower[name], (c - band, op is RelOp.GT))
         if op in (RelOp.LT, RelOp.LE, RelOp.EQ):
@@ -208,8 +208,7 @@ def _grid_in_box(box, odd: OddSpec, cap: int):
 
 def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
                         odd: OddSpec, budget: ContradictionBudget = ContradictionBudget(),
-                        dataset: list[LabeledRun] | None = None,
-                        eps_eq: float = DEFAULT_EPS_EQ) -> list[ContradictionResult]:
+                        dataset: list[LabeledRun] | None = None) -> list[ContradictionResult]:
     """Per opposing rule: Flagged with a witness where both rules hold (a
     dataset point first, else a step-grid point), Clear when every pair of
     conjuncts, one from each rule, is proven disjoint, Unknown otherwise.
@@ -225,16 +224,16 @@ def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
         if other.polarity is candidate.polarity:
             raise ValueError(f"rule {other.id!r} has the same polarity as the candidate")
         results.append(ContradictionResult(other.id, *_decide_pair(
-            candidate.ast, other.ast, odd, budget, dataset, eps_eq)))
+            candidate.ast, other.ast, odd, budget, dataset)))
     return results
 
 
 def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec, budget: ContradictionBudget,
-                 dataset, eps_eq) -> tuple[ContradictionStatus, dict[str, float] | None]:
+                 dataset) -> tuple[ContradictionStatus, dict[str, float] | None]:
     holds_a, holds_b = compile_rule(a), compile_rule(b)
 
     def both(x: dict[str, float]) -> bool:
-        return holds_a(x, eps_eq, None) and holds_b(x, eps_eq, None)
+        return holds_a(x, None) and holds_b(x, None)
 
     for run in dataset or []:
         if both(run.x):
@@ -242,14 +241,14 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec, budget: ContradictionBudg
     status = ContradictionStatus.CLEAR
     for ca in a.disjuncts:
         for cb in b.disjuncts:
-            box, residual = _cut_box(ca.relations + cb.relations, odd, eps_eq)
+            box, residual = _cut_box(ca.relations + cb.relations, odd)
             if any(lo >= hi for lo, hi in box.values()):
                 continue
             # cheaper than walking the box; splits only the residual's variables
             closure = {n: (box[n][0][0], box[n][1][0])
                        for rel in residual for side in (rel.lhs, rel.rhs)
                        for n in expr_variables(side)}
-            if _refute(residual, closure, budget.subdivision_depth, eps_eq):
+            if _refute(residual, closure, budget.subdivision_depth):
                 continue
             for point in _grid_in_box(box, odd, budget.grid_cap):
                 if both(point):
@@ -313,7 +312,6 @@ DEFAULT_MAX_ATTEMPTS = 5
 def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
                 dataset: list[LabeledRun], oracle: Oracle, odd: OddSpec, generator,
                 max_attempts: int = DEFAULT_MAX_ATTEMPTS, *,
-                eps_eq: float = DEFAULT_EPS_EQ,
                 limits: SearchLimits = SearchLimits()) -> RefinementOutcome:
     """Generate-validate loop: the target is scored and its evidence built
     once, failed attempts feed their failure summaries back into the next
@@ -326,9 +324,8 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
         raise ValueError("max_attempts must be >= 1")
     if not any(r.id == target.id for r in ruleset):
         raise TargetNotInRuleset(f"no rule with id {target.id!r} in the rule set")
-    before = decisiveness(target, dataset, eps_eq)
-    evidence = build_evidence(target, dataset, oracle, odd, limits, eps_eq=eps_eq,
-                              mismatches=before.mismatches)
+    before = decisiveness(target, dataset)
+    evidence = build_evidence(target, dataset, oracle, odd, limits, mismatches=before.mismatches)
     historical = tuple(r for r in ruleset if r.id != target.id)
     opposing = [r for r in historical if r.polarity is not target.polarity]
     reports: list[ValidationReport] = []
@@ -360,8 +357,7 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
             continue
         as_rule = PolarizedRule(target.id, target.polarity, candidate.ast)
         contradiction = next(
-            (r for r in check_contradiction(as_rule, opposing, odd, dataset=dataset,
-                                           eps_eq=eps_eq)
+            (r for r in check_contradiction(as_rule, opposing, odd, dataset=dataset)
              if r.status is not ContradictionStatus.CLEAR),
             ContradictionResult(None, ContradictionStatus.CLEAR))
         if contradiction.status is not ContradictionStatus.CLEAR:
@@ -370,7 +366,7 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
                             + (f" at {contradiction.witness}" if contradiction.witness else ""),
                    candidate_text=candidate_text, contradiction=contradiction)
             continue
-        after = decisiveness(as_rule, dataset, eps_eq)
+        after = decisiveness(as_rule, dataset)
         new_indices = check_preserved_consistency(before, after)
         scores = dict(candidate_text=candidate_text, contradiction=contradiction,
                       mismatch_before=before.n_mismatch, mismatch_after=after.n_mismatch,

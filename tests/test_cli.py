@@ -47,6 +47,18 @@ class TestSim:
         lines = (tmp_path / "dataset.csv").read_text().splitlines()
         assert len(lines) == 26
 
+    @pytest.mark.parametrize("extra", [["--n", "5"], ["--n", "198"], ["--config", None]])
+    def test_reference_fixture_takes_no_config_or_count(self, workspace, tmp_path, capsys,
+                                                         extra):
+        """The fixture has its own config and 198 runs; asking for others is
+        a usage error, not a silent substitution."""
+        extra = [value or str(_config_file(workspace, tmp_path, seed=3)) for value in extra]
+        out = tmp_path / "out"
+        assert main(["sim", "--reference-fixture", *extra, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert ("error (usage): --reference-fixture takes neither --config nor --n"
+                in capsys.readouterr().err)
+
     def test_config_records_the_seed_drawn_with(self, workspace, tmp_path):
         config = _config_file(workspace, tmp_path, seed=3)
         out = tmp_path / "out"
@@ -258,6 +270,59 @@ class TestCheck:
         assert "gc=1.000" not in out  # reported gc is below 1
 
 
+class TestOneRulesFileReader:
+    """check reads a rules file's structure as every other command does: a
+    file eval refuses, check refuses with the same exit code and message."""
+
+    @pytest.mark.parametrize("entries", [
+        [{"id": "r", "polarity": "maybe", "text": "(dist_front < 5)"}],
+        [{"id": "r", "polarity": "pass", "text": "(dist_front < 5)"},
+         {"id": "r", "polarity": "fail", "text": "(dist_front > 5)"}],
+        ["(dist_front < 5)"],
+        [{"polarity": "pass", "text": "(dist_front < 5)"}],
+        [],
+    ], ids=["polarity", "duplicate-id", "bare-string", "no-id", "empty"])
+    def test_eval_and_check_refuse_alike(self, workspace, tmp_path, capsys, entries):
+        rules = str(_rules_file(tmp_path, entries))
+        assert main(["eval", "--rules", rules, "--dataset", str(workspace / "dataset.csv")]) == 2
+        from_eval = capsys.readouterr()
+        assert main(["check", "--rules", rules,
+                     "--config", str(workspace / "oracle_config.json")]) == 2
+        from_check = capsys.readouterr()
+        assert from_check.err == from_eval.err
+        assert from_check.err.startswith(f"error (format): {rules}: ")
+        assert from_check.out == ""
+
+
+class TestArtifactsAgree:
+    """refine, eval, metrics and cf judge a rule under one semantics, so the
+    figures they write for the same rule and data are equal."""
+
+    @pytest.mark.parametrize("text", [
+        "(dist_front < 5) and (ego_speed > 0)",
+        "(dist_front < 5.0) and (ego_speed > 0) or (ego_speed == 0.5)",
+    ])
+    def test_dg_and_evidence(self, workspace, tmp_path, text):
+        rules = _rules_file(tmp_path, [{"id": "r", "polarity": "pass", "text": text}])
+        inputs = ["--rules", str(rules), *_args(workspace)[2:]]
+        run, ev, mx, report = (tmp_path / "run", tmp_path / "evidence.json",
+                               tmp_path / "metrics.json", tmp_path / "eval.json")
+        assert main(["refine", *inputs, "--out", str(run)]) == 0
+        assert main(["cf", *inputs, "--out", str(ev)]) == 0
+        assert main(["metrics", *inputs, "--outcome", str(run / "outcome.json"),
+                     "--out", str(mx)]) == 0
+        assert main(["eval", *inputs[:4], "--out", str(report)]) == 0
+        outcome, evidence, metrics, evaluated = (
+            json.loads(path.read_text()) for path in (run / "outcome.json", ev, mx, report))
+        (result,) = evaluated["results"]
+        assert outcome["dg_before"] == metrics["dg_before"] == result["dg"]
+        assert outcome["dg_after"] == metrics["dg_after"]
+        assert outcome["dg_after"] > outcome["dg_before"]
+        for key in ("pairs", "unresolved"):
+            assert outcome["evidence"][key] == evidence[key]
+        assert len(evidence["pairs"]) == result["n_mismatch"]
+
+
 class TestOutUnderMissingDirectory:
     """Every verb creates the parent of the file --out names, as `sim` and
     `refine` create their output directory."""
@@ -298,10 +363,8 @@ class TestExitCodesAndFailFast:
         assert f"Invalid value for '{count}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,option,value", [
-        *[(command, "--eps-eq", value) for command in ("eval", "refine")
-          for value in ("nan", "inf", "-inf", "-1", "-1e-12")],
-        *[(command, option, value) for command in ("cf", "refine")
-          for option in ("--max-radius", "--search-budget") for value in ("0", "-1")],
+        (command, option, value) for command in ("cf", "refine")
+        for option in ("--max-radius", "--search-budget") for value in ("0", "-1")
     ])
     def test_meaningless_numeric_option_is_usage_error(self, workspace, tmp_path, capsys,
                                                        command, option, value):
@@ -311,14 +374,18 @@ class TestExitCodesAndFailFast:
         assert not out.exists()
         assert f"Invalid value for '{option}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command,option,value", [
-        ("eval", "--eps-eq", "0"), ("refine", "--eps-eq", "0"),
-        ("cf", "--max-radius", "1"), ("cf", "--search-budget", "1"),
-    ])
-    def test_numeric_option_at_its_bound_is_accepted(self, workspace, tmp_path,
-                                                     command, option, value):
+    @pytest.mark.parametrize("option", ["--max-radius", "--search-budget"])
+    def test_numeric_option_at_its_bound_is_accepted(self, workspace, tmp_path, option):
+        assert main(["cf", *_args(workspace), option, "1", "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "refine"])
+    def test_equality_tolerance_is_not_an_option(self, workspace, tmp_path, capsys, command):
+        """== and != hold within one fixed tolerance in every command."""
         inputs = _args(workspace)[:4] if command == "eval" else _args(workspace)
-        assert main([command, *inputs, option, value, "--out", str(tmp_path / "out")]) == 0
+        out = tmp_path / "out"
+        assert main([command, *inputs, "--eps-eq", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "No such option '--eps-eq'" in capsys.readouterr().err
 
     def test_malformed_dataset_is_format_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -653,7 +720,16 @@ class TestOneJsonWriter:
 
 _REFUSALS = {
     "click-usage-error": (1, "usage", lambda ws, tmp: [
-        "eval", *_args(ws)[:4], "--eps-eq", "nan"]),
+        "cf", *_args(ws), "--max-radius", "0"]),
+    "missing-command": (1, "usage", lambda ws, tmp: []),
+    "unknown-command": (1, "usage", lambda ws, tmp: ["bogus"]),
+    "fixture-with-config": (1, "usage", lambda ws, tmp: [
+        "sim", "--reference-fixture", "--config", str(ws / "oracle_config.json"),
+        "--out", str(tmp / "out")]),
+    "check-bad-polarity": (2, "format", lambda ws, tmp: [
+        "check", "--rules", str(_rules_file(tmp, [{
+            "id": "r", "polarity": "maybe", "text": "(dist_front < 5)"}])),
+        "--config", str(ws / "oracle_config.json")]),
     "unknown-rule-id": (1, "usage", lambda ws, tmp: [
         "refine", *_args(ws), "--rule-id", "nope", "--out", str(tmp / "run")]),
     "consistent-rule": (1, "usage", lambda ws, tmp: [

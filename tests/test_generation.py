@@ -498,9 +498,9 @@ class TestCappedScoring:
             calls.append(0)
             slot = len(calls) - 1
 
-            def counted(x, eps, diag):
+            def counted(x, diag):
                 calls[slot] += 1
-                return holds(x, eps, diag)
+                return holds(x, diag)
             return counted
 
         monkeypatch.setattr(generation, "compile_rule", counting_compile)

@@ -10,7 +10,7 @@ from ruleforge import (DecisivenessReport, EmptyDataset, LabeledRun, Outcome, Po
                        Polarity, UnboundVariable, decisiveness, evaluate, odd_spec, parse_rule,
                        print_rule, random_rule, semantics)
 from ruleforge.grammar import Const, RelOp, Var, direct_bound, print_relation
-from ruleforge.semantics import DEFAULT_EPS_EQ
+from ruleforge.semantics import EPS_EQ
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
 R1 = parse_rule("(dist_front < 5.0) and (ego_speed > 0)")
@@ -48,7 +48,6 @@ class TestEvaluate:
         ast = parse_rule("x == 1")
         assert evaluate(ast, {"x": 1.0 + 5e-10})
         assert not evaluate(ast, {"x": 1.0 + 1e-6})
-        assert evaluate(ast, {"x": 1.0 + 1e-6}, eps_eq=1e-3)
 
     def test_ne_negates_eq(self):
         ast = parse_rule("x != 1")
@@ -195,7 +194,7 @@ def _ref_expr(expr, x):
     return left / right
 
 
-def _ref_relation(rel, x, eps_eq, diagnostics):
+def _ref_relation(rel, x, diagnostics):
     try:
         lhs = _ref_expr(rel.lhs, x)
         rhs = _ref_expr(rel.rhs, x)
@@ -212,19 +211,19 @@ def _ref_relation(rel, x, eps_eq, diagnostics):
     if rel.op is RelOp.GE:
         return lhs >= rhs
     if rel.op is RelOp.EQ:
-        return abs(lhs - rhs) <= eps_eq
-    return abs(lhs - rhs) > eps_eq
+        return abs(lhs - rhs) <= EPS_EQ
+    return abs(lhs - rhs) > EPS_EQ
 
 
-def _ref_evaluate(ast, x, eps_eq=DEFAULT_EPS_EQ, diagnostics=None):
-    return any(all(_ref_relation(rel, x, eps_eq, diagnostics) for rel in conj.relations)
+def _ref_evaluate(ast, x, diagnostics=None):
+    return any(all(_ref_relation(rel, x, diagnostics) for rel in conj.relations)
                for conj in ast.disjuncts)
 
 
-def _ref_decisiveness(rule, dataset, eps_eq=DEFAULT_EPS_EQ):
+def _ref_decisiveness(rule, dataset):
     diagnostics, mismatches, definitive = [], [], 0
     for idx, run in enumerate(dataset):
-        if _ref_evaluate(rule.ast, run.x, eps_eq, diagnostics):
+        if _ref_evaluate(rule.ast, run.x, diagnostics):
             definitive += 1
             if rule.polarity.verdict is not run.y:
                 mismatches.append(idx)
@@ -234,11 +233,11 @@ def _ref_decisiveness(rule, dataset, eps_eq=DEFAULT_EPS_EQ):
                               diagnostics=tuple(diagnostics))
 
 
-def _outcome(fn, ast, x, eps_eq):
+def _outcome(fn, ast, x):
     """(truth, diagnostics) of one evaluation, or the unbound variable's name."""
     diagnostics = []
     try:
-        return fn(ast, x, eps_eq, diagnostics), diagnostics
+        return fn(ast, x, diagnostics), diagnostics
     except UnboundVariable as exc:
         return ("unbound", exc.name), diagnostics
 
@@ -253,12 +252,9 @@ DIV_RULES = [
     "(a - b - c < 0) and (a - (b - c) > 0)",
     "(a * (b + c) == a * b + a * c)",
 ]
-EPS_VALUES = (DEFAULT_EPS_EQ, 1e-6, 1e-3, 0.25)
-
-
-def _probe_points(ast, odd, rng, eps_eq):
+def _probe_points(ast, odd, rng):
     """Random grid points, points that zero each variable (a divisor), and
-    points at c +- eps_eq and c +- 2 eps_eq of every direct bound."""
+    points at c +- EPS_EQ and c +- 2 EPS_EQ of every direct bound."""
     def grid_point():
         return {v.name: v.grid_value(rng.randrange(v.grid_count)) for v in odd.variables}
     points = [grid_point() for _ in range(6)]
@@ -268,21 +264,20 @@ def _probe_points(ast, odd, rng, eps_eq):
         bound = direct_bound(rel)
         if bound is not None:
             name, _, c = bound
-            points += [{**grid_point(), name: c + k * eps_eq} for k in (-2, -1, 0, 1, 2)]
+            points += [{**grid_point(), name: c + k * EPS_EQ} for k in (-2, -1, 0, 1, 2)]
     return points
 
 
 class TestCompiledEvaluator:
-    @pytest.mark.parametrize("eps_eq", EPS_VALUES)
-    def test_matches_the_tree_walk(self, eps_eq):
+    def test_matches_the_tree_walk(self):
         rng = random.Random(31)
         asts = ([random_rule(seed, DIV_DOMAIN, 3, 3) for seed in range(500)]
                 + [parse_rule(text) for text in DIV_RULES])
         divisions = 0
         for ast in asts:
-            for x in _probe_points(ast, DIV_DOMAIN, rng, eps_eq):
-                expected = _outcome(_ref_evaluate, ast, x, eps_eq)
-                got = _outcome(evaluate, ast, x, eps_eq)
+            for x in _probe_points(ast, DIV_DOMAIN, rng):
+                expected = _outcome(_ref_evaluate, ast, x)
+                got = _outcome(evaluate, ast, x)
                 assert got == expected, (print_rule(ast), x)
                 if isinstance(expected[0], bool):
                     assert got[0] is expected[0]  # a real bool, never a truthy operand
@@ -291,12 +286,11 @@ class TestCompiledEvaluator:
                 # short-circuit never reads it in either evaluator
                 drop = rng.choice(DIV_DOMAIN.names)
                 partial = {k: v for k, v in x.items() if k != drop}
-                assert (_outcome(evaluate, ast, partial, eps_eq)
-                        == _outcome(_ref_evaluate, ast, partial, eps_eq))
+                assert (_outcome(evaluate, ast, partial)
+                        == _outcome(_ref_evaluate, ast, partial))
         assert divisions > 100
 
-    @pytest.mark.parametrize("eps_eq", EPS_VALUES)
-    def test_decisiveness_reports_match(self, eps_eq):
+    def test_decisiveness_reports_match(self):
         rng = random.Random(5)
         data = [LabeledRun({v.name: v.grid_value(rng.randrange(v.grid_count))
                             for v in DIV_DOMAIN.variables}, rng.choice(list(Outcome)))
@@ -305,7 +299,7 @@ class TestCompiledEvaluator:
                 + [parse_rule(text) for text in DIV_RULES])
         for i, ast in enumerate(asts):
             rule = PolarizedRule("r", list(Polarity)[i % 2], ast)
-            assert decisiveness(rule, data, eps_eq) == _ref_decisiveness(rule, data, eps_eq)
+            assert decisiveness(rule, data) == _ref_decisiveness(rule, data)
 
     def test_each_ast_is_compiled_once(self, monkeypatch):
         built = []

@@ -9,7 +9,7 @@ from ruleforge import (ContradictionBudget, ContradictionStatus, DeterministicGe
                        decisiveness, evaluate, make_oracle, odd_spec, parse_rule, print_rule,
                        random_rule, refine_loop)
 from ruleforge.grammar import Const, Relation, RelOp, Var, direct_bound, rule
-from ruleforge.semantics import DEFAULT_EPS_EQ
+from ruleforge.semantics import EPS_EQ
 
 R1_STAR = "(dist_front < 4.1) and (ego_speed > 0)"
 
@@ -65,7 +65,7 @@ class TestCheckContradiction:
         assert result.witness["dist_front"] == 4.2
 
     def test_overlap_only_off_the_grid_is_unknown(self, odd):
-        # both hold on 0 < ego_speed <= eps_eq, which holds no grid point
+        # both hold on 0 < ego_speed <= EPS_EQ, which holds no grid point
         (result,) = check_contradiction(_pass("(ego_speed == 0)"),
                                         [_fail("(ego_speed > 0)")], odd)
         assert result.status is ContradictionStatus.UNKNOWN
@@ -73,7 +73,7 @@ class TestCheckContradiction:
 
     @pytest.mark.parametrize("c", ["0", "1", "2.5", "3"])
     def test_equality_against_its_negation_is_clear(self, c):
-        # the != band must be refuted over the == box however c +- eps_eq rounds
+        # the != band must be refuted over the == box however c +- EPS_EQ rounds
         odd = odd_spec([("a", 0.0, 4.0, 1.0)])
         (result,) = check_contradiction(_pass(f"(a == {c})"), [_fail(f"(a != {c})")], odd)
         assert result.status is ContradictionStatus.CLEAR
@@ -223,7 +223,7 @@ def _random_bound_rule(rng, odd, same_share=0.0):
 
 def _reference_points(odd, *asts):
     """Per variable: every grid value, every constant c bounding it and
-    c +- eps_eq, and the midpoints between consecutive such values; the
+    c +- EPS_EQ, and the midpoints between consecutive such values; the
     points are their product over the domain."""
     axes = []
     for var in odd.variables:
@@ -232,7 +232,7 @@ def _reference_points(odd, *asts):
             for _, rel in ast.relations():
                 name, _, c = direct_bound(rel) or (None, None, None)
                 if name == var.name:
-                    values |= {c, c - DEFAULT_EPS_EQ, c + DEFAULT_EPS_EQ}
+                    values |= {c, c - EPS_EQ, c + EPS_EQ}
         values = sorted(x for x in values if var.min <= x <= var.max)
         axes.append(values + [(lo + hi) / 2 for lo, hi in zip(values, values[1:])])
     for combo in itertools.product(*axes):
