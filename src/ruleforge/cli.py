@@ -10,6 +10,7 @@ is written.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
@@ -89,12 +90,11 @@ def _made_parent(path: Path) -> Path:
 
 
 @click.group(no_args_is_help=False)  # no command is a usage error, one line like any other
-@click.option("--json", "json_diagnostics", is_flag=True,
+# main reads --json itself: click may refuse the command line before any callback runs
+@click.option("--json", is_flag=True, expose_value=False,
               help="Machine-readable JSON diagnostics on stderr.")
-@click.pass_obj
-def cli(obj: dict, json_diagnostics):
+def cli():
     """Grammar-constrained refinement of safety operational rules."""
-    obj["json"] = json_diagnostics
 
 
 @cli.command()
@@ -295,19 +295,14 @@ def metrics_cmd(rules_path, rule_id, dataset_path, config_path, outcome_path, ra
                 out_path):
     """Score a refinement: decisiveness gain, validity, compliance, minimality."""
     rules, runs, config = _load_in_domain(rules_path, dataset_path, config_path)
-    outcome = _load_inputs(storage.load_outcome, outcome_path)
-    unbound = outcome.refined.variables() - set(config.odd.names)
-    if unbound:
-        raise storage.FormatError(f"{outcome_path}: refined rule: unbound variable(s) "
-                                  f"{sorted(unbound)}")
+    refined = _load_inputs(storage.load_refined_rule, outcome_path, config.odd.names)
     target = _pick_rule(rules, rule_id)
     raw_text = (_load_inputs(storage.read_text, raw_path) if raw_path
-                else print_rule(outcome.refined))
-    refined_rule = PolarizedRule(target.id, target.polarity, outcome.refined)
+                else print_rule(refined))
     report = build_metrics_report(
         before=decisiveness(target, runs),
-        after=decisiveness(refined_rule, runs),
-        refined=outcome.refined, original=target.ast, odd=config.odd, raw_text=raw_text)
+        after=decisiveness(PolarizedRule(target.id, target.polarity, refined), runs),
+        refined=refined, original=target.ast, odd=config.odd, raw_text=raw_text)
     storage.store_metrics(_made_parent(out_path), report)
     click.echo(metrics_table(report, label=target.id[:12]))
 
@@ -338,21 +333,20 @@ def check(rules_path, config_path):
 
 
 def main(argv=None) -> int:
-    obj: dict = {}  # the group callback records --json here
+    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, standalone_mode=False, obj=obj)
+        cli.main(args=args, standalone_mode=False)
         return EXIT_OK
     except click.UsageError as exc:
         kind, message, code = "usage", exc.format_message(), EXIT_USAGE
-        if exc.ctx is not None:  # a group-level error comes before the group callback
-            obj["json"] = exc.ctx.find_root().params.get("json_diagnostics")
     except Refusal as exc:
         kind, message, code = exc.kind, str(exc), exc.exit_code
     except storage.FormatError as exc:
         kind, message, code = "format", str(exc), EXIT_FORMAT
     except NoInconsistency as exc:
         kind, message, code = "usage", str(exc), EXIT_USAGE
-    click.echo(json.dumps({"error": kind, "message": message}) if obj.get("json")
+    as_json = "--json" in itertools.takewhile(lambda arg: arg.startswith("-"), args)
+    click.echo(json.dumps({"error": kind, "message": message}) if as_json
                else f"error ({kind}): {message}", err=True)
     return code
 

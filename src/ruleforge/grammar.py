@@ -186,8 +186,10 @@ class OddVariable:
 
     @cached_property
     def decimals(self) -> int:
-        """Decimal places of the step; grid values are rounded to this."""
-        return max(0, -self.exact[2].as_tuple().exponent)
+        """Decimal places of min and step, the most a grid value min + k*step
+        can have; grid values are rounded to this."""
+        lo, _, step = self.exact
+        return max(0, -lo.as_tuple().exponent, -step.as_tuple().exponent)
 
     @cached_property
     def grid_count(self) -> int:

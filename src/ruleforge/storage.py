@@ -16,14 +16,13 @@ import json
 import math
 from pathlib import Path
 
-from .counterfactual import CounterfactualPair, EvidenceFile
-from .generation import Edit, EditKind
-from .grammar import OddSpec, OddVariable, ParseError, fmt_number, parse_rule, print_rule
+from .counterfactual import EvidenceFile
+from .grammar import (OddSpec, OddVariable, ParseError, RuleAst, fmt_number, parse_rule,
+                      print_rule)
 from .metrics import MetricsReport
 from .scenario import ConstructionFailure, OracleConfig
 from .semantics import LabeledRun, Outcome, PolarizedRule, Polarity
-from .validation import (ContradictionResult, ContradictionStatus, RefinementOutcome,
-                         ValidationReport)
+from .validation import RefinementOutcome, ValidationReport
 
 SCHEMA_VERSION = 1
 
@@ -177,20 +176,25 @@ def rule_entries(path: str | Path) -> list[tuple[str, Polarity, str]]:
     return entries
 
 
+def _checked_rule(path, where: str, text: str, variables) -> RuleAst:
+    """The parsed rule text; text that does not parse, or that names a
+    variable outside the given ones (none given: any), is refused at
+    `where` in the file."""
+    try:
+        ast = parse_rule(text)
+    except ParseError as exc:
+        _fail(path, f"{where}: {exc}")
+    if variables is not None and not ast.variables() <= set(variables):
+        _fail(path, f"{where}: unbound variable(s) {sorted(ast.variables() - set(variables))}")
+    return ast
+
+
 def load_rules(path: str | Path, variables=None) -> list[PolarizedRule]:
     """Rules in file order. Given the variables the rules will be evaluated
     over, a rule naming any other variable is refused: it cannot be scored."""
-    rules = []
-    for i, (rule_id, polarity, text) in enumerate(rule_entries(path)):
-        try:
-            ast = parse_rule(text)
-        except ParseError as exc:
-            _fail(path, f"rule {i} ({rule_id}): {exc}")
-        if variables is not None and not ast.variables() <= set(variables):
-            _fail(path, f"rule {i} ({rule_id}): unbound variable(s) "
-                        f"{sorted(ast.variables() - set(variables))}")
-        rules.append(PolarizedRule(id=rule_id, polarity=polarity, ast=ast))
-    return rules
+    return [PolarizedRule(id=rule_id, polarity=polarity,
+                          ast=_checked_rule(path, f"rule {i} ({rule_id})", text, variables))
+            for i, (rule_id, polarity, text) in enumerate(rule_entries(path))]
 
 
 def store_rules(path: str | Path, rules: list[PolarizedRule]) -> None:
@@ -281,31 +285,6 @@ def evidence_to_json(evidence: EvidenceFile) -> dict:
     }
 
 
-def evidence_from_json(data, path="<evidence>") -> EvidenceFile:
-    try:
-        pairs = tuple(
-            CounterfactualPair(
-                x={k: float(v) for k, v in p["x"].items()},
-                y=Outcome(p["y"]),
-                x_cf={k: float(v) for k, v in p["x_cf"].items()},
-                y_cf=Outcome(p["y_cf"]),
-                delta={k: float(v) for k, v in p["delta"].items()},
-                l1=float(p["l1"]),
-                l1_steps=int(p["l1_steps"]),
-            )
-            for p in data["pairs"]
-        )
-        return EvidenceFile(
-            rule_id=data["rule_id"],
-            rule_text=data["rule_text"],
-            dataset_ref=data["dataset_ref"],
-            pairs=pairs,
-            unresolved=tuple(int(i) for i in data["unresolved"]),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        _fail(path, f"bad evidence file: {exc}")
-
-
 def store_evidence(path: str | Path, evidence: EvidenceFile) -> None:
     write_json(path, evidence_to_json(evidence))
 
@@ -341,27 +320,6 @@ def _report_to_json(report: ValidationReport) -> dict:
     }
 
 
-def _report_from_json(data) -> ValidationReport:
-    contradiction = None
-    if data.get("contradiction"):
-        contradiction = ContradictionResult(
-            status=ContradictionStatus(data["contradiction"]["status"]),
-            witness=data["contradiction"]["witness"],
-            opposing_rule_id=data["contradiction"]["opposing_rule_id"],
-        )
-    return ValidationReport(
-        attempt=data["attempt"],
-        candidate_text=data.get("candidate_text"),
-        contradiction=contradiction,
-        new_inconsistencies=data["new_inconsistencies"],
-        mismatch_before=data["resolution"]["mismatch_before"],
-        mismatch_after=data["resolution"]["mismatch_after"],
-        accepted=data["accepted"],
-        failure_summary=data.get("failure_summary"),
-        diagnostics=tuple(data.get("diagnostics", ())),
-    )
-
-
 def outcome_to_json(outcome: RefinementOutcome, rule_id: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -384,27 +342,18 @@ def store_outcome(path: str | Path, outcome: RefinementOutcome, rule_id: str) ->
     write_json(path, outcome_to_json(outcome, rule_id))
 
 
-def load_outcome(path: str | Path) -> RefinementOutcome:
+def load_refined_rule(path: str | Path, variables) -> RuleAst:
+    """The refined rule of an outcome file, its only field a score needs:
+    the file must be a JSON object whose "refined_text" is a string that
+    parses to a rule over the given variables."""
     data = read_json(path)
-    try:
-        return RefinementOutcome(
-            refined=parse_rule(data["refined_text"]),
-            change_log=tuple(
-                Edit(kind=EditKind(e["kind"]), path=tuple(e["path"]),
-                     before=e["before"], after=e["after"])
-                for e in data["change_log"]
-            ),
-            explanation=data["explanation"],
-            attempts=data["attempts"],
-            reports=tuple(_report_from_json(r) for r in data["reports"]),
-            evidence=evidence_from_json(data["evidence"], path),
-            dg_before=data.get("dg_before"),
-            dg_after=data.get("dg_after"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError, ParseError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        _fail(path, f"bad outcome file: {exc}")
+    if not isinstance(data, dict):
+        _fail(path, "outcome file must be a JSON object")
+    if "refined_text" not in data:
+        _fail(path, "missing field 'refined_text'")
+    if not isinstance(data["refined_text"], str):
+        _fail(path, f"field 'refined_text' must be a string, got {data['refined_text']!r}")
+    return _checked_rule(path, "refined rule", data["refined_text"], variables)
 
 
 # ---------------------------------------------------------------------------

@@ -296,8 +296,8 @@ class RefinementOutcome:
     attempts: int
     reports: tuple[ValidationReport, ...]
     evidence: EvidenceFile
-    dg_before: float | None = None  # decisiveness of the target
-    dg_after: float | None = None  # decisiveness of the refined rule
+    dg_before: float  # decisiveness of the target
+    dg_after: float  # decisiveness of the refined rule
 
 
 class Exhausted(Exception):

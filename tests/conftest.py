@@ -1,11 +1,19 @@
 import pytest
 
-from ruleforge import make_reference_fixture, odd_spec
+from ruleforge import build_evidence, make_oracle, make_reference_fixture, odd_spec
 
 
 @pytest.fixture(scope="session")
 def fixture42():
     return make_reference_fixture(42)
+
+
+@pytest.fixture(scope="session")
+def evidence27(fixture42):
+    """The reference fixture's 27 counterfactual pairs."""
+    return build_evidence(fixture42.baseline_rule, fixture42.dataset,
+                          make_oracle(fixture42.config), fixture42.config.odd,
+                          dataset_ref="dataset.csv")
 
 
 @pytest.fixture(scope="session")

@@ -71,6 +71,17 @@ class TestSim:
         for name in ("dataset.csv", "oracle_config.json"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
 
+    def test_min_with_more_decimals_than_the_step(self, workspace, tmp_path):
+        """Every run sim draws lies on the grid min + k*step, inside the domain."""
+        config = json.loads((workspace / "oracle_config.json").read_text())
+        (lane,) = [v for v in config["odd"]["variables"] if v["name"] == "lane_offset"]
+        lane.update(min=-1.95, max=1.95, step=0.1)
+        path = _text_file(tmp_path / "config.json", json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["sim", "--n", "200", "--config", str(path), "--out", str(out)]) == 0
+        lanes = {run.x["lane_offset"] for run in storage.load_dataset(out / "dataset.csv")}
+        assert lanes <= {round(-1.95 + k * 0.1, 2) for k in range(40)}
+
 
 class TestEval:
     def test_fixture_decisiveness(self, workspace, capsys):
@@ -225,21 +236,25 @@ class TestMetricsCommand:
         assert (f"{outcome_path}: refined rule: unbound variable(s) ['headway']"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda data: data.update(reports=[1]),
-        lambda data: data["evidence"]["pairs"][0].update(x=[4.2]),
-    ], ids=["report-not-an-object", "evidence-x-not-an-object"])
-    def test_malformed_outcome_is_format_error(self, workspace, tmp_path, capsys, corrupt):
-        data = json.loads(GOLDEN_OUTCOME.read_text())
-        corrupt(data)
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda data: {k: v for k, v in data.items() if k != "refined_text"},
+         "missing field 'refined_text'"),
+        (lambda data: {**data, "refined_text": ["(dist_front < 4.1)"]},
+         "field 'refined_text' must be a string"),
+        (lambda data: {**data, "refined_text": "(dist_front < < 4.1)"}, "refined rule: "),
+        (lambda data: [data], "outcome file must be a JSON object"),
+    ], ids=["refined-text-missing", "refined-text-not-a-string", "refined-text-unparsable",
+            "top-level-list"])
+    def test_malformed_outcome_is_format_error(self, workspace, tmp_path, capsys, corrupt,
+                                               message):
         outcome_path = tmp_path / "outcome.json"
-        outcome_path.write_text(json.dumps(data))
+        outcome_path.write_text(json.dumps(corrupt(json.loads(GOLDEN_OUTCOME.read_text()))))
         out = tmp_path / "metrics.json"
         code = main(["metrics", *_args(workspace), "--outcome", str(outcome_path),
                      "--out", str(out)])
         assert code == 2
         assert not out.exists()
-        assert f"{outcome_path}: bad " in capsys.readouterr().err
+        assert f"{outcome_path}: {message}" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -723,6 +738,7 @@ _REFUSALS = {
         "cf", *_args(ws), "--max-radius", "0"]),
     "missing-command": (1, "usage", lambda ws, tmp: []),
     "unknown-command": (1, "usage", lambda ws, tmp: ["bogus"]),
+    "unknown-group-option": (1, "usage", lambda ws, tmp: ["--nope"]),
     "fixture-with-config": (1, "usage", lambda ws, tmp: [
         "sim", "--reference-fixture", "--config", str(ws / "oracle_config.json"),
         "--out", str(tmp / "out")]),
@@ -769,6 +785,21 @@ def test_each_refusal_is_one_stderr_line(workspace, tmp_path, capsys, case, as_j
         assert payload["error"] == kind and payload["message"]
     else:
         assert line.startswith(f"error ({kind}): ")
+
+
+@pytest.mark.parametrize("argv,as_json", [
+    (["--nope", "--json"], True),
+    (["refine", "--json"], False),
+], ids=["json-after-unknown-option", "json-after-command"])
+def test_json_is_read_from_the_options_before_the_command(capsys, argv, as_json):
+    """--json is a group option: it counts before the command name, wherever
+    click stops parsing, and not after it."""
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    if as_json:
+        assert json.loads(line)["error"] == "usage"
+    else:
+        assert line.startswith("error (usage): ")
 
 
 def test_public_names_resolve_once():

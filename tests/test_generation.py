@@ -198,6 +198,18 @@ class TestChangeLog:
             assert apply_edits(original, edits) == refined
             assert all(e.kind in EditKind for e in edits)
 
+    def test_every_enumerated_edit_replays(self, fixture42, evidence27):
+        odd = fixture42.config.odd
+        kinds = set()
+        for seed in range(150):
+            target = random_rule(seed, odd, 3, 3)
+            for ast, edit in enumerate_single_edits(target, evidence27, odd):
+                assert apply_edits(target, (edit,)) == ast
+                kinds.add(edit.kind)
+        assert kinds >= {EditKind.THRESHOLD_ADJUST, EditKind.OPERATOR_REPLACE,
+                         EditKind.ADD_CONJUNCT, EditKind.REMOVE_CONJUNCT,
+                         EditKind.REMOVE_DISJUNCT}
+
     def test_identity_diff_is_empty(self, odd):
         ast = random_rule(5, odd, 2, 3)
         assert diff_rules(ast, ast) == ()

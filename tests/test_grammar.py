@@ -245,7 +245,7 @@ class TestRandomRule:
 
 
 def _ref_decimals(v):
-    return max(0, -Decimal(repr(v.step)).as_tuple().exponent)
+    return max(0, *(-Decimal(repr(x)).as_tuple().exponent for x in (v.min, v.step)))
 
 
 def _ref_grid_count(v):
@@ -314,6 +314,13 @@ class TestGridFacts:
                             dataclasses.replace(v, max=v.min + rng.randrange(300) * step,
                                                 step=step)):
                 _assert_grid_facts_match(changed)
+
+    @pytest.mark.parametrize("lo,hi,step", [(0.05, 1.05, 0.1), (0.05, 1.0, 0.1),
+                                            (-2.25, 3.0, 0.5), (1.125, 9.0, 2.5)])
+    def test_min_with_more_decimals_than_the_step_stays_on_grid(self, lo, hi, step):
+        values = OddVariable("v", lo, hi, step).grid_values()
+        assert values[0] == lo and values == sorted(set(values))
+        assert values[-1] <= hi
 
     def test_equality_hash_and_repr_are_the_fields(self):
         a = OddVariable("v", -1.0, 2.0, 0.05)
