@@ -9,15 +9,18 @@ inconsistent rule from counterfactual evidence:
   one with the fewest remaining mismatches.
 * LlmGenerator sends the assembled prompt to a chat-completion endpoint and
   runs the reply through strict parsing; model output is never trusted
-  without a parse, vocabulary check, and change-log reconstruction.
+  without a parse and a vocabulary check.
 * MockGenerator replays scripted response texts through the same parsing
   path, for offline loop tests.
+
+Each returns a rule and an explanation only; refine_loop rebuilds the change
+log of the accepted rule with diff_rules, the one producer of change logs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 
@@ -67,7 +70,6 @@ class RefinementContext:
 class RefinementCandidate:
     ast: RuleAst
     explanation: str
-    change_log: tuple[Edit, ...]
 
 
 class GenerationFailure(Exception):
@@ -207,7 +209,7 @@ def parse_candidate_response(raw: str, odd: OddSpec) -> RefinementCandidate:
         remainder = [line.strip() for line in text.splitlines()
                      if line.strip() and line.strip() != used_line]
         explanation = "\n".join(remainder)
-    return RefinementCandidate(ast=parsed, explanation=explanation, change_log=())
+    return RefinementCandidate(ast=parsed, explanation=explanation)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +362,6 @@ def _var_const_positions(ast: RuleAst, feature: str) -> list[tuple[int, int, Rel
     return positions
 
 
-def _replace_relation(ast: RuleAst, d: int, j: int, new_rel: Relation) -> RuleAst:
-    work = [list(c.relations) for c in ast.disjuncts]
-    work[d][j] = new_rel
-    return rule(*work)
-
-
 def _adjust_threshold(rel: Relation, value: float) -> Relation:
     if isinstance(rel.rhs, Const):
         return Relation(rel.lhs, rel.op, Const(value))
@@ -379,22 +375,25 @@ def _swap_strictness(rel: Relation) -> Relation | None:
 
 
 def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
-                           odd: OddSpec) -> list[tuple[RuleAst, Edit]]:
+                           odd: OddSpec) -> list[RuleAst]:
     """All single-edit candidates in the fixed generation order: midpoint
     threshold moves, strictness swaps, midpoint bounds on the perturbed
     feature, then removals. Duplicates (same resulting rule) keep their
     first position; an edit already built once (same relation at the same
     position, or the same bound on the same disjunct) is skipped before its
     rule is built."""
-    out: list[tuple[RuleAst, Edit]] = []
+    out: list[RuleAst] = []
     seen: set[str] = {print_rule(target)}
     built: set[tuple] = set()
 
-    def add(ast: RuleAst, edit: Edit):
+    def add(d: int, relations: tuple[Relation, ...]):
+        """Keep the target with disjunct d's relations replaced (none: removed)."""
+        middle = (Conjunct(relations),) if relations else ()
+        ast = RuleAst(target.disjuncts[:d] + middle + target.disjuncts[d + 1:])
         key = print_rule(ast)
         if key not in seen:
             seen.add(key)
-            out.append((ast, edit))
+            out.append(ast)
 
     moves = [
         (d, j, rel, feature, pair.x_cf[feature] < pair.x[feature],
@@ -407,36 +406,27 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
         new_rel = _adjust_threshold(rel, mid)
         if new_rel != rel and ("move", d, j, new_rel) not in built:
             built.add(("move", d, j, new_rel))
-            add(_replace_relation(target, d, j, new_rel),
-                Edit(EditKind.THRESHOLD_ADJUST, (d, j), print_relation(rel), print_relation(new_rel)))
+            rels = target.disjuncts[d].relations
+            add(d, rels[:j] + (new_rel,) + rels[j + 1:])
     for d, j, rel, feature, down, mid in moves:
         swapped = _swap_strictness(rel)
         if swapped is not None and ("swap", d, j) not in built:
             built.add(("swap", d, j))
-            add(_replace_relation(target, d, j, swapped),
-                Edit(EditKind.OPERATOR_REPLACE, (d, j), print_relation(rel), print_relation(swapped)))
+            rels = target.disjuncts[d].relations
+            add(d, rels[:j] + (swapped,) + rels[j + 1:])
     for d, j, rel, feature, down, mid in moves:
         new_rel = Relation(Var(feature), RelOp.LT if down else RelOp.GT, Const(mid))
         if ("bound", d, new_rel) in built or new_rel in target.disjuncts[d].relations:
             continue
         built.add(("bound", d, new_rel))
-        work = [list(c.relations) for c in target.disjuncts]
-        insert_at = len(work[d])
-        work[d].append(new_rel)
-        add(rule(*work),
-            Edit(EditKind.ADD_CONJUNCT, (d, insert_at), "", print_relation(new_rel)))
+        add(d, target.disjuncts[d].relations + (new_rel,))
     for (d, j), rel in target.relations():
-        if len(target.disjuncts[d].relations) > 1:
-            work = [list(c.relations) for c in target.disjuncts]
-            del work[d][j]
-            add(rule(*work),
-                Edit(EditKind.REMOVE_CONJUNCT, (d, j), print_relation(rel), ""))
+        rels = target.disjuncts[d].relations
+        if len(rels) > 1:
+            add(d, rels[:j] + rels[j + 1:])
     if len(target.disjuncts) > 1:
-        for d, conj in enumerate(target.disjuncts):
-            work = [list(c.relations) for c in target.disjuncts]
-            del work[d]
-            add(rule(*work),
-                Edit(EditKind.REMOVE_DISJUNCT, (d,), print_conjunct(conj, wrap=False), ""))
+        for d in range(len(target.disjuncts)):
+            add(d, ())
     return out
 
 
@@ -465,7 +455,7 @@ class DeterministicGenerator:
         verdict = target.polarity.verdict
         wrong = [run.x for run in self.dataset if run.y is not verdict]
         cap, best = base, None
-        for ast, edit in enumerate_single_edits(target.ast, ctx.evidence, self.odd):
+        for ast in enumerate_single_edits(target.ast, ctx.evidence, self.odd):
             if cap == 0:
                 break
             holds, n_mismatch = compile_rule(ast), 0
@@ -475,14 +465,14 @@ class DeterministicGenerator:
                     if n_mismatch == cap:
                         break
             else:
-                cap, best = n_mismatch, (ast, edit)
+                cap, best = n_mismatch, ast
         if best is None:
             raise GenerationFailure("no improving edit")
-        ast, edit = best
+        (edit,) = diff_rules(target.ast, best)
         explanation = (f"Applied {edit.kind.value} at {edit.path}: "
                        f"{edit.before or '(none)'} -> {edit.after or '(removed)'}; "
                        f"mismatches {base} -> {cap}.")
-        return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,))
+        return RefinementCandidate(ast=best, explanation=explanation)
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +492,6 @@ class LlmConfig:
 class TranscriptEntry:
     prompt: str
     response: str
-
-
-def _candidate_from_reply(raw: str, odd: OddSpec, target: RuleAst) -> RefinementCandidate:
-    """A parsed reply with its change log against the target; a rejected
-    reply raises GenerationFailure with the parser's summary."""
-    candidate = parse_candidate_response(raw, odd)
-    return replace(candidate, change_log=diff_rules(target, candidate.ast))
 
 
 class LlmGenerator:
@@ -552,7 +535,7 @@ class LlmGenerator:
         if not isinstance(content, str):
             raise GenerationFailure(f"malformed backend response: content is {content!r}")
         self.transcript.append(TranscriptEntry(prompt=prompt, response=content))
-        return _candidate_from_reply(content, self.odd, ctx.target.ast)
+        return parse_candidate_response(content, self.odd)
 
 
 class MockGenerator:
@@ -568,7 +551,7 @@ class MockGenerator:
             raise GenerationFailure("mock script exhausted")
         raw = self.responses[self._cursor]
         self._cursor += 1
-        return _candidate_from_reply(raw, self.odd, ctx.target.ast)
+        return parse_candidate_response(raw, self.odd)
 
 
 def generate_candidate(generator, ctx: RefinementContext) -> RefinementCandidate:

@@ -216,12 +216,20 @@ def odd_to_json(odd: OddSpec) -> dict:
     ]}
 
 
+def _odd_number(v: dict, field: str) -> float:
+    """A JSON number; float() alone would also take a bool or a numeric string."""
+    if isinstance(v[field], bool) or not isinstance(v[field], (int, float)):
+        raise TypeError(f"variable {v.get('name')!r}: field {field!r} must be a number, "
+                        f"got {v[field]!r}")
+    return float(v[field])
+
+
 def odd_from_json(data, path="<odd>") -> OddSpec:
     if not isinstance(data, dict) or "variables" not in data:
         _fail(path, 'expected an object with a "variables" list')
     try:
         odd = OddSpec(tuple(
-            OddVariable(v["name"], float(v["min"]), float(v["max"]), float(v["step"]))
+            OddVariable(v["name"], *(_odd_number(v, f) for f in ("min", "max", "step")))
             for v in data["variables"]
         ))
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,9 +10,10 @@ to "no new inconsistencies": no run may become inconsistent under the
 candidate that was not inconsistent under the target. The target and each
 candidate that reaches the gates are scored in full once, here, and every
 gate after the contradiction check reads those two reports; the accepted outcome carries both decisiveness
-scores, so no caller scores the rules again. A report's contradiction
-verdict is the first non-Clear ContradictionResult, or an all-Clear one with
-no opposing rule id.
+scores, so no caller scores the rules again. Its change log is rebuilt here,
+once, by diff_rules from the target, whichever generator wrote the rule. A
+report's contradiction verdict is the first non-Clear ContradictionResult,
+or an all-Clear one with no opposing rule id.
 Overlap is decided per pair of conjuncts, one from each rule, over the box
 that the pair's direct bounds cut out of the domain: an empty box, or one in
 which interval subdivision refutes the pair's other relations, proves the
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .counterfactual import EvidenceFile, Oracle, SearchLimits, build_evidence
-from .generation import Edit, GenerationFailure, RefinementContext, generate_candidate
+from .generation import (Edit, GenerationFailure, RefinementContext, diff_rules,
+                         generate_candidate)
 from .grammar import (Const, Expr, OddSpec, Relation, RelOp, RuleAst, Var, check_vocabulary,
                       direct_bound, expr_variables, print_rule)
 from .semantics import (EPS_EQ, DecisivenessReport, LabeledRun, PolarizedRule, compile_rule,
@@ -383,7 +385,7 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
                                         **scores))
         return RefinementOutcome(
             refined=candidate.ast,
-            change_log=tuple(candidate.change_log),
+            change_log=diff_rules(target.ast, candidate.ast),
             explanation=candidate.explanation,
             attempts=attempt,
             reports=tuple(reports),

@@ -543,6 +543,26 @@ class TestMalformedFiles:
         assert not out.exists()
         assert "the ODD declares no variables" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("min", True), ("max", "5"), ("step", " 0.5 ")],
+                             ids=["bool-min", "string-max", "padded-string-step"])
+    @pytest.mark.parametrize("command", ["sim", "refine"])
+    def test_config_odd_bound_not_a_number(self, workspace, tmp_path, capsys, command, field,
+                                           value):
+        data = json.loads((workspace / "oracle_config.json").read_text())
+        name = data["odd"]["variables"][0]["name"]
+        data["odd"]["variables"][0][field] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = (["sim", "--n", "3", "--config", str(config), "--out", str(out)]
+                if command == "sim" else
+                ["refine", *_args(workspace)[:4], "--config", str(config), "--out", str(out)])
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"variable {name!r}: field {field!r} must be a number, got {value!r}" in err
+        assert "Traceback" not in err
+
     def test_config_safe_region_outside_its_odd(self, workspace, tmp_path, capsys):
         config = _config_file(workspace, tmp_path, safe_region="(headway > 2)")
         assert main(["check", "--rules", str(workspace / "rules.json"),

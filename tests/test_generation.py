@@ -17,8 +17,8 @@ from ruleforge import (DeterministicGenerator, EditKind, EvidenceFile, Generatio
                        refine_loop, search_counterfactual)
 from ruleforge import generation
 from ruleforge.generation import (FORMAT_EXEMPLAR, Edit, _adjust_threshold, _changed_features,
-                                  _midpoint, _replace_relation, _swap_strictness,
-                                  _var_const_positions, enumerate_single_edits)
+                                  _midpoint, _swap_strictness, _var_const_positions,
+                                  enumerate_single_edits)
 from ruleforge.grammar import (GRAMMAR_TEXT, Const, Relation, RelOp, Var, print_conjunct,
                                print_relation, rule)
 from ruleforge.semantics import compile_rule, decisiveness
@@ -121,7 +121,11 @@ class TestDeterministicGenerator:
         gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
         candidate = generate_candidate(gen, x1_context)
         assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
-        assert [e.kind for e in candidate.change_log] == [EditKind.THRESHOLD_ADJUST]
+        assert [e.kind for e in diff_rules(fixture42.baseline_rule.ast, candidate.ast)] == [
+            EditKind.THRESHOLD_ADJUST]
+        assert candidate.explanation.startswith(
+            "Applied ThresholdAdjust at (0, 0): (dist_front < 5) -> (dist_front < 4.1); "
+            "mismatches ")
 
     def test_deterministic(self, fixture42, x1_context):
         gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
@@ -130,7 +134,10 @@ class TestDeterministicGenerator:
     def test_change_log_replays(self, fixture42, x1_context):
         gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
         candidate = generate_candidate(gen, x1_context)
-        assert apply_edits(fixture42.baseline_rule.ast, candidate.change_log) == candidate.ast
+        (edit,) = diff_rules(fixture42.baseline_rule.ast, candidate.ast)
+        assert apply_edits(fixture42.baseline_rule.ast, (edit,)) == candidate.ast
+        assert candidate.explanation.startswith(f"Applied {edit.kind.value} at {edit.path}: "
+                                                f"{edit.before} -> {edit.after}; ")
 
     def test_no_evidence_fails(self, fixture42, x1_context):
         import dataclasses
@@ -148,7 +155,8 @@ class TestDeterministicGenerator:
                          {"ARG2": 2.0}),),
             unresolved=())
         candidates = enumerate_single_edits(target, pair_evidence, arg_odd)
-        removals = [(print_rule(ast), edit.kind) for ast, edit in candidates
+        removals = [(print_rule(ast), edit.kind) for ast in candidates
+                    for edit in diff_rules(target, ast)
                     if edit.kind is EditKind.REMOVE_CONJUNCT]
         assert ("(ARG2 > 5)", EditKind.REMOVE_CONJUNCT) in removals
         assert ("(ARG2 > 3)", EditKind.REMOVE_CONJUNCT) in removals
@@ -166,7 +174,7 @@ class TestDeterministicGenerator:
         swept = enumerate_single_edits(target_rule.ast, evidence, arg_odd)
         assert all(
             decisiveness(PolarizedRule("c", Polarity.PASS_RULE, ast), data).n_mismatch >= base
-            for ast, _ in swept)
+            for ast in swept)
         ctx = RefinementContext(target=target_rule, historical=(), evidence=evidence,
                                 mismatch_before=base)
         gen = DeterministicGenerator(data, arg_odd)
@@ -174,9 +182,10 @@ class TestDeterministicGenerator:
             generate_candidate(gen, ctx)
 
     def test_phase_order_thresholds_first(self, fixture42, x1_context):
-        candidates = enumerate_single_edits(fixture42.baseline_rule.ast,
-                                            x1_context.evidence, fixture42.config.odd)
-        kinds = [edit.kind for _, edit in candidates]
+        target = fixture42.baseline_rule.ast
+        candidates = enumerate_single_edits(target, x1_context.evidence, fixture42.config.odd)
+        kinds = [edit.kind for ast in candidates for edit in diff_rules(target, ast)]
+        assert len(kinds) == len(candidates)
         first_add = kinds.index(EditKind.ADD_CONJUNCT)
         assert EditKind.THRESHOLD_ADJUST in kinds[:first_add]
         assert all(k is not EditKind.THRESHOLD_ADJUST for k in kinds[first_add:])
@@ -199,12 +208,13 @@ class TestChangeLog:
             assert all(e.kind in EditKind for e in edits)
 
     def test_every_enumerated_edit_replays(self, fixture42, evidence27):
+        # random_rule targets with the fixture's evidence: each candidate's
+        # diff is exactly the one edit the reference enumeration builds
         odd = fixture42.config.odd
         kinds = set()
-        for seed in range(150):
+        for seed in range(300):
             target = random_rule(seed, odd, 3, 3)
-            for ast, edit in enumerate_single_edits(target, evidence27, odd):
-                assert apply_edits(target, (edit,)) == ast
+            for edit in _assert_diff_is_the_enumerated_edit(target, evidence27, odd):
                 kinds.add(edit.kind)
         assert kinds >= {EditKind.THRESHOLD_ADJUST, EditKind.OPERATOR_REPLACE,
                          EditKind.ADD_CONJUNCT, EditKind.REMOVE_CONJUNCT,
@@ -289,8 +299,10 @@ class TestLlmGenerator:
                                           "Explanation: tightened"))
         gen = _llm(fixture42)
         candidate = generate_candidate(gen, x1_context)
-        assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
-        assert apply_edits(fixture42.baseline_rule.ast, candidate.change_log) == candidate.ast
+        assert candidate == RefinementCandidate(
+            ast=parse_rule("(dist_front < 4.1) and (ego_speed > 0)"), explanation="tightened")
+        assert [e.kind for e in diff_rules(fixture42.baseline_rule.ast, candidate.ast)] == [
+            EditKind.THRESHOLD_ADJUST]
         assert len(gen.transcript) == 1
         assert gen.transcript[0].response.startswith("Rule:")
 
@@ -366,11 +378,17 @@ class TestLlmGenerator:
 
 def _reference_single_edits(target, evidence, odd):
     """The enumeration that builds every edit before deduplicating by rule
-    text: the reference for enumerate_single_edits."""
+    text, each with the Edit it applies: the reference for
+    enumerate_single_edits and for diff_rules on its candidates."""
     from ruleforge.generation import (Edit, _adjust_threshold, _changed_features, _midpoint,
-                                      _replace_relation, _swap_strictness,
-                                      _var_const_positions)
+                                      _swap_strictness, _var_const_positions)
     from ruleforge.grammar import Const, Relation, RelOp, Var, print_conjunct, print_relation, rule
+
+    def _replace_relation(ast, d, j, new_rel):
+        work = [list(c.relations) for c in ast.disjuncts]
+        work[d][j] = new_rel
+        return rule(*work)
+
     out = []
     seen = {print_rule(target)}
 
@@ -423,6 +441,18 @@ def _reference_single_edits(target, evidence, odd):
     return out
 
 
+def _assert_diff_is_the_enumerated_edit(target, evidence, odd):
+    """Every enumerated candidate's diff from the target is exactly the one
+    Edit the reference enumeration built for it, and replays to it. Returns
+    those edits."""
+    reference = _reference_single_edits(target, evidence, odd)
+    assert enumerate_single_edits(target, evidence, odd) == [ast for ast, _ in reference]
+    for ast, edit in reference:
+        assert diff_rules(target, ast) == (edit,)
+        assert apply_edits(target, (edit,)) == ast
+    return [edit for _, edit in reference]
+
+
 def _reference_generate(dataset, odd, ctx):
     """Every candidate scored by a full decisiveness pass; the same key and
     texts as DeterministicGenerator.generate. Returns the candidate or the
@@ -441,7 +471,7 @@ def _reference_generate(dataset, odd, ctx):
     explanation = (f"Applied {edit.kind.value} at {edit.path}: "
                    f"{edit.before or '(none)'} -> {edit.after or '(removed)'}; "
                    f"mismatches {base} -> {best[0]}.")
-    return RefinementCandidate(ast=ast, explanation=explanation, change_log=(edit,)), scores
+    return RefinementCandidate(ast=ast, explanation=explanation), scores
 
 
 _WORLD_DOMAINS = (
@@ -497,7 +527,7 @@ class TestCappedScoring:
         assume(world is not None)
         odd, data, ctx = world
         assert (enumerate_single_edits(ctx.target.ast, ctx.evidence, odd)
-                == _reference_single_edits(ctx.target.ast, ctx.evidence, odd))
+                == [ast for ast, _ in _reference_single_edits(ctx.target.ast, ctx.evidence, odd)])
         expected, _ = _reference_generate(data, odd, ctx)
         assert _generate_or_summary(DeterministicGenerator(data, odd), ctx) == expected
 
@@ -538,3 +568,55 @@ class TestCappedScoring:
                                                     monkeypatch)
         generator.generate(x1_context)
         assert len(calls) == first_zero + 1  # the candidates after it are never compiled
+
+
+class TestEnumeratedEditsAreTheirDiffs:
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_random_worlds(self, seed):
+        world = _small_world(seed)
+        assume(world is not None)
+        odd, _, ctx = world
+        _assert_diff_is_the_enumerated_edit(ctx.target.ast, ctx.evidence, odd)
+
+
+class _LibraryGenerator:
+    """A generator written against the public contract alone: it returns a
+    rule and an explanation, and no change log."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def generate(self, ctx):
+        return RefinementCandidate(ast=parse_rule(self.text), explanation="library")
+
+
+MULTI_EDIT_REPLY = ("Rule: (dist_front < 4.2) and (ego_speed > 0) and (lane_offset < 2)\n"
+                    "Explanation: tightened the headway and bounded the lane offset")
+
+
+class TestGeneratorContract:
+    """Whatever produced the accepted rule, the outcome's change log is
+    rebuilt by the loop and replays from the target to the refined rule."""
+
+    @pytest.mark.parametrize("kind", ["local", "mock", "llm", "library"])
+    def test_accepted_change_log_replays(self, fixture42, monkeypatch, kind):
+        odd = fixture42.config.odd
+        if kind == "local":
+            generator = DeterministicGenerator(fixture42.dataset, odd)
+        elif kind == "mock":
+            generator = MockGenerator([MULTI_EDIT_REPLY], odd)
+        elif kind == "llm":
+            _fake_urlopen(monkeypatch, _reply(MULTI_EDIT_REPLY))
+            generator = _llm(fixture42)
+        else:
+            generator = _LibraryGenerator(MULTI_EDIT_REPLY.splitlines()[0][len("Rule: "):])
+        target = fixture42.baseline_rule
+        outcome = refine_loop(target, [target], fixture42.dataset, make_oracle(fixture42.config),
+                              odd, generator)
+        assert outcome.change_log
+        assert outcome.change_log == diff_rules(target.ast, outcome.refined)
+        assert apply_edits(target.ast, outcome.change_log) == outcome.refined
+        if kind != "local":
+            assert [e.kind for e in outcome.change_log] == [EditKind.ADD_DISJUNCT,
+                                                            EditKind.REMOVE_DISJUNCT]
