@@ -23,15 +23,15 @@ from .scenario import (Fixture, OracleConfig, OutOfDomain, default_config, make_
                        make_reference_fixture, oracle_label, sample_dataset)
 from .semantics import (DecisivenessReport, EmptyDataset, LabeledRun, Outcome, PolarizedRule,
                         Polarity, UnboundVariable, decisiveness, evaluate)
-from .validation import (ContradictionBudget, ContradictionResult, ContradictionStatus,
-                         Exhausted, RefinementOutcome, TargetNotInRuleset, ValidationReport,
-                         check_contradiction, check_preserved_consistency, refine_loop)
+from .validation import (ContradictionResult, ContradictionStatus, Exhausted, RefinementOutcome,
+                         TargetNotInRuleset, ValidationReport, check_contradiction,
+                         check_preserved_consistency, refine_loop)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArithOp", "BinOp", "CmReport", "Conjunct", "Const",
-    "ContradictionBudget", "ContradictionResult", "ContradictionStatus",
+    "ContradictionResult", "ContradictionStatus",
     "CounterfactualNotFound", "CounterfactualPair", "DecisivenessReport",
     "DeterministicGenerator", "Edit", "EditKind", "EmptyDataset", "EvidenceFile",
     "Exhausted", "Fixture", "GRAMMAR_TEXT", "GcReport", "GenerationFailure", "LabeledRun",

@@ -14,10 +14,12 @@ arithmetic expressions:
     IDENT    = letter-or-underscore , { letter-digit-underscore } ;
     NUMBER   = digits , [ "." , digits ] ;
 
-Logical keywords are case-insensitive; the unicode forms for the logical and
-relational operators are accepted as aliases on input. Chained comparisons
-(``0 < x < 5``) are sugar for a conjunction of binary relations and are
-desugared at parse time; the canonical printed form is always binary.
+The tokenizer is one regex table, one named group per token kind; text it
+cannot read becomes GARBAGE tokens, so it never fails. Logical keywords are
+case-insensitive; the unicode forms for the logical and relational operators
+are accepted as aliases on input. Chained comparisons (``0 < x < 5``) are
+sugar for a conjunction of binary relations and are desugared at parse time;
+the canonical printed form is always binary.
 Precedence, loosest first: or, and, relational, additive, multiplicative.
 """
 
@@ -267,35 +269,25 @@ class Token:
     span: tuple[int, int]  # character offsets [start, end)
 
 
-_WHITESPACE = " \t\r\n\f\v"
-_TWO_CHAR_OPS = {"<=": TokenKind.RELOP, ">=": TokenKind.RELOP, "==": TokenKind.RELOP,
-                 "!=": TokenKind.RELOP, "&&": TokenKind.LOGOP, "||": TokenKind.LOGOP}
-_ONE_CHAR_OPS = {"<": TokenKind.RELOP, ">": TokenKind.RELOP, "=": TokenKind.RELOP,
-                 "≤": TokenKind.RELOP, "≥": TokenKind.RELOP, "≠": TokenKind.RELOP,
-                 "+": TokenKind.AROP, "-": TokenKind.AROP, "*": TokenKind.AROP, "/": TokenKind.AROP,
-                 "∧": TokenKind.LOGOP, "∨": TokenKind.LOGOP,
-                 "(": TokenKind.LPAREN, ")": TokenKind.RPAREN}
-
 #: Input aliases normalized to the canonical operator spelling.
 NORMALIZED_LEXEMES = {"=": "==", "≤": "<=", "≥": ">=", "≠": "!=",
                       "&&": "and", "||": "or", "∧": "and", "∨": "or"}
 
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"  # ASCII only; unicode digits are not literals
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch == "_" or ("A" <= ch <= "Z") or ("a" <= ch <= "z")
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or _is_digit(ch)
-
-
-def _starts_token(ch: str) -> bool:
-    return (ch in _WHITESPACE or _is_digit(ch) or _is_ident_start(ch)
-            or ch in _ONE_CHAR_OPS or ch in "!&|")
+# One named group per token kind, tried in order after any leading
+# whitespace. Every non-space character starts some token, so the matches
+# tile the text; the last match takes the trailing whitespace in one step.
+# NUMBER and IDENT are ASCII only. GARBAGE is one character and then every
+# character that cannot start a token, so `!`, `&` and `|` end a run.
+_TOKEN_RE = re.compile(r"""[ \t\r\n\f\v]*(?:
+    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?)
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<RELOP>[<>=!]=|[<>=≤≥≠])
+  | (?P<LOGOP>&&|\|\||[∧∨])
+  | (?P<AROP>[-+*/])
+  | (?P<GARBAGE>[^ \t\r\n\f\v][^ \t\r\n\f\vA-Za-z_0-9()<>=≤≥≠!&|∧∨+*/-]*)
+  | \Z)""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -305,46 +297,14 @@ def tokenize(text: str) -> list[Token]:
     input exactly.
     """
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _WHITESPACE:
-            i += 1
-            continue
-        start = i
-        if text[i:i + 2] in _TWO_CHAR_OPS:
-            pair = text[i:i + 2]
-            tokens.append(Token(_TWO_CHAR_OPS[pair], pair, (start, start + 2)))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(_ONE_CHAR_OPS[ch], ch, (start, start + 1)))
-            i += 1
-            continue
-        if _is_digit(ch):
-            i += 1
-            while i < n and _is_digit(text[i]):
-                i += 1
-            if i + 1 < n and text[i] == "." and _is_digit(text[i + 1]):
-                i += 1
-                while i < n and _is_digit(text[i]):
-                    i += 1
-            tokens.append(Token(TokenKind.NUMBER, text[start:i], (start, i)))
-            continue
-        if _is_ident_start(ch):
-            i += 1
-            while i < n and _is_ident_char(text[i]):
-                i += 1
-            word = text[start:i]
-            kind = TokenKind.LOGOP if word.lower() in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, (start, i)))
-            continue
-        # Unrecognizable: swallow the whole run up to the next recognizable
-        # character or whitespace.
-        i += 1
-        while i < n and not _starts_token(text[i]):
-            i += 1
-        tokens.append(Token(TokenKind.GARBAGE, text[start:i], (start, i)))
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # the end of the text, after any trailing whitespace
+            break
+        lexeme, span = match[kind], match.span(kind)
+        if kind == "IDENT" and lexeme.lower() in KEYWORDS:
+            kind = "LOGOP"
+        tokens.append(Token(TokenKind[kind], lexeme, span))
     return tokens
 
 
@@ -364,13 +324,8 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class _Or:
-    items: tuple
-    span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class _And:
+class _Group:
+    word: str  # "or" | "and"
     items: tuple
     span: tuple[int, int]
 
@@ -417,24 +372,20 @@ class _Parser:
         return _shape(node)
 
     def parse_or(self):
-        start = self._here()
-        items = [self.parse_and()]
-        while self._at_logop("or"):
-            self.pos += 1
-            items.append(self.parse_and())
-        if len(items) == 1:
-            return items[0]
-        return _Or(tuple(items), (start, self._behind()))
+        return self._logical("or", self.parse_and)
 
     def parse_and(self):
+        return self._logical("and", self.parse_cmp)
+
+    def _logical(self, word: str, operand):
         start = self._here()
-        items = [self.parse_cmp()]
-        while self._at_logop("and"):
+        items = [operand()]
+        while self._at_logop(word):
             self.pos += 1
-            items.append(self.parse_cmp())
+            items.append(operand())
         if len(items) == 1:
             return items[0]
-        return _And(tuple(items), (start, self._behind()))
+        return _Group(word, tuple(items), (start, self._behind()))
 
     def parse_cmp(self):
         start = self._here()
@@ -451,21 +402,17 @@ class _Parser:
         return _Chain(tuple(operands), tuple(ops), (start, self._behind()))
 
     def parse_add(self):
-        node = self.parse_mul()
-        while (tok := self._peek()) is not None and tok.kind is TokenKind.AROP and tok.lexeme in "+-":
-            self.pos += 1
-            self._require_expr(node, "arithmetic operand")
-            right = self.parse_mul()
-            self._require_expr(right, "arithmetic operand")
-            node = BinOp(ArithOp(tok.lexeme), node, right)
-        return node
+        return self._arithmetic("+-", self.parse_mul)
 
     def parse_mul(self):
-        node = self.parse_primary()
-        while (tok := self._peek()) is not None and tok.kind is TokenKind.AROP and tok.lexeme in "*/":
+        return self._arithmetic("*/", self.parse_primary)
+
+    def _arithmetic(self, ops: str, operand):
+        node = operand()
+        while (tok := self._peek()) is not None and tok.kind is TokenKind.AROP and tok.lexeme in ops:
             self.pos += 1
             self._require_expr(node, "arithmetic operand")
-            right = self.parse_primary()
+            right = operand()
             self._require_expr(right, "arithmetic operand")
             node = BinOp(ArithOp(tok.lexeme), node, right)
         return node
@@ -504,27 +451,27 @@ class _Parser:
         return Const(value)
 
     def _require_expr(self, node, context: str):
-        if isinstance(node, (_Or, _And, _Chain)):
+        if isinstance(node, (_Group, _Chain)):
             raise ParseError(f"logical group used as {context}", node.span[0],
                              {"arithmetic expression"}, self.pos)
 
 
 def _shape(node) -> RuleAst:
     """Coerce a parse tree into disjunctive-over-conjunctive rule shape."""
-    disjunct_nodes = node.items if isinstance(node, _Or) else (node,)
+    disjunct_nodes = node.items if isinstance(node, _Group) and node.word == "or" else (node,)
     disjuncts = []
     for dnode in disjunct_nodes:
-        parts = dnode.items if isinstance(dnode, _And) else (dnode,)
+        parts = dnode.items if isinstance(dnode, _Group) and dnode.word == "and" else (dnode,)
         relations: list[Relation] = []
         for part in parts:
-            if isinstance(part, (_Or, _And)):
+            if isinstance(part, _Group):
                 raise ParseError("nested logical group is not a relation", part.span[0],
                                  {"relation"}, -1)
             if isinstance(part, _Chain):
                 for k, op in enumerate(part.ops):
                     relations.append(Relation(part.operands[k], op, part.operands[k + 1]))
             else:
-                span = dnode.span if isinstance(dnode, (_Or, _And, _Chain)) else (0, 0)
+                span = dnode.span if isinstance(dnode, (_Group, _Chain)) else (0, 0)
                 raise ParseError("expected a relation, found a bare expression", span[0],
                                  {"relational operator"}, -1)
         disjuncts.append(Conjunct(tuple(relations)))

@@ -17,8 +17,8 @@ import math
 from pathlib import Path
 
 from .counterfactual import EvidenceFile
-from .grammar import (OddSpec, OddVariable, ParseError, RuleAst, fmt_number, parse_rule,
-                      print_rule)
+from .grammar import (GrammarError, OddSpec, OddVariable, ParseError, RuleAst, fmt_number,
+                      parse_rule, print_rule)
 from .metrics import MetricsReport
 from .scenario import ConstructionFailure, OracleConfig
 from .semantics import LabeledRun, Outcome, PolarizedRule, Polarity
@@ -216,23 +216,32 @@ def odd_to_json(odd: OddSpec) -> dict:
     ]}
 
 
-def _odd_number(v: dict, field: str) -> float:
-    """A JSON number; float() alone would also take a bool or a numeric string."""
-    if isinstance(v[field], bool) or not isinstance(v[field], (int, float)):
-        raise TypeError(f"variable {v.get('name')!r}: field {field!r} must be a number, "
-                        f"got {v[field]!r}")
-    return float(v[field])
+def _odd_variable(path, i: int, v) -> OddVariable:
+    """Entry i of an ODD's variables. A fault names the entry (its name when
+    that is a string, else i) and the field. min, max and step must be JSON
+    numbers: float() alone would also take a bool or a numeric string."""
+    if not isinstance(v, dict):
+        _fail(path, f"variable {i}: expected an object, got {v!r}")
+    label = repr(v["name"]) if isinstance(v.get("name"), str) else i
+    for field in ("name", "min", "max", "step"):
+        if field not in v:
+            _fail(path, f"variable {label}: missing field {field!r}")
+    if not isinstance(v["name"], str):
+        _fail(path, f"variable {label}: field 'name' must be a string, got {v['name']!r}")
+    for field in ("min", "max", "step"):
+        if isinstance(v[field], bool) or not isinstance(v[field], (int, float)):
+            _fail(path, f"variable {label}: field {field!r} must be a number, got {v[field]!r}")
+    return OddVariable(v["name"], float(v["min"]), float(v["max"]), float(v["step"]))
 
 
 def odd_from_json(data, path="<odd>") -> OddSpec:
     if not isinstance(data, dict) or "variables" not in data:
         _fail(path, 'expected an object with a "variables" list')
+    if not isinstance(data["variables"], list):
+        _fail(path, f"field 'variables' must be a list, got {data['variables']!r}")
     try:
-        odd = OddSpec(tuple(
-            OddVariable(v["name"], *(_odd_number(v, f) for f in ("min", "max", "step")))
-            for v in data["variables"]
-        ))
-    except (KeyError, TypeError, ValueError) as exc:
+        odd = OddSpec(tuple(_odd_variable(path, i, v) for i, v in enumerate(data["variables"])))
+    except GrammarError as exc:
         _fail(path, f"bad variable entry: {exc}")
     if not odd.variables:
         _fail(path, "the ODD declares no variables")

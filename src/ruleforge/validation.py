@@ -43,10 +43,8 @@ class ContradictionStatus(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class ContradictionBudget:
-    grid_cap: int = 100_000  # max grid probes per pair of conjuncts
-    subdivision_depth: int = 12
+GRID_CAP = 100_000  # max grid probes per pair of conjuncts
+SUBDIVISION_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -208,8 +206,7 @@ def _grid_in_box(box, odd: OddSpec, cap: int):
         yield dict(zip(odd.names, combo))
 
 
-def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
-                        odd: OddSpec, budget: ContradictionBudget = ContradictionBudget(),
+def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule], odd: OddSpec,
                         dataset: list[LabeledRun] | None = None) -> list[ContradictionResult]:
     """Per opposing rule: Flagged with a witness where both rules hold (a
     dataset point first, else a step-grid point), Clear when every pair of
@@ -226,11 +223,11 @@ def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
         if other.polarity is candidate.polarity:
             raise ValueError(f"rule {other.id!r} has the same polarity as the candidate")
         results.append(ContradictionResult(other.id, *_decide_pair(
-            candidate.ast, other.ast, odd, budget, dataset)))
+            candidate.ast, other.ast, odd, dataset)))
     return results
 
 
-def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec, budget: ContradictionBudget,
+def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
                  dataset) -> tuple[ContradictionStatus, dict[str, float] | None]:
     holds_a, holds_b = compile_rule(a), compile_rule(b)
 
@@ -250,9 +247,9 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec, budget: ContradictionBudg
             closure = {n: (box[n][0][0], box[n][1][0])
                        for rel in residual for side in (rel.lhs, rel.rhs)
                        for n in expr_variables(side)}
-            if _refute(residual, closure, budget.subdivision_depth):
+            if _refute(residual, closure, SUBDIVISION_DEPTH):
                 continue
-            for point in _grid_in_box(box, odd, budget.grid_cap):
+            for point in _grid_in_box(box, odd, GRID_CAP):
                 if both(point):
                     return (ContradictionStatus.FLAGGED, point)
             status = ContradictionStatus.UNKNOWN

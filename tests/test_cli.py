@@ -563,6 +563,34 @@ class TestMalformedFiles:
         assert f"variable {name!r}: field {field!r} must be a number, got {value!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fault, message", [
+        ("no-min", "variable {name!r}: missing field 'min'"),
+        ("int-name", "variable 0: field 'name' must be a string, got 5"),
+        ("entry-not-object", "variable 0: expected an object, got 5"),
+        ("variables-not-list", "field 'variables' must be a list, got {{'name': {name!r}}}"),
+    ], ids=["no-min", "int-name", "entry-not-object", "variables-not-list"])
+    def test_config_odd_entry_named_with_its_field(self, workspace, tmp_path, capsys, fault,
+                                                   message):
+        data = json.loads((workspace / "oracle_config.json").read_text())
+        variables = data["odd"]["variables"]
+        name = variables[0]["name"]
+        if fault == "no-min":
+            del variables[0]["min"]
+        elif fault == "int-name":
+            variables[0]["name"] = 5
+        elif fault == "entry-not-object":
+            variables[0] = 5
+        else:
+            data["odd"]["variables"] = {"name": name}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["sim", "--n", "3", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message.format(name=name) in err
+        assert "Traceback" not in err
+
     def test_config_safe_region_outside_its_odd(self, workspace, tmp_path, capsys):
         config = _config_file(workspace, tmp_path, safe_region="(headway > 2)")
         assert main(["check", "--rules", str(workspace / "rules.json"),

@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import math
 import pickle
 import random
+import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 
 from ruleforge import (ParseError, RelOp, TokenKind, Var, check_vocabulary, evaluate,
                        parse_rule, print_rule, random_rule, tokenize)
-from ruleforge.grammar import Const, GrammarError, OddVariable, Relation, fmt_number, rule
+from ruleforge.grammar import (Const, GrammarError, OddVariable, Relation, Token, fmt_number,
+                               rule)
 
 R1 = "(dist_front < 5.0) and (ego_speed > 0)"
 EXEMPLAR = "(0 < ARG2 < 5) and (ARG1 > 0) or (8 < ARG2 < 12)"
@@ -80,6 +84,109 @@ class TestTokenize:
             parse_rule("x < " + "9" * 400)
 
 
+# ---------------------------------------------------------------------------
+# The character-loop scanner that the regex token table replaced, kept here
+# as the reference only.
+# ---------------------------------------------------------------------------
+
+_REF_WHITESPACE = " \t\r\n\f\v"
+_REF_TWO_CHAR_OPS = {"<=": TokenKind.RELOP, ">=": TokenKind.RELOP, "==": TokenKind.RELOP,
+                     "!=": TokenKind.RELOP, "&&": TokenKind.LOGOP, "||": TokenKind.LOGOP}
+_REF_ONE_CHAR_OPS = {"<": TokenKind.RELOP, ">": TokenKind.RELOP, "=": TokenKind.RELOP,
+                     "≤": TokenKind.RELOP, "≥": TokenKind.RELOP, "≠": TokenKind.RELOP,
+                     "+": TokenKind.AROP, "-": TokenKind.AROP, "*": TokenKind.AROP,
+                     "/": TokenKind.AROP, "∧": TokenKind.LOGOP, "∨": TokenKind.LOGOP,
+                     "(": TokenKind.LPAREN, ")": TokenKind.RPAREN}
+
+
+def _ref_is_digit(ch):
+    return "0" <= ch <= "9"
+
+
+def _ref_is_ident_start(ch):
+    return ch == "_" or ("A" <= ch <= "Z") or ("a" <= ch <= "z")
+
+
+def _ref_starts_token(ch):
+    return (ch in _REF_WHITESPACE or _ref_is_digit(ch) or _ref_is_ident_start(ch)
+            or ch in _REF_ONE_CHAR_OPS or ch in "!&|")
+
+
+def _ref_tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in _REF_WHITESPACE:
+            i += 1
+            continue
+        start = i
+        if text[i:i + 2] in _REF_TWO_CHAR_OPS:
+            tokens.append(Token(_REF_TWO_CHAR_OPS[text[i:i + 2]], text[i:i + 2], (i, i + 2)))
+            i += 2
+            continue
+        if ch in _REF_ONE_CHAR_OPS:
+            tokens.append(Token(_REF_ONE_CHAR_OPS[ch], ch, (i, i + 1)))
+            i += 1
+            continue
+        if _ref_is_digit(ch):
+            i += 1
+            while i < n and _ref_is_digit(text[i]):
+                i += 1
+            if i + 1 < n and text[i] == "." and _ref_is_digit(text[i + 1]):
+                i += 1
+                while i < n and _ref_is_digit(text[i]):
+                    i += 1
+            tokens.append(Token(TokenKind.NUMBER, text[start:i], (start, i)))
+            continue
+        if _ref_is_ident_start(ch):
+            i += 1
+            while i < n and (_ref_is_ident_start(text[i]) or _ref_is_digit(text[i])):
+                i += 1
+            word = text[start:i]
+            kind = TokenKind.LOGOP if word.lower() in ("and", "or") else TokenKind.IDENT
+            tokens.append(Token(kind, word, (start, i)))
+            continue
+        i += 1
+        while i < n and not _ref_starts_token(text[i]):
+            i += 1
+        tokens.append(Token(TokenKind.GARBAGE, text[start:i], (start, i)))
+    return tokens
+
+
+# Every operator and alias, keywords and near-keywords, ASCII digits and ".",
+# the characters that are no token alone, brackets, quotes and commas, the six
+# whitespace characters and four that are not whitespace to the tokenizer,
+# identifier pieces (including ones that case-folding would widen), and
+# non-ASCII digits and letters.
+_TOKEN_PIECES = ["<", "<=", ">", ">=", "==", "!=", "=", "≤", "≥", "≠", "+", "-", "*", "/",
+                 "(", ")", "&&", "||", "∧", "∨", "and", "OR", "anda", "And", "oR",
+                 *"0123456789", ".", "!", "&", "|", "[", "]", "{", "}", "'", '"', ",",
+                 *_REF_WHITESPACE, "\x1c", "\x85", "\xa0", "\u2028",
+                 "x", "_", "K", "Z", "ſ", "\u212a", "¹", "é", "٣"]
+
+
+class TestTokenizeAgainstReference:
+    @given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=40).map("".join))
+    @settings(max_examples=2000, deadline=None)
+    def test_same_tokens_as_the_character_loop(self, text):
+        assert tokenize(text) == _ref_tokenize(text)
+
+    def test_edge_cases(self):
+        for text in ["", "   ", "x < 1 \t\n", "anda < 1", "1.5.2", "1.", ".5", "!!=", "&&&",
+                     "|||", "a¹b", "x<=-2", "[[('a')]]", "é٣é < ¹"]:
+            assert tokenize(text) == _ref_tokenize(text), text
+
+    def test_trailing_whitespace_is_skipped_in_one_step(self):
+        # A scan that retried every trailing position would take about a
+        # minute here; one pass takes well under a millisecond.
+        text = "x < 1" + " \t\n" * 7000
+        start = time.perf_counter()
+        tokens = tokenize(text)
+        assert time.perf_counter() - start < 1.0
+        assert tokens == _ref_tokenize(text)
+
+
 class TestParse:
     def test_running_example_shape(self):
         ast = parse_rule(R1)
@@ -111,6 +218,13 @@ class TestParse:
     def test_disjunction_under_conjunction_rejected(self):
         with pytest.raises(ParseError):
             parse_rule("((a < 5) or (b > 0)) and (c < 1)")
+
+    @pytest.mark.parametrize("text, position", [("(a < 1 or b < 2) or c < 3", 1),
+                                                ("((a < 1 and b < 2)) and c < 3", 2)])
+    def test_group_nested_under_its_own_connective_rejected(self, text, position):
+        with pytest.raises(ParseError, match="nested logical group") as exc:
+            parse_rule(text)
+        assert exc.value.position == position
 
     def test_precedence_or_under_and(self):
         ast = parse_rule("a < 1 or b > 2 and c < 3")
@@ -329,3 +443,88 @@ class TestGridFacts:
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert repr(a) == "OddVariable(name='v', min=-1.0, max=2.0, step=0.05)"
         assert a != OddVariable("v", -1.0, 2.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Grammar corpus golden: the parse outcome and GC score of a fixed corpus of
+# near-miss rule texts, recorded once and compared on every run.
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).parent / "golden" / "grammar" / "corpus.json"
+
+_SOUP_WORDS = ["<", "<=", ">", ">=", "==", "!=", "=", "≤", "≥", "≠", "+", "-", "*", "/",
+               "(", ")", "and", "or", "AND", "Or", "anda", "&&", "||", "∧", "∨", "!", "&", "|",
+               "dist_front", "ego_speed", "lane_offset", "x", "_a1", "0", "3.5", "12.", ".5",
+               "007", "1e5", "9" * 400, "[", "]", "'", '"', ",", "¹", "é", "٣", "#", "@"]
+_SEPARATORS = ["", "", " ", " ", "\t", "\n"]
+_EDIT_ALIASES = [(" and ", " && "), (" and ", " ∧ "), (" or ", " || "), (" or ", " ∨ "),
+                 ("<=", "≤"), (">=", "≥"), ("!=", "≠"), ("==", "="), (" and ", " AND "),
+                 ("(", "["), (")", ")")]
+
+
+def _perturb(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.25 and text:
+            text = text[:i] + text[i + 1:]
+        elif roll < 0.5:
+            text = text[:i] + rng.choice(_SOUP_WORDS + _SEPARATORS) + text[i:]
+        elif roll < 0.7:
+            old, new = rng.choice(_EDIT_ALIASES)
+            text = text.replace(old, new, 1)
+        elif roll < 0.85:
+            j = rng.randrange(i, len(text) + 1)
+            text = text[:j] + text[i:j] + text[j:]
+        elif len(text) > i + 1:
+            text = text[:i] + text[i + 1] + text[i] + text[i + 2:]
+    return text
+
+
+def corpus_texts(seed: int = 2026, n_rules: int = 1000, n_soup: int = 1000) -> list[str]:
+    """Perturbed `random_rule` prints, then token soup; fixed per seed."""
+    from ruleforge import odd_spec
+    domain = odd_spec([("ego_speed", 0.0, 30.0, 0.5), ("dist_front", 0.0, 50.0, 0.2),
+                       ("lane_offset", -2.0, 2.0, 0.1)])
+    rng = random.Random(seed)
+    texts = [_perturb(rng, print_rule(random_rule(rng.randrange(10**6), domain, 3, 3)))
+             for _ in range(n_rules)]
+    for _ in range(n_soup):
+        words = [rng.choice(_SOUP_WORDS) for _ in range(rng.randint(0, 12))]
+        texts.append("".join(w + rng.choice(_SEPARATORS) for w in words))
+    return texts
+
+
+def corpus_record(text: str) -> dict:
+    """The printed rule or [message, position, sorted expected, token_index],
+    and GC's [gc, n_viol, n_tok]."""
+    from ruleforge import grammar_compliance
+    try:
+        parse = print_rule(parse_rule(text))
+    except ParseError as exc:
+        parse = [str(exc), exc.position, sorted(exc.expected), exc.token_index]
+    report = grammar_compliance(text)
+    return {"text": text, "parse": parse, "gc": [report.gc, report.n_viol, report.n_tok]}
+
+
+class TestGrammarCorpus:
+    def test_corpus_matches_golden(self):
+        """Every corpus text parses to the recorded rule or fails with the
+        recorded ParseError, and scores the recorded GC.
+
+        The golden file was written before the tokenizer became one regex
+        table, with ``PYTHONPATH=src python3 tests/test_grammar.py``, which
+        runs ``corpus_record`` over ``corpus_texts()`` (seed 2026: 1000
+        perturbed ``random_rule`` prints, then 1000 token-soup strings).
+        Regenerate it only for an intended change to the rule language.
+        """
+        golden = json.loads(CORPUS.read_text(encoding="utf-8"))
+        assert len(golden) == 2000
+        for entry in golden:
+            assert corpus_record(entry["text"]) == entry, entry["text"]
+
+
+if __name__ == "__main__":
+    CORPUS.parent.mkdir(parents=True, exist_ok=True)
+    CORPUS.write_text(json.dumps([corpus_record(t) for t in corpus_texts()], indent=1,
+                                 ensure_ascii=False) + "\n", encoding="utf-8")

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ruleforge import (ContradictionBudget, ContradictionStatus, DeterministicGenerator,
-                       Exhausted, LabeledRun, MockGenerator, Outcome, PolarizedRule, Polarity,
+from ruleforge import (ContradictionStatus, DeterministicGenerator, Exhausted, LabeledRun,
+                       MockGenerator, Outcome, PolarizedRule, Polarity,
                        TargetNotInRuleset, check_contradiction, check_preserved_consistency,
                        decisiveness, evaluate, make_oracle, odd_spec, parse_rule, print_rule,
                        random_rule, refine_loop)
@@ -42,9 +42,8 @@ class TestCheckContradiction:
 
     def test_division_near_zero_with_tight_budget_is_unknown(self):
         odd = odd_spec([("ARG1", 1.0, 10.0, 1.0), ("ARG2", -1.0, 1.0, 0.5)])
-        budget = ContradictionBudget(grid_cap=4, subdivision_depth=3)
         (result,) = check_contradiction(_pass("(ARG1 / ARG2 > 100)"),
-                                        [_fail("(ARG1 / ARG2 > 200)")], odd, budget)
+                                        [_fail("(ARG1 / ARG2 > 200)")], odd)
         assert result.status is ContradictionStatus.UNKNOWN
 
     def test_complementary_pair_at_a_shared_boundary_is_clear(self, odd):
