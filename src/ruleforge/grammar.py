@@ -213,8 +213,10 @@ class OddSpec:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise GrammarError("ODD variable names must be unique")
-        # contains_point runs on every oracle query: widen the bounds once.
-        object.__setattr__(self, "_widened", tuple(
+        # The one place where DOMAIN_TOL widens the ranges, done once:
+        # (name, min - DOMAIN_TOL, max + DOMAIN_TOL) per variable, read by
+        # contains_point and compiled into every oracle label.
+        object.__setattr__(self, "bounds", tuple(
             (v.name, v.min - DOMAIN_TOL, v.max + DOMAIN_TOL) for v in self.variables))
 
     @property
@@ -234,7 +236,7 @@ class OddSpec:
         """Every variable is bound in x and within its range, up to
         DOMAIN_TOL; NaN and infinities are outside."""
         try:
-            for name, lo, hi in self._widened:
+            for name, lo, hi in self.bounds:
                 if not lo <= x[name] <= hi:
                     return False
         except KeyError:

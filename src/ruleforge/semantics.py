@@ -8,7 +8,8 @@ Every evaluation goes through one function per rule, generated from its AST
 and compiled on first use (compile_rule). == and != hold within EPS_EQ; a
 division by zero makes its relation false and appends "division by zero in
 <relation>" to the diagnostics, in rule order; a variable missing from the
-input raises UnboundVariable.
+input raises UnboundVariable. The oracle's safe region is compiled the same
+way, once, into a label that checks the domain first (compile_label).
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class EmptyDataset(ValueError):
 
 #: A compiled rule: holds(x, diagnostics) -> bool.
 Holds = Callable[[dict[str, float], list[str] | None], bool]
+#: A compiled oracle label: label(x) -> Outcome.
+Label = Callable[[dict[str, float]], Outcome]
+#: Domain bounds of a label: (name, lo, hi) per variable.
+Bounds = tuple[tuple[str, float, float], ...]
 
 
 def _has_division(expr: Expr) -> bool:
@@ -85,15 +90,17 @@ def _source(e: Expr, slot: Callable[[object], str], parent_prec: int = 0) -> str
     return f"({text})" if prec < parent_prec else text
 
 
-def _build(ast: RuleAst) -> Holds:
-    """Generate, compile and return the Python function of one rule.
+def _build(ast: RuleAst, bounds: Bounds | None = None,
+           refuse: Callable[[dict[str, float]], Exception] | None = None) -> Holds | Label:
+    """Generate, compile and return the Python function of one rule: its
+    holds(x, diag), or given bounds, the label(x) of compile_label.
 
     Variables read x[name] (the name is a validated identifier, quoted with
-    repr); constants and diagnostic texts are bound as named slots, never
-    written into the source. Arithmetic keeps the AST's grouping, so every
-    float operation is the one the rule spells. The slots are parameters of
-    a factory whose closures are the rule, so no reference cycle holds a
-    dead rule's code."""
+    repr); constants, bounds and diagnostic texts are bound as named slots,
+    never written into the source. Arithmetic keeps the AST's grouping, so
+    every float operation is the one the rule spells. The slots are
+    parameters of a factory whose closures are the rule, so no reference
+    cycle holds a dead rule's code."""
     slots: dict[str, object] = {"UnboundVariable": UnboundVariable, "eps": EPS_EQ}
     helpers: list[str] = []
 
@@ -124,13 +131,26 @@ def _build(ast: RuleAst) -> Holds:
 
     body = " or ".join("(" + " and ".join(relation(rel) for rel in conj.relations) + ")"
                        for conj in ast.disjuncts)
+    if bounds is None:
+        name, params, guard, verdicts = "holds", "x, diag", "", ("True", "False")
+    else:
+        # The label keeps no diagnostics: its division helpers get diag=None.
+        slots.update(refuse=refuse, PASS=Outcome.PASS, FAIL=Outcome.FAIL, diag=None)
+        inside = " and ".join(f"{slot(lo)} <= x[{var!r}] <= {slot(hi)}"
+                              for var, lo, hi in bounds) or "True"
+        name, params, verdicts = "label", "x", ("PASS", "FAIL")
+        guard = ("        try:\n"
+                 f"            if not ({inside}):\n"
+                 "                raise refuse(x)\n"
+                 "        except KeyError:\n"
+                 "            raise refuse(x) from None\n")
     source = (f"def make({', '.join(slots)}):\n" + "".join(helpers)
-              + "    def holds(x, diag):\n"
-                "        try:\n"
-              + f"            return True if {body} else False\n"
+              + f"    def {name}({params}):\n" + guard
+              + "        try:\n"
+              + f"            return {verdicts[0]} if {body} else {verdicts[1]}\n"
                 "        except KeyError as exc:\n"
                 "            raise UnboundVariable(exc.args[0]) from None\n"
-                "    return holds\n")
+              + f"    return {name}\n")
     namespace: dict[str, object] = {}
     exec(compile(source, f"<rule {print_rule(ast)}>", "exec"), namespace)
     return namespace.pop("make")(**slots)
@@ -150,6 +170,18 @@ def compile_rule(ast: RuleAst) -> Holds:
         holds = _build(ast)
         object.__setattr__(ast, "_holds", holds)  # RuleAst is frozen
         return holds
+
+
+def compile_label(ast: RuleAst, bounds: Bounds,
+                  refuse: Callable[[dict[str, float]], Exception]) -> Label:
+    """The safe region ast as one oracle label over a domain.
+
+    label(x) raises refuse(x) unless x binds every name of bounds within its
+    [lo, hi] (NaN and infinities are outside), and then returns Outcome.PASS
+    where the rule holds and Outcome.FAIL elsewhere, as compile_rule's
+    function decides it. The guard and the rule are one generated function
+    from one compile; nothing is kept on the AST."""
+    return _build(ast, bounds, refuse)
 
 
 def evaluate(ast: RuleAst, x: dict[str, float],

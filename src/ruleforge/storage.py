@@ -219,7 +219,8 @@ def odd_to_json(odd: OddSpec) -> dict:
 def _odd_variable(path, i: int, v) -> OddVariable:
     """Entry i of an ODD's variables. A fault names the entry (its name when
     that is a string, else i) and the field. min, max and step must be JSON
-    numbers: float() alone would also take a bool or a numeric string."""
+    numbers that fit a float: float() alone would also take a bool or a
+    numeric string, and raises OverflowError on a larger integer."""
     if not isinstance(v, dict):
         _fail(path, f"variable {i}: expected an object, got {v!r}")
     label = repr(v["name"]) if isinstance(v.get("name"), str) else i
@@ -228,10 +229,15 @@ def _odd_variable(path, i: int, v) -> OddVariable:
             _fail(path, f"variable {label}: missing field {field!r}")
     if not isinstance(v["name"], str):
         _fail(path, f"variable {label}: field 'name' must be a string, got {v['name']!r}")
+    numbers = []
     for field in ("min", "max", "step"):
         if isinstance(v[field], bool) or not isinstance(v[field], (int, float)):
             _fail(path, f"variable {label}: field {field!r} must be a number, got {v[field]!r}")
-    return OddVariable(v["name"], float(v["min"]), float(v["max"]), float(v["step"]))
+        try:
+            numbers.append(float(v[field]))
+        except OverflowError:
+            _fail(path, f"variable {label}: field {field!r} is too large for a float")
+    return OddVariable(v["name"], *numbers)
 
 
 def odd_from_json(data, path="<odd>") -> OddSpec:

@@ -563,6 +563,19 @@ class TestMalformedFiles:
         assert f"variable {name!r}: field {field!r} must be a number, got {value!r}" in err
         assert "Traceback" not in err
 
+    def test_config_odd_bound_too_large_for_a_float(self, workspace, tmp_path, capsys):
+        data = json.loads((workspace / "oracle_config.json").read_text())
+        name = data["odd"]["variables"][0]["name"]
+        data["odd"]["variables"][0]["max"] = 10 ** 400
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["sim", "--n", "3", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"variable {name!r}: field 'max' is too large for a float" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fault, message", [
         ("no-min", "variable {name!r}: missing field 'min'"),
         ("int-name", "variable 0: field 'name' must be a string, got 5"),

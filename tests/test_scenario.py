@@ -1,3 +1,5 @@
+import builtins
+import dataclasses
 import itertools
 import math
 import pickle
@@ -5,10 +7,13 @@ import random
 
 import pytest
 
-from ruleforge import (Outcome, OutOfDomain, decisiveness, default_config, evaluate,
-                       make_oracle, make_reference_fixture, odd_spec, oracle_label,
-                       parse_rule, sample_dataset, search_counterfactual)
+from ruleforge import (Outcome, OutOfDomain, build_evidence, decisiveness, default_config,
+                       evaluate, make_oracle, make_reference_fixture, odd_spec, oracle_label,
+                       parse_rule, print_rule, sample_dataset, scenario, search_counterfactual,
+                       semantics)
+from ruleforge.cli import main
 from ruleforge.scenario import DEFAULT_ODD, ConstructionFailure, OracleConfig
+from ruleforge.semantics import compile_rule
 from ruleforge.storage import dataset_bytes
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
@@ -258,3 +263,100 @@ class TestOracleConfigPickling:
         assert default_config(3) == default_config(3)
         assert hash(default_config(3)) == hash(default_config(3))
         assert default_config(3) != default_config(4)
+
+
+# ---------------------------------------------------------------------------
+# The compiled label against the two-call path it replaced (the guard
+# OddSpec.contains_point, then the safe region's compile_rule function),
+# kept here as the reference only.
+# ---------------------------------------------------------------------------
+
+def _reference_label_or_refusal(config, x):
+    if not config.odd.contains_point(x):
+        return f"input outside declared ranges: {x}"
+    return Outcome.PASS if compile_rule(config.safe_region)(x, None) else Outcome.FAIL
+
+
+LABEL_CONFIGS = [OracleConfig(odd, parse_rule(f"{odd.variables[0].name} >= {odd.variables[0].min}"),
+                              seed=0)
+                 for odd in GUARD_ODDS] + PICKLE_CONFIGS
+
+
+def _label_points(config, rng):
+    """The guard points, grid points, and for a rule dividing by f3, points
+    where f3 is zero (the division's relation is false) with and without
+    the other disjunct holding."""
+    points = list(_guard_points(config.odd, rng))
+    points += [{v.name: v.grid_value(rng.randrange(v.grid_count)) for v in config.odd.variables}
+               for _ in range(300)]
+    if "f3" in config.odd:
+        points += [{**x, "f3": zero, "f7": f7} for x in points[-50:]
+                   for zero in (0.0, -0.0) for f7 in (2.5, 1.0)]
+    return points
+
+
+class TestCompiledLabel:
+    @pytest.mark.parametrize("config", LABEL_CONFIGS, ids=lambda c: print_rule(c.safe_region))
+    def test_matches_the_guard_then_the_safe_region(self, config):
+        rng = random.Random(11)
+        points = _label_points(config, rng)
+        expected = [_reference_label_or_refusal(config, x) for x in points]
+        assert {Outcome.PASS, Outcome.FAIL} <= set(expected)
+        assert any(isinstance(e, str) for e in expected)
+        for copy in (config, pickle.loads(pickle.dumps(config)),
+                     dataclasses.replace(config, seed=config.seed + 1)):
+            got = [_label_or_refusal(copy, x) for x in points]
+            for x, label, reference in zip(points, got, expected):
+                assert label is reference if isinstance(reference, Outcome) else \
+                    label == reference, x
+
+    def test_division_by_zero_makes_its_relation_false(self):
+        config = PICKLE_CONFIGS[1]  # (f1 + f2 < 3) and (f0 / f3 > 1) or (f7 == 2.5)
+        x = {name: 0.0 for name in config.odd.names}
+        assert oracle_label(config, {**x, "f0": 2.0, "f3": 1.0}) is Outcome.PASS
+        assert oracle_label(config, {**x, "f0": 2.0}) is Outcome.FAIL
+        assert oracle_label(config, {**x, "f0": 2.0, "f7": 2.5}) is Outcome.PASS
+
+    def test_the_label_is_built_once_per_config_and_not_pickled(self):
+        config = default_config(5)
+        assert config.label is config.label
+        state = pickle.loads(pickle.dumps(config)).__dict__
+        assert set(state) == {"odd", "safe_region", "seed"}
+        assert dataclasses.replace(config, seed=6).label is not config.label
+
+
+class TestOracleCallPath:
+    def test_every_query_looks_up_the_module_level_label(self, fixture42, monkeypatch):
+        """A wrapper installed on scenario.oracle_label after make_oracle (as
+        the benchmark's tracer installs one) sees every query."""
+        oracle = make_oracle(fixture42.config)
+        calls = []
+        original = scenario.oracle_label
+
+        def counting(config, x):
+            calls.append(x)
+            return original(config, x)
+
+        monkeypatch.setattr(scenario, "oracle_label", counting)
+        build_evidence(fixture42.baseline_rule, fixture42.dataset, oracle, fixture42.config.odd)
+        assert oracle.queries > 0 and len(calls) == oracle.queries
+
+    def test_fixture_refine_compiles_each_rule_once(self, tmp_path, monkeypatch):
+        """A fixture refine compiles the baseline, the oracle's label and the
+        three candidates scored, each once: five compiles, the safe region's
+        one of them."""
+        assert main(["sim", "--reference-fixture", "--seed", "42", "--out", str(tmp_path)]) == 0
+        names = []
+
+        def counting(source, filename, mode):
+            names.append(filename)
+            return builtins.compile(source, filename, mode)
+
+        monkeypatch.setattr(semantics, "compile", counting, raising=False)
+        assert main(["refine", "--rules", str(tmp_path / "rules.json"),
+                     "--dataset", str(tmp_path / "dataset.csv"),
+                     "--config", str(tmp_path / "oracle_config.json"),
+                     "--generator", "local", "--out", str(tmp_path / "run")]) == 0
+        assert len(names) <= 5
+        safe_region = print_rule(parse_rule(scenario.DEFAULT_SAFE_REGION))
+        assert names.count(f"<rule {safe_region}>") == 1

@@ -226,6 +226,19 @@ class TestOracleConfigJson:
         with pytest.raises(storage.FormatError, match=message):
             storage.load_oracle_config(path)
 
+    @pytest.mark.parametrize("field", ["min", "max", "step"])
+    def test_odd_number_too_large_for_a_float(self, fixture42, tmp_path, field):
+        path = tmp_path / "config.json"
+        storage.store_oracle_config(path, fixture42.config)
+        data = json.loads(path.read_text())
+        name = data["odd"]["variables"][1]["name"]
+        data["odd"]["variables"][1][field] = 10 ** 400
+        path.write_text(json.dumps(data))
+        with pytest.raises(storage.FormatError) as excinfo:
+            storage.load_oracle_config(path)
+        assert str(excinfo.value) == (f"{path}: variable {name!r}: field {field!r} "
+                                      "is too large for a float")
+
 
 class TestOutcomeJson:
     def test_round_trip(self, outcome42, odd, tmp_path):
