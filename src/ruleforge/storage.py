@@ -3,6 +3,8 @@
 * Dataset CSV: feature columns plus a final ``outcome`` column of
   Pass/Fail, UTF-8, comma separated. Numbers are written in canonical
   decimal form so store(load(path)) is byte-identical for canonical files.
+  Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
+  a faulty block is walked row by row to name its first faulty line.
 * Rules JSON: a bare list of {"id", "polarity": "pass"|"fail", "text"}.
 * Engine-owned JSON artifacts (oracle config, evidence, outcome, metrics)
   carry a schema_version header.
@@ -14,6 +16,7 @@ import csv
 import io
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
 from .counterfactual import EvidenceFile
@@ -42,6 +45,11 @@ def _fail(path, message: str):
 
 _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 
+#: Rows read and converted together: each conversion is one C loop over a
+#: column, and a load's peak memory exceeds what its runs retain by one
+#: block's cells at most.
+BLOCK_ROWS = 1024
+
 
 def load_dataset(path: str | Path) -> list[LabeledRun]:
     path = Path(path)
@@ -61,26 +69,72 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
                 # a run keyed by column name would keep only the last copy
                 duplicate = next(name for i, name in enumerate(header) if name in header[:i])
                 _fail(path, f"duplicated column {duplicate!r}")
+            points = _points(features)
             runs = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    _fail(path, f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-                try:
-                    # zip stops at the last feature, so the outcome cell is never converted
-                    x = dict(zip(features, map(float, row)))
-                except ValueError:
-                    _fail(path, f"line {lineno}: non-numeric feature value")
-                if not all(map(math.isfinite, x.values())):
-                    _fail(path, f"line {lineno}: non-finite feature value")
-                y = _OUTCOMES.get(row[-1])
-                if y is None:
-                    _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
-                runs.append(LabeledRun(x=x, y=y))
+            while rows := list(islice(reader, BLOCK_ROWS)):
+                block = _block_columns(rows, len(header))
+                if block is None:
+                    _row_fault(path, rows, len(runs) + 2, len(header))
+                del rows  # its cells are freed before the runs take their memory
+                columns, ys = block
+                runs += map(LabeledRun, points(columns), ys)
     except UnicodeDecodeError as exc:
         _fail(path, f"not UTF-8 text: {exc.reason}")
     if not runs:
         _fail(path, "dataset has no runs")
     return runs
+
+
+def _block_columns(rows: list[list[str]],
+                   width: int) -> tuple[list[list[float]], list[Outcome]] | None:
+    """The feature columns of a block of rows, as floats, and its outcomes,
+    each converted a column at a time; None when any row is faulty, which
+    _row_fault then names."""
+    if set(map(len, rows)) != {width}:
+        return None
+    *cells, labels = zip(*rows)
+    try:
+        columns = [list(map(float, column)) for column in cells]
+    except ValueError:
+        return None
+    ys = list(map(_OUTCOMES.get, labels))
+    if None in ys or not all(all(map(math.isfinite, column)) for column in columns):
+        return None
+    return columns, ys
+
+
+def _row_fault(path, rows: list[list[str]], lineno: int, width: int):
+    """Refuse the first faulty row of rows, the first of which is on line
+    lineno: the one place a row's fault is worded. Its checks are those of
+    _block_columns, so a block that one refuses has a row that the other does."""
+    for lineno, row in enumerate(rows, start=lineno):
+        if len(row) != width:
+            _fail(path, f"line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            values = list(map(float, row[:-1]))
+        except ValueError:
+            _fail(path, f"line {lineno}: non-numeric feature value")
+        if not all(map(math.isfinite, values)):
+            _fail(path, f"line {lineno}: non-finite feature value")
+        if row[-1] not in _OUTCOMES:
+            _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
+
+
+def _points(features: list[str]):
+    """points(columns): one dict {feature: value} per row of the feature
+    columns, built by a generated dict display, as semantics builds a rule.
+    The column names come from the file, so they enter the generated code as
+    closure slots, never as its source text."""
+    keys = [f"_k{i}" for i in range(len(features))]
+    values = [f"v{i}" for i in range(len(features))]
+    display = ", ".join(f"{key}: {value}" for key, value in zip(keys, values))
+    source = (f"def make({', '.join(keys)}):\n"
+              "    def points(columns):\n"
+              f"        return ({{{display}}} for {', '.join(values)}, in zip(*columns))\n"
+              "    return points\n")
+    namespace: dict[str, object] = {}
+    exec(compile(source, "<dataset points>", "exec"), namespace)
+    return namespace.pop("make")(*features)
 
 
 class _NumberText(dict):

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import math
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ruleforge import (DeterministicGenerator, build_evidence, make_oracle, parse_rule,
-                       refine_loop)
+from ruleforge import (DeterministicGenerator, build_evidence, default_config, make_oracle,
+                       parse_rule, refine_loop, sample_dataset)
 from ruleforge.grammar import fmt_number
 from ruleforge.semantics import LabeledRun, Outcome, PolarizedRule, Polarity
 from ruleforge import storage
@@ -55,7 +60,7 @@ class TestDatasetCsv:
         with pytest.raises(storage.FormatError, match="line 2"):
             storage.load_dataset(path)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "1e999", "-1e999"])
     def test_non_finite_feature(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(f"a,outcome\n1.0,Pass\n{cell},Fail\n")
@@ -80,6 +85,172 @@ class TestDatasetCsv:
         with pytest.raises(storage.FormatError) as excinfo:
             storage.load_dataset(path)
         assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("lineno", [storage.BLOCK_ROWS + 1, storage.BLOCK_ROWS + 2],
+                             ids=["last-of-block-1", "first-of-block-2"])
+    @pytest.mark.parametrize("row,message", [
+        ("1,Pass,1", "expected 2 fields, got 3"),
+        ("x,Pass", "non-numeric feature value"),
+        ("1e999,Fail", "non-finite feature value"),
+        ("1,pass", "outcome must be Pass or Fail, got 'pass'"),
+    ], ids=["long-row", "non-numeric", "overflow", "outcome"])
+    def test_fault_at_a_block_boundary_names_its_line(self, tmp_path, lineno, row, message):
+        lines = ["a,outcome"] + ["1,Pass"] * (storage.BLOCK_ROWS + 3)
+        lines[lineno - 1] = row
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(storage.FormatError) as excinfo:
+            storage.load_dataset(path)
+        assert str(excinfo.value) == f"{path}: line {lineno}: {message}"
+
+    def test_bad_byte_alone_is_refused(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,outcome\n" + b"1,Pass\n" * (3 * storage.BLOCK_ROWS)
+                         + b"1,Fail\xff\n")
+        with pytest.raises(storage.FormatError) as excinfo:
+            storage.load_dataset(path)
+        assert str(excinfo.value) == f"{path}: not UTF-8 text: invalid start byte"
+
+    @pytest.mark.parametrize("bad_line,reported", [
+        (storage.BLOCK_ROWS, "not UTF-8 text: invalid start byte"),
+        (3 * storage.BLOCK_ROWS, "line 3: non-numeric feature value"),
+    ], ids=["same-block", "later-block"])
+    def test_bad_byte_after_a_row_fault(self, tmp_path, bad_line, reported):
+        """Rows are decoded a block at a time before any is converted: a bad
+        byte in the block of an earlier row fault is reported in its place,
+        one in a later block is not. The rows are wide enough that the bad
+        byte of the same block lies past the first 8 KiB the reader
+        decodes, where the row-by-row loader still named line 3."""
+        lines = [b"a,b,outcome"] + [b"1.5,2.5,Pass"] * (3 * storage.BLOCK_ROWS)
+        lines[2] = b"1.5,x,Pass"
+        lines[bad_line - 1] = b"1.5,2.5,Fail\xff"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(storage.FormatError) as excinfo:
+            storage.load_dataset(path)
+        assert str(excinfo.value) == f"{path}: {reported}"
+        with pytest.raises(storage.FormatError) as excinfo:
+            _ref_load_dataset(path)
+        assert str(excinfo.value) == f"{path}: line 3: non-numeric feature value"
+
+    def test_peak_memory_stays_near_the_runs(self, tmp_path):
+        """Converting a block at a time keeps the load's peak near what its
+        runs retain; converting the whole file at once would double it."""
+        path = tmp_path / "dataset.csv"
+        storage.store_dataset(path, sample_dataset(default_config(1), 20_000, 1))
+        tracemalloc.start()
+        try:
+            runs = storage.load_dataset(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == 20_000
+        assert peak <= 1.25 * retained
+
+
+def _ref_load_dataset(path):
+    """The row-by-row loader, kept as the reference only."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                storage._fail(path, "empty dataset file")
+            if not header or header[-1] != "outcome":
+                storage._fail(path, 'last column must be "outcome"')
+            features = header[:-1]
+            if not features:
+                storage._fail(path, "no feature columns")
+            if len(set(header)) != len(header):
+                duplicate = next(name for i, name in enumerate(header) if name in header[:i])
+                storage._fail(path, f"duplicated column {duplicate!r}")
+            runs = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    storage._fail(path, f"line {lineno}: expected {len(header)} fields, "
+                                        f"got {len(row)}")
+                try:
+                    x = dict(zip(features, map(float, row)))
+                except ValueError:
+                    storage._fail(path, f"line {lineno}: non-numeric feature value")
+                if not all(map(math.isfinite, x.values())):
+                    storage._fail(path, f"line {lineno}: non-finite feature value")
+                y = storage._OUTCOMES.get(row[-1])
+                if y is None:
+                    storage._fail(path, f"line {lineno}: outcome must be Pass or Fail, "
+                                        f"got {row[-1]!r}")
+                runs.append(LabeledRun(x=x, y=y))
+    except UnicodeDecodeError as exc:
+        storage._fail(path, f"not UTF-8 text: {exc.reason}")
+    if not runs:
+        storage._fail(path, "dataset has no runs")
+    return runs
+
+
+_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.integers(-10 ** 20, 10 ** 20).map(str),
+                   st.sampled_from(["-0.0", "0", "4.05", "1e-7", "1_000", " 2.5"]))
+#: A fault applied to one row: (kind, column it spoils, when it spoils one).
+_FAULTS = st.tuples(st.sampled_from(["short", "long", "blank", "word", "nan", "inf", "-inf",
+                                     "1e999", "-1e999", "outcome"]),
+                    st.integers(0, 3))
+
+
+def _spoil(row, kind, column):
+    features = len(row) - 1
+    if kind == "short":
+        return row[:-1]
+    if kind == "long":
+        return row + ["1"]
+    if kind == "blank":
+        return []
+    if kind == "outcome":
+        return row[:-1] + ["Maybe"]
+    cell = {"word": "x"}.get(kind, kind)
+    return row[:column % features] + [cell] + row[column % features + 1:]
+
+
+@st.composite
+def _dataset_texts(draw):
+    """A dataset CSV text of 1-4 features, some cells quoted, with faults
+    (two faults may fall in different blocks) spoiling rows at random lines."""
+    features = draw(st.integers(1, 4))
+    rows = [[draw(_CELLS) for _ in range(features)] + [draw(st.sampled_from(["Pass", "Fail"]))]
+            for _ in range(draw(st.integers(0, 12)))]
+    if rows:
+        for kind, column in draw(st.lists(_FAULTS, max_size=2)):
+            line = draw(st.integers(0, len(rows) - 1))
+            rows[line] = _spoil(rows[line], kind, column)
+    header = [f"f{i}" for i in range(features)] + ["outcome"]
+    lines = [",".join(f'"{cell}"' if draw(st.booleans()) else cell for cell in row)
+             for row in [header] + rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadMatchesRowByRowReference:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_dataset_texts())
+    @example(text="a,b,outcome\n1,2,Pass\n-0.0,\"3\",Fail\n4,5,Pass\n1,nan,Pass\n"
+                  "1,2,Pass\n1,2,Pass\n1,2\n")
+    @example(text="a,outcome\n1,Pass\n2,Fail\n3,Pass\n\n4,Pass\n1e999,Fail\n")
+    def test_runs_or_refusal_equal_in_blocks_of_three(self, tmp_path_factory, text):
+        """Equal runs (signed zeros and key order included), or an equal
+        refusal naming the first fault in line order, with blocks of 3 rows
+        so that faults fall on and across block boundaries."""
+        path = tmp_path_factory.getbasetemp() / "parity.csv"
+        path.write_text(text, encoding="utf-8")
+
+        def result(load):
+            try:
+                return [(repr(run.x), run.y) for run in load(path)]
+            except storage.FormatError as exc:
+                return str(exc)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage, "BLOCK_ROWS", 3)
+            assert result(storage.load_dataset) == result(_ref_load_dataset)
 
 
 def _ref_dataset_bytes(runs):
