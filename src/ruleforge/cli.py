@@ -192,23 +192,25 @@ def cf(rules_path, rule_id, dataset_path, config_path, max_radius, search_budget
                f"({len(evidence.unresolved)} unresolved) to {out_path}")
 
 
-def _make_generator(generator: str, mock_script, runs, odd):
+def _make_generator(generator: str, mock_script):
+    if generator != "mock" and mock_script is not None:
+        raise Refusal("--mock-script is only for --generator mock")
     if generator == "local":
-        return DeterministicGenerator(runs, odd)
+        return DeterministicGenerator()
     if generator == "mock":
         if mock_script is None:
             raise Refusal("--generator mock requires --mock-script")
         responses = _load_inputs(storage.read_json, mock_script)
         if not isinstance(responses, list) or not all(isinstance(r, str) for r in responses):
             raise storage.FormatError(f"{mock_script}: expected a JSON list of strings")
-        return MockGenerator(responses, odd)
+        return MockGenerator(responses)
     missing = [name for name in (ENV_BASE_URL, ENV_API_KEY, ENV_MODEL)
                if not os.environ.get(name)]
     if missing:
         raise Refusal("llm generator needs environment variables: " + ", ".join(missing))
     config = LlmConfig(base_url=os.environ[ENV_BASE_URL], api_key=os.environ[ENV_API_KEY],
                        model=os.environ[ENV_MODEL])
-    return LlmGenerator(config, odd)
+    return LlmGenerator(config)
 
 
 @cli.command()
@@ -231,9 +233,9 @@ def _make_generator(generator: str, mock_script, runs, odd):
 def refine(rules_path, rule_id, dataset_path, config_path, generator,
            mock_script, max_attempts, max_radius, search_budget, out_dir):
     """Run the refine-validate loop on an inconsistent rule."""
+    gen = _make_generator(generator, mock_script)
     rules, runs, config = _load_in_domain(rules_path, dataset_path, config_path)
     target = _pick_rule(rules, rule_id)
-    gen = _make_generator(generator, mock_script, runs, config.odd)
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
     try:
         outcome = refine_loop(target, rules, runs, make_oracle(config), config.odd, gen,

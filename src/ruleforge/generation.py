@@ -8,12 +8,14 @@ inconsistent rule from counterfactual evidence:
   swaps, midpoint bounds on the perturbed feature, removals) and picks the
   one with the fewest remaining mismatches.
 * LlmGenerator sends the assembled prompt to a chat-completion endpoint and
-  runs the reply through strict parsing; model output is never trusted
-  without a parse and a vocabulary check.
+  runs the reply through strict parsing.
 * MockGenerator replays scripted response texts through the same parsing
   path, for offline loop tests.
 
-Each returns a rule and an explanation only; refine_loop rebuilds the change
+Generators propose and refine_loop decides. A generator reads the loop's
+dataset and domain from the context it is given, and returns a rule and an
+explanation only. The loop applies the vocabulary whitelist and every other
+gate to each candidate, whichever generator wrote it, and rebuilds the change
 log of the accepted rule with diff_rules, the one producer of change logs.
 """
 
@@ -26,9 +28,8 @@ from enum import Enum
 
 from .counterfactual import CounterfactualPair, EvidenceFile
 from .grammar import (GRAMMAR_TEXT, Const, Conjunct, OddSpec, ParseError, Relation, RelOp,
-                      RuleAst, STRICTNESS_SWAP, Var, check_vocabulary, direct_bound,
-                      fmt_number, parse_relation, parse_rule, print_conjunct, print_relation,
-                      print_rule, rule)
+                      RuleAst, STRICTNESS_SWAP, Var, direct_bound, fmt_number, parse_relation,
+                      parse_rule, print_conjunct, print_relation, print_rule, rule)
 from .semantics import LabeledRun, PolarizedRule, compile_rule
 
 FORMAT_EXEMPLAR = "(0<ARG2<5) and (ARG1>0) or (8<ARG2<12)"
@@ -59,6 +60,8 @@ class RefinementContext:
     historical: tuple[PolarizedRule, ...]
     evidence: EvidenceFile
     mismatch_before: int  # the target's mismatch count over the dataset
+    dataset: list[LabeledRun]  # the runs refine_loop scores and gates with
+    odd: OddSpec  # the domain refine_loop gates with
     failure_summary: str | None = None
 
     def __post_init__(self):
@@ -88,7 +91,7 @@ def _binding_text(x: dict[str, float], odd: OddSpec) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-def build_prompt(ctx: RefinementContext, odd: OddSpec) -> str:
+def build_prompt(ctx: RefinementContext) -> str:
     """Deterministic prompt text; two builds of the same context are
     byte-identical."""
     lines: list[str] = []
@@ -99,7 +102,7 @@ def build_prompt(ctx: RefinementContext, odd: OddSpec) -> str:
     lines.append("")
     lines.append("Allowed vocabulary (whitelist):")
     lines.append("- variables: " + ", ".join(
-        f"{v.name} in [{fmt_number(v.min)}, {fmt_number(v.max)}]" for v in odd.variables))
+        f"{v.name} in [{fmt_number(v.min)}, {fmt_number(v.max)}]" for v in ctx.odd.variables))
     lines.append("- relational operators: < <= > >= == !=")
     lines.append("- logical operators: and or")
     lines.append("- arithmetic operators: + - * /")
@@ -117,8 +120,8 @@ def build_prompt(ctx: RefinementContext, odd: OddSpec) -> str:
     lines.append("Counterfactual evidence (observed outcome flips under a minimal perturbation):")
     for pair in ctx.evidence.pairs:
         delta = ", ".join(f"{k}={fmt_number(v)}" for k, v in pair.delta.items())
-        lines.append(f"- x={_binding_text(pair.x, odd)} observed {pair.y.value}; "
-                     f"x'={_binding_text(pair.x_cf, odd)} observed {pair.y_cf.value}; "
+        lines.append(f"- x={_binding_text(pair.x, ctx.odd)} observed {pair.y.value}; "
+                     f"x'={_binding_text(pair.x_cf, ctx.odd)} observed {pair.y_cf.value}; "
                      f"delta={{{delta}}}")
     lines.append("")
     lines.append("Format exemplar:")
@@ -170,14 +173,15 @@ def _split_sections(text: str) -> tuple[str | None, str]:
     return rule_line, explanation
 
 
-def parse_candidate_response(raw: str, odd: OddSpec) -> RefinementCandidate:
+def parse_candidate_response(raw: str) -> RefinementCandidate:
     """Strict parse of a generator reply with a single bounded repair pass.
 
     Repairs: markdown code fences are stripped and prose around the rule
     line is trimmed. List/tuple-shaped replies are structural violations and
     are rejected outright rather than fixed. Anything that still fails to
-    parse, or uses out-of-vocabulary names or out-of-range bounds, raises
-    GenerationFailure with a summary that feeds the next prompt.
+    parse raises GenerationFailure with a summary that feeds the next
+    prompt. Names and bounds outside the domain are left to refine_loop's
+    vocabulary gate, whose report keeps the rejected rule's text.
     """
     text = _strip_fences(raw).strip()
     if not text:
@@ -202,9 +206,6 @@ def parse_candidate_response(raw: str, odd: OddSpec) -> RefinementCandidate:
             parse_failure = f"parse error: {exc}"
     if parsed is None:
         raise GenerationFailure(parse_failure)
-    violations = check_vocabulary(parsed, odd)
-    if violations:
-        raise GenerationFailure("; ".join(str(v) for v in violations))
     if not explanation:
         remainder = [line.strip() for line in text.splitlines()
                      if line.strip() and line.strip() != used_line]
@@ -433,8 +434,8 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
 class DeterministicGenerator:
     """Offline generator: best single edit by (fewest mismatches, fewest
     edits, enumeration order). Fails when no edit strictly reduces the
-    target's mismatch count, which the context carries (`mismatch_before`,
-    over the same dataset).
+    target's mismatch count (`mismatch_before`), over the context's dataset
+    and domain, which are refine_loop's own.
 
     Only a run whose label differs from the target's verdict can mismatch,
     so candidates are counted over those runs alone. A later candidate wins
@@ -443,19 +444,15 @@ class DeterministicGenerator:
     that reaches it is cut, and the search ends at a count of 0. Only the
     chosen candidate's count is exact; refine_loop scores it in full."""
 
-    def __init__(self, dataset: list[LabeledRun], odd: OddSpec):
-        self.dataset = dataset
-        self.odd = odd
-
     def generate(self, ctx: RefinementContext) -> RefinementCandidate:
         if not ctx.evidence.pairs:
             raise GenerationFailure("no counterfactual evidence pairs")
         target = ctx.target
         base = ctx.mismatch_before
         verdict = target.polarity.verdict
-        wrong = [run.x for run in self.dataset if run.y is not verdict]
+        wrong = [run.x for run in ctx.dataset if run.y is not verdict]
         cap, best = base, None
-        for ast in enumerate_single_edits(target.ast, ctx.evidence, self.odd):
+        for ast in enumerate_single_edits(target.ast, ctx.evidence, ctx.odd):
             if cap == 0:
                 break
             holds, n_mismatch = compile_rule(ast), 0
@@ -500,9 +497,8 @@ class LlmGenerator:
     Every prompt/response pair is kept in ``transcript`` for audit.
     """
 
-    def __init__(self, config: LlmConfig, odd: OddSpec):
+    def __init__(self, config: LlmConfig):
         self.config = config
-        self.odd = odd
         self.transcript: list[TranscriptEntry] = []
 
     def generate(self, ctx: RefinementContext) -> RefinementCandidate:
@@ -511,7 +507,7 @@ class LlmGenerator:
         import json
         import urllib.request
 
-        prompt = build_prompt(ctx, self.odd)
+        prompt = build_prompt(ctx)
         request = urllib.request.Request(
             self.config.base_url.rstrip("/") + "/chat/completions",
             data=json.dumps({
@@ -535,15 +531,15 @@ class LlmGenerator:
         if not isinstance(content, str):
             raise GenerationFailure(f"malformed backend response: content is {content!r}")
         self.transcript.append(TranscriptEntry(prompt=prompt, response=content))
-        return parse_candidate_response(content, self.odd)
+        return parse_candidate_response(content)
 
 
 class MockGenerator:
-    """Scripted responses, consumed in order, through the strict parser."""
+    """Scripted responses, consumed in order, through the strict parser;
+    refine_loop's gates, the vocabulary whitelist first, judge each rule."""
 
-    def __init__(self, responses: list[str], odd: OddSpec):
+    def __init__(self, responses: list[str]):
         self.responses = list(responses)
-        self.odd = odd
         self._cursor = 0
 
     def generate(self, ctx: RefinementContext) -> RefinementCandidate:
@@ -551,7 +547,7 @@ class MockGenerator:
             raise GenerationFailure("mock script exhausted")
         raw = self.responses[self._cursor]
         self._cursor += 1
-        return parse_candidate_response(raw, self.odd)
+        return parse_candidate_response(raw)
 
 
 def generate_candidate(generator, ctx: RefinementContext) -> RefinementCandidate:

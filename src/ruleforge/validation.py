@@ -1,19 +1,20 @@
 """Candidate acceptance gates and the bounded refine-validate loop.
 
 A candidate replaces its target only after it clears, in order: the
-vocabulary whitelist, satisfiability of overlap with every opposite-polarity
-rule (no point in the domain may trigger a pass rule and a fail rule at
-once), strict reduction of the target's mismatch count, and preservation.
-Rules classify runs independently of one another, so swapping the target
-leaves every historical rule's verdicts unchanged and preservation reduces
-to "no new inconsistencies": no run may become inconsistent under the
-candidate that was not inconsistent under the target. The target and each
-candidate that reaches the gates are scored in full once, here, and every
-gate after the contradiction check reads those two reports; the accepted outcome carries both decisiveness
-scores, so no caller scores the rules again. Its change log is rebuilt here,
-once, by diff_rules from the target, whichever generator wrote the rule. A
-report's contradiction verdict is the first non-Clear ContradictionResult,
-or an all-Clear one with no opposing rule id.
+vocabulary whitelist (its one copy, for every generator), satisfiability of
+overlap with every opposite-polarity rule (no point in the domain may
+trigger a pass rule and a fail rule at once), strict reduction of the
+target's mismatch count, and preservation. Rules classify runs
+independently of one another, so swapping the target leaves every
+historical rule's verdicts unchanged and preservation reduces to "no new
+inconsistencies": no run may become inconsistent under the candidate that
+was not inconsistent under the target. The target and each candidate that
+reaches the gates are scored in full once, here, and every gate after the
+contradiction check reads those two reports; the accepted outcome carries
+both decisiveness scores, so no caller scores the rules again. Its change
+log is rebuilt here, once, by diff_rules from the target, whichever
+generator wrote the rule. A report's contradiction verdict is the first
+non-Clear ContradictionResult, or an all-Clear one with no opposing rule id.
 Overlap is decided per pair of conjuncts, one from each rule, over the box
 that the pair's direct bounds cut out of the domain: an empty box, or one in
 which interval subdivision refutes the pair's other relations, proves the
@@ -336,13 +337,8 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
         summaries.append(f"attempt {attempt}: {summary}")
 
     for attempt in range(1, max_attempts + 1):
-        ctx = RefinementContext(
-            target=target,
-            historical=historical,
-            evidence=evidence,
-            mismatch_before=before.n_mismatch,
-            failure_summary="\n".join(summaries) if summaries else None,
-        )
+        ctx = RefinementContext(target, historical, evidence, before.n_mismatch, dataset, odd,
+                                "\n".join(summaries) if summaries else None)
         try:
             candidate = generate_candidate(generator, ctx)
         except GenerationFailure as exc:

@@ -43,7 +43,7 @@ def test_criterion_1_dg_reproduction():
 def test_criterion_2_end_to_end_refinement():
     start = time.monotonic()
     fixture = make_reference_fixture(seed=42)
-    generator = DeterministicGenerator(fixture.dataset, fixture.config.odd)
+    generator = DeterministicGenerator()
     outcome = refine_loop(fixture.baseline_rule, [fixture.baseline_rule], fixture.dataset,
                           make_oracle(fixture.config), fixture.config.odd, generator,
                           max_attempts=5)
@@ -72,8 +72,9 @@ def test_criterion_3_worked_example_fidelity():
                             rule_text=print_rule(fixture.baseline_rule.ast),
                             dataset_ref="fixture", pairs=(pair,), unresolved=())
     ctx = RefinementContext(target=fixture.baseline_rule, historical=(), evidence=evidence,
-                            mismatch_before=FIXTURE_MISMATCHES)
-    generator = DeterministicGenerator(fixture.dataset, fixture.config.odd)
+                            mismatch_before=FIXTURE_MISMATCHES, dataset=fixture.dataset,
+                            odd=fixture.config.odd)
+    generator = DeterministicGenerator()
     candidate = generate_candidate(generator, ctx)
     assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
     threshold = candidate.ast.disjuncts[0].relations[0].rhs.value
@@ -193,7 +194,7 @@ def test_criterion_7_grammar_closure():
     lesson1 = grammar_compliance(TUPLE_TEXT)
     assert lesson1.gc < 1.0
     with pytest.raises(GenerationFailure, match="structural violation: list/tuple form"):
-        parse_candidate_response(TUPLE_TEXT, odd)
+        parse_candidate_response(TUPLE_TEXT)
     _ok(7, f"1000 rules round-trip at gc=1.0; tuple text scores gc={lesson1.gc:.2f} "
            f"and is rejected")
 
@@ -218,13 +219,12 @@ def test_criterion_9_offline_completeness(monkeypatch):
     monkeypatch.setattr(socket, "socket", no_network)
     monkeypatch.setattr(socket, "create_connection", no_network)
     fixture = make_reference_fixture(seed=42)
-    generator = DeterministicGenerator(fixture.dataset, fixture.config.odd)
+    generator = DeterministicGenerator()
     outcome = refine_loop(fixture.baseline_rule, [fixture.baseline_rule], fixture.dataset,
                           make_oracle(fixture.config), fixture.config.odd, generator)
     refined = PolarizedRule("r", Polarity.PASS_RULE, outcome.refined)
     assert decisiveness(refined, fixture.dataset).dg == 1.0
-    mock = MockGenerator(["Rule: (dist_front < 4.1) and (ego_speed > 0)"],
-                         fixture.config.odd)
+    mock = MockGenerator(["Rule: (dist_front < 4.1) and (ego_speed > 0)"])
     outcome2 = refine_loop(fixture.baseline_rule, [fixture.baseline_rule], fixture.dataset,
                            make_oracle(fixture.config), fixture.config.odd, mock)
     assert outcome2.attempts == 1

@@ -205,6 +205,26 @@ class TestRefine:
                      "--out", str(tmp_path / "run")])
         assert code == 1
 
+    @pytest.mark.parametrize("generator", ["local", "llm"])
+    def test_mock_script_without_mock_generator_is_usage_error(self, workspace, tmp_path,
+                                                                capsys, monkeypatch, generator):
+        """Only the mock generator reads a script; any other would ignore it."""
+        for name, value in (("RULEFORGE_LLM_BASE_URL", "http://llm.invalid"),
+                            ("RULEFORGE_LLM_API_KEY", "key"), ("RULEFORGE_LLM_MODEL", "m")):
+            monkeypatch.setenv(name, value)
+
+        def no_network(request, timeout=None):
+            raise OSError("no network in tests")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        out = tmp_path / "run"
+        code = main(["refine", *_args(workspace), "--generator", generator,
+                     "--mock-script", str(tmp_path / "missing.json"), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert ("error (usage): --mock-script is only for --generator mock"
+                in capsys.readouterr().err)
+
 
 class TestMetricsCommand:
     def test_end_to_end(self, workspace, tmp_path, capsys):

@@ -3,18 +3,19 @@ import json
 import random
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ruleforge import (DeterministicGenerator, EditKind, EvidenceFile, GenerationFailure,
-                       LabeledRun, LlmConfig, LlmGenerator, MockGenerator, NoInconsistency,
-                       Oracle, Outcome, PolarizedRule, Polarity, RefinementCandidate,
-                       RefinementContext, SearchLimits, apply_edits, build_evidence, build_prompt, diff_rules,
-                       evaluate, generate_candidate, make_oracle, odd_spec,
-                       parse_candidate_response, parse_rule, print_rule, random_rule,
-                       refine_loop, search_counterfactual)
+from ruleforge import (DeterministicGenerator, EditKind, EvidenceFile, Exhausted,
+                       GenerationFailure, LabeledRun, LlmConfig, LlmGenerator, MockGenerator,
+                       NoInconsistency, Oracle, Outcome, PolarizedRule, Polarity,
+                       RefinementCandidate, RefinementContext, SearchLimits, apply_edits,
+                       build_evidence, build_prompt, diff_rules, evaluate, generate_candidate,
+                       make_oracle, odd_spec, parse_candidate_response, parse_rule, print_rule,
+                       random_rule, refine_loop, search_counterfactual)
 from ruleforge import generation
 from ruleforge.generation import (FORMAT_EXEMPLAR, Edit, _adjust_threshold, _changed_features,
                                   _midpoint, _swap_strictness, _var_const_positions,
@@ -35,30 +36,31 @@ def x1_context(fixture42):
                             dataset_ref="fixture", pairs=(pair,), unresolved=())
     return RefinementContext(target=fixture42.baseline_rule, historical=(), evidence=evidence,
                              mismatch_before=decisiveness(fixture42.baseline_rule,
-                                                          fixture42.dataset).n_mismatch)
+                                                          fixture42.dataset).n_mismatch,
+                             dataset=fixture42.dataset, odd=fixture42.config.odd)
 
 
 class TestBuildPrompt:
-    def test_first_attempt_lacks_failure_section(self, x1_context, odd):
-        prompt = build_prompt(x1_context, odd)
+    def test_first_attempt_lacks_failure_section(self, x1_context):
+        prompt = build_prompt(x1_context)
         assert "Previous attempt failed" not in prompt
         assert GRAMMAR_TEXT in prompt
         assert FORMAT_EXEMPLAR in prompt
         assert "(dist_front < 5) and (ego_speed > 0)" in prompt
         assert "dist_front=-0.2" in prompt  # the evidence delta
 
-    def test_failure_summary_verbatim(self, x1_context, odd):
+    def test_failure_summary_verbatim(self, x1_context):
         import dataclasses
         ctx = dataclasses.replace(x1_context, failure_summary="out-of-vocabulary token ARG3")
-        prompt = build_prompt(ctx, odd)
+        prompt = build_prompt(ctx)
         assert "out-of-vocabulary token ARG3" in prompt
         assert "Previous attempt failed" in prompt
 
-    def test_byte_identical(self, x1_context, odd):
-        assert build_prompt(x1_context, odd) == build_prompt(x1_context, odd)
+    def test_byte_identical(self, x1_context):
+        assert build_prompt(x1_context) == build_prompt(x1_context)
 
-    def test_sections_in_order(self, x1_context, odd):
-        prompt = build_prompt(x1_context, odd)
+    def test_sections_in_order(self, x1_context):
+        prompt = build_prompt(x1_context)
         anchors = ["Grammar:", "Allowed vocabulary", "Inconsistent rule",
                    "Historical rules", "Counterfactual evidence", "Format exemplar:", "Task:"]
         positions = [prompt.index(a) for a in anchors]
@@ -69,56 +71,70 @@ class TestBuildPrompt:
             RefinementContext(target=fixture42.baseline_rule,
                               historical=(fixture42.baseline_rule,),
                               evidence=x1_context.evidence,
-                              mismatch_before=x1_context.mismatch_before)
+                              mismatch_before=x1_context.mismatch_before,
+                              dataset=x1_context.dataset, odd=x1_context.odd)
 
 
 class TestParseCandidateResponse:
-    def test_fenced_code_block_repaired(self, odd):
+    def test_fenced_code_block_repaired(self):
         raw = "```\nRule: (dist_front < 4.1) and (ego_speed > 0)\nExplanation: tightened\n```"
-        result = parse_candidate_response(raw, odd)
+        result = parse_candidate_response(raw)
         assert print_rule(result.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
         assert result.explanation == "tightened"
 
-    def test_tuple_list_form_rejected(self, odd):
+    def test_tuple_list_form_rejected(self):
         with pytest.raises(GenerationFailure) as excinfo:
-            parse_candidate_response("[[('greater_than_func','ARG1','0')]]", odd)
+            parse_candidate_response("[[('greater_than_func','ARG1','0')]]")
         assert excinfo.value.summary == "structural violation: list/tuple form"
 
-    def test_clean_rule_with_explanation(self, odd):
+    def test_clean_rule_with_explanation(self):
         raw = ("Rule: (dist_front < 4.1) and (ego_speed > 0)\n"
                "Explanation: Tightened the distance threshold toward the counterfactual\n"
                "boundary to exclude the failing neighborhood.")
-        result = parse_candidate_response(raw, odd)
+        result = parse_candidate_response(raw)
         assert "Tightened the distance threshold" in result.explanation
 
-    def test_prose_trimmed_without_labels(self, odd):
+    def test_prose_trimmed_without_labels(self):
         raw = ("Sure! Here is the refined rule.\n"
                "(dist_front < 4.1) and (ego_speed > 0)\n"
                "This keeps the speed condition untouched.")
-        result = parse_candidate_response(raw, odd)
+        result = parse_candidate_response(raw)
         assert print_rule(result.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
 
-    def test_out_of_vocabulary_rejected(self, odd):
-        with pytest.raises(GenerationFailure, match="UnknownVariable"):
-            parse_candidate_response("Rule: (ARG3 > 1)", odd)
+    # Names and bounds outside the domain parse; refine_loop's vocabulary
+    # gate rejects them, and its report keeps the rejected rule's text.
+    def test_out_of_vocabulary_rejected(self, fixture42):
+        assert _first_report(fixture42, "Rule: (ARG3 > 1)") == (
+            "UnknownVariable ARG3", "(ARG3 > 1)")
 
-    def test_out_of_range_bound_rejected(self, odd):
-        with pytest.raises(GenerationFailure, match="OutOfRangeBound"):
-            parse_candidate_response("Rule: (dist_front < 120)", odd)
+    def test_out_of_range_bound_rejected(self, fixture42):
+        assert _first_report(fixture42, "Rule: (dist_front < 120)") == (
+            "OutOfRangeBound 120", "(dist_front < 120)")
 
-    def test_unparseable_rejected(self, odd):
+    def test_unparseable_rejected(self):
         with pytest.raises(GenerationFailure, match="^parse error: "):
-            parse_candidate_response("I could not find a refinement.", odd)
+            parse_candidate_response("I could not find a refinement.")
 
-    def test_empty_rejected(self, odd):
+    def test_empty_rejected(self):
         with pytest.raises(GenerationFailure) as excinfo:
-            parse_candidate_response("   \n", odd)
+            parse_candidate_response("   \n")
         assert excinfo.value.summary == "empty response"
+
+
+def _first_report(fixture, reply):
+    """(failure summary, candidate text) of refine_loop's one attempt at a
+    scripted reply on the reference fixture."""
+    target = fixture.baseline_rule
+    with pytest.raises(Exhausted) as excinfo:
+        refine_loop(target, [target], fixture.dataset, make_oracle(fixture.config),
+                    fixture.config.odd, MockGenerator([reply]), max_attempts=1)
+    (report,) = excinfo.value.reports
+    return report.failure_summary, report.candidate_text
 
 
 class TestDeterministicGenerator:
     def test_worked_example_threshold(self, fixture42, x1_context):
-        gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
+        gen = DeterministicGenerator()
         candidate = generate_candidate(gen, x1_context)
         assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
         assert [e.kind for e in diff_rules(fixture42.baseline_rule.ast, candidate.ast)] == [
@@ -128,11 +144,11 @@ class TestDeterministicGenerator:
             "mismatches ")
 
     def test_deterministic(self, fixture42, x1_context):
-        gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
+        gen = DeterministicGenerator()
         assert generate_candidate(gen, x1_context) == generate_candidate(gen, x1_context)
 
     def test_change_log_replays(self, fixture42, x1_context):
-        gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
+        gen = DeterministicGenerator()
         candidate = generate_candidate(gen, x1_context)
         (edit,) = diff_rules(fixture42.baseline_rule.ast, candidate.ast)
         assert apply_edits(fixture42.baseline_rule.ast, (edit,)) == candidate.ast
@@ -143,7 +159,7 @@ class TestDeterministicGenerator:
         import dataclasses
         empty = dataclasses.replace(x1_context.evidence, pairs=())
         ctx = dataclasses.replace(x1_context, evidence=empty)
-        gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
+        gen = DeterministicGenerator()
         with pytest.raises(GenerationFailure):
             generate_candidate(gen, ctx)
 
@@ -176,8 +192,8 @@ class TestDeterministicGenerator:
             decisiveness(PolarizedRule("c", Polarity.PASS_RULE, ast), data).n_mismatch >= base
             for ast in swept)
         ctx = RefinementContext(target=target_rule, historical=(), evidence=evidence,
-                                mismatch_before=base)
-        gen = DeterministicGenerator(data, arg_odd)
+                                mismatch_before=base, dataset=data, odd=arg_odd)
+        gen = DeterministicGenerator()
         with pytest.raises(GenerationFailure, match="no improving edit"):
             generate_candidate(gen, ctx)
 
@@ -252,17 +268,20 @@ class TestChangeLog:
 
 
 class TestMockGenerator:
-    def test_scripted_sequence(self, fixture42, x1_context):
+    def test_scripted_sequence(self, fixture42):
         gen = MockGenerator(["Rule: (ARG3 > 1)",
-                             "Rule: (dist_front < 4.1) and (ego_speed > 0)"],
-                            fixture42.config.odd)
-        with pytest.raises(GenerationFailure, match="UnknownVariable"):
-            generate_candidate(gen, x1_context)
-        candidate = generate_candidate(gen, x1_context)
-        assert print_rule(candidate.ast) == "(dist_front < 4.1) and (ego_speed > 0)"
+                             "Rule: (dist_front < 4.1) and (ego_speed > 0)"])
+        target = fixture42.baseline_rule
+        outcome = refine_loop(target, [target], fixture42.dataset,
+                              make_oracle(fixture42.config), fixture42.config.odd, gen)
+        first, accepted = outcome.reports
+        assert (first.failure_summary, first.candidate_text) == (
+            "UnknownVariable ARG3", "(ARG3 > 1)")
+        assert accepted.accepted and outcome.attempts == 2
+        assert print_rule(outcome.refined) == "(dist_front < 4.1) and (ego_speed > 0)"
 
-    def test_exhausted_script(self, fixture42, x1_context):
-        gen = MockGenerator([], fixture42.config.odd)
+    def test_exhausted_script(self, x1_context):
+        gen = MockGenerator([])
         with pytest.raises(GenerationFailure, match="mock script exhausted"):
             generate_candidate(gen, x1_context)
 
@@ -290,7 +309,7 @@ def _fake_urlopen(monkeypatch, *replies):
 
 
 def _llm(fixture42, base_url="http://llm.example"):
-    return LlmGenerator(LlmConfig(base_url, "key", "m", timeout=12.5), fixture42.config.odd)
+    return LlmGenerator(LlmConfig(base_url, "key", "m", timeout=12.5))
 
 
 class TestLlmGenerator:
@@ -318,8 +337,7 @@ class TestLlmGenerator:
         payload = json.loads(request.data)
         assert payload == {"model": "m", "temperature": 0,
                            "messages": [{"role": "user",
-                                         "content": build_prompt(x1_context,
-                                                                 fixture42.config.odd)}]}
+                                         "content": build_prompt(x1_context)}]}
 
     def test_transport_error_is_generation_failure(self, fixture42, x1_context, monkeypatch):
         _fake_urlopen(monkeypatch, urllib.error.URLError("refused"))
@@ -508,7 +526,8 @@ def _small_world(seed):
     except NoInconsistency:
         return None
     return odd, data, RefinementContext(target=target, historical=(), evidence=evidence,
-                                        mismatch_before=before.n_mismatch)
+                                        mismatch_before=before.n_mismatch, dataset=data,
+                                        odd=odd)
 
 
 def _generate_or_summary(generator, ctx):
@@ -529,9 +548,9 @@ class TestCappedScoring:
         assert (enumerate_single_edits(ctx.target.ast, ctx.evidence, odd)
                 == [ast for ast, _ in _reference_single_edits(ctx.target.ast, ctx.evidence, odd)])
         expected, _ = _reference_generate(data, odd, ctx)
-        assert _generate_or_summary(DeterministicGenerator(data, odd), ctx) == expected
+        assert _generate_or_summary(DeterministicGenerator(), ctx) == expected
 
-    def _counting_generator(self, data, odd, monkeypatch):
+    def _counting_generator(self, monkeypatch):
         """A generator whose compiled candidates count their evaluations."""
         calls = []
 
@@ -546,7 +565,7 @@ class TestCappedScoring:
             return counted
 
         monkeypatch.setattr(generation, "compile_rule", counting_compile)
-        return DeterministicGenerator(data, odd), calls
+        return DeterministicGenerator(), calls
 
     def test_cap_cuts_without_ending_the_search(self, monkeypatch):
         odd, data, ctx = _small_world(179)
@@ -554,7 +573,7 @@ class TestCappedScoring:
         best = min(scores)
         assert 0 < best < ctx.mismatch_before
         assert any(n > best for n in scores[scores.index(best) + 1:])
-        generator, calls = self._counting_generator(data, odd, monkeypatch)
+        generator, calls = self._counting_generator(monkeypatch)
         assert generator.generate(ctx) == expected
         assert len(calls) == len(scores)  # no count reached 0, so every candidate ran
         wrong = sum(run.y is not ctx.target.polarity.verdict for run in data)
@@ -564,8 +583,7 @@ class TestCappedScoring:
         _, scores = _reference_generate(fixture42.dataset, fixture42.config.odd, x1_context)
         first_zero = scores.index(0)
         assert first_zero < len(scores) - 1
-        generator, calls = self._counting_generator(fixture42.dataset, fixture42.config.odd,
-                                                    monkeypatch)
+        generator, calls = self._counting_generator(monkeypatch)
         generator.generate(x1_context)
         assert len(calls) == first_zero + 1  # the candidates after it are never compiled
 
@@ -603,9 +621,9 @@ class TestGeneratorContract:
     def test_accepted_change_log_replays(self, fixture42, monkeypatch, kind):
         odd = fixture42.config.odd
         if kind == "local":
-            generator = DeterministicGenerator(fixture42.dataset, odd)
+            generator = DeterministicGenerator()
         elif kind == "mock":
-            generator = MockGenerator([MULTI_EDIT_REPLY], odd)
+            generator = MockGenerator([MULTI_EDIT_REPLY])
         elif kind == "llm":
             _fake_urlopen(monkeypatch, _reply(MULTI_EDIT_REPLY))
             generator = _llm(fixture42)
@@ -620,3 +638,14 @@ class TestGeneratorContract:
         if kind != "local":
             assert [e.kind for e in outcome.change_log] == [EditKind.ADD_DISJUNCT,
                                                             EditKind.REMOVE_DISJUNCT]
+
+
+def test_readme_library_example_runs():
+    """The fenced python block under "Library entry points" in README.md runs
+    as written and repairs the fixture."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library entry points"):]
+    start = section.index("```python\n") + len("```python\n")
+    namespace = {}
+    exec(section[start:section.index("```", start)], namespace)
+    assert namespace["outcome"].dg_after == 1.0

@@ -7,8 +7,8 @@ import os
 import pytest
 
 from ruleforge import (EvidenceFile, LlmConfig, LlmGenerator, Outcome, RefinementContext,
-                       generate_candidate, make_oracle, make_reference_fixture, print_rule,
-                       search_counterfactual)
+                       check_vocabulary, generate_candidate, make_oracle, make_reference_fixture,
+                       print_rule, search_counterfactual)
 from ruleforge.scenario import FIXTURE_MISMATCHES
 
 REQUIRED = ("RULEFORGE_LLM_BASE_URL", "RULEFORGE_LLM_API_KEY", "RULEFORGE_LLM_MODEL")
@@ -29,12 +29,13 @@ def test_live_backend_produces_grammar_valid_candidate():
                             rule_text=print_rule(fixture.baseline_rule.ast),
                             dataset_ref="fixture", pairs=(pair,), unresolved=())
     ctx = RefinementContext(target=fixture.baseline_rule, historical=(), evidence=evidence,
-                            mismatch_before=FIXTURE_MISMATCHES)
+                            mismatch_before=FIXTURE_MISMATCHES, dataset=fixture.dataset,
+                            odd=fixture.config.odd)
     generator = LlmGenerator(
         LlmConfig(base_url=os.environ[REQUIRED[0]], api_key=os.environ[REQUIRED[1]],
-                  model=os.environ[REQUIRED[2]]),
-        fixture.config.odd)
+                  model=os.environ[REQUIRED[2]]))
     candidate = generate_candidate(generator, ctx)
-    # whatever the model proposed, it parsed and passed the vocabulary gate
+    # whatever the model proposed, it parsed and passes refine_loop's vocabulary gate
     assert print_rule(candidate.ast)
+    assert not check_vocabulary(candidate.ast, fixture.config.odd)
     assert len(generator.transcript) == 1

@@ -19,7 +19,7 @@ from ruleforge import storage
 
 @pytest.fixture(scope="module")
 def outcome42(fixture42):
-    gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
+    gen = DeterministicGenerator()
     return refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule],
                        fixture42.dataset, make_oracle(fixture42.config),
                        fixture42.config.odd, gen)

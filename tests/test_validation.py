@@ -2,13 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruleforge import (ContradictionStatus, DeterministicGenerator, Exhausted, LabeledRun,
                        MockGenerator, Outcome, PolarizedRule, Polarity,
                        TargetNotInRuleset, check_contradiction, check_preserved_consistency,
                        decisiveness, evaluate, make_oracle, odd_spec, parse_rule, print_rule,
                        random_rule, refine_loop)
-from ruleforge.grammar import Const, Relation, RelOp, Var, direct_bound, rule
+from ruleforge.grammar import DOMAIN_TOL, Const, Relation, RelOp, Var, direct_bound, rule
 from ruleforge.semantics import EPS_EQ
 
 R1_STAR = "(dist_front < 4.1) and (ego_speed > 0)"
@@ -135,6 +137,40 @@ class TestCheckContradiction:
         assert result.status is ContradictionStatus.FLAGGED
         assert result.witness == {"x": 2.0}
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dataset_runs_decide_before_the_box(self, data):
+        """With a dataset, a Clear verdict has no run where both rules hold,
+        and a Flagged witness satisfies both; runs may lie up to DOMAIN_TOL
+        outside [min, max], as the domain admits them."""
+        odd = data.draw(st.sampled_from(_SMALL_DOMAINS))
+        seeds = st.integers(min_value=0, max_value=10 ** 6)
+        pass_rule = _pass_from_seed(data.draw(seeds), odd)
+        fail_rule = _fail_from_seed(data.draw(seeds), odd)
+        runs = data.draw(st.lists(st.fixed_dictionaries(
+            {v.name: _domain_coordinate(v) for v in odd.variables}), max_size=8))
+        (result,) = check_contradiction(pass_rule, [fail_rule], odd,
+                                        dataset=[LabeledRun(x, Outcome.PASS) for x in runs])
+        both = lambda x: evaluate(pass_rule.ast, x) and evaluate(fail_rule.ast, x)
+        if result.status is ContradictionStatus.CLEAR:
+            assert not any(both(x) for x in runs)
+        elif result.status is ContradictionStatus.FLAGGED:
+            assert both(result.witness)
+
+    def test_run_just_outside_the_domain_flags_a_pair_the_box_clears(self, odd):
+        # contains_point admits a run up to DOMAIN_TOL below min, but _cut_box
+        # cuts at min itself: the dataset run flags what the box alone clears.
+        candidate = _pass("(dist_front < 0) and (ego_speed > 0)")
+        opposing = [_fail("(dist_front < 1)")]
+        run = {"ego_speed": 8.0, "dist_front": -5e-10, "lane_offset": 0.0}
+        assert odd.contains_point(run)
+        (flagged,) = check_contradiction(candidate, opposing, odd,
+                                         dataset=[LabeledRun(run, Outcome.FAIL)])
+        assert flagged.status is ContradictionStatus.FLAGGED
+        assert flagged.witness == run
+        (clear,) = check_contradiction(candidate, opposing, odd)
+        assert clear.status is ContradictionStatus.CLEAR
+
     def test_grid_equivalence_on_random_pairs(self):
         rng = random.Random(9)
         domains = [odd_spec([("a", 0.0, 10.0, 1.0)]),
@@ -156,6 +192,19 @@ class TestCheckContradiction:
                 assert not grid_sat  # sat on the grid is always found
             checked += 1
         assert checked == 120
+
+
+_SMALL_DOMAINS = (odd_spec([("a", 0.0, 4.0, 1.0)]),
+                  odd_spec([("a", 0.0, 4.0, 1.0), ("b", -1.0, 1.0, 0.5)]))
+
+
+def _domain_coordinate(var):
+    """A grid value, any value in the range, or one at most DOMAIN_TOL
+    outside either end."""
+    return st.one_of(st.integers(0, var.grid_count - 1).map(var.grid_value),
+                     st.floats(var.min, var.max),
+                     st.floats(0.0, DOMAIN_TOL).map(lambda d: var.min - d),
+                     st.floats(0.0, DOMAIN_TOL).map(lambda d: var.max + d))
 
 
 def _pass_from_seed(seed, odd):
@@ -240,7 +289,7 @@ def _reference_points(odd, *asts):
 
 def _refine(fixture, text, ruleset=None, target=None):
     """refine_loop on the fixture with one scripted candidate."""
-    gen = MockGenerator([f"Rule: {text}"], fixture.config.odd)
+    gen = MockGenerator([f"Rule: {text}"])
     return refine_loop(target or fixture.baseline_rule, ruleset or [fixture.baseline_rule],
                        fixture.dataset, make_oracle(fixture.config), fixture.config.odd,
                        gen, max_attempts=1)
@@ -313,7 +362,7 @@ class TestTargetResolution:
 
 class TestRefineLoop:
     def test_fixture_accepts_first_attempt(self, fixture42):
-        gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
+        gen = DeterministicGenerator()
         outcome = refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule],
                               fixture42.dataset, make_oracle(fixture42.config),
                               fixture42.config.odd, gen, max_attempts=5)
@@ -327,7 +376,7 @@ class TestRefineLoop:
         assert report.new_inconsistencies == 0
 
     def test_mock_two_step_loop(self, fixture42):
-        gen = MockGenerator(["Rule: (ARG3 > 1)", f"Rule: {R1_STAR}"], fixture42.config.odd)
+        gen = MockGenerator(["Rule: (ARG3 > 1)", f"Rule: {R1_STAR}"])
         outcome = refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule],
                               fixture42.dataset, make_oracle(fixture42.config),
                               fixture42.config.odd, gen, max_attempts=5)
@@ -338,7 +387,7 @@ class TestRefineLoop:
         assert "UnknownVariable" in first.failure_summary
 
     def test_mock_garbage_exhausts(self, fixture42):
-        gen = MockGenerator(["[[('gt','ARG1','0')]]"] * 3, fixture42.config.odd)
+        gen = MockGenerator(["[[('gt','ARG1','0')]]"] * 3)
         with pytest.raises(Exhausted) as err:
             refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule],
                         fixture42.dataset, make_oracle(fixture42.config),
@@ -365,7 +414,7 @@ class TestRefineLoop:
 
     def test_contradicting_opposite_rule_blocks_acceptance(self, fixture42):
         blocker = _fail("(dist_front < 50)", "blanket-fail")
-        gen = DeterministicGenerator(fixture42.dataset, fixture42.config.odd)
+        gen = DeterministicGenerator()
         with pytest.raises(Exhausted) as err:
             refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule, blocker],
                         fixture42.dataset, make_oracle(fixture42.config),
@@ -378,8 +427,7 @@ class TestRefineLoop:
     def test_non_reducing_candidate_rejected(self, fixture42):
         # same rule as the target: parses and is vocabulary-clean but cannot
         # reduce mismatches
-        gen = MockGenerator(["Rule: (dist_front < 5.0) and (ego_speed > 0)"],
-                            fixture42.config.odd)
+        gen = MockGenerator(["Rule: (dist_front < 5.0) and (ego_speed > 0)"])
         with pytest.raises(Exhausted) as err:
             refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule],
                         fixture42.dataset, make_oracle(fixture42.config),
@@ -404,7 +452,7 @@ class TestRefineLoop:
                                           f"at runs {expected}")
 
     def test_loop_bounded(self, fixture42):
-        gen = MockGenerator([], fixture42.config.odd)
+        gen = MockGenerator([])
         with pytest.raises(Exhausted) as err:
             refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule],
                         fixture42.dataset, make_oracle(fixture42.config),
@@ -414,3 +462,45 @@ class TestRefineLoop:
             refine_loop(fixture42.baseline_rule, [fixture42.baseline_rule],
                         fixture42.dataset, make_oracle(fixture42.config),
                         fixture42.config.odd, gen, max_attempts=0)
+
+
+NEAR_FAIL = _fail("(dist_front < 3)", "near-fail")
+FAITHFUL = "(dist_front < 4.1) and (dist_front > 3.5) and (ego_speed > 0)"
+
+# What can go wrong with a reply, on the reference fixture plus the fail rule
+# near-fail: (mode, reply, the prefix of the summary that rejects it, whether
+# the report keeps the rule's text). Only a reply that does not parse has no
+# rule to keep.
+FAILURE_MODES = [
+    ("out-of-grammar", "dist_front <<< 4", "parse error: ", False),
+    ("list-shaped", "[[('gt','ARG1','0')]]", "structural violation: list/tuple form", False),
+    ("unknown-variable", "(headway < 2)", "UnknownVariable headway", True),
+    ("out-of-range-bound", "(dist_front < 120) and (ego_speed > 0)", "OutOfRangeBound 120",
+     True),
+    ("overlaps-a-fail-rule", "(dist_front < 4.1) and (ego_speed > 0)",
+     "contradiction Flagged against rule near-fail at {", True),
+    ("no-fewer-mismatches", "(dist_front < 5) and (dist_front > 3.5) and (ego_speed > 0)",
+     "does not reduce mismatches (27 -> 27)", True),
+    ("new-mismatches", f"{FAITHFUL} or (dist_front > 49) and (ego_speed > 0)",
+     "introduces 2 new inconsistencies at runs [136, 171]", True),
+    ("faithful", FAITHFUL, None, True),
+]
+
+
+@pytest.mark.parametrize("reply,summary,kept", [row[1:] for row in FAILURE_MODES],
+                         ids=[row[0] for row in FAILURE_MODES])
+def test_each_failure_mode_is_stopped_by_its_gate(fixture42, reply, summary, kept):
+    """Every reply runs through refine_loop's gates, whichever generator wrote
+    it; the next, faithful reply is accepted."""
+    target = fixture42.baseline_rule
+    outcome = refine_loop(target, [target, NEAR_FAIL], fixture42.dataset,
+                          make_oracle(fixture42.config), fixture42.config.odd,
+                          MockGenerator([f"Rule: {reply}", f"Rule: {FAITHFUL}"]))
+    first = outcome.reports[0]
+    assert print_rule(outcome.refined) == FAITHFUL
+    if summary is None:
+        assert first.accepted and outcome.attempts == 1
+    else:
+        assert not first.accepted and outcome.attempts == 2
+        assert first.failure_summary.startswith(summary)
+    assert first.candidate_text == (print_rule(parse_rule(reply)) if kept else None)
