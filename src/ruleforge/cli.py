@@ -241,7 +241,6 @@ def refine(rules_path, rule_id, dataset_path, config_path, generator,
         outcome = refine_loop(target, rules, runs, make_oracle(config), config.odd, gen,
                               max_attempts, limits=limits)
     except Exhausted as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_transcripts(out_dir, gen)
         summary = "; ".join(r.failure_summary or "" for r in exc.reports)
         raise Refusal(f"exhausted after {len(exc.reports)} attempts: {summary}",
@@ -255,6 +254,8 @@ def refine(rules_path, rule_id, dataset_path, config_path, generator,
 
 
 def _write_transcripts(out_dir: Path, gen) -> None:
+    """Write the generator's transcript, if it keeps one, making out_dir
+    only then: a generator without one leaves no directory behind."""
     transcript = getattr(gen, "transcript", None)
     if transcript is None:
         return
@@ -262,7 +263,7 @@ def _write_transcripts(out_dir: Path, gen) -> None:
         "schema_version": storage.SCHEMA_VERSION,
         "transcripts": [{"prompt": t.prompt, "response": t.response} for t in transcript],
     }
-    storage.write_json(out_dir / "transcripts.json", payload)
+    storage.write_json(_made_parent(out_dir / "transcripts.json"), payload)
 
 
 def _render_report(target, outcome) -> str:

@@ -9,6 +9,10 @@ with negative offsets before positive ones and untouched-feature
 continuations last. Offsets that would leave a feature's [min, max] range
 are never enumerated, so every probe stays inside the domain, each probe
 costs exactly one oracle query, and the step-unit L1 of the result is exact.
+A search calls the oracle's `label` itself, once per probe, and adds its
+probes to the oracle's `queries` when it ends, however it ends. The query
+budget is checked once per table, not once per probe: a table longer than
+the budget left is walked only that far.
 
 A ring's probes come from two parts of the offset vector. The leading
 features are walked by one iterative stack walk, which descends only into
@@ -32,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .grammar import OddSpec, print_rule
-from .semantics import LabeledRun, Outcome, PolarizedRule, decisiveness
+from .semantics import Label, LabeledRun, Outcome, PolarizedRule, decisiveness
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RADIUS_STEPS = 20
@@ -60,16 +65,19 @@ class NoInconsistency(ValueError):
 class Oracle:
     """Ground-truth labeling interface with a query counter.
 
-    The wrapped function must be deterministic: equal inputs, equal outcomes.
+    `label` must be deterministic: equal inputs, equal outcomes. `query`
+    counts one query and calls it. A counterfactual search calls `label`
+    itself and adds its own probe count to `queries` when it ends, so the
+    count is the same as if each probe had gone through `query`.
     """
 
-    def __init__(self, label_fn: Callable[[dict[str, float]], Outcome]):
-        self._label_fn = label_fn
+    def __init__(self, label: Label):
+        self.label = label
         self.queries = 0
 
     def query(self, x: dict[str, float]) -> Outcome:
         self.queries += 1
-        return self._label_fn(x)
+        return self.label(x)
 
 
 @dataclass(frozen=True)
@@ -258,26 +266,33 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     # Offset 0 is the run's own value; ring r adds its in-range -r and r.
     values = [{0: x[name]} for name in names]
     rings = _Rings(x, names, values, down, up)
-    work, query = rings.work, oracle.query
+    work, label = rings.work, oracle.label
     used = 0
-    for radius in range(1, max_radius_steps + 1):
-        for table, b, s, d, u in zip(values, base, steps, down, up):
-            for m in (-radius, radius):
-                if -d <= m <= u:
-                    table[m] = float(b + s * m)
-        for leaf in rings.leaves(radius):
-            for vec, moved in leaf:
-                if used >= budget:
+    try:
+        for radius in range(1, max_radius_steps + 1):
+            for table, b, s, d, u in zip(values, base, steps, down, up):
+                for m in (-radius, radius):
+                    if -d <= m <= u:
+                        table[m] = float(b + s * m)
+            for leaf in rings.leaves(radius):
+                # one budget check per table: walk no more of it than is left
+                left = budget - used
+                short = len(leaf) > left
+                for vec, moved in islice(leaf, max(left, 0)) if short else leaf:
+                    used += 1
+                    y_cf = label(work | moved)
+                    if y_cf is not y:
+                        offsets = (*rings.offsets, *vec)
+                        delta = {name: float(s * m)
+                                 for name, s, m in zip(names, steps, offsets) if m}
+                        l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
+                        return CounterfactualPair(x=dict(x), y=y, x_cf=work | moved, y_cf=y_cf,
+                                                  delta=delta, l1=l1, l1_steps=radius)
+                if short:
                     raise OracleBudgetExceeded(f"budget of {budget} queries exhausted "
                                                f"at radius {radius}")
-                used += 1
-                y_cf = query(work | moved)
-                if y_cf is not y:
-                    offsets = (*rings.offsets, *vec)
-                    delta = {name: float(s * m) for name, s, m in zip(names, steps, offsets) if m}
-                    l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
-                    return CounterfactualPair(x=dict(x), y=y, x_cf=work | moved, y_cf=y_cf,
-                                              delta=delta, l1=l1, l1_steps=radius)
+    finally:
+        oracle.queries += used
     raise CounterfactualNotFound(f"no flip within {max_radius_steps} steps")
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -176,6 +177,9 @@ class OddVariable:
             raise GrammarError(f"bad range for {self.name}: [{self.min}, {self.max}]")
         if not (math.isfinite(self.step) and self.step > 0):
             raise GrammarError(f"step for {self.name} must be positive")
+        # Interned, as the names in compiled rule and label code are: a dict
+        # lookup of one by the other then matches by identity.
+        object.__setattr__(self, "name", sys.intern(self.name))
 
     # The grid facts are pure functions of the fields and are read for every
     # coordinate drawn: each is computed on first use and kept on the

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .grammar import (PRECEDENCE, ArithOp, BinOp, Const, Expr, Relation, RelOp, RuleAst, Var,
                       print_relation, print_rule)
@@ -39,8 +39,10 @@ class Polarity(Enum):
         return Outcome.PASS if self is Polarity.PASS_RULE else Outcome.FAIL
 
 
-@dataclass(frozen=True)
-class LabeledRun:
+class LabeledRun(NamedTuple):
+    """One run: its input vector and observed outcome. A named tuple, so it
+    is built at a tuple's cost (a dataset load builds one per row), and it
+    equals the plain tuple (x, y)."""
     x: dict[str, float]
     y: Outcome
 

@@ -5,6 +5,8 @@
   decimal form so store(load(path)) is byte-identical for canonical files.
   Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
   a faulty block is walked row by row to name its first faulty line.
+  The header's feature names are interned, so each run's keys are the very
+  strings that compiled rules, labels and ODD variables look up.
 * Rules JSON: a bare list of {"id", "polarity": "pass"|"fail", "text"}.
 * Engine-owned JSON artifacts (oracle config, evidence, outcome, metrics)
   carry a schema_version header.
@@ -16,6 +18,7 @@ import csv
 import io
 import json
 import math
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -62,7 +65,7 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
                 _fail(path, "empty dataset file")
             if not header or header[-1] != "outcome":
                 _fail(path, 'last column must be "outcome"')
-            features = header[:-1]
+            features = list(map(sys.intern, header[:-1]))
             if not features:
                 _fail(path, "no feature columns")
             if len(set(header)) != len(header):

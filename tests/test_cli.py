@@ -178,6 +178,17 @@ class TestRefine:
         assert code == 3
         assert not (out / "outcome.json").exists()
 
+    def test_exhausted_mock_leaves_no_out(self, workspace, tmp_path):
+        # mock keeps no transcript, so an exhausted run has nothing to write
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["", "no rule here"]))
+        out = tmp_path / "mock-rejected"
+        code = main(["refine", *_args(workspace), "--generator", "mock",
+                     "--mock-script", str(script), "--max-attempts", "2",
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+
     def test_mock_recovers_on_second_attempt(self, workspace, tmp_path):
         script = tmp_path / "script.json"
         script.write_text(json.dumps([
@@ -812,6 +823,20 @@ class TestOneJsonWriter:
         text = (out / "transcripts.json").read_text(encoding="utf-8")
         assert "seuil resserré" in text
         assert text == storage.json_text(json.loads(text))
+
+    def test_exhausted_llm_still_writes_its_transcripts(self, workspace, tmp_path,
+                                                        monkeypatch):
+        for name, value in (("RULEFORGE_LLM_BASE_URL", "http://llm.invalid"),
+                            ("RULEFORGE_LLM_API_KEY", "key"), ("RULEFORGE_LLM_MODEL", "m")):
+            monkeypatch.setenv(name, value)
+        body = json.dumps({"choices": [{"message": {"content": "no rule here"}}]})
+        monkeypatch.setattr("urllib.request.urlopen",
+                            lambda request, timeout=None: io.BytesIO(body.encode("utf-8")))
+        out = tmp_path / "not-yet" / "run"
+        assert main(["refine", *_args(workspace), "--generator", "llm",
+                     "--max-attempts", "2", "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["transcripts.json"]
+        assert len(json.loads(out.joinpath("transcripts.json").read_text())["transcripts"]) == 2
 
 
 _REFUSALS = {

@@ -175,6 +175,58 @@ class TestBudget:
             assert short.queries == expected - 1
 
 
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_a_raising_label_is_counted_once(self, k):
+        """A label that raises on its k-th call: the exception reaches the
+        caller, and the search adds its k calls to the oracle's count."""
+        odd = odd_spec([("a", 0.0, 10.0, 1.0), ("b", 0.0, 10.0, 1.0)])
+        calls = []
+
+        def label(probe):
+            calls.append(probe)
+            if len(calls) == k:
+                raise RuntimeError("simulator crashed")
+            return Outcome.FAIL
+
+        oracle = Oracle(label)
+        oracle.queries = 5  # earlier searches' queries stay counted
+        with pytest.raises(RuntimeError, match="simulator crashed"):
+            search_counterfactual({"a": 5.0, "b": 5.0}, Outcome.FAIL, oracle, odd, 5)
+        assert len(calls) == k and oracle.queries == 5 + k
+
+    def test_budget_ending_inside_a_table(self):
+        """On a 6-feature domain, whose last two features come from tables,
+        every budget short of the whole search makes exactly `budget` label
+        calls, the reference's first probes in order, and then raises, also
+        where the budget runs out inside a table."""
+        odd = odd_spec([(f"f{i}", 0.0, 3.0, 1.0) for i in range(6)])
+        names, max_radius = odd.names, 3
+        x = {name: 1.0 for name in names}
+        expected = list(_ref_probes(x, odd, max_radius))
+        # where the search's tables end, counted in probes
+        values = [{m: 1.0 + m for m in range(-1, 3)} for _ in names]
+        rings = _Rings(x, names, values, [1] * 6, [2] * 6)
+        ends = set(itertools.accumulate(
+            len(leaf) for radius in range(1, max_radius + 1) for leaf in rings.leaves(radius)))
+        assert max(ends) == len(expected)
+        inside = 0
+        for budget in range(len(expected) + 1):
+            seen = []
+            oracle = Oracle(lambda probe: seen.append(dict(probe)) or Outcome.FAIL)
+            if budget < len(expected):
+                radius = round(sum(abs(expected[budget][n] - x[n]) for n in names))
+                with pytest.raises(OracleBudgetExceeded,
+                                   match=f"budget of {budget} queries exhausted "
+                                         f"at radius {radius}$"):
+                    search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius, budget)
+                inside += 0 < budget and budget not in ends
+            else:  # the budget runs out at the last probe of the last ring
+                with pytest.raises(CounterfactualNotFound):
+                    search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius, budget)
+            assert seen == expected[:budget] and oracle.queries == budget
+        assert inside >= 50
+
+
 class TestBuildEvidence:
     def test_rule_text_is_canonical(self, fixture42):
         config = fixture42.config

@@ -70,6 +70,22 @@ class Consistency(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+class TestLabeledRun:
+    """A run is a named (x, y) pair: built by position or keyword, read by
+    name, immutable, picklable, and equal to the plain tuple."""
+
+    def test_a_named_pair(self):
+        run = LabeledRun(x={"v": 1.0}, y=Outcome.PASS)
+        assert (run.x, run.y) == ({"v": 1.0}, Outcome.PASS)
+        assert run == LabeledRun({"v": 1.0}, Outcome.PASS) == ({"v": 1.0}, Outcome.PASS)
+        assert run != LabeledRun({"v": 1.0}, Outcome.FAIL)
+        assert repr(run) == f"LabeledRun(x={{'v': 1.0}}, y={Outcome.PASS!r})"
+        with pytest.raises(AttributeError):
+            run.y = Outcome.FAIL
+        assert pickle.loads(pickle.dumps(run)) == run
+        assert type(pickle.loads(pickle.dumps(run))) is LabeledRun
+
+
 class TestClassifyConsistency:
     @pytest.mark.parametrize("polarity,holds,y,expected", [
         (Polarity.PASS_RULE, True, Outcome.PASS, Consistency.CONSISTENT),

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -199,7 +200,8 @@ _FAULTS = st.tuples(st.sampled_from(["short", "long", "blank", "word", "nan", "i
 
 
 def _spoil(row, kind, column):
-    features = len(row) - 1
+    # at least 1: a second fault may fall on a row the first left with one cell
+    features = max(len(row) - 1, 1)
     if kind == "short":
         return row[:-1]
     if kind == "long":
@@ -227,6 +229,24 @@ def _dataset_texts(draw):
     lines = [",".join(f'"{cell}"' if draw(st.booleans()) else cell for cell in row)
              for row in [header] + rows]
     return "\n".join(lines) + "\n"
+
+
+class TestInternedNames:
+    """Names read from files are interned, so a run's keys, the ODD's names
+    and the names in compiled rule and label code are the same objects."""
+
+    def test_dataset_keys_are_interned(self, fixture42, tmp_path):
+        path = tmp_path / "dataset.csv"
+        storage.store_dataset(path, fixture42.dataset)
+        runs = storage.load_dataset(path)
+        assert all(key is sys.intern(key) for run in runs for key in run.x)
+
+    def test_odd_names_are_interned(self, fixture42, tmp_path):
+        path = tmp_path / "config.json"
+        storage.store_oracle_config(path, fixture42.config)
+        names = [v.name for v in storage.load_oracle_config(path).odd.variables]
+        assert names == fixture42.config.odd.names
+        assert all(name is sys.intern(name) for name in names)
 
 
 class TestLoadMatchesRowByRowReference:
