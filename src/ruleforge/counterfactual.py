@@ -10,9 +10,9 @@ continuations last. Offsets that would leave a feature's [min, max] range
 are never enumerated, so every probe stays inside the domain, each probe
 costs exactly one oracle query, and the step-unit L1 of the result is exact.
 A search calls the oracle's `label` itself, once per probe, and adds its
-probes to the oracle's `queries` when it ends, however it ends. The query
-budget is checked once per table, not once per probe: a table longer than
-the budget left is walked only that far.
+probes to the oracle's `queries` when it ends, however it ends: it is the
+only writer of that count. The query budget is checked once per table, not
+once per probe: a table longer than the budget left is walked only that far.
 
 A ring's probes come from two parts of the offset vector. The leading
 features are walked by one iterative stack walk, which descends only into
@@ -65,19 +65,14 @@ class NoInconsistency(ValueError):
 class Oracle:
     """Ground-truth labeling interface with a query counter.
 
-    `label` must be deterministic: equal inputs, equal outcomes. `query`
-    counts one query and calls it. A counterfactual search calls `label`
-    itself and adds its own probe count to `queries` when it ends, so the
-    count is the same as if each probe had gone through `query`.
+    `label` must be deterministic: equal inputs, equal outcomes. The search
+    is the only writer of `queries`: it calls `label` itself, once per
+    probe, and adds its probe count when it ends.
     """
 
     def __init__(self, label: Label):
         self.label = label
         self.queries = 0
-
-    def query(self, x: dict[str, float]) -> Outcome:
-        self.queries += 1
-        return self.label(x)
 
 
 @dataclass(frozen=True)

@@ -271,9 +271,8 @@ def _align(old: list, new: list, sub_cost) -> list[tuple[str, int, int]]:
 def _conjunct_cost(old: Conjunct, new: Conjunct) -> int:
     if old == new:
         return 0
-    cost = sum(1 if op == "sub" else (2 if op in ("del", "ins") else 0)
+    return sum(1 if op == "sub" else (2 if op in ("del", "ins") else 0)
                for op, _, _ in _align(list(old.relations), list(new.relations), _relation_edit_cost))
-    return min(cost, _INF)
 
 
 def diff_rules(original: RuleAst, refined: RuleAst) -> tuple[Edit, ...]:

@@ -5,10 +5,11 @@ in the rule DSL labels any in-domain input deterministically. Every label
 is one call of the config's label function (OracleConfig.label), which
 semantics.compile_label generates from the ODD's bounds and the safe region
 in one compile, on first use: it checks the point against every ODD bound
-(a refusal is OutOfDomain), then evaluates the safe region inline. The
-canned fixture pairs a 198-run dataset with a baseline pass rule that
-mismatches the oracle on exactly 27 runs, so refinement experiments have a
-stable, reproducible starting point.
+and itself raises OutOfDomain (defined in semantics, exported here) for a
+point outside, then evaluates the safe region inline. The canned fixture
+pairs a 198-run dataset with a baseline pass rule that mismatches the
+oracle on exactly 27 runs, so refinement experiments have a stable,
+reproducible starting point.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from functools import cached_property
 
 from .counterfactual import Oracle
 from .grammar import OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
-from .semantics import (Label, LabeledRun, Outcome, PolarizedRule, Polarity, compile_label,
-                        decisiveness, evaluate)
+from .semantics import (Label, LabeledRun, Outcome, OutOfDomain, PolarizedRule, Polarity,
+                        compile_label, decisiveness, evaluate)
 
 DEFAULT_ODD = odd_spec([
     ("ego_speed", 0.0, 30.0, 0.5),
@@ -35,10 +36,6 @@ DEFAULT_SAFE_REGION = "(dist_front < 4.05) and (ego_speed > 0) or (ego_speed == 
 BASELINE_RULE_TEXT = "(dist_front < 5.0) and (ego_speed > 0)"
 FIXTURE_SIZE = 198
 FIXTURE_MISMATCHES = 27
-
-
-class OutOfDomain(ValueError):
-    pass
 
 
 class ConstructionFailure(RuntimeError):
@@ -61,16 +58,12 @@ class OracleConfig:
         """The oracle label of this config, from one compile on first use.
         It is kept on the instance, outside the fields, so equality, hash
         and repr ignore it, and dataclasses.replace builds a new one."""
-        return compile_label(self.safe_region, self.odd.bounds, _out_of_domain)
+        return compile_label(self.safe_region, self.odd.bounds)
 
     def __getstate__(self):
         # The fields only: the compiled label cannot be pickled and is
         # rebuilt on use.
         return {"odd": self.odd, "safe_region": self.safe_region, "seed": self.seed}
-
-
-def _out_of_domain(x: dict[str, float]) -> OutOfDomain:
-    return OutOfDomain(f"input outside declared ranges: {x}")
 
 
 def default_config(seed: int = 42) -> OracleConfig:

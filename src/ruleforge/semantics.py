@@ -9,7 +9,8 @@ and compiled on first use (compile_rule). == and != hold within EPS_EQ; a
 division by zero makes its relation false and appends "division by zero in
 <relation>" to the diagnostics, in rule order; a variable missing from the
 input raises UnboundVariable. The oracle's safe region is compiled the same
-way, once, into a label that checks the domain first (compile_label).
+way, once, into a label that checks the domain first (compile_label) and
+itself raises OutOfDomain, defined here, for a point outside it.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class Polarity(Enum):
 
 
 class LabeledRun(NamedTuple):
-    """One run: its input vector and observed outcome. A named tuple, so it
-    is built at a tuple's cost (a dataset load builds one per row), and it
-    equals the plain tuple (x, y)."""
+    """One run: its input vector and observed outcome. A named tuple that
+    equals the plain tuple (x, y). Its constructor is a Python function, so
+    a dataset load, which builds one run per row, calls tuple.__new__ on the
+    class instead."""
     x: dict[str, float]
     y: Outcome
 
@@ -65,6 +67,11 @@ class UnboundVariable(KeyError):
 
 class EmptyDataset(ValueError):
     pass
+
+
+class OutOfDomain(ValueError):
+    """A point an oracle label refuses: it lacks a variable of the domain or
+    lies outside its declared ranges."""
 
 
 #: A compiled rule: holds(x, diagnostics) -> bool.
@@ -92,8 +99,7 @@ def _source(e: Expr, slot: Callable[[object], str], parent_prec: int = 0) -> str
     return f"({text})" if prec < parent_prec else text
 
 
-def _build(ast: RuleAst, bounds: Bounds | None = None,
-           refuse: Callable[[dict[str, float]], Exception] | None = None) -> Holds | Label:
+def _build(ast: RuleAst, bounds: Bounds | None = None) -> Holds | Label:
     """Generate, compile and return the Python function of one rule: its
     holds(x, diag), or given bounds, the label(x) of compile_label.
 
@@ -137,15 +143,16 @@ def _build(ast: RuleAst, bounds: Bounds | None = None,
         name, params, guard, verdicts = "holds", "x, diag", "", ("True", "False")
     else:
         # The label keeps no diagnostics: its division helpers get diag=None.
-        slots.update(refuse=refuse, PASS=Outcome.PASS, FAIL=Outcome.FAIL, diag=None)
+        slots.update(OutOfDomain=OutOfDomain, PASS=Outcome.PASS, FAIL=Outcome.FAIL, diag=None)
         inside = " and ".join(f"{slot(lo)} <= x[{var!r}] <= {slot(hi)}"
                               for var, lo, hi in bounds) or "True"
         name, params, verdicts = "label", "x", ("PASS", "FAIL")
+        refusal = 'raise OutOfDomain(f"input outside declared ranges: {x}")'
         guard = ("        try:\n"
                  f"            if not ({inside}):\n"
-                 "                raise refuse(x)\n"
+                 f"                {refusal}\n"
                  "        except KeyError:\n"
-                 "            raise refuse(x) from None\n")
+                 f"            {refusal} from None\n")
     source = (f"def make({', '.join(slots)}):\n" + "".join(helpers)
               + f"    def {name}({params}):\n" + guard
               + "        try:\n"
@@ -174,16 +181,16 @@ def compile_rule(ast: RuleAst) -> Holds:
         return holds
 
 
-def compile_label(ast: RuleAst, bounds: Bounds,
-                  refuse: Callable[[dict[str, float]], Exception]) -> Label:
+def compile_label(ast: RuleAst, bounds: Bounds) -> Label:
     """The safe region ast as one oracle label over a domain.
 
-    label(x) raises refuse(x) unless x binds every name of bounds within its
-    [lo, hi] (NaN and infinities are outside), and then returns Outcome.PASS
-    where the rule holds and Outcome.FAIL elsewhere, as compile_rule's
-    function decides it. The guard and the rule are one generated function
-    from one compile; nothing is kept on the AST."""
-    return _build(ast, bounds, refuse)
+    label(x) raises OutOfDomain("input outside declared ranges: {x}") unless
+    x binds every name of bounds within its [lo, hi] (NaN and infinities are
+    outside), and then returns Outcome.PASS where the rule holds and
+    Outcome.FAIL elsewhere, as compile_rule's function decides it. The
+    guard and the rule are one generated function from one compile; nothing
+    is kept on the AST."""
+    return _build(ast, bounds)
 
 
 def evaluate(ast: RuleAst, x: dict[str, float],

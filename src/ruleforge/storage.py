@@ -4,9 +4,12 @@
   Pass/Fail, UTF-8, comma separated. Numbers are written in canonical
   decimal form so store(load(path)) is byte-identical for canonical files.
   Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
-  a faulty block is walked row by row to name its first faulty line.
-  The header's feature names are interned, so each run's keys are the very
-  strings that compiled rules, labels and ODD variables look up.
+  a faulty block is walked row by row to name its first faulty line. A
+  clean block's row dicts are filled a column at a time too, without
+  generated code, and its runs are built by the tuple constructor, not
+  LabeledRun's own. The header's feature names are interned, so each run's
+  keys are the very strings that compiled rules, labels and ODD variables
+  look up.
 * Rules JSON: a bare list of {"id", "polarity": "pass"|"fail", "text"}.
 * Engine-owned JSON artifacts (oracle config, evidence, outcome, metrics)
   carry a schema_version header.
@@ -19,7 +22,10 @@ import io
 import json
 import math
 import sys
-from itertools import islice
+from collections import deque
+from functools import partial
+from itertools import islice, repeat
+from operator import setitem
 from pathlib import Path
 
 from .counterfactual import EvidenceFile
@@ -48,6 +54,10 @@ def _fail(path, message: str):
 
 _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 
+#: A run from (x, y) at a tuple's cost: LabeledRun's own constructor is a
+#: Python function, one frame per row.
+_run = partial(tuple.__new__, LabeledRun)
+
 #: Rows read and converted together: each conversion is one C loop over a
 #: column, and a load's peak memory exceeds what its runs retain by one
 #: block's cells at most.
@@ -72,7 +82,6 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
                 # a run keyed by column name would keep only the last copy
                 duplicate = next(name for i, name in enumerate(header) if name in header[:i])
                 _fail(path, f"duplicated column {duplicate!r}")
-            points = _points(features)
             runs = []
             while rows := list(islice(reader, BLOCK_ROWS)):
                 block = _block_columns(rows, len(header))
@@ -80,7 +89,11 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
                     _row_fault(path, rows, len(runs) + 2, len(header))
                 del rows  # its cells are freed before the runs take their memory
                 columns, ys = block
-                runs += map(LabeledRun, points(columns), ys)
+                xs = [{} for _ in ys]
+                for name, column in zip(features, columns):
+                    # one C loop of x[name] = value over the block's rows
+                    deque(map(setitem, xs, repeat(name), column), maxlen=0)
+                runs += map(_run, zip(xs, ys))
     except UnicodeDecodeError as exc:
         _fail(path, f"not UTF-8 text: {exc.reason}")
     if not runs:
@@ -121,23 +134,6 @@ def _row_fault(path, rows: list[list[str]], lineno: int, width: int):
             _fail(path, f"line {lineno}: non-finite feature value")
         if row[-1] not in _OUTCOMES:
             _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
-
-
-def _points(features: list[str]):
-    """points(columns): one dict {feature: value} per row of the feature
-    columns, built by a generated dict display, as semantics builds a rule.
-    The column names come from the file, so they enter the generated code as
-    closure slots, never as its source text."""
-    keys = [f"_k{i}" for i in range(len(features))]
-    values = [f"v{i}" for i in range(len(features))]
-    display = ", ".join(f"{key}: {value}" for key, value in zip(keys, values))
-    source = (f"def make({', '.join(keys)}):\n"
-              "    def points(columns):\n"
-              f"        return ({{{display}}} for {', '.join(values)}, in zip(*columns))\n"
-              "    return points\n")
-    namespace: dict[str, object] = {}
-    exec(compile(source, "<dataset points>", "exec"), namespace)
-    return namespace.pop("make")(*features)
 
 
 class _NumberText(dict):
@@ -235,20 +231,20 @@ def rule_entries(path: str | Path) -> list[tuple[str, Polarity, str]]:
 
 def _checked_rule(path, where: str, text: str, variables) -> RuleAst:
     """The parsed rule text; text that does not parse, or that names a
-    variable outside the given ones (none given: any), is refused at
-    `where` in the file."""
+    variable outside the given ones, is refused at `where` in the file."""
     try:
         ast = parse_rule(text)
     except ParseError as exc:
         _fail(path, f"{where}: {exc}")
-    if variables is not None and not ast.variables() <= set(variables):
+    if not ast.variables() <= set(variables):
         _fail(path, f"{where}: unbound variable(s) {sorted(ast.variables() - set(variables))}")
     return ast
 
 
-def load_rules(path: str | Path, variables=None) -> list[PolarizedRule]:
-    """Rules in file order. Given the variables the rules will be evaluated
-    over, a rule naming any other variable is refused: it cannot be scored."""
+def load_rules(path: str | Path, variables) -> list[PolarizedRule]:
+    """Rules in file order. variables, required, names what the rules will
+    be evaluated over: a rule naming any other variable is refused, since
+    it cannot be scored."""
     return [PolarizedRule(id=rule_id, polarity=polarity,
                           ast=_checked_rule(path, f"rule {i} ({rule_id})", text, variables))
             for i, (rule_id, polarity, text) in enumerate(rule_entries(path))]
@@ -297,7 +293,7 @@ def _odd_variable(path, i: int, v) -> OddVariable:
     return OddVariable(v["name"], *numbers)
 
 
-def odd_from_json(data, path="<odd>") -> OddSpec:
+def odd_from_json(data, path) -> OddSpec:
     if not isinstance(data, dict) or "variables" not in data:
         _fail(path, 'expected an object with a "variables" list')
     if not isinstance(data["variables"], list):

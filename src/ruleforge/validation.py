@@ -190,9 +190,9 @@ def _cut_box(relations, odd: OddSpec):
     return {name: (lower[name], upper[name]) for name in lower}, residual
 
 
-def _grid_in_box(box, odd: OddSpec, cap: int):
+def _grid_in_box(box, odd: OddSpec):
     """The step-grid points inside the box, lowest first, strided per axis
-    to at most cap points."""
+    to at most GRID_CAP points."""
     axes = []
     for v in odd.variables:
         lo, hi = box[v.name]
@@ -200,8 +200,8 @@ def _grid_in_box(box, odd: OddSpec, cap: int):
         last = min(v.grid_count - 1, math.ceil((hi[0] - v.min) / v.step))
         values = (v.grid_value(k) for k in range(first, last + 1))
         axes.append([x for x in values if lo < (x, True) and (x, False) < hi])
-    if math.prod(map(len, axes)) > cap:
-        per_dim = max(1, int(cap ** (1.0 / len(axes))))
+    if math.prod(map(len, axes)) > GRID_CAP:
+        per_dim = max(1, int(GRID_CAP ** (1.0 / len(axes))))
         axes = [xs[::math.ceil(len(xs) / per_dim)] for xs in axes]
     for combo in itertools.product(*axes):
         yield dict(zip(odd.names, combo))
@@ -250,7 +250,7 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
                        for n in expr_variables(side)}
             if _refute(residual, closure, SUBDIVISION_DEPTH):
                 continue
-            for point in _grid_in_box(box, odd, GRID_CAP):
+            for point in _grid_in_box(box, odd):
                 if both(point):
                     return (ContradictionStatus.FLAGGED, point)
             status = ContradictionStatus.UNKNOWN

@@ -643,6 +643,72 @@ class TestMalformedFiles:
         assert "safe_region" in err and "headway" in err
 
 
+def _odd_fault(fault):
+    """A copy of a config whose ODD has one fault."""
+    def spoil(data):
+        variables = data["odd"]["variables"]
+        if fault == "no-variables":
+            del data["odd"]["variables"]
+        elif fault == "min-above-max":
+            variables[0]["min"], variables[0]["max"] = variables[0]["max"], variables[0]["min"]
+        elif fault == "zero-step":
+            variables[0]["step"] = 0
+        else:
+            variables[1]["name"] = variables[0]["name"]
+        return data
+    return spoil
+
+
+_INPUT_REFUSALS = {
+    "odd-without-variables": (2, "format", 'expected an object with a "variables" list',
+                              lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("no-variables"))),
+    "odd-min-above-max": (2, "format", "bad variable entry: bad range for ego_speed: [30.0, 0.0]",
+                          lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("min-above-max"))),
+    "odd-zero-step": (2, "format", "bad variable entry: step for ego_speed must be positive",
+                      lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("zero-step"))),
+    "odd-name-twice": (2, "format", "bad variable entry: ODD variable names must be unique",
+                       lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("name-twice"))),
+    "config-a-list": (2, "format", "oracle config must be a JSON object",
+                      lambda ws, tmp: _sim_on(ws, tmp, lambda data: [data])),
+    "rules-an-object": (2, "format", "rules file must be a JSON list", lambda ws, tmp: [
+        "eval", "--rules", str(_text_file(tmp / "object.json", json.dumps(
+            {"id": "r", "polarity": "pass", "text": "(dist_front < 5)"}))),
+        "--dataset", str(ws / "dataset.csv"), "--out", str(tmp / "eval.json")]),
+    "cf-two-rules-no-id": (1, "usage", "multiple rules in file; pass --rule-id", lambda ws, tmp: [
+        "cf", "--rules", str(_rules_file(tmp, [
+            {"id": "a", "polarity": "pass", "text": "(dist_front < 5)"},
+            {"id": "b", "polarity": "fail", "text": "(dist_front > 40)"}])),
+        *_args(ws)[2:], "--out", str(tmp / "e.json")]),
+    "mock-script-an-object": (2, "format", "expected a JSON list of strings", lambda ws, tmp: [
+        "refine", *_args(ws), "--generator", "mock", "--mock-script", str(_text_file(
+            tmp / "script.json", json.dumps({"responses": ["(dist_front < 4)"]}))),
+        "--out", str(tmp / "run")]),
+    "mock-script-not-strings": (2, "format", "expected a JSON list of strings", lambda ws, tmp: [
+        "refine", *_args(ws), "--generator", "mock", "--mock-script", str(_text_file(
+            tmp / "script.json", json.dumps(["(dist_front < 4)", 5]))),
+        "--out", str(tmp / "run")]),
+}
+
+
+def _sim_on(workspace, tmp_path, spoil):
+    data = json.loads((workspace / "oracle_config.json").read_text())
+    config = _text_file(tmp_path / "config.json", json.dumps(spoil(data)))
+    return ["sim", "--n", "3", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("case", list(_INPUT_REFUSALS))
+def test_external_input_refusal_writes_nothing(workspace, tmp_path, capsys, case):
+    """Each refusal of a faulty input file exits with its code and one
+    stderr line naming the fault, and writes nothing."""
+    code, kind, message, argv = _INPUT_REFUSALS[case]
+    argv = argv(workspace, tmp_path)
+    before = _tree(tmp_path)
+    assert main(argv) == code
+    assert _tree(tmp_path) == before
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error ({kind}): ") and line.endswith(message)
+
+
 class TestUnboundRuleVariables:
     """A rule naming a variable the dataset (eval) or the config's domain (cf,
     refine, metrics) lacks is refused before any output."""

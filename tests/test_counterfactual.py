@@ -100,7 +100,7 @@ class TestSearchContract:
             assert pair.y_cf is not pair.y
             # oracle_label raises OutOfDomain on out-of-range probes, so this
             # re-check also certifies domain safety
-            assert make_oracle(config).query(pair.x_cf) is pair.y_cf
+            assert make_oracle(config).label(pair.x_cf) is pair.y_cf
             assert config.odd.contains_point(pair.x_cf)
             for name, value in pair.delta.items():
                 assert abs(pair.x_cf[name] - pair.x[name] - value) < 1e-12

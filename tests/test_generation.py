@@ -66,6 +66,19 @@ class TestBuildPrompt:
         positions = [prompt.index(a) for a in anchors]
         assert positions == sorted(positions)
 
+    def test_historical_rules_listed_in_rule_order(self, x1_context):
+        import dataclasses
+        historical = (PolarizedRule("far-0", Polarity.FAIL_RULE, parse_rule("(dist_front > 40)")),
+                      PolarizedRule("stopped", Polarity.PASS_RULE,
+                                    parse_rule("(ego_speed == 0) or (lane_offset<=-1.5)")))
+        lines = build_prompt(dataclasses.replace(x1_context, historical=historical)).splitlines()
+        start = lines.index("Historical rules to respect:")
+        assert lines[start + 1:start + 4] == [
+            "- [fail] far-0: (dist_front > 40)",
+            "- [pass] stopped: (ego_speed == 0) or (lane_offset <= -1.5)",
+            ""]
+        assert "- (none)" not in lines
+
     def test_target_not_in_historical(self, fixture42, x1_context):
         with pytest.raises(ValueError):
             RefinementContext(target=fixture42.baseline_rule,
@@ -265,6 +278,12 @@ class TestChangeLog:
         b = parse_rule("(x < 5)")
         assert [e.kind for e in diff_rules(a, b)] == [EditKind.REMOVE_DISJUNCT]
         assert [e.kind for e in diff_rules(b, a)] == [EditKind.ADD_DISJUNCT]
+
+    def test_added_disjunct_of_two_disjuncts_refused(self):
+        edit = Edit(EditKind.ADD_DISJUNCT, (1,), "", "(y > 0) or (y < -1)")
+        with pytest.raises(ValueError, match="disjunct fragment is not a single conjunct: "
+                                             r"'\(y > 0\) or \(y < -1\)'"):
+            apply_edits(parse_rule("(x < 5)"), (edit,))
 
 
 class TestMockGenerator:

@@ -259,6 +259,17 @@ class TestOracleConfigPickling:
             oracle_label(default_config(), {"ego_speed": 1.0})
         assert str(excinfo.value) == "input outside declared ranges: {'ego_speed': 1.0}"
 
+    def test_the_label_raises_the_one_refusal_class(self):
+        """semantics defines OutOfDomain, the compiled label raises it, and
+        scenario and ruleforge export that same class; a missing variable's
+        KeyError is not chained to it."""
+        assert OutOfDomain is scenario.OutOfDomain is semantics.OutOfDomain
+        label = semantics.compile_label(parse_rule("(a > 1)"), (("a", 0.0, 2.0),))
+        with pytest.raises(OutOfDomain) as excinfo:
+            label({"b": 1.0})
+        assert str(excinfo.value) == "input outside declared ranges: {'b': 1.0}"
+        assert excinfo.value.__suppress_context__
+
     def test_configs_compare_by_their_fields(self):
         assert default_config(3) == default_config(3)
         assert hash(default_config(3)) == hash(default_config(3))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -249,6 +250,19 @@ class TestInternedNames:
         assert all(name is sys.intern(name) for name in names)
 
 
+def test_loaded_runs_are_labeled_runs(fixture42, tmp_path):
+    """A load builds its runs without LabeledRun's constructor: each is
+    still exactly a LabeledRun, read by name, and pickles as one."""
+    path = tmp_path / "dataset.csv"
+    storage.store_dataset(path, fixture42.dataset)
+    runs = storage.load_dataset(path)
+    assert {type(run) for run in runs} == {LabeledRun}
+    assert [(run.x, run.y) for run in runs] == [(run.x, run.y) for run in fixture42.dataset]
+    copies = pickle.loads(pickle.dumps(runs))
+    assert copies == runs and {type(run) for run in copies} == {LabeledRun}
+    assert repr(copies[0]) == repr(runs[0]) and repr(runs[0]).startswith("LabeledRun(x={")
+
+
 class TestLoadMatchesRowByRowReference:
     @settings(max_examples=300, deadline=None)
     @given(text=_dataset_texts())
@@ -319,7 +333,7 @@ class TestRulesJson:
         rules = [fixture42.baseline_rule,
                  PolarizedRule("f1", Polarity.FAIL_RULE, parse_rule("(dist_front > 40)"))]
         storage.store_rules(path, rules)
-        assert storage.load_rules(path) == rules
+        assert storage.load_rules(path, fixture42.config.odd.names) == rules
         data = json.loads(path.read_text())
         assert data[0]["polarity"] == "pass" and data[1]["polarity"] == "fail"
 
@@ -327,13 +341,13 @@ class TestRulesJson:
         path = tmp_path / "rules.json"
         path.write_text(json.dumps([{"id": "r", "polarity": "warn", "text": "(x > 0)"}]))
         with pytest.raises(storage.FormatError, match="polarity"):
-            storage.load_rules(path)
+            storage.load_rules(path, ["x"])
 
     def test_unparseable_rule_text(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text(json.dumps([{"id": "r", "polarity": "pass", "text": "x >"}]))
         with pytest.raises(storage.FormatError):
-            storage.load_rules(path)
+            storage.load_rules(path, ["x"])
 
     @pytest.mark.parametrize("field,value", [("text", 5), ("text", None), ("id", ["r"]),
                                              ("id", 3), ("polarity", ["pass"])])
@@ -342,20 +356,20 @@ class TestRulesJson:
         entry = {"id": "r", "polarity": "pass", "text": "(x > 0)", field: value}
         path.write_text(json.dumps([entry]))
         with pytest.raises(storage.FormatError, match=f"rule 0: field '{field}' must be a string"):
-            storage.load_rules(path)
+            storage.load_rules(path, ["x"])
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "rules.json"
         entry = {"id": "r", "polarity": "pass", "text": "(x > 0)"}
         path.write_text(json.dumps([entry, entry]))
         with pytest.raises(storage.FormatError, match="duplicate"):
-            storage.load_rules(path)
+            storage.load_rules(path, ["x"])
 
     def test_store_load_store_byte_identical(self, fixture42, tmp_path):
         path = tmp_path / "rules.json"
         storage.store_rules(path, [fixture42.baseline_rule])
         first = path.read_bytes()
-        storage.store_rules(path, storage.load_rules(path))
+        storage.store_rules(path, storage.load_rules(path, fixture42.config.odd.names))
         assert path.read_bytes() == first
 
 

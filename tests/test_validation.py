@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -10,7 +11,9 @@ from ruleforge import (ContradictionStatus, DeterministicGenerator, Exhausted, L
                        TargetNotInRuleset, check_contradiction, check_preserved_consistency,
                        decisiveness, evaluate, make_oracle, odd_spec, parse_rule, print_rule,
                        random_rule, refine_loop)
-from ruleforge.grammar import DOMAIN_TOL, Const, Relation, RelOp, Var, direct_bound, rule
+from ruleforge import validation
+from ruleforge.grammar import (DOMAIN_TOL, ArithOp, BinOp, Const, Relation, RelOp, Var,
+                               direct_bound, rule)
 from ruleforge.semantics import EPS_EQ
 
 R1_STAR = "(dist_front < 4.1) and (ego_speed > 0)"
@@ -192,6 +195,89 @@ class TestCheckContradiction:
                 assert not grid_sat  # sat on the grid is always found
             checked += 1
         assert checked == 120
+
+
+_BIG = 1e308  # a * _BIG overflows to inf for any a above 1.8
+_GATE_DOMAIN = odd_spec([("a", 0.0, 4.0, 1.0), ("b", -1.0, 1.0, 0.5)])
+
+
+def _recorded_intervals(monkeypatch):
+    """(expr, result) of every _interval call the contradiction check makes."""
+    calls = []
+    interval = validation._interval
+
+    def recording(expr, box):
+        result = interval(expr, box)
+        calls.append((expr, result))
+        return result
+
+    monkeypatch.setattr(validation, "_interval", recording)
+    return calls
+
+
+def _flagged_as_the_grid_walk(pass_rule, fail_rule, odd):
+    """Flagged, so never Clear, where a walk of the whole step grid finds a
+    point on which both rules hold; not Flagged where it finds none."""
+    (result,) = check_contradiction(pass_rule, [fail_rule], odd)
+    grid_sat = _grid_sat(pass_rule.ast, fail_rule.ast, odd)
+    assert (result.status is ContradictionStatus.FLAGGED) == grid_sat
+
+
+class TestIntervalGateBranches:
+    """Bounds that say nothing (a possibly zero divisor under an operator,
+    or an overflow to infinity) leave a relation undecided, so a pair with
+    such a residual relation is never cleared where the step grid has a
+    point on which both rules hold."""
+
+    @pytest.mark.parametrize("candidate,opposing", [
+        ("(a / b) + 1 > 0", "(a > 2)"),
+        ("(a / b) + 1 > 0", "(b >= 0) and (a > 3)"),
+        ("(a / b) + 1 > 0", "(b <= 0) and (a < 1)"),
+        ("(a / b) + 1 < 0", "(b >= 0)"),
+    ])
+    def test_tainted_operand(self, monkeypatch, candidate, opposing):
+        candidate = _pass(candidate)
+        lhs = candidate.ast.disjuncts[0].relations[0].lhs
+        assert validation._interval(lhs, {"a": (0.0, 4.0), "b": (-1.0, 1.0)}) == (
+            -math.inf, math.inf, True)
+        calls = _recorded_intervals(monkeypatch)
+        _flagged_as_the_grid_walk(candidate, _fail(opposing), _GATE_DOMAIN)
+        assert any(expr is lhs and result[2] for expr, result in calls if result)
+
+    @pytest.mark.parametrize("op,rhs,opposing", [
+        (RelOp.GT, Const(1.0), "(a > 2)"),
+        (RelOp.GT, BinOp(ArithOp.MUL, Var("b"), Const(_BIG)), "(b > 0.5)"),
+        (RelOp.GT, BinOp(ArithOp.MUL, Var("b"), Const(_BIG)), "(a > 1) and (b < 0)"),
+        (RelOp.LT, Const(1.0), "(a > 0.5)"),
+    ])
+    def test_bounds_overflowing_to_infinity(self, monkeypatch, op, rhs, opposing):
+        relation = Relation(BinOp(ArithOp.MUL, Var("a"), Const(_BIG)), op, rhs)
+        candidate = PolarizedRule("p", Polarity.PASS_RULE, rule([relation]))
+        # finite bounds would decide a * _BIG against 1 on a in [1, 4]
+        assert validation._relation_truth(relation, {"a": (1.0, 4.0), "b": (-1.0, 1.0)}) is None
+        calls = _recorded_intervals(monkeypatch)
+        _flagged_as_the_grid_walk(candidate, _fail(opposing), _GATE_DOMAIN)
+        assert any(expr is relation.lhs and not result[2] and math.inf in result[:2]
+                   for expr, result in calls if result)
+
+
+def test_grid_in_box_strides_a_box_above_the_cap():
+    odd = odd_spec([("a", 0.0, 100.0, 1.0), ("b", 0.0, 100.0, 1.0), ("c", -5.0, 5.0, 0.1)])
+    box, residual = validation._cut_box(
+        list(parse_rule("(a > 0.5) and (b <= 90)").disjuncts[0].relations), odd)
+    assert residual == []
+    assert 100 * 91 * 101 > validation.GRID_CAP
+    points = list(validation._grid_in_box(box, odd))
+    assert 0 < len(points) <= validation.GRID_CAP
+    assert all(box[name][0] < (x[name], True) and (x[name], False) < box[name][1]
+               for x in points for name in odd.names)
+    rows = [tuple(x[name] for name in odd.names) for x in points]
+    assert rows == sorted(rows) and rows[0] == (1.0, 0.0, -5.0)
+    for var in odd.variables:
+        steps = sorted({round((x[var.name] - var.min) / var.step) for x in points})
+        strides = {b - a for a, b in zip(steps, steps[1:])}
+        assert len(strides) == 1 and strides != {1}  # one stride per axis, and not the grid's
+    assert len(points) == math.prod(len({x[name] for x in points}) for name in odd.names)
 
 
 _SMALL_DOMAINS = (odd_spec([("a", 0.0, 4.0, 1.0)]),
