@@ -118,11 +118,11 @@ def sim(ctx, config_path, n, seed, reference_fixture, out_dir):
         config, runs = fixture.config, fixture.dataset
         rules = [fixture.baseline_rule]
     else:
-        # The written config records the seed the runs were drawn with.
+        # The runs are drawn with the seed of the config that is written.
         config = (replace(_load_inputs(storage.load_oracle_config, config_path),
                           seed=seed)
                   if config_path else default_config(seed))
-        runs = sample_dataset(config, n, seed)
+        runs = sample_dataset(config, n)
         rules = None
     out_dir.mkdir(parents=True, exist_ok=True)
     storage.store_dataset(out_dir / "dataset.csv", runs)

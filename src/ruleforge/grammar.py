@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 
 class RelOp(Enum):
@@ -525,17 +526,23 @@ def fmt_number(value: float) -> str:
     return text or "0"
 
 
-#: Binding strength of the arithmetic operators (printer and rule compiler).
-PRECEDENCE = {ArithOp.ADD: 1, ArithOp.SUB: 1, ArithOp.MUL: 2, ArithOp.DIV: 2}
+#: Binding strength of the arithmetic operators.
+_PRECEDENCE = {ArithOp.ADD: 1, ArithOp.SUB: 1, ArithOp.MUL: 2, ArithOp.DIV: 2}
 
 
-def print_expr(expr: Expr, parent_prec: int = 0) -> str:
+def print_expr(expr: Expr, parent_prec: int = 0, var: Callable[[str], str] = str,
+               const: Callable[[float], str] = fmt_number) -> str:
+    """The expression with var(name) for each variable and const(value) for
+    each constant, parenthesised only where left-to-right grouping at these
+    precedences would differ from the AST's. The rule compiler prints its
+    Python source with this same function."""
     if isinstance(expr, Var):
-        return expr.name
+        return var(expr.name)
     if isinstance(expr, Const):
-        return fmt_number(expr.value)
-    prec = PRECEDENCE[expr.op]
-    text = f"{print_expr(expr.left, prec)} {expr.op.value} {print_expr(expr.right, prec + 1)}"
+        return const(expr.value)
+    prec = _PRECEDENCE[expr.op]
+    left = print_expr(expr.left, prec, var, const)
+    text = f"{left} {expr.op.value} {print_expr(expr.right, prec + 1, var, const)}"
     return f"({text})" if prec < parent_prec else text
 
 
@@ -650,6 +657,6 @@ rel      = expr , relop , expr ;
 expr     = expr , ( "+" | "-" | "*" | "/" ) , expr | constant | variable ;
 relop    = "<" | "<=" | ">" | ">=" | "==" | "!=" ;
 variable = letter-or-underscore , { letter-digit-underscore } ;
-constant = digits , [ "." , digits ] ;
+constant = [ "-" ] , digits , [ "." , digits ] ;
 Chained comparisons like (0 < x < 5) are accepted shorthand for
 (0 < x) and (x < 5). Parentheses group."""

@@ -21,7 +21,7 @@ from functools import cached_property
 from .counterfactual import Oracle
 from .grammar import OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
 from .semantics import (Label, LabeledRun, Outcome, OutOfDomain, PolarizedRule, Polarity,
-                        compile_label, decisiveness, evaluate)
+                        compile_label, evaluate)
 
 DEFAULT_ODD = odd_spec([
     ("ego_speed", 0.0, 30.0, 0.5),
@@ -39,7 +39,7 @@ FIXTURE_MISMATCHES = 27
 
 
 class ConstructionFailure(RuntimeError):
-    """A fixture stratum could not be filled; the config is unusable."""
+    """The safe region names a variable outside the config's ODD."""
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,12 @@ def _random_grid_point(rng: random.Random, odd: OddSpec) -> dict[str, float]:
     return {v.name: v.grid_value(rng.randrange(v.grid_count)) for v in odd.variables}
 
 
-def sample_dataset(config: OracleConfig, n: int, seed: int) -> list[LabeledRun]:
-    """n labeled runs sampled uniformly over the step grid of the domain."""
+def sample_dataset(config: OracleConfig, n: int) -> list[LabeledRun]:
+    """n labeled runs sampled uniformly over the step grid of the domain,
+    drawn with config.seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(config.seed)
     runs = []
     for _ in range(n):
         x = _random_grid_point(rng, config.odd)
@@ -112,8 +113,9 @@ def make_reference_fixture(seed: int = 42) -> Fixture:
     Stratified: 27 runs drawn from the region where the baseline holds but
     the oracle fails it (dist_front between the safe boundary and the
     baseline threshold, at positive speed), the remaining 171 from
-    everywhere else; order shuffled by seed. The mismatch count is asserted
-    before returning.
+    everywhere else; order shuffled by seed. Every seed gives exactly 27
+    mismatches: the strata are built from the constant default_config, and
+    the tests check the count, the labels and the grid across seeds.
     """
     config = default_config(seed)
     odd = config.odd
@@ -123,8 +125,6 @@ def make_reference_fixture(seed: int = 42) -> Fixture:
     ego, dist, lane = odd.get("ego_speed"), odd.get("dist_front"), odd.get("lane_offset")
     mismatch_dist = [v for v in dist.grid_values() if 4.05 <= v < 5.0]
     mismatch_ego = [v for v in ego.grid_values() if v > 0]
-    if not mismatch_dist or not mismatch_ego:
-        raise ConstructionFailure("mismatch stratum is empty for this configuration")
 
     def in_mismatch_region(x: dict[str, float]) -> bool:
         return (evaluate(baseline.ast, x)
@@ -137,22 +137,11 @@ def make_reference_fixture(seed: int = 42) -> Fixture:
             "dist_front": mismatch_dist[rng.randrange(len(mismatch_dist))],
             "lane_offset": lane.grid_value(rng.randrange(lane.grid_count)),
         }
-        if not in_mismatch_region(x):
-            raise ConstructionFailure(f"stratum point {x} does not mismatch the baseline")
         runs.append(LabeledRun(x=x, y=Outcome.FAIL))
-    guard = 0
     while len(runs) < FIXTURE_SIZE:
         x = _random_grid_point(rng, odd)
-        guard += 1
-        if guard > FIXTURE_SIZE * 1000:
-            raise ConstructionFailure("could not fill the consistent stratum")
-        if in_mismatch_region(x):
-            continue
-        runs.append(LabeledRun(x=x, y=oracle_label(config, x)))
+        if not in_mismatch_region(x):
+            runs.append(LabeledRun(x=x, y=oracle_label(config, x)))
     rng.shuffle(runs)
-    report = decisiveness(baseline, runs)
-    if report.n_mismatch != FIXTURE_MISMATCHES:
-        raise ConstructionFailure(
-            f"expected {FIXTURE_MISMATCHES} mismatches, got {report.n_mismatch}")
     return Fixture(dataset=runs, baseline_rule=baseline, config=config)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .grammar import (PRECEDENCE, ArithOp, BinOp, Const, Expr, Relation, RelOp, RuleAst, Var,
-                      print_relation, print_rule)
+from .grammar import (ArithOp, BinOp, Expr, Relation, RelOp, RuleAst, print_expr, print_relation,
+                      print_rule)
 
 #: The tolerance of == and != in every rule, the oracle's safe region included.
 EPS_EQ = 1e-9
@@ -87,25 +87,14 @@ def _has_division(expr: Expr) -> bool:
                                         or _has_division(expr.right))
 
 
-def _source(e: Expr, slot: Callable[[object], str], parent_prec: int = 0) -> str:
-    """Python source of an expression, parenthesised only where Python would
-    otherwise group it differently from the AST."""
-    if isinstance(e, Var):
-        return f"x[{e.name!r}]"
-    if isinstance(e, Const):
-        return slot(e.value)
-    prec = PRECEDENCE[e.op]
-    text = f"{_source(e.left, slot, prec)} {e.op.value} {_source(e.right, slot, prec + 1)}"
-    return f"({text})" if prec < parent_prec else text
-
-
 def _build(ast: RuleAst, bounds: Bounds | None = None) -> Holds | Label:
     """Generate, compile and return the Python function of one rule: its
     holds(x, diag), or given bounds, the label(x) of compile_label.
 
     Variables read x[name] (the name is a validated identifier, quoted with
     repr); constants, bounds and diagnostic texts are bound as named slots,
-    never written into the source. Arithmetic keeps the AST's grouping, so
+    never written into the source. Arithmetic is printed by
+    grammar.print_expr, whose grouping is the AST's and Python's alike, so
     every float operation is the one the rule spells. The slots are
     parameters of a factory whose closures are the rule, so no reference
     cycle holds a dead rule's code."""
@@ -117,12 +106,15 @@ def _build(ast: RuleAst, bounds: Bounds | None = None) -> Holds | Label:
         slots[name] = value
         return name
 
+    def source(expr: Expr, parent_prec: int = 0) -> str:
+        return print_expr(expr, parent_prec, lambda name: f"x[{name!r}]", slot)
+
     def relation(rel: Relation) -> str:
         if rel.op in (RelOp.EQ, RelOp.NE):
             cmp = "<=" if rel.op is RelOp.EQ else ">"
-            test = f"abs({_source(rel.lhs, slot, 1)} - {_source(rel.rhs, slot, 2)}) {cmp} eps"
+            test = f"abs({source(rel.lhs, 1)} - {source(rel.rhs, 2)}) {cmp} eps"
         else:
-            test = f"{_source(rel.lhs, slot)} {rel.op.value} {_source(rel.rhs, slot)}"
+            test = f"{source(rel.lhs)} {rel.op.value} {source(rel.rhs)}"
         if not (_has_division(rel.lhs) or _has_division(rel.rhs)):
             return test
         # A zero divisor makes this relation false and records a diagnostic.

@@ -67,7 +67,8 @@ BLOCK_ROWS = 1024
 def load_dataset(path: str | Path) -> list[LabeledRun]:
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the first column name
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -329,16 +329,15 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
     historical = tuple(r for r in ruleset if r.id != target.id)
     opposing = [r for r in historical if r.polarity is not target.polarity]
     reports: list[ValidationReport] = []
-    summaries: list[str] = []
 
     def reject(attempt: int, summary: str, **fields) -> None:
         reports.append(ValidationReport(attempt=attempt, accepted=False,
                                         failure_summary=summary, **fields))
-        summaries.append(f"attempt {attempt}: {summary}")
 
     for attempt in range(1, max_attempts + 1):
+        history = "\n".join(f"attempt {r.attempt}: {r.failure_summary}" for r in reports)
         ctx = RefinementContext(target, historical, evidence, before.n_mismatch, dataset, odd,
-                                "\n".join(summaries) if summaries else None)
+                                history or None)
         try:
             candidate = generate_candidate(generator, ctx)
         except GenerationFailure as exc:

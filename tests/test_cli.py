@@ -653,6 +653,10 @@ def _odd_fault(fault):
             variables[0]["min"], variables[0]["max"] = variables[0]["max"], variables[0]["min"]
         elif fault == "zero-step":
             variables[0]["step"] = 0
+        elif fault == "name-not-identifier":
+            variables[0]["name"] = "ego speed"
+        elif fault == "name-keyword":
+            variables[0]["name"] = "And"
         else:
             variables[1]["name"] = variables[0]["name"]
         return data
@@ -668,6 +672,11 @@ _INPUT_REFUSALS = {
                       lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("zero-step"))),
     "odd-name-twice": (2, "format", "bad variable entry: ODD variable names must be unique",
                        lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("name-twice"))),
+    "odd-name-not-identifier": (
+        2, "format", "bad variable entry: invalid ODD variable name: 'ego speed'",
+        lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("name-not-identifier"))),
+    "odd-name-keyword": (2, "format", "bad variable entry: invalid ODD variable name: 'And'",
+                         lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("name-keyword"))),
     "config-a-list": (2, "format", "oracle config must be a JSON object",
                       lambda ws, tmp: _sim_on(ws, tmp, lambda data: [data])),
     "rules-an-object": (2, "format", "rules file must be a JSON list", lambda ws, tmp: [

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from ruleforge import (ParseError, RelOp, TokenKind, Var, check_vocabulary, evaluate,
                        parse_rule, print_rule, random_rule, tokenize)
-from ruleforge.grammar import (Const, GrammarError, OddVariable, Relation, Token, fmt_number,
-                               rule)
+from ruleforge.grammar import (GRAMMAR_TEXT, Conjunct, Const, GrammarError, OddVariable, Relation,
+                               RuleAst, Token, fmt_number, parse_relation, rule)
 
 R1 = "(dist_front < 5.0) and (ego_speed > 0)"
 EXEMPLAR = "(0 < ARG2 < 5) and (ARG1 > 0) or (8 < ARG2 < 12)"
@@ -252,6 +252,20 @@ class TestParse:
         with pytest.raises(GrammarError):
             Var("and")
 
+    def test_infinite_constant_and_empty_groups_rejected_at_construction(self):
+        with pytest.raises(GrammarError, match="constant must be finite, got inf"):
+            Const(math.inf)
+        with pytest.raises(GrammarError, match="conjunct needs at least one relation"):
+            Conjunct(())
+        with pytest.raises(GrammarError, match="rule needs at least one disjunct"):
+            RuleAst(())
+
+    def test_parse_relation_takes_exactly_one_relation(self):
+        assert parse_relation("(a < -1)") == Relation(Var("a"), RelOp.LT, Const(-1.0))
+        for text in ("(a < 1) and (b > 2)", "(a < 1) or (b > 2)", "0 < a < 1"):
+            with pytest.raises(ParseError, match="expected a single relation"):
+                parse_relation(text)
+
 
 class TestPrint:
     def test_canonical_r1(self):
@@ -275,6 +289,15 @@ class TestPrint:
         text = "((a + b) * c < 2)"
         assert print_rule(parse_rule(text)) == "((a + b) * c < 2)"
         assert parse_rule(print_rule(parse_rule("a - (b - c) < 1"))) == parse_rule("a - (b - c) < 1")
+
+
+class TestPromptGrammar:
+    def test_constant_production_admits_a_sign(self):
+        # The parser reads "-" NUMBER as one constant, and prompts show
+        # negative ranges and bindings, so the prompt's grammar says so too.
+        assert 'constant = [ "-" ] , digits , [ "." , digits ] ;' in GRAMMAR_TEXT.splitlines()
+        text = "(lane_offset > -1.5)"
+        assert print_rule(parse_rule(text)) == text
 
 
 class TestRoundTrip:
@@ -333,6 +356,11 @@ class TestVocabulary:
     def test_mirrored_bound_checked(self, odd):
         violations = check_vocabulary(parse_rule("120 > dist_front"), odd)
         assert [str(v) for v in violations] == ["OutOfRangeBound 120"]
+
+    def test_odd_get_refuses_an_undeclared_name(self, odd):
+        assert odd.get("dist_front").name == "dist_front"
+        with pytest.raises(KeyError, match="headway"):
+            odd.get("headway")
 
 
 class TestRandomRule:

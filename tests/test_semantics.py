@@ -44,6 +44,9 @@ class TestEvaluate:
         # dist_front < 5.0 fails first, so ego_speed is never read
         assert evaluate(R1, {"dist_front": 6.0}) is False
 
+    def test_unbound_variable_names_the_variable(self):
+        assert str(UnboundVariable("v")) == "variable 'v' is not bound by the input vector"
+
     def test_eq_tolerance(self):
         ast = parse_rule("x == 1")
         assert evaluate(ast, {"x": 1.0 + 5e-10})

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -17,6 +18,7 @@ from ruleforge import (DeterministicGenerator, build_evidence, default_config, m
 from ruleforge.grammar import fmt_number
 from ruleforge.semantics import LabeledRun, Outcome, PolarizedRule, Polarity
 from ruleforge import storage
+from ruleforge.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,20 @@ class TestDatasetCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "ego_speed,dist_front,lane_offset,outcome"
         assert len(lines) == 199
+
+    def test_leading_byte_order_mark_is_skipped(self, fixture42, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        storage.store_dataset(plain, fixture42.dataset)
+        assert not plain.read_bytes().startswith(codecs.BOM_UTF8)
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert storage.load_dataset(bom) == storage.load_dataset(plain)
+        rules = tmp_path / "rules.json"
+        storage.store_rules(rules, [fixture42.baseline_rule])
+        printed = []
+        for path in (plain, bom):
+            assert main(["eval", "--rules", str(rules), "--dataset", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_bad_outcome_value(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -139,7 +155,7 @@ class TestDatasetCsv:
         """Converting a block at a time keeps the load's peak near what its
         runs retain; converting the whole file at once would double it."""
         path = tmp_path / "dataset.csv"
-        storage.store_dataset(path, sample_dataset(default_config(1), 20_000, 1))
+        storage.store_dataset(path, sample_dataset(default_config(1), 20_000))
         tracemalloc.start()
         try:
             runs = storage.load_dataset(path)
