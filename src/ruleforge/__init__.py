@@ -15,7 +15,7 @@ from .generation import (DeterministicGenerator, Edit, EditKind, GenerationFailu
                          apply_edits, build_prompt, diff_rules, generate_candidate,
                          parse_candidate_response)
 from .grammar import (ArithOp, BinOp, Conjunct, Const, GRAMMAR_TEXT, OddSpec, OddVariable,
-                      ParseError, RelOp, Relation, RuleAst, Token, TokenKind, Var, Violation,
+                      ParseError, RelOp, Relation, RuleAst, Token, TokenKind, Var,
                       check_vocabulary, odd_spec, parse_rule, print_rule, random_rule, tokenize)
 from .metrics import (CmReport, GcReport, MetricsReport, SvReport, build_metrics_report,
                       change_minimality, grammar_compliance, semantic_validity)
@@ -40,7 +40,7 @@ __all__ = [
     "OutOfDomain", "ParseError", "PolarizedRule", "Polarity", "RefinementCandidate",
     "RefinementContext", "RefinementOutcome", "RelOp", "Relation",
     "RuleAst", "SearchLimits", "SvReport", "TargetNotInRuleset", "Token", "TokenKind",
-    "UnboundVariable", "ValidationReport", "Var", "Violation", "apply_edits",
+    "UnboundVariable", "ValidationReport", "Var", "apply_edits",
     "build_evidence", "build_metrics_report",
     "build_prompt", "change_minimality", "check_contradiction",
     "check_preserved_consistency", "check_vocabulary",

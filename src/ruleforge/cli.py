@@ -102,7 +102,8 @@ def cli():
               help="Oracle config JSON; defaults to the built-in scenario.")
 @click.option("--n", type=click.IntRange(min=1), default=198, show_default=True,
               help="Number of runs to sample.")
-@click.option("--seed", default=42, show_default=True)
+@click.option("--seed", default=42, show_default=True,
+              help="Sampling seed; with --config, the config's own seed unless given.")
 @click.option("--reference-fixture", is_flag=True,
               help="Emit the canned 198-run / 27-mismatch fixture instead of sampling.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
@@ -118,10 +119,12 @@ def sim(ctx, config_path, n, seed, reference_fixture, out_dir):
         config, runs = fixture.config, fixture.dataset
         rules = [fixture.baseline_rule]
     else:
-        # The runs are drawn with the seed of the config that is written.
-        config = (replace(_load_inputs(storage.load_oracle_config, config_path),
-                          seed=seed)
-                  if config_path else default_config(seed))
+        # The runs are drawn with the seed of the config that is written: a
+        # config file's own, unless --seed is given.
+        config = (_load_inputs(storage.load_oracle_config, config_path) if config_path
+                  else default_config(seed))
+        if ctx.get_parameter_source("seed") is not ParameterSource.DEFAULT:
+            config = replace(config, seed=seed)
         runs = sample_dataset(config, n)
         rules = None
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,16 +171,23 @@ def eval_cmd(rules_path, dataset_path, out_path):
         click.echo(storage.json_text(payload), nl=False)
 
 
+#: The counterfactual search's limits, taken alike by cf and refine.
+_max_radius = click.option("--max-radius", type=click.IntRange(min=1),
+                           default=SearchLimits().max_radius_steps, show_default=True,
+                           help="Largest counterfactual distance searched, in feature steps.")
+_search_budget = click.option("--search-budget", type=click.IntRange(min=1),
+                              default=SearchLimits().budget, show_default=True,
+                              help="Oracle queries allowed per counterfactual search.")
+
+
 @cli.command()
 @click.option("--rules", "rules_path", type=click.Path(path_type=Path), required=True)
 @click.option("--rule-id", default=None)
 @click.option("--dataset", "dataset_path", type=click.Path(path_type=Path), required=True)
 @click.option("--config", "config_path", type=click.Path(path_type=Path), required=True,
               help="Oracle config JSON (the re-execution stand-in).")
-@click.option("--max-radius", type=click.IntRange(min=1),
-              default=SearchLimits().max_radius_steps, show_default=True)
-@click.option("--search-budget", type=click.IntRange(min=1), default=SearchLimits().budget,
-              show_default=True, help="Oracle queries allowed per counterfactual search.")
+@_max_radius
+@_search_budget
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, path_type=Path),
               default=Path("evidence.json"), show_default=True)
 def cf(rules_path, rule_id, dataset_path, config_path, max_radius, search_budget, out_path):
@@ -224,10 +234,8 @@ def _make_generator(generator: str, mock_script):
               help="JSON list of scripted responses for --generator mock.")
 @click.option("--max-attempts", type=click.IntRange(min=1), default=DEFAULT_MAX_ATTEMPTS,
               show_default=True)
-@click.option("--max-radius", type=click.IntRange(min=1),
-              default=SearchLimits().max_radius_steps, show_default=True)
-@click.option("--search-budget", type=click.IntRange(min=1), default=SearchLimits().budget,
-              show_default=True)
+@_max_radius
+@_search_budget
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path),
               default=Path("."), show_default=True, help="Output directory.")
 def refine(rules_path, rule_id, dataset_path, config_path, generator,
@@ -246,7 +254,7 @@ def refine(rules_path, rule_id, dataset_path, config_path, generator,
         raise Refusal(f"exhausted after {len(exc.reports)} attempts: {summary}",
                       "refinement", EXIT_REFINEMENT)
     out_dir.mkdir(parents=True, exist_ok=True)
-    storage.store_outcome(out_dir / "outcome.json", outcome, target.id)
+    storage.store_outcome(out_dir / "outcome.json", outcome)
     (out_dir / "report.txt").write_text(_render_report(target, outcome), encoding="utf-8")
     _write_transcripts(out_dir, gen)
     click.echo(f"accepted on attempt {outcome.attempts}: {print_rule(outcome.refined)}")
@@ -327,7 +335,7 @@ def check(rules_path, config_path):
                        f"({gc.n_viol}/{gc.n_tok} violating tokens)")
             continue
         violations = check_vocabulary(ast, config.odd)
-        status = "ok" if not violations else "; ".join(str(v) for v in violations)
+        status = "; ".join(violations) or "ok"
         click.echo(f"{rule_id}: {status}; gc={gc.gc:.3f}")
         if violations:
             failures += 1

@@ -566,15 +566,6 @@ def print_rule(ast: RuleAst) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "UnknownVariable" | "OutOfRangeBound"
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind} {self.detail}"
-
-
 def direct_bound(rel: Relation) -> tuple[str, RelOp, float] | None:
     """(variable, op-with-variable-on-the-left, constant) for Var-vs-Const
     relations, or None for compound shapes."""
@@ -585,23 +576,24 @@ def direct_bound(rel: Relation) -> tuple[str, RelOp, float] | None:
     return None
 
 
-def check_vocabulary(ast: RuleAst, odd: OddSpec) -> list[Violation]:
-    """One violation per unknown variable occurrence and per constant that is
-    directly compared to a variable but lies outside that variable's range.
+def check_vocabulary(ast: RuleAst, odd: OddSpec) -> list[str]:
+    """One violation text per unknown variable occurrence ("UnknownVariable
+    <name>") and per constant that is directly compared to a variable but
+    lies outside that variable's range ("OutOfRangeBound <constant>").
     Compound arithmetic is not range-checked."""
-    violations: list[Violation] = []
+    violations: list[str] = []
     for _, rel in ast.relations():
         for side in (rel.lhs, rel.rhs):
             for name in sorted(expr_variables(side)):
                 if name not in odd:
-                    violations.append(Violation("UnknownVariable", name))
+                    violations.append(f"UnknownVariable {name}")
         bound = direct_bound(rel)
         if bound is not None:
             name, _, value = bound
             if name in odd:
                 var = odd.get(name)
                 if not (var.min <= value <= var.max):
-                    violations.append(Violation("OutOfRangeBound", fmt_number(value)))
+                    violations.append(f"OutOfRangeBound {fmt_number(value)}")
     return violations
 
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import (Const, MIRROR, OddSpec, ParseError, Relation, RelOp, RuleAst, Token,
-                      TokenKind, Var, check_vocabulary, direct_bound, parse_tokens,
-                      print_relation, rule, tokenize)
+from .grammar import (OddSpec, ParseError, Relation, RelOp, RuleAst, Token, TokenKind,
+                      check_vocabulary, direct_bound, parse_tokens, print_relation, rule,
+                      tokenize)
 from .semantics import DecisivenessReport
 
 
@@ -90,18 +90,6 @@ _LOWER_OPS = {RelOp.GT, RelOp.GE}
 _UPPER_OPS = {RelOp.LT, RelOp.LE}
 
 
-def _normalize(rel: Relation) -> Relation:
-    """Orient Const-vs-Var comparisons with the variable on the left so that
-    5 < x and x > 5 align."""
-    if isinstance(rel.lhs, Const) and isinstance(rel.rhs, Var):
-        return Relation(rel.rhs, MIRROR[rel.op], rel.lhs)
-    return rel
-
-
-def _predicates(ast: RuleAst) -> list[Relation]:
-    return [_normalize(rel) for _, rel in ast.relations()]
-
-
 def _bound_directions(preds: list[Relation]) -> dict[str, dict[str, set[float]]]:
     """Per variable, the set of direct lower/upper bound constants."""
     bounds: dict[str, dict[str, set[float]]] = {}
@@ -142,8 +130,8 @@ def change_minimality(original: RuleAst, refined: RuleAst) -> CmReport:
     cm is the band midpoint nudged by 0.05 up or down on the unchanged
     fraction, clamped to [0, 1].
     """
-    orig = _predicates(original)
-    ref = _predicates(refined)
+    orig = [rel for _, rel in original.relations()]
+    ref = [rel for _, rel in refined.relations()]
     orig_vars = original.variables()
 
     remaining_orig = list(orig)
@@ -159,10 +147,11 @@ def change_minimality(original: RuleAst, refined: RuleAst) -> CmReport:
         return None
 
     for rel in ref:
-        if take(lambda o: o == rel) is not None:
+        rb = direct_bound(rel)
+        # a bound is compared as direct_bound reads it, so 5 < x is x > 5
+        if take(lambda o: (direct_bound(o) or o) == (rb or rel)) is not None:
             unchanged += 1
             continue
-        rb = direct_bound(rel)
         if rb is not None:
             match = take(lambda o: (db := direct_bound(o)) is not None
                          and db[0] == rb[0] and db[1] is rb[1])

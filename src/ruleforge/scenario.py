@@ -51,7 +51,8 @@ class OracleConfig:
     def __post_init__(self):
         violations = check_vocabulary(self.safe_region, self.odd)
         if violations:
-            raise ConstructionFailure(f"safe region not vocabulary-clean: {violations}")
+            raise ConstructionFailure("safe region not vocabulary-clean: "
+                                      + "; ".join(violations))
 
     @cached_property
     def label(self) -> Label:

@@ -28,7 +28,7 @@ from itertools import islice, repeat
 from operator import setitem
 from pathlib import Path
 
-from .counterfactual import EvidenceFile
+from .counterfactual import EvidenceFile, _Memo
 from .grammar import (GrammarError, OddSpec, OddVariable, ParseError, RuleAst, fmt_number,
                       parse_rule, print_rule)
 from .metrics import MetricsReport
@@ -137,23 +137,15 @@ def _row_fault(path, rows: list[list[str]], lineno: int, width: int):
             _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
 
 
-class _NumberText(dict):
-    """fmt_number of each float looked up, formatted on its first lookup.
-    Exact as a cache: the only distinct floats that compare equal, -0.0 and
-    0.0, both print "0"."""
-
-    def __missing__(self, value: float) -> str:
-        text = self[value] = fmt_number(value)
-        return text
-
-
 def dataset_bytes(runs: list[LabeledRun]) -> bytes:
     features = list(runs[0].x.keys())
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(features + ["outcome"])
     # Grid datasets repeat a few hundred values per column: format each once.
-    text = _NumberText()
+    # Exact as a cache: the only distinct floats that compare equal, -0.0 and
+    # 0.0, both print "0".
+    text = _Memo.of(fmt_number)
     writer.writerows([text[run.x[name]] for name in features] + [run.y.value] for run in runs)
     return buffer.getvalue().encode("utf-8")
 
@@ -193,6 +185,24 @@ def read_json(path: str | Path):
         _fail(path, f"invalid JSON: {exc}")
 
 
+#: What a field of each kind may hold; a bool is none of them.
+_KINDS = {"a string": str, "an integer": int, "a number": (int, float), "an object": dict,
+          "a list": list}
+
+
+def _field(path, where: str, obj: dict, key: str, kind: str | None = None):
+    """obj[key]; the one place a missing or mistyped field is worded. A
+    fault is refused at where (no prefix when empty): a missing key, or,
+    when kind is given, a value that is not of that kind."""
+    at = f"{where}: " if where else ""
+    if key not in obj:
+        _fail(path, f"{at}missing field {key!r}")
+    value = obj[key]
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, _KINDS[kind])):
+        _fail(path, f"{at}field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Rules file.
 # ---------------------------------------------------------------------------
@@ -213,20 +223,17 @@ def rule_entries(path: str | Path) -> list[tuple[str, Polarity, str]]:
     for i, entry in enumerate(data):
         if not isinstance(entry, dict):
             _fail(path, f"rule {i}: expected an object")
-        for key in ("id", "polarity", "text"):
-            if key not in entry:
-                _fail(path, f"rule {i}: missing field {key!r}")
-            if not isinstance(entry[key], str):
-                _fail(path, f"rule {i}: field {key!r} must be a string, got {entry[key]!r}")
+        rule_id, polarity, text = (_field(path, f"rule {i}", entry, key, "a string")
+                                   for key in ("id", "polarity", "text"))
         try:
-            polarity = Polarity(entry["polarity"])
+            polarity = Polarity(polarity)
         except ValueError:
             _fail(path, f"rule {i}: field 'polarity' must be \"pass\" or \"fail\", "
-                        f"got {entry['polarity']!r}")
-        if entry["id"] in seen_ids:
-            _fail(path, f"rule {i}: duplicate id {entry['id']!r}")
-        seen_ids.add(entry["id"])
-        entries.append((entry["id"], polarity, entry["text"]))
+                        f"got {polarity!r}")
+        if rule_id in seen_ids:
+            _fail(path, f"rule {i}: duplicate id {rule_id!r}")
+        seen_ids.add(rule_id)
+        entries.append((rule_id, polarity, text))
     return entries
 
 
@@ -277,30 +284,25 @@ def _odd_variable(path, i: int, v) -> OddVariable:
     numeric string, and raises OverflowError on a larger integer."""
     if not isinstance(v, dict):
         _fail(path, f"variable {i}: expected an object, got {v!r}")
-    label = repr(v["name"]) if isinstance(v.get("name"), str) else i
-    for field in ("name", "min", "max", "step"):
-        if field not in v:
-            _fail(path, f"variable {label}: missing field {field!r}")
-    if not isinstance(v["name"], str):
-        _fail(path, f"variable {label}: field 'name' must be a string, got {v['name']!r}")
+    where = f"variable {v['name']!r}" if isinstance(v.get("name"), str) else f"variable {i}"
+    for key in ("name", "min", "max", "step"):  # every field is present before any is typed
+        _field(path, where, v, key)
+    name = _field(path, where, v, "name", "a string")
     numbers = []
-    for field in ("min", "max", "step"):
-        if isinstance(v[field], bool) or not isinstance(v[field], (int, float)):
-            _fail(path, f"variable {label}: field {field!r} must be a number, got {v[field]!r}")
+    for key in ("min", "max", "step"):
         try:
-            numbers.append(float(v[field]))
+            numbers.append(float(_field(path, where, v, key, "a number")))
         except OverflowError:
-            _fail(path, f"variable {label}: field {field!r} is too large for a float")
-    return OddVariable(v["name"], *numbers)
+            _fail(path, f"{where}: field {key!r} is too large for a float")
+    return OddVariable(name, *numbers)
 
 
 def odd_from_json(data, path) -> OddSpec:
     if not isinstance(data, dict) or "variables" not in data:
         _fail(path, 'expected an object with a "variables" list')
-    if not isinstance(data["variables"], list):
-        _fail(path, f"field 'variables' must be a list, got {data['variables']!r}")
+    variables = _field(path, "", data, "variables", "a list")
     try:
-        odd = OddSpec(tuple(_odd_variable(path, i, v) for i, v in enumerate(data["variables"])))
+        odd = OddSpec(tuple(_odd_variable(path, i, v) for i, v in enumerate(variables)))
     except GrammarError as exc:
         _fail(path, f"bad variable entry: {exc}")
     if not odd.variables:
@@ -321,16 +323,12 @@ def load_oracle_config(path: str | Path) -> OracleConfig:
     data = read_json(path)
     if not isinstance(data, dict):
         _fail(path, "oracle config must be a JSON object")
-    for key, kind, name in (("odd", dict, "an object"), ("safe_region", str, "a string"),
-                            ("seed", int, "an integer")):
-        if key not in data:
-            _fail(path, f"missing field {key!r}")
-        if not isinstance(data[key], kind) or isinstance(data[key], bool):
-            _fail(path, f"field {key!r} must be {name}, got {data[key]!r}")
-    odd = odd_from_json(data["odd"], path)
+    odd = _field(path, "", data, "odd", "an object")
+    safe_region = _field(path, "", data, "safe_region", "a string")
+    seed = _field(path, "", data, "seed", "an integer")
+    odd = odd_from_json(odd, path)
     try:
-        return OracleConfig(odd=odd, safe_region=parse_rule(data["safe_region"]),
-                            seed=data["seed"])
+        return OracleConfig(odd=odd, safe_region=parse_rule(safe_region), seed=seed)
     except (ParseError, ConstructionFailure) as exc:
         _fail(path, f"safe_region: {exc}")
 
@@ -397,10 +395,10 @@ def _report_to_json(report: ValidationReport) -> dict:
     }
 
 
-def outcome_to_json(outcome: RefinementOutcome, rule_id: str) -> dict:
+def outcome_to_json(outcome: RefinementOutcome) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "rule_id": rule_id,
+        "rule_id": outcome.evidence.rule_id,
         "refined_text": print_rule(outcome.refined),
         "change_log": [
             {"kind": e.kind.value, "path": list(e.path), "before": e.before, "after": e.after}
@@ -415,8 +413,8 @@ def outcome_to_json(outcome: RefinementOutcome, rule_id: str) -> dict:
     }
 
 
-def store_outcome(path: str | Path, outcome: RefinementOutcome, rule_id: str) -> None:
-    write_json(path, outcome_to_json(outcome, rule_id))
+def store_outcome(path: str | Path, outcome: RefinementOutcome) -> None:
+    write_json(path, outcome_to_json(outcome))
 
 
 def load_refined_rule(path: str | Path, variables) -> RuleAst:
@@ -426,11 +424,8 @@ def load_refined_rule(path: str | Path, variables) -> RuleAst:
     data = read_json(path)
     if not isinstance(data, dict):
         _fail(path, "outcome file must be a JSON object")
-    if "refined_text" not in data:
-        _fail(path, "missing field 'refined_text'")
-    if not isinstance(data["refined_text"], str):
-        _fail(path, f"field 'refined_text' must be a string, got {data['refined_text']!r}")
-    return _checked_rule(path, "refined rule", data["refined_text"], variables)
+    text = _field(path, "", data, "refined_text", "a string")
+    return _checked_rule(path, "refined rule", text, variables)
 
 
 # ---------------------------------------------------------------------------

@@ -346,8 +346,7 @@ def refine_loop(target: PolarizedRule, ruleset: list[PolarizedRule],
         candidate_text = print_rule(candidate.ast)
         violations = check_vocabulary(candidate.ast, odd)
         if violations:
-            reject(attempt, "; ".join(str(v) for v in violations),
-                   candidate_text=candidate_text)
+            reject(attempt, "; ".join(violations), candidate_text=candidate_text)
             continue
         as_rule = PolarizedRule(target.id, target.polarity, candidate.ast)
         contradiction = next(

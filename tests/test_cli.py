@@ -71,6 +71,22 @@ class TestSim:
         for name in ("dataset.csv", "oracle_config.json"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
 
+    def test_config_seed_kept_without_seed_flag(self, workspace, tmp_path):
+        """A config's own seed draws the sample unless --seed is given."""
+        out = tmp_path / "out"
+        assert main(["sim", "--n", "50", "--seed", "9", "--config",
+                     str(workspace / "oracle_config.json"), "--out", str(out)]) == 0
+        again = tmp_path / "again"
+        assert main(["sim", "--n", "50", "--config", str(out / "oracle_config.json"),
+                     "--out", str(again)]) == 0
+        for name in ("dataset.csv", "oracle_config.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+        other = tmp_path / "other"
+        assert main(["sim", "--n", "50", "--seed", "3", "--config",
+                     str(out / "oracle_config.json"), "--out", str(other)]) == 0
+        assert json.loads((other / "oracle_config.json").read_text())["seed"] == 3
+        assert (other / "dataset.csv").read_bytes() != (out / "dataset.csv").read_bytes()
+
     def test_min_with_more_decimals_than_the_step(self, workspace, tmp_path):
         """Every run sim draws lies on the grid min + k*step, inside the domain."""
         config = json.loads((workspace / "oracle_config.json").read_text())
@@ -641,6 +657,25 @@ class TestMalformedFiles:
                      "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "safe_region" in err and "headway" in err
+
+    @pytest.mark.parametrize("command", ["sim", "check"])
+    def test_config_safe_region_refusal_lists_check_texts(self, workspace, tmp_path, capsys,
+                                                          command):
+        """The refusal lists the violations as check prints them."""
+        config = _config_file(workspace, tmp_path,
+                              safe_region="(headway < 2) or (ego_speed > 40)")
+        out = tmp_path / "out"
+        argv = (["sim", "--n", "3", "--config", str(config), "--out", str(out)]
+                if command == "sim" else
+                ["check", "--rules", str(workspace / "rules.json"), "--config", str(config)])
+        before = _tree(tmp_path)
+        assert main(argv) == 2
+        assert _tree(tmp_path) == before
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error (format): {config}: safe_region: safe region not vocabulary-clean: "
+            "UnknownVariable headway; OutOfRangeBound 40"]
+        assert "Violation(" not in err
 
 
 def _odd_fault(fault):

@@ -357,6 +357,11 @@ class TestVocabulary:
         violations = check_vocabulary(parse_rule("120 > dist_front"), odd)
         assert [str(v) for v in violations] == ["OutOfRangeBound 120"]
 
+    def test_violations_are_their_texts(self, odd):
+        violations = check_vocabulary(parse_rule("(headway < 2) or (ego_speed > 40)"), odd)
+        assert violations == ["UnknownVariable headway", "OutOfRangeBound 40"]
+        assert all(type(v) is str for v in violations)
+
     def test_odd_get_refuses_an_undeclared_name(self, odd):
         assert odd.get("dist_front").name == "dist_front"
         with pytest.raises(KeyError, match="headway"):

@@ -1,5 +1,6 @@
 from ruleforge import (change_minimality, grammar_compliance, parse_rule, print_rule,
                        random_rule, semantic_validity)
+from ruleforge.grammar import MIRROR, Conjunct, Relation, RuleAst, direct_bound
 
 TUPLE_TEXT = "[[('greater_than_func','ARG1','0')]]"
 
@@ -114,6 +115,23 @@ class TestChangeMinimality:
                               parse_rule("(ARG1 > 1) and (ARG1 < 2)"))
         assert a.band == b.band == "OverConstrained"
 
+    def test_bound_orientation_does_not_change_the_report(self, odd):
+        """5 < x and x > 5 are one bound: turning every direct relation of
+        either rule the other way round leaves the report as it was."""
+        for seed in range(200):
+            original = random_rule(seed, odd, 2, 3)
+            other = random_rule(seed + 999, odd, 2, 3)
+            for refined in (original, other, RuleAst((original.disjuncts[0], *other.disjuncts))):
+                report = change_minimality(original, refined)
+                for a, b in ((_turned(original), refined), (original, _turned(refined)),
+                             (_turned(original), _turned(refined))):
+                    assert change_minimality(a, b) == report, (print_rule(a), print_rule(b))
+
+    def test_reversed_operator_is_an_operator_change(self):
+        report = change_minimality(parse_rule("(ARG2 > 5)"), parse_rule("(5 > ARG2)"))
+        assert report.edit_stats["operator_changed"] == 1
+        assert report.edit_stats["unchanged"] == 0
+
     def test_scores_within_unit_interval(self, odd):
         for seed in range(40):
             original = random_rule(seed, odd, 2, 3)
@@ -138,3 +156,12 @@ class TestMetricsReport:
         from ruleforge.metrics import metrics_table
         table = metrics_table(report)
         assert "GC" in table and "n/a" in table and report.cm.band in table
+
+
+def _turned(ast: RuleAst) -> RuleAst:
+    """ast with every variable-against-constant relation written the other
+    way round: x > 5 as 5 < x, and 5 < x as x > 5."""
+    return RuleAst(tuple(
+        Conjunct(tuple(Relation(rel.rhs, MIRROR[rel.op], rel.lhs) if direct_bound(rel) else rel
+                       for rel in conj.relations))
+        for conj in ast.disjuncts))

@@ -461,10 +461,91 @@ class TestOracleConfigJson:
                                       "is too large for a float")
 
 
+_MISSING = object()
+
+#: Each file a field is read from: its sound contents and how it is loaded.
+_FIELD_FILES = {
+    "rules": (lambda: [{"id": "r", "polarity": "pass", "text": "(ego_speed > 0)"}],
+              storage.rule_entries),
+    "config": (lambda: {"schema_version": 1, "odd": storage.odd_to_json(default_config().odd),
+                        "safe_region": "(ego_speed > 0)", "seed": 42},
+               storage.load_oracle_config),
+    "outcome": (lambda: {"refined_text": "(ego_speed > 0)"},
+                lambda path: storage.load_refined_rule(path, ["ego_speed"])),
+}
+
+
+def _field_fault(case, file, where, key, value, message):
+    return pytest.param(file, where, key, value, message, id=case)
+
+
+_VARIABLE = ("odd", "variables", 0)
+
+
+@pytest.mark.parametrize("file, where, key, value, message", [
+    *(row for key in ("id", "polarity", "text") for row in (
+        _field_fault(f"rule-{key}-missing", "rules", (0,), key, _MISSING,
+                     f"rule 0: missing field {key!r}"),
+        _field_fault(f"rule-{key}-int", "rules", (0,), key, 5,
+                     f"rule 0: field {key!r} must be a string, got 5"))),
+    _field_fault("config-odd-missing", "config", (), "odd", _MISSING, "missing field 'odd'"),
+    _field_fault("config-odd-list", "config", (), "odd", [],
+                 "field 'odd' must be an object, got []"),
+    _field_fault("config-safe_region-missing", "config", (), "safe_region", _MISSING,
+                 "missing field 'safe_region'"),
+    _field_fault("config-safe_region-int", "config", (), "safe_region", 4,
+                 "field 'safe_region' must be a string, got 4"),
+    _field_fault("config-seed-missing", "config", (), "seed", _MISSING, "missing field 'seed'"),
+    _field_fault("config-seed-bool", "config", (), "seed", True,
+                 "field 'seed' must be an integer, got True"),
+    _field_fault("config-seed-string", "config", (), "seed", "42",
+                 "field 'seed' must be an integer, got '42'"),
+    _field_fault("odd-variables-missing", "config", ("odd",), "variables", _MISSING,
+                 'expected an object with a "variables" list'),
+    _field_fault("odd-variables-int", "config", ("odd",), "variables", 5,
+                 "field 'variables' must be a list, got 5"),
+    _field_fault("odd-name-missing", "config", _VARIABLE, "name", _MISSING,
+                 "variable 0: missing field 'name'"),
+    _field_fault("odd-name-int", "config", _VARIABLE, "name", 5,
+                 "variable 0: field 'name' must be a string, got 5"),
+    *(row for key in ("min", "max", "step") for row in (
+        _field_fault(f"odd-{key}-missing", "config", _VARIABLE, key, _MISSING,
+                     f"variable 'ego_speed': missing field {key!r}"),
+        _field_fault(f"odd-{key}-string", "config", _VARIABLE, key, "1",
+                     f"variable 'ego_speed': field {key!r} must be a number, got '1'"))),
+    _field_fault("odd-step-bool", "config", _VARIABLE, "step", True,
+                 "variable 'ego_speed': field 'step' must be a number, got True"),
+    # every field of a variable is present before any is typed
+    _field_fault("odd-missing-before-mistyped", "config", ("odd", "variables"), 0,
+                 {"name": 5}, "variable 0: missing field 'min'"),
+    _field_fault("outcome-refined_text-missing", "outcome", (), "refined_text", _MISSING,
+                 "missing field 'refined_text'"),
+    _field_fault("outcome-refined_text-int", "outcome", (), "refined_text", 5,
+                 "field 'refined_text' must be a string, got 5"),
+])
+def test_field_fault_message(tmp_path, file, where, key, value, message):
+    """Each field a file's reader guards: a missing field and one of the
+    wrong type are refused with one wording, naming where the field is."""
+    make, load = _FIELD_FILES[file]
+    data = make()
+    obj = data
+    for step in where:
+        obj = obj[step]
+    if value is _MISSING:
+        del obj[key]
+    else:
+        obj[key] = value
+    path = tmp_path / f"{file}.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(storage.FormatError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 class TestOutcomeJson:
     def test_round_trip(self, outcome42, odd, tmp_path):
         path = tmp_path / "outcome.json"
-        storage.store_outcome(path, outcome42, "baseline-pass")
+        storage.store_outcome(path, outcome42)
         assert storage.load_refined_rule(path, odd.names) == outcome42.refined
         data = json.loads(path.read_text())
         assert (data["dg_before"], data["dg_after"]) == (outcome42.dg_before, outcome42.dg_after)
