@@ -97,6 +97,8 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
                 runs += map(_run, zip(xs, ys))
     except UnicodeDecodeError as exc:
         _fail(path, f"not UTF-8 text: {exc.reason}")
+    except csv.Error as exc:  # a field over csv's size limit; a NUL byte before Python 3.11
+        _fail(path, f"line {reader.line_num}: {exc}")
     if not runs:
         _fail(path, "dataset has no runs")
     return runs

@@ -18,8 +18,12 @@ non-Clear ContradictionResult, or an all-Clear one with no opposing rule id.
 Overlap is decided per pair of conjuncts, one from each rule, over the box
 that the pair's direct bounds cut out of the domain: an empty box, or one in
 which interval subdivision refutes the pair's other relations, proves the
-pair disjoint; otherwise a dataset point or a step-grid point in the box
-where both rules hold flags it. Unknown is treated as a rejection.
+pair disjoint. The proofs come first, over the declared ranges and over the
+ranges widened by DOMAIN_TOL that admit a run; when both prove every pair,
+the rules are Clear without being compiled or reading a run. Otherwise a
+dataset run where both rules hold flags them, then a step-grid point in the
+box of a pair left unproven over the declared ranges. Unknown is treated as
+a rejection.
 """
 
 from __future__ import annotations
@@ -163,18 +167,20 @@ def _refute(relations: list[Relation], box, depth: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cut_box(relations, odd: OddSpec):
+def _cut_box(relations, odd: OddSpec, widened: bool = False):
     """(box, residual): the box {name: (lower end, upper end)} that the
-    direct bounds among the relations cut out of the domain, and the
-    relations that are no box (!= and compound sides). == is the closed band
-    [c - EPS_EQ, c + EPS_EQ].
+    direct bounds among the relations cut out of the domain (its declared
+    ranges, or with widened the ranges odd.bounds widens by DOMAIN_TOL), and
+    the relations that are no box (!= and compound sides). == is the closed
+    band [c - EPS_EQ, c + EPS_EQ].
 
     A lower end is (value, open) and an upper end (value, closed), so tuple
     order makes max()/min() pick the tighter end, x lies inside when
     lower < (x, True) and (x, False) < upper, and the box is empty when some
     lower >= upper."""
-    lower = {v.name: (v.min, False) for v in odd.variables}
-    upper = {v.name: (v.max, True) for v in odd.variables}
+    ranges = odd.bounds if widened else [(v.name, v.min, v.max) for v in odd.variables]
+    lower = {name: (lo, False) for name, lo, _ in ranges}
+    upper = {name: (hi, True) for name, _, hi in ranges}
     residual = []
     for rel in relations:
         bound = direct_bound(rel)
@@ -210,15 +216,25 @@ def _grid_in_box(box, odd: OddSpec):
 def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule], odd: OddSpec,
                         dataset: list[LabeledRun] | None = None) -> list[ContradictionResult]:
     """Per opposing rule: Flagged with a witness where both rules hold (a
-    dataset point first, else a step-grid point), Clear when every pair of
+    dataset run first, else a step-grid point), Clear when every pair of
     conjuncts, one from each rule, is proven disjoint, Unknown otherwise.
 
     A pair of conjuncts is disjoint when the box its direct bounds cut out
     of the domain is empty, or when interval subdivision refutes its other
-    relations over that box. A pair comes out Unknown in three ways: the
-    subdivision depth runs out, a possible division by zero taints the
-    bounds, or the rules overlap only off the step grid (ego_speed == 0
-    against ego_speed > 0)."""
+    relations over that box. Each pair is proven first over the declared
+    ranges, then, if every pair is, over the ranges widened by DOMAIN_TOL
+    (odd.bounds, the runs contains_point admits); when both prove every
+    pair, the result is Clear without compiling a rule or reading a run.
+    Otherwise the dataset is scanned for the first run where both rules
+    hold, and then the step grid of each pair left unproven over the
+    declared ranges. Runs that contains_point refuses are outside the
+    check's domain and are not to be passed: no proof covers them, so such
+    a run may or may not flag a pair (the CLI loads refine_loop's runs
+    through a domain check that refuses them).
+
+    A pair comes out Unknown in three ways: the subdivision depth runs out,
+    a possible division by zero taints the bounds, or the rules overlap only
+    off the step grid (ego_speed == 0 against ego_speed > 0)."""
     results = []
     for other in opposing:
         if other.polarity is candidate.polarity:
@@ -228,8 +244,31 @@ def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
     return results
 
 
+def _unproven_box(relations, odd: OddSpec, widened: bool = False):
+    """The box that the relations' direct bounds cut out of the domain, or
+    None when the relations are proven to hold nowhere in it: the box is
+    empty, or interval subdivision refutes the other relations over it."""
+    box, residual = _cut_box(relations, odd, widened)
+    if any(lo >= hi for lo, hi in box.values()):
+        return None
+    # cheaper than walking the box; splits only the residual's variables
+    closure = {n: (box[n][0][0], box[n][1][0])
+               for rel in residual for side in (rel.lhs, rel.rhs)
+               for n in expr_variables(side)}
+    return None if _refute(residual, closure, SUBDIVISION_DEPTH) else box
+
+
 def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
                  dataset) -> tuple[ContradictionStatus, dict[str, float] | None]:
+    # Clear without a scan needs both proofs: the widened one covers every
+    # run contains_point admits, so no run can flag the rules, and the
+    # declared one is what the dataset-first order would have rested on.
+    pairs = [ca.relations + cb.relations for ca in a.disjuncts for cb in b.disjuncts]
+    open_boxes = [box for box in (_unproven_box(rels, odd) for rels in pairs)
+                  if box is not None]
+    if not open_boxes and all(_unproven_box(rels, odd, widened=True) is None
+                              for rels in pairs):
+        return (ContradictionStatus.CLEAR, None)
     holds_a, holds_b = compile_rule(a), compile_rule(b)
 
     def both(x: dict[str, float]) -> bool:
@@ -238,23 +277,11 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
     for run in dataset or []:
         if both(run.x):
             return (ContradictionStatus.FLAGGED, dict(run.x))
-    status = ContradictionStatus.CLEAR
-    for ca in a.disjuncts:
-        for cb in b.disjuncts:
-            box, residual = _cut_box(ca.relations + cb.relations, odd)
-            if any(lo >= hi for lo, hi in box.values()):
-                continue
-            # cheaper than walking the box; splits only the residual's variables
-            closure = {n: (box[n][0][0], box[n][1][0])
-                       for rel in residual for side in (rel.lhs, rel.rhs)
-                       for n in expr_variables(side)}
-            if _refute(residual, closure, SUBDIVISION_DEPTH):
-                continue
-            for point in _grid_in_box(box, odd):
-                if both(point):
-                    return (ContradictionStatus.FLAGGED, point)
-            status = ContradictionStatus.UNKNOWN
-    return (status, None)
+    for box in open_boxes:
+        for point in _grid_in_box(box, odd):
+            if both(point):
+                return (ContradictionStatus.FLAGGED, point)
+    return (ContradictionStatus.UNKNOWN if open_boxes else ContradictionStatus.CLEAR, None)
 
 
 # ---------------------------------------------------------------------------

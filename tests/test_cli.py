@@ -841,6 +841,14 @@ class TestUnreadableInput:
                      "--dataset", str(bad)]) == 2
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
+    def test_field_over_the_csv_size_limit(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "big.csv"
+        bad.write_text("ego_speed,dist_front,lane_offset,outcome\n1,4.4,0,Fail\n"
+                       f"1,{'4' * 140_000},0,Fail\n")
+        assert main(["eval", "--rules", str(workspace / "rules.json"),
+                     "--dataset", str(bad)]) == 2
+        assert f"{bad}: line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_undecodable_rules(self, workspace, tmp_path, capsys):
         bad = tmp_path / "rules.json"
         bad.write_bytes(b'[{"id": "r\xff", "polarity": "pass", "text": "ego_speed > 0"}]')

@@ -121,6 +121,25 @@ class TestDatasetCsv:
             storage.load_dataset(path)
         assert str(excinfo.value) == f"{path}: line {lineno}: {message}"
 
+    @pytest.mark.parametrize("lineno", [3, storage.BLOCK_ROWS + 2],
+                             ids=["first-block", "second-block"])
+    def test_field_over_the_csv_size_limit_names_its_line(self, tmp_path, lineno):
+        limit = csv.field_size_limit()
+        lines = ["a,outcome"] + ["1,Pass"] * (storage.BLOCK_ROWS + 3)
+        lines[lineno - 1] = "1" * (limit + 1) + ",Pass"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(storage.FormatError) as excinfo:
+            storage.load_dataset(path)
+        assert str(excinfo.value) == f"{path}: line {lineno}: field larger than field limit ({limit})"
+
+    def test_nul_byte_names_its_line(self, tmp_path):
+        # csv refuses a NUL before Python 3.11 and reads it as a character after
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,outcome\n1,Pass\n1\x00,Pass\n")
+        with pytest.raises(storage.FormatError, match=r"bad\.csv: line 3: "):
+            storage.load_dataset(path)
+
     def test_bad_byte_alone_is_refused(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"a,outcome\n" + b"1,Pass\n" * (3 * storage.BLOCK_ROWS)

@@ -13,8 +13,8 @@ from ruleforge import (ContradictionStatus, DeterministicGenerator, Exhausted, L
                        random_rule, refine_loop)
 from ruleforge import validation
 from ruleforge.grammar import (DOMAIN_TOL, ArithOp, BinOp, Const, Relation, RelOp, Var,
-                               direct_bound, rule)
-from ruleforge.semantics import EPS_EQ
+                               direct_bound, expr_variables, rule)
+from ruleforge.semantics import EPS_EQ, compile_rule
 
 R1_STAR = "(dist_front < 4.1) and (ego_speed > 0)"
 
@@ -371,6 +371,86 @@ def _reference_points(odd, *asts):
         axes.append(values + [(lo + hi) / 2 for lo, hi in zip(values, values[1:])])
     for combo in itertools.product(*axes):
         yield dict(zip(odd.names, combo))
+
+
+def _reference_decide_pair(a, b, odd, dataset):
+    """Reference only: the pair decided dataset first, as before the proofs
+    led. Both rules are compiled, the dataset is scanned for a run where
+    both hold, and then each pair of conjuncts is proven over the declared
+    ranges or its box's step grid walked."""
+    holds_a, holds_b = compile_rule(a), compile_rule(b)
+
+    def both(x):
+        return holds_a(x, None) and holds_b(x, None)
+
+    for run in dataset or []:
+        if both(run.x):
+            return (ContradictionStatus.FLAGGED, dict(run.x))
+    status = ContradictionStatus.CLEAR
+    for ca in a.disjuncts:
+        for cb in b.disjuncts:
+            box, residual = validation._cut_box(ca.relations + cb.relations, odd)
+            if any(lo >= hi for lo, hi in box.values()):
+                continue
+            closure = {n: (box[n][0][0], box[n][1][0])
+                       for rel in residual for side in (rel.lhs, rel.rhs)
+                       for n in expr_variables(side)}
+            if validation._refute(residual, closure, validation.SUBDIVISION_DEPTH):
+                continue
+            for point in validation._grid_in_box(box, odd):
+                if both(point):
+                    return (ContradictionStatus.FLAGGED, point)
+            status = ContradictionStatus.UNKNOWN
+    return (status, None)
+
+
+class TestProofsFirst:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_verdict_and_witness_matches_the_dataset_first_order(self, data):
+        """Runs may lie up to DOMAIN_TOL outside [min, max]. The candidate
+        may hold only beyond one end of a range (x < min or x > max in every
+        conjunct), so a run in that band can flag a pair that the declared
+        ranges alone prove disjoint."""
+        odd = data.draw(st.sampled_from(_SMALL_DOMAINS))
+        seeds = st.integers(min_value=0, max_value=10 ** 6)
+        candidate = random_rule(data.draw(seeds), odd, 3, 2)
+        beyond = data.draw(st.none() | st.sampled_from(
+            [Relation(Var(v.name), RelOp.LT, Const(v.min)) for v in odd.variables]
+            + [Relation(Var(v.name), RelOp.GT, Const(v.max)) for v in odd.variables]))
+        if beyond is not None:
+            candidate = rule(*(c.relations + (beyond,) for c in candidate.disjuncts))
+        candidate = PolarizedRule("p", Polarity.PASS_RULE, candidate)
+        opposing = [PolarizedRule(f"f{k}", Polarity.FAIL_RULE, random_rule(seed, odd, 3, 2))
+                    for k, seed in enumerate(data.draw(st.lists(seeds, min_size=1, max_size=3)))]
+        runs = data.draw(st.none() | st.lists(st.fixed_dictionaries(
+            {v.name: _domain_coordinate(v) for v in odd.variables}), max_size=16))
+        dataset = None if runs is None else [LabeledRun(x, Outcome.PASS) for x in runs]
+        results = check_contradiction(candidate, opposing, odd, dataset=dataset)
+        for other, result in zip(opposing, results):
+            assert (result.status, result.witness) == _reference_decide_pair(
+                candidate.ast, other.ast, odd, dataset)
+
+    def test_a_pair_the_box_settles_compiles_no_rule(self, fixture42, monkeypatch):
+        compiled = []
+        real_compile = validation.compile_rule
+        monkeypatch.setattr(validation, "compile_rule",
+                            lambda ast: compiled.append(ast) or real_compile(ast))
+        odd, dataset = fixture42.config.odd, fixture42.dataset
+        assert len(dataset) == 198
+        candidate = _pass(R1_STAR)
+        far = [_fail("(dist_front > 40)", "far-0"),
+               _fail("(dist_front > 30) and (lane_offset < -1.5)", "far-1")]
+        results = check_contradiction(candidate, far, odd, dataset=dataset)
+        assert [r.status for r in results] == [ContradictionStatus.CLEAR] * 2
+        assert compiled == []
+        standing = _fail("(dist_front < 3)")
+        (result,) = check_contradiction(candidate, [standing], odd, dataset=dataset)
+        assert compiled == [candidate.ast, standing.ast]
+        assert result.status is ContradictionStatus.FLAGGED
+        assert result.witness in [run.x for run in dataset]
+        assert (result.status, result.witness) == _reference_decide_pair(
+            candidate.ast, standing.ast, odd, dataset)
 
 
 def _refine(fixture, text, ruleset=None, target=None):
