@@ -11,10 +11,19 @@ are never enumerated, so every probe stays inside the domain, each probe
 costs exactly one oracle query, and the step-unit L1 of the result is exact.
 A search calls the oracle's `label` itself, once per probe, and adds its
 probes to the oracle's `queries` when it ends, however it ends: it is the
-only writer of that count. The query budget is checked once per table, not
-once per probe: a table longer than the budget left is walked only that far.
+only writer of that count. The query budget is checked once per ring (or,
+on a wide domain, once per table), not once per probe: a ring longer than
+the budget left is walked only that far.
 
-A ring's probes come from two parts of the offset vector. The leading
+A domain of at most TABLE_FEATURES features reads each ring's offset vectors
+from one table that every search of the process shares: ring r of an
+n-feature domain with no bound, as each vector's nonzero (feature, offset)
+moves. It depends on n and r alone, so it is built once, on first use. A
+run within r steps of a bound keeps the vectors that stay in its range,
+which leaves the order as it is. Each probe is a copy of the run with its
+moves written in.
+
+A wider domain's ring comes from two parts of the offset vector. The leading
 features are walked by one iterative stack walk, which descends only into
 prefixes whose remainder the later features can take up, so no step of the
 walk is wasted; it writes each leading feature's value into one working
@@ -26,9 +35,11 @@ So a prefix hands out its probes without stepping the walk. A probe is the
 working dict merged with one table entry, a new dict per oracle query, so
 no oracle sees a dict that is later changed. A feature's offset choices at
 a remainder and a remainder's table are made when first needed and kept
-for the rest of the search; probe values are computed ring by ring, and a
-probe's delta only when its outcome flips. The Decimal forms of an ODD
-variable's bounds and step are computed once per variable.
+for the rest of the search.
+
+Either way, probe values are computed ring by ring, and a probe's delta only
+when its outcome flips. The Decimal forms of an ODD variable's bounds and
+step are computed once per variable.
 """
 
 from __future__ import annotations
@@ -36,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .grammar import OddSpec, print_rule
@@ -44,9 +54,12 @@ from .semantics import Label, LabeledRun, Outcome, PolarizedRule, decisiveness
 
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RADIUS_STEPS = 20
-# The most trailing features a search reads from per-remainder tables. A
-# table over three features holds at most 4r^2 + 2 vectors at remainder r,
-# so a search keeps at most about 11,500 entries up to the default radius.
+# The most features a domain may have for its searches to read the shared
+# rings, and the most trailing features a wider search reads from
+# per-remainder tables. A ring or table over three features holds at most
+# 4r^2 + 2 vectors at r, so the shared rings of a 3-feature domain, like one
+# wider search's tables, hold at most about 11,500 entries up to the default
+# radius.
 TABLE_FEATURES = 3
 
 
@@ -141,6 +154,43 @@ def _choices(down: int, up: int, after: int, rest: int) -> tuple[int, ...]:
     return (*range(-min(down, rest), 1 - least),
             *range(least, min(up, rest) + 1),
             *((0,) if rest <= after else ()))
+
+
+# One offset vector of the shared rings: its nonzero (feature, offset) moves,
+# in feature order.
+Moves = tuple[tuple[int, int], ...]
+
+
+#: One tuple per (feature, offset) move, which every ring that makes it holds.
+_MOVES = _Memo.of(lambda move: move)
+
+
+def _ring_moves(n: int, total: int, first: int = 0) -> list[Moves]:
+    """Every offset vector of features first..n-1, with no bound, whose
+    magnitudes sum to total, in enumeration order, as its moves."""
+    if first == n:
+        return [()] if total == 0 else []
+    return [(_MOVES[first, m], *tail) if m else tail
+            for m in _choices(total, total, total * (n - first - 1), total)
+            for tail in _ring_moves(n, total - abs(m), first + 1)]
+
+
+#: _RINGS[n, r]: ring r of an n-feature domain with no bound, shared by
+#: every search of the process. A race at worst builds a ring twice.
+_RINGS = _Memo.of(lambda key: tuple(_ring_moves(*key)))
+
+
+def _within(ring: tuple[Moves, ...], down: list[int], up: list[int]) -> list[Moves]:
+    """The vectors of ring that stay within [-down[i], up[i]] on every
+    feature i, in the ring's order."""
+    kept = []
+    for moves in ring:
+        for i, m in moves:
+            if not -down[i] <= m <= up[i]:
+                break
+        else:
+            kept.append(moves)
+    return kept
 
 
 def _table(name: str, values: dict[int, float], pick: Callable[[int], tuple[int, ...]],
@@ -238,6 +288,19 @@ class _Rings:
                     work[name] = table[0]
 
 
+def _pair(x: dict[str, float], y: Outcome, y_cf: Outcome, names: list[str],
+          values: list[dict[int, float]], steps: list[Decimal], radius: int,
+          moves: Moves) -> CounterfactualPair:
+    """The pair of x and its flipped probe, the copy of x that moves makes."""
+    x_cf = x.copy()
+    for i, m in moves:
+        x_cf[names[i]] = values[i][m]
+    delta = {names[i]: float(steps[i] * m) for i, m in moves}
+    l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
+    return CounterfactualPair(x=dict(x), y=y, x_cf=x_cf, y_cf=y_cf,
+                              delta=delta, l1=l1, l1_steps=radius)
+
+
 def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: OddSpec,
                           max_radius_steps: int = DEFAULT_MAX_RADIUS_STEPS,
                           budget: int = DEFAULT_BUDGET) -> CounterfactualPair:
@@ -260,8 +323,13 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     # Per feature, the probe value of each offset m walked so far: m -> value.
     # Offset 0 is the run's own value; ring r adds its in-range -r and r.
     values = [{0: x[name]} for name in names]
-    rings = _Rings(x, names, values, down, up)
-    work, label = rings.work, oracle.label
+    n = len(names)
+    # a wider domain's walk; None where the shared rings serve
+    rings = _Rings(x, names, values, down, up) if n > TABLE_FEATURES else None
+    work = rings.work if rings else None
+    # the first ring that a bound cuts
+    edge = min(down + up, default=max_radius_steps) + 1
+    label = oracle.label
     used = 0
     try:
         for radius in range(1, max_radius_steps + 1):
@@ -269,20 +337,34 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
                 for m in (-radius, radius):
                     if -d <= m <= u:
                         table[m] = float(b + s * m)
-            for leaf in rings.leaves(radius):
-                # one budget check per table: walk no more of it than is left
+            if rings is None:
+                ring = _RINGS[n, radius]
+                chunks = (_within(ring, down, up) if radius >= edge else ring,)
+            else:
+                chunks = rings.leaves(radius)
+            for chunk in chunks:
+                # one budget check per ring or table: walk no more of it than is left
                 left = budget - used
-                short = len(leaf) > left
-                for vec, moved in islice(leaf, max(left, 0)) if short else leaf:
-                    used += 1
-                    y_cf = label(work | moved)
-                    if y_cf is not y:
-                        offsets = (*rings.offsets, *vec)
-                        delta = {name: float(s * m)
-                                 for name, s, m in zip(names, steps, offsets) if m}
-                        l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
-                        return CounterfactualPair(x=dict(x), y=y, x_cf=work | moved, y_cf=y_cf,
-                                                  delta=delta, l1=l1, l1_steps=radius)
+                short = len(chunk) > left
+                if short:
+                    chunk = chunk[:max(left, 0)]
+                if rings is None:
+                    for moves in chunk:
+                        probe = x.copy()
+                        for i, m in moves:
+                            probe[names[i]] = values[i][m]
+                        used += 1
+                        y_cf = label(probe)
+                        if y_cf is not y:
+                            return _pair(x, y, y_cf, names, values, steps, radius, moves)
+                else:
+                    for vec, moved in chunk:
+                        used += 1
+                        y_cf = label(work | moved)
+                        if y_cf is not y:
+                            offsets = (*rings.offsets, *vec)
+                            moves = tuple((i, m) for i, m in enumerate(offsets) if m)
+                            return _pair(x, y, y_cf, names, values, steps, radius, moves)
                 if short:
                     raise OracleBudgetExceeded(f"budget of {budget} queries exhausted "
                                                f"at radius {radius}")

@@ -4,12 +4,12 @@
   Pass/Fail, UTF-8, comma separated. Numbers are written in canonical
   decimal form so store(load(path)) is byte-identical for canonical files.
   Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
-  a faulty block is walked row by row to name its first faulty line. A
-  clean block's row dicts are filled a column at a time too, without
-  generated code, and its runs are built by the tuple constructor, not
-  LabeledRun's own. The header's feature names are interned, so each run's
-  keys are the very strings that compiled rules, labels and ODD variables
-  look up.
+  a faulty block is walked row by row to name the line on which its first
+  faulty record starts. A clean block's row dicts are filled a column at a
+  time too, without generated code, and its runs are built by the tuple
+  constructor, not LabeledRun's own. The header's feature names are
+  interned, so each run's keys are the very strings that compiled rules,
+  labels and ODD variables look up.
 * Rules JSON: a bare list of {"id", "polarity": "pass"|"fail", "text"}.
 * Engine-owned JSON artifacts (oracle config, evidence, outcome, metrics)
   carry a schema_version header.
@@ -87,7 +87,7 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
             while rows := list(islice(reader, BLOCK_ROWS)):
                 block = _block_columns(rows, len(header))
                 if block is None:
-                    _row_fault(path, rows, len(runs) + 2, len(header))
+                    _row_fault(path, rows, reader.line_num, len(header))
                 del rows  # its cells are freed before the runs take their memory
                 columns, ys = block
                 xs = [{} for _ in ys]
@@ -122,11 +122,13 @@ def _block_columns(rows: list[list[str]],
     return columns, ys
 
 
-def _row_fault(path, rows: list[list[str]], lineno: int, width: int):
-    """Refuse the first faulty row of rows, the first of which is on line
-    lineno: the one place a row's fault is worded. Its checks are those of
-    _block_columns, so a block that one refuses has a row that the other does."""
-    for lineno, row in enumerate(rows, start=lineno):
+def _row_fault(path, rows: list[list[str]], end: int, width: int):
+    """Refuse the first faulty row of rows, the last of which ends on line
+    end, by the line its record starts on: the one place a row's fault is
+    worded. Its checks are those of _block_columns, so a block that one
+    refuses has a row that the other does."""
+    lineno = end + 1 - sum(map(_lines, rows))
+    for row in rows:
         if len(row) != width:
             _fail(path, f"line {lineno}: expected {width} fields, got {len(row)}")
         try:
@@ -137,6 +139,13 @@ def _row_fault(path, rows: list[list[str]], lineno: int, width: int):
             _fail(path, f"line {lineno}: non-finite feature value")
         if row[-1] not in _OUTCOMES:
             _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
+        lineno += _lines(row)
+
+
+def _lines(row: list[str]) -> int:
+    """The lines a record spans: one more than the line ends in its quoted
+    cells, each counted as csv counts lines (\\r\\n, \\r or \\n)."""
+    return 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
 
 
 def dataset_bytes(runs: list[LabeledRun]) -> bytes:

@@ -11,7 +11,8 @@ from ruleforge import (CounterfactualNotFound, NoInconsistency, Oracle,
                        build_evidence, decisiveness, make_oracle, odd_spec, parse_rule,
                        search_counterfactual)
 from ruleforge.cli import main
-from ruleforge.counterfactual import _Rings
+from ruleforge import counterfactual
+from ruleforge.counterfactual import TABLE_FEATURES, _Rings
 from ruleforge.semantics import LabeledRun
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
@@ -194,30 +195,39 @@ class TestBudget:
             search_counterfactual({"a": 5.0, "b": 5.0}, Outcome.FAIL, oracle, odd, 5)
         assert len(calls) == k and oracle.queries == 5 + k
 
-    def test_budget_ending_inside_a_table(self):
+    @pytest.mark.parametrize("features,max_radius", [(6, 3), (3, 5)],
+                             ids=["walk", "shared-rings"])
+    def test_budget_ending_inside_a_table(self, features, max_radius):
         """On a 6-feature domain, whose last two features come from tables,
-        every budget short of the whole search makes exactly `budget` label
-        calls, the reference's first probes in order, and then raises, also
-        where the budget runs out inside a table."""
-        odd = odd_spec([(f"f{i}", 0.0, 3.0, 1.0) for i in range(6)])
-        names, max_radius = odd.names, 3
+        and on a 3-feature domain, whose rings come from the shared table
+        and are cut by the bounds from radius 2 on, every budget short of
+        the whole search makes exactly `budget` label calls, the reference's
+        first probes in order, and then raises, also where the budget runs
+        out inside a table or a ring."""
+        odd = odd_spec([(f"f{i}", 0.0, 3.0, 1.0) for i in range(features)])
+        names = odd.names
         x = {name: 1.0 for name in names}
         expected = list(_ref_probes(x, odd, max_radius))
-        # where the search's tables end, counted in probes
-        values = [{m: 1.0 + m for m in range(-1, 3)} for _ in names]
-        rings = _Rings(x, names, values, [1] * 6, [2] * 6)
-        ends = set(itertools.accumulate(
-            len(leaf) for radius in range(1, max_radius + 1) for leaf in rings.leaves(radius)))
+        radii = [round(sum(abs(probe[n] - x[n]) for n in names)) for probe in expected]
+        if features > TABLE_FEATURES:
+            # where the search's tables end, counted in probes
+            values = [{m: 1.0 + m for m in range(-1, 3)} for _ in names]
+            rings = _Rings(x, names, values, [1] * features, [2] * features)
+            ends = set(itertools.accumulate(
+                len(leaf) for radius in range(1, max_radius + 1)
+                for leaf in rings.leaves(radius)))
+        else:  # a ring is checked as a whole
+            ends = {k for k in range(1, len(radii)) if radii[k] != radii[k - 1]}
+            ends.add(len(expected))
         assert max(ends) == len(expected)
         inside = 0
         for budget in range(len(expected) + 1):
             seen = []
             oracle = Oracle(lambda probe: seen.append(dict(probe)) or Outcome.FAIL)
             if budget < len(expected):
-                radius = round(sum(abs(expected[budget][n] - x[n]) for n in names))
                 with pytest.raises(OracleBudgetExceeded,
                                    match=f"budget of {budget} queries exhausted "
-                                         f"at radius {radius}$"):
+                                         f"at radius {radii[budget]}$"):
                     search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius, budget)
                 inside += 0 < budget and budget not in ends
             else:  # the budget runs out at the last probe of the last ring
@@ -338,6 +348,47 @@ class TestOffsetEnumeration:
             assert _walk_offsets(down, up, total) == expected, (down, up, total)
             nonempty += bool(expected)
         assert nonempty >= 200  # most cases enumerate something
+
+
+class TestSharedRings:
+    """A domain of at most TABLE_FEATURES features reads its rings from one
+    table of the process, kept to the run's bounds."""
+
+    def test_kept_rings_match_the_recursive_reference(self):
+        """Every n up to 3 and radius up to 5, with bounds from 0 to r + 1
+        per side: all of them for n <= 2, seeded samples for n = 3."""
+        rng = random.Random(5)
+        for n in range(TABLE_FEATURES + 1):
+            for r in range(6):
+                sides = range(r + 2)
+                if n < TABLE_FEATURES:
+                    cases = itertools.product(sides, repeat=2 * n)
+                else:
+                    cases = (tuple(rng.choice(sides) for _ in range(2 * n)) for _ in range(300))
+                for bounds in cases:
+                    down, up = list(bounds[:n]), list(bounds[n:])
+                    vectors = []
+                    for moves in counterfactual._within(counterfactual._RINGS[n, r], down, up):
+                        vector = [0] * n
+                        for i, m in moves:
+                            vector[i] = m
+                        vectors.append(tuple(vector))
+                    assert vectors == list(_ref_offset_vectors(down, up, r)), (down, up, r)
+
+    def test_two_searches_read_the_same_table(self, monkeypatch):
+        """Two searches on different 3-feature domains, each from a corner,
+        keep ring 1 of one and the same table object to their bounds."""
+        read = []
+        within = counterfactual._within
+        monkeypatch.setattr(counterfactual, "_within",
+                            lambda ring, down, up: read.append(ring) or within(ring, down, up))
+        for step in (1.0, 0.5):
+            odd = odd_spec([(f"f{i}", 0.0, 3.0, step) for i in range(3)])
+            x = {name: 0.0 for name in odd.names}
+            oracle = Oracle(lambda probe: Outcome.PASS)
+            search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius_steps=1)
+            assert oracle.queries == 1
+        assert len(read) == 2 and read[0] is read[1] is counterfactual._RINGS[3, 1]
 
 
 def _ref_probes(x, odd, max_radius):

@@ -95,8 +95,13 @@ class TestDatasetCsv:
         ("dist_front,dist_front,ego_speed,lane_offset,outcome\n4.2,30,1,0,Fail\n",
          "duplicated column 'dist_front'"),
         ("a,outcome,outcome\n1,2,Pass\n", "duplicated column 'outcome'"),
+        # a fault is named by the line its record starts on, counting the
+        # lines that earlier quoted cells span
+        ('a,b,c,outcome\n"1\n",2,0,Pass\n1,x,0,Pass\n', "line 4: non-numeric feature value"),
+        ('a,b,c,outcome\n1,2,0,Pass\n"1\n",2,0\n', "line 3: expected 4 fields, got 3"),
     ], ids=["short-row", "long-row", "blank-row", "empty-file", "header-only",
-            "outcome-only", "duplicated-feature", "duplicated-outcome"])
+            "outcome-only", "duplicated-feature", "duplicated-outcome",
+            "after-a-spanning-record", "spanning-record"])
     def test_refusal_names_the_fault(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
