@@ -68,16 +68,12 @@ def _load_inputs(loader, path, *args):
 
 
 def _load_in_domain(rules_path, dataset_path, config_path):
-    """Load a dataset, an oracle config and rules. A run outside the config's
-    declared domain (or lacking one of its variables) cannot be searched or
-    scored, nor can a rule naming a variable the domain lacks: both are
-    refused as format errors."""
-    runs = _load_inputs(storage.load_dataset, dataset_path)
+    """Load an oracle config, a dataset within its declared domain and
+    rules. A run outside the domain (or lacking one of its variables) cannot
+    be searched or scored, nor can a rule naming a variable the domain
+    lacks: both are refused as format errors."""
     config = _load_inputs(storage.load_oracle_config, config_path)
-    for lineno, run in enumerate(runs, start=2):
-        if not config.odd.contains_point(run.x):
-            raise storage.FormatError(f"{dataset_path}: line {lineno}: "
-                                      f"run outside the declared domain: {run.x}")
+    runs = _load_inputs(storage.load_dataset, dataset_path, config.odd)
     rules = _load_inputs(storage.load_rules, rules_path, config.odd.names)
     return rules, runs, config
 

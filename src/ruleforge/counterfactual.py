@@ -15,27 +15,26 @@ only writer of that count. The query budget is checked once per ring (or,
 on a wide domain, once per table), not once per probe: a ring longer than
 the budget left is walked only that far.
 
-A domain of at most TABLE_FEATURES features reads each ring's offset vectors
-from one table that every search of the process shares: ring r of an
-n-feature domain with no bound, as each vector's nonzero (feature, offset)
-moves. It depends on n and r alone, so it is built once, on first use. A
-run within r steps of a bound keeps the vectors that stay in its range,
-which leaves the order as it is. Each probe is a copy of the run with its
-moves written in.
+Every ring's offset vectors come from one table that every search of the
+process shares: ring r of an n-feature domain with no bound, as each
+vector's nonzero (feature, offset) moves. It depends on n and r alone, so it
+is built once, on first use. A run within r steps of a bound keeps the
+vectors that stay in its range, which leaves the order as it is.
 
-A wider domain's ring comes from two parts of the offset vector. The leading
-features are walked by one iterative stack walk, which descends only into
-prefixes whose remainder the later features can take up, so no step of the
-walk is wasted; it writes each leading feature's value into one working
-dict only when the feature's offset changes. At each complete prefix, the
-trailing features (fewer than half of the domain's, and at most three) come
-from a table of the search: for that remainder, every in-domain offset
-vector of those features, in enumeration order, with the values it moves.
-So a prefix hands out its probes without stepping the walk. A probe is the
+A domain of at most TABLE_FEATURES features reads its rings whole from that
+table, and each probe is a copy of the run with its moves written in. A
+wider domain splits the offset vector in two. The leading features are
+walked by one iterative stack walk, which descends only into prefixes whose
+remainder the later features can take up, so no step of the walk is wasted;
+it writes each leading feature's value into one working dict only when the
+feature's offset changes. At each complete prefix, the trailing features
+(fewer than half of the domain's, and at most TABLE_FEATURES) take up the
+remainder from the shared ring of that many features, kept to their bounds:
+the search's table for that remainder, each vector with the values it
+moves, made when first needed and kept for the rest of the search. So a
+prefix hands out its probes without stepping the walk. A probe is the
 working dict merged with one table entry, a new dict per oracle query, so
-no oracle sees a dict that is later changed. A feature's offset choices at
-a remainder and a remainder's table are made when first needed and kept
-for the rest of the search.
+no oracle sees a dict that is later changed.
 
 Either way, probe values are computed ring by ring, and a probe's delta only
 when its outcome flips. The Decimal forms of an ODD variable's bounds and
@@ -55,11 +54,10 @@ from .semantics import Label, LabeledRun, Outcome, PolarizedRule, decisiveness
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RADIUS_STEPS = 20
 # The most features a domain may have for its searches to read the shared
-# rings, and the most trailing features a wider search reads from
-# per-remainder tables. A ring or table over three features holds at most
-# 4r^2 + 2 vectors at r, so the shared rings of a 3-feature domain, like one
-# wider search's tables, hold at most about 11,500 entries up to the default
-# radius.
+# rings whole, and the most trailing features a wider search reads from
+# them. A ring over three features holds at most 4r^2 + 2 vectors at r, so
+# the shared rings of three features hold at most about 11,500 entries up to
+# the default radius, and so do one wider search's tables.
 TABLE_FEATURES = 3
 
 
@@ -124,19 +122,14 @@ class _Memo(dict):
     __slots__ = ("make",)
 
     @classmethod
-    def of(cls, make: Callable, known=()) -> _Memo:
-        memo = cls(known)
+    def of(cls, make: Callable) -> _Memo:
+        memo = cls()
         memo.make = make
         return memo
 
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
-
-
-# One entry of a trailing-feature table: the offsets of the trailing
-# features, and the values of those whose offset is not 0.
-TableEntry = tuple[tuple[int, ...], dict[str, float]]
 
 
 def _trailing(n: int) -> int:
@@ -193,22 +186,6 @@ def _within(ring: tuple[Moves, ...], down: list[int], up: list[int]) -> list[Mov
     return kept
 
 
-def _table(name: str, values: dict[int, float], pick: Callable[[int], tuple[int, ...]],
-           shorter: dict[int, list[TableEntry]], rest: int) -> list[TableEntry]:
-    """Every offset vector of a feature and the features after it at
-    remainder rest, in enumeration order: the feature's choices (`pick`)
-    each followed by the later features' table (`shorter`)."""
-    table: list[TableEntry] = []
-    for m in pick(rest):
-        tails = shorter[rest - abs(m)]
-        if m:
-            move = {name: values[m]}
-            table += [((m, *vec), move | moved) for vec, moved in tails]
-        else:
-            table += [((0, *vec), moved) for vec, moved in tails]
-    return table
-
-
 class _Rings:
     """The probes of one search's rings around x, leaf by leaf.
 
@@ -216,13 +193,13 @@ class _Rings:
     value at m is values[i][m], where values[i][0] must be x's own value and
     the offsets +-r must be there before ring r is walked.
 
-    Per feature the candidate multiples are ordered ascending over the
-    nonzero values (negatives first), with 0 last so vectors touching
-    earlier features enumerate before those that leave them unchanged. A
-    feature is offered only the multiples whose remainder the later features
-    can take up, so every choice ends in at least one vector. A feature's
-    choices at a remainder, and the table of a remainder, are made on first
-    use and kept for the rest of the search.
+    The leading features are walked in enumeration order: per feature the
+    nonzero offsets ascending (negatives first), then 0. A leading feature
+    is offered only the offsets whose remainder the later features can take
+    up, so every choice ends in at least one vector. The trailing features'
+    vectors at a remainder are that shared ring of theirs, kept to their
+    bounds. A feature's choices at a remainder, and the table of a
+    remainder, are made on first use and kept for the rest of the search.
     """
 
     def __init__(self, x: dict[str, float], names: list[str], values: list[dict[int, float]],
@@ -234,24 +211,22 @@ class _Rings:
         self.reach = reach = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
             reach[i] = reach[i + 1] + max(down[i], up[i])
-        picks = [partial(_choices, down[i], up[i], reach[i + 1]) for i in range(n)]
         # choices[i][r]: leading feature i's offsets at remainder r.
-        self.choices = [_Memo.of(pick) for pick in picks[:lead]]
-        # tables[r]: the trailing features' table at remainder r, made from
-        # the tables of ever shorter suffixes of the features. Remainder 0
-        # has one vector, all zeros.
-        tables: dict[int, list[TableEntry]] = {0: [((), {})]}
-        for f in range(n - 1, lead - 1, -1):
-            tables = _Memo.of(partial(_table, names[f], values[f], picks[f], tables),
-                              {0: [((0,) * (n - f), {})]})
-        self.tables = tables
+        self.choices = [_Memo.of(partial(_choices, down[i], up[i], reach[i + 1]))
+                        for i in range(lead)]
+        # tables[r]: the trailing features' ring r, kept to their bounds,
+        # each vector as its moves with the values it moves.
+        trail, tvalues, tdown, tup = names[lead:], values[lead:], down[lead:], up[lead:]
+        self.tables = _Memo.of(lambda rest: [
+            (moves, {trail[i]: tvalues[i][m] for i, m in moves})
+            for moves in _within(_RINGS[n - lead, rest], tdown, tup)])
         #: The probe's values of the leading features, x's own elsewhere.
         self.work = dict(x)
         #: The leading features' offsets at the current leaf.
         self.offsets = [0] * lead
         self._rests = [0] * lead
 
-    def leaves(self, total: int) -> Iterator[list[TableEntry]]:
+    def leaves(self, total: int) -> Iterator[list[tuple[Moves, dict[str, float]]]]:
         """The probes of ring `total`, every offset vector with sum of
         magnitudes exactly `total`, in enumeration order: one table per
         complete prefix of the leading features. Each probe is `work`, as it
@@ -358,12 +333,13 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
                         if y_cf is not y:
                             return _pair(x, y, y_cf, names, values, steps, radius, moves)
                 else:
-                    for vec, moved in chunk:
+                    for trail, moved in chunk:
                         used += 1
                         y_cf = label(work | moved)
                         if y_cf is not y:
-                            offsets = (*rings.offsets, *vec)
-                            moves = tuple((i, m) for i, m in enumerate(offsets) if m)
+                            lead = rings.lead
+                            moves = (*((i, m) for i, m in enumerate(rings.offsets) if m),
+                                     *((lead + i, m) for i, m in trail))
                             return _pair(x, y, y_cf, names, values, steps, radius, moves)
                 if short:
                     raise OracleBudgetExceeded(f"budget of {budget} queries exhausted "

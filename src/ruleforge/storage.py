@@ -64,7 +64,11 @@ _run = partial(tuple.__new__, LabeledRun)
 BLOCK_ROWS = 1024
 
 
-def load_dataset(path: str | Path) -> list[LabeledRun]:
+def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRun]:
+    """The runs of a dataset CSV, in file order. Given odd, a run outside
+    its declared domain cannot be searched or scored: a header without a
+    column for one of its variables, and a record whose value lies outside
+    a variable's range, are refused like any other fault of the file."""
     path = Path(path)
     try:
         # utf-8-sig: a leading byte-order mark is not part of the first column name
@@ -83,11 +87,17 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
                 # a run keyed by column name would keep only the last copy
                 duplicate = next(name for i, name in enumerate(header) if name in header[:i])
                 _fail(path, f"duplicated column {duplicate!r}")
+            # (column, lo, hi) per ODD variable: the ranges contains_point admits
+            ranges = []
+            for name, lo, hi in odd.bounds if odd is not None else ():
+                if name not in features:
+                    _fail(path, f"no column for ODD variable {name!r}")
+                ranges.append((features.index(name), lo, hi))
             runs = []
             while rows := list(islice(reader, BLOCK_ROWS)):
-                block = _block_columns(rows, len(header))
+                block = _block_columns(rows, len(header), ranges)
                 if block is None:
-                    _row_fault(path, rows, reader.line_num, len(header))
+                    _row_fault(path, rows, reader.line_num, features, ranges)
                 del rows  # its cells are freed before the runs take their memory
                 columns, ys = block
                 xs = [{} for _ in ys]
@@ -104,11 +114,12 @@ def load_dataset(path: str | Path) -> list[LabeledRun]:
     return runs
 
 
-def _block_columns(rows: list[list[str]],
-                   width: int) -> tuple[list[list[float]], list[Outcome]] | None:
+def _block_columns(rows: list[list[str]], width: int, ranges: list[tuple[int, float, float]]
+                   ) -> tuple[list[list[float]], list[Outcome]] | None:
     """The feature columns of a block of rows, as floats, and its outcomes,
     each converted a column at a time; None when any row is faulty, which
-    _row_fault then names."""
+    _row_fault then names. ranges holds (column, lo, hi) per column that
+    must lie within [lo, hi]."""
     if set(map(len, rows)) != {width}:
         return None
     *cells, labels = zip(*rows)
@@ -119,14 +130,18 @@ def _block_columns(rows: list[list[str]],
     ys = list(map(_OUTCOMES.get, labels))
     if None in ys or not all(all(map(math.isfinite, column)) for column in columns):
         return None
+    if not all(lo <= min(columns[j]) and max(columns[j]) <= hi for j, lo, hi in ranges):
+        return None
     return columns, ys
 
 
-def _row_fault(path, rows: list[list[str]], end: int, width: int):
+def _row_fault(path, rows: list[list[str]], end: int, features: list[str],
+               ranges: list[tuple[int, float, float]]):
     """Refuse the first faulty row of rows, the last of which ends on line
     end, by the line its record starts on: the one place a row's fault is
     worded. Its checks are those of _block_columns, so a block that one
     refuses has a row that the other does."""
+    width = len(features) + 1
     lineno = end + 1 - sum(map(_lines, rows))
     for row in rows:
         if len(row) != width:
@@ -139,6 +154,9 @@ def _row_fault(path, rows: list[list[str]], end: int, width: int):
             _fail(path, f"line {lineno}: non-finite feature value")
         if row[-1] not in _OUTCOMES:
             _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
+        if not all(lo <= values[j] <= hi for j, lo, hi in ranges):
+            _fail(path, f"line {lineno}: run outside the declared domain: "
+                        f"{dict(zip(features, values))}")
         lineno += _lines(row)
 
 

@@ -129,13 +129,28 @@ def _relation_truth(rel: Relation, box) -> bool | None:
         return True if lo > 0 else (False if hi <= 0 else None)
     if rel.op is RelOp.GE:
         return True if lo >= 0 else (False if hi < 0 else None)
-    # The band |lhs - rhs| <= EPS_EQ, its ends rounded as _cut_box rounds
-    # the band of a direct ==.
-    inner = (True if (rhi - EPS_EQ <= llo and lhi <= rlo + EPS_EQ)
-             else (False if (llo > rhi + EPS_EQ or lhi < rlo - EPS_EQ) else None))
+    # The band abs(lhs - rhs) <= EPS_EQ, tested on the rounded difference as
+    # the compiled relation tests it: its least and greatest are lo and hi.
+    inner = (True if -EPS_EQ <= lo and hi <= EPS_EQ
+             else (False if lo > EPS_EQ or hi < -EPS_EQ else None))
     if rel.op is RelOp.EQ or inner is None:
         return inner
     return not inner  # NE
+
+
+def _eq_band(c: float) -> tuple[float, float]:
+    """The least and greatest floats x with abs(x - c) <= EPS_EQ, the
+    difference rounded as a compiled == rounds it. The rounded difference
+    grows with x, so the floats between the two are those == admits."""
+    ends = []
+    for start, away in ((c - EPS_EQ, -math.inf), (c + EPS_EQ, math.inf)):
+        x = start
+        while abs(x - c) > EPS_EQ:
+            x = math.nextafter(x, c)
+        while abs(math.nextafter(x, away) - c) <= EPS_EQ:
+            x = math.nextafter(x, away)
+        ends.append(x)
+    return ends[0], ends[1]
 
 
 def _and3(values) -> bool | None:
@@ -172,7 +187,7 @@ def _cut_box(relations, odd: OddSpec, widened: bool = False):
     direct bounds among the relations cut out of the domain (its declared
     ranges, or with widened the ranges odd.bounds widens by DOMAIN_TOL), and
     the relations that are no box (!= and compound sides). == is the closed
-    band [c - EPS_EQ, c + EPS_EQ].
+    band of the floats it admits, _eq_band(c).
 
     A lower end is (value, open) and an upper end (value, closed), so tuple
     order makes max()/min() pick the tighter end, x lies inside when
@@ -188,11 +203,11 @@ def _cut_box(relations, odd: OddSpec, widened: bool = False):
             residual.append(rel)
             continue
         name, op, c = bound
-        band = EPS_EQ if op is RelOp.EQ else 0.0
+        least, greatest = _eq_band(c) if op is RelOp.EQ else (c, c)
         if op in (RelOp.GT, RelOp.GE, RelOp.EQ):
-            lower[name] = max(lower[name], (c - band, op is RelOp.GT))
+            lower[name] = max(lower[name], (least, op is RelOp.GT))
         if op in (RelOp.LT, RelOp.LE, RelOp.EQ):
-            upper[name] = min(upper[name], (c + band, op is not RelOp.LT))
+            upper[name] = min(upper[name], (greatest, op is not RelOp.LT))
     return {name: (lower[name], upper[name]) for name in lower}, residual
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -533,6 +534,32 @@ class TestOutOfDomainRows:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"line {last_line}: run outside the declared domain" in err
+
+    def test_refusal_names_the_physical_line(self, workspace, tmp_path, capsys, off_domain):
+        """A record over two lines earlier in the file moves the refused run
+        one physical line down, and the refusal names that line."""
+        dataset, _ = off_domain
+        head, first, rest = dataset.read_text().split("\n", 2)
+        cell, others = first.split(",", 1)
+        dataset.write_text(f'{head}\n"{cell}\n",{others}\n{rest}')
+        last_line = len(dataset.read_text().splitlines())
+        code = main(["cf", "--rules", str(workspace / "rules.json"), "--dataset", str(dataset),
+                     "--config", str(workspace / "oracle_config.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line {last_line}: run outside the declared domain" in err
+        assert "Traceback" not in err
+
+    def test_missing_variable_column_is_named(self, workspace, tmp_path, capsys):
+        rows = list(csv.reader((workspace / "dataset.csv").read_text().splitlines()))
+        column = rows[0].index("lane_offset")
+        dataset = tmp_path / "no_lane.csv"
+        dataset.write_text("".join(",".join(row[:column] + row[column + 1:]) + "\n"
+                                   for row in rows))
+        code = main(["cf", "--rules", str(workspace / "rules.json"), "--dataset", str(dataset),
+                     "--config", str(workspace / "oracle_config.json")])
+        assert code == 2
+        assert "no column for ODD variable 'lane_offset'" in capsys.readouterr().err
 
 
 def _rules_file(tmp_path, entries):

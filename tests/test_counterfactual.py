@@ -303,7 +303,7 @@ def _ref_offset_vectors(down, up, total):
 
 def _walk_offsets(down, up, total):
     """The offset vectors of one ring, read from the walk's prefix `offsets`
-    and each table entry's trailing offsets at each probe; each probe must
+    and each table entry's trailing moves at each probe; each probe must
     hold exactly the values its vector selects."""
     names = [f"f{i}" for i in range(len(down))]
     # distinct values per feature and offset, so a stale write shows
@@ -313,8 +313,11 @@ def _walk_offsets(down, up, total):
     rings = _Rings(x, names, values, down, up)
     vectors = []
     for leaf in rings.leaves(total):
-        for vec, moved in leaf:
-            offsets = (*rings.offsets, *vec)
+        for trail, moved in leaf:
+            offsets = [*rings.offsets, *[0] * (len(down) - rings.lead)]
+            for i, m in trail:
+                offsets[rings.lead + i] = m
+            offsets = tuple(offsets)
             probe = rings.work | moved
             assert probe == {name: table[m] for name, table, m in zip(names, values, offsets)}
             vectors.append(offsets)
@@ -389,6 +392,22 @@ class TestSharedRings:
             search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius_steps=1)
             assert oracle.queries == 1
         assert len(read) == 2 and read[0] is read[1] is counterfactual._RINGS[3, 1]
+
+    def test_wide_search_reads_its_tables_from_the_shared_rings(self, monkeypatch):
+        """An 8-feature search takes its last three features' vectors at
+        each remainder from the shared 3-feature ring of that remainder,
+        once per remainder."""
+        read = []
+        within = counterfactual._within
+        monkeypatch.setattr(counterfactual, "_within",
+                            lambda ring, down, up: read.append(ring) or within(ring, down, up))
+        odd = odd_spec([(f"f{i}", 0.0, 3.0, 1.0) for i in range(8)])
+        x = {name: 1.0 for name in odd.names}
+        with pytest.raises(CounterfactualNotFound):
+            search_counterfactual(x, Outcome.FAIL, Oracle(lambda probe: Outcome.FAIL), odd,
+                                  max_radius_steps=2)
+        assert len(read) == 3
+        assert all(ring is counterfactual._RINGS[3, r] for ring, r in zip(read, (0, 1, 2)))
 
 
 def _ref_probes(x, odd, max_radius):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ruleforge import (DeterministicGenerator, build_evidence, default_config, make_oracle,
                        parse_rule, refine_loop, sample_dataset)
-from ruleforge.grammar import fmt_number
+from ruleforge.grammar import fmt_number, odd_spec
 from ruleforge.semantics import LabeledRun, Outcome, PolarizedRule, Polarity
 from ruleforge import storage
 from ruleforge.cli import main
@@ -190,8 +190,9 @@ class TestDatasetCsv:
         assert peak <= 1.25 * retained
 
 
-def _ref_load_dataset(path):
-    """The row-by-row loader, kept as the reference only."""
+def _ref_load_dataset(path, odd=None):
+    """The row-by-row loader, kept as the reference only; given odd, it
+    refuses as the CLI once did after loading, by contains_point."""
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -208,6 +209,9 @@ def _ref_load_dataset(path):
             if len(set(header)) != len(header):
                 duplicate = next(name for i, name in enumerate(header) if name in header[:i])
                 storage._fail(path, f"duplicated column {duplicate!r}")
+            for name in odd.names if odd is not None else ():
+                if name not in features:
+                    storage._fail(path, f"no column for ODD variable {name!r}")
             runs = []
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
@@ -223,6 +227,8 @@ def _ref_load_dataset(path):
                 if y is None:
                     storage._fail(path, f"line {lineno}: outcome must be Pass or Fail, "
                                         f"got {row[-1]!r}")
+                if odd is not None and not odd.contains_point(x):
+                    storage._fail(path, f"line {lineno}: run outside the declared domain: {x}")
                 runs.append(LabeledRun(x=x, y=y))
     except UnicodeDecodeError as exc:
         storage._fail(path, f"not UTF-8 text: {exc.reason}")
@@ -319,6 +325,28 @@ class TestLoadMatchesRowByRowReference:
         def result(load):
             try:
                 return [(repr(run.x), run.y) for run in load(path)]
+            except storage.FormatError as exc:
+                return str(exc)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage, "BLOCK_ROWS", 3)
+            assert result(storage.load_dataset) == result(_ref_load_dataset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_dataset_texts(), ranges=st.lists(
+        st.sampled_from([(-1.0, 5.0), (0.0, 4.05), (2.5, 2.5), (-1e300, 1e300)]),
+        min_size=1, max_size=5))
+    def test_domain_refusal_equal_in_blocks_of_three(self, tmp_path_factory, text, ranges):
+        """Given an ODD over f0.. (one more variable than the file may have
+        columns), equal runs or an equal refusal: a missing column, or the
+        first fault in line order, a run outside the domain included."""
+        path = tmp_path_factory.getbasetemp() / "domain.csv"
+        path.write_text(text, encoding="utf-8")
+        odd = odd_spec([(f"f{i}", lo, hi, 0.5) for i, (lo, hi) in enumerate(ranges)])
+
+        def result(load):
+            try:
+                return [(repr(run.x), run.y) for run in load(path, odd)]
             except storage.FormatError as exc:
                 return str(exc)
 

@@ -174,6 +174,18 @@ class TestCheckContradiction:
         (clear,) = check_contradiction(candidate, opposing, odd)
         assert clear.status is ContradictionStatus.CLEAR
 
+    def test_run_just_past_an_equality_band_flags_its_negation(self):
+        # the != holds where the rounded abs(a - 4) exceeds EPS_EQ, so a run
+        # contains_point admits just above max flags what the band test
+        # must not clear
+        odd = odd_spec([("a", 0.0, 4.0, 1.0)])
+        run = {"a": 4.000000001}
+        assert odd.contains_point(run) and abs(run["a"] - 4) > EPS_EQ
+        (result,) = check_contradiction(_pass("(4 <= a)"), [_fail("(a != 4)")], odd,
+                                        dataset=[LabeledRun(run, Outcome.PASS)])
+        assert result.status is ContradictionStatus.FLAGGED
+        assert result.witness == run
+
     def test_grid_equivalence_on_random_pairs(self):
         rng = random.Random(9)
         domains = [odd_spec([("a", 0.0, 10.0, 1.0)]),
