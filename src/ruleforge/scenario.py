@@ -4,12 +4,12 @@ Stands in for an expensive simulator: a ground-truth safe region expressed
 in the rule DSL labels any in-domain input deterministically. Every label
 is one call of the config's label function (OracleConfig.label), which
 semantics.compile_label generates from the ODD's bounds and the safe region
-in one compile, on first use: it checks the point against every ODD bound
-and itself raises OutOfDomain (defined in semantics, exported here) for a
-point outside, then evaluates the safe region inline. The canned fixture
-pairs a 198-run dataset with a baseline pass rule that mismatches the
-oracle on exactly 27 runs, so refinement experiments have a stable,
-reproducible starting point.
+on first use, compiling only a shape that no earlier label had: it checks
+the point against every ODD bound and itself raises OutOfDomain (defined in
+semantics, exported here) for a point outside, then evaluates the safe
+region inline. The canned fixture pairs a 198-run dataset with a baseline
+pass rule that mismatches the oracle on exactly 27 runs, so refinement
+experiments have a stable, reproducible starting point.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class OracleConfig:
 
     @cached_property
     def label(self) -> Label:
-        """The oracle label of this config, from one compile on first use.
-        It is kept on the instance, outside the fields, so equality, hash
-        and repr ignore it, and dataclasses.replace builds a new one."""
+        """The oracle label of this config, built on first use. It is kept
+        on the instance, outside the fields, so equality, hash and repr
+        ignore it, and dataclasses.replace builds a new one."""
         return compile_label(self.safe_region, self.odd.bounds)
 
     def __getstate__(self):

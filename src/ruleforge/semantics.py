@@ -5,22 +5,26 @@ holds, a fail rule asserts Fail. Holding-but-wrong is Inconsistent; not
 holding is Inconclusive and the observed outcome is ignored.
 
 Every evaluation goes through one function per rule, generated from its AST
-and compiled on first use (compile_rule). == and != hold within EPS_EQ; a
-division by zero makes its relation false and appends "division by zero in
-<relation>" to the diagnostics, in rule order; a variable missing from the
-input raises UnboundVariable. The oracle's safe region is compiled the same
-way, once, into a label that checks the domain first (compile_label) and
-itself raises OutOfDomain, defined here, for a point outside it.
+on first use (compile_rule). == and != hold within EPS_EQ; a division by
+zero makes its relation false and appends "division by zero in <relation>"
+to the diagnostics, in rule order; a variable missing from the input raises
+UnboundVariable. The oracle's safe region is built the same way, once, into
+a label that checks the domain first (compile_label) and itself raises
+OutOfDomain, defined here, for a point outside it. Constants never enter the
+generated source, so rules that differ only in constants share one compiled
+code object from a bounded table (_code): a refine compiles each rule shape
+once, however many thresholds it tries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from types import CodeType
 from typing import Callable, NamedTuple
 
-from .grammar import (ArithOp, BinOp, Expr, Relation, RelOp, RuleAst, print_expr, print_relation,
-                      print_rule)
+from .grammar import ArithOp, BinOp, Expr, Relation, RelOp, RuleAst, print_expr, print_relation
 
 #: The tolerance of == and != in every rule, the oracle's safe region included.
 EPS_EQ = 1e-9
@@ -88,8 +92,9 @@ def _has_division(expr: Expr) -> bool:
 
 
 def _build(ast: RuleAst, bounds: Bounds | None = None) -> Holds | Label:
-    """Generate, compile and return the Python function of one rule: its
-    holds(x, diag), or given bounds, the label(x) of compile_label.
+    """Generate and return the Python function of one rule: its
+    holds(x, diag), or given bounds, the label(x) of compile_label. The
+    source is compiled by _code, once per shape.
 
     Variables read x[name] (the name is a validated identifier, quoted with
     repr); constants, bounds and diagnostic texts are bound as named slots,
@@ -153,18 +158,32 @@ def _build(ast: RuleAst, bounds: Bounds | None = None) -> Holds | Label:
                 "            raise UnboundVariable(exc.args[0]) from None\n"
               + f"    return {name}\n")
     namespace: dict[str, object] = {}
-    exec(compile(source, f"<rule {print_rule(ast)}>", "exec"), namespace)
+    exec(_code(source, "<rule>" if bounds is None else "<label>"), namespace)
     return namespace.pop("make")(**slots)
+
+
+#: How many generated sources keep their compiled code: a job sees a few
+#: rule shapes, a whole test run thousands.
+CODE_TABLE_SIZE = 256
+
+
+@lru_cache(maxsize=CODE_TABLE_SIZE)
+def _code(source: str, filename: str) -> CodeType:
+    """The compiled code of one generated source, shared by every rule of
+    its shape: rules that differ only in constants, bounds or diagnostic
+    texts generate the same source and differ only in their slots."""
+    return compile(source, filename, "exec")
 
 
 def compile_rule(ast: RuleAst) -> Holds:
     """The rule as one function holds(x, diagnostics).
 
     Built on the first call for an AST object and kept on that object, so a
-    later call is one attribute read: the AST is never hashed. Relations
-    short-circuit in rule order, equality holds within EPS_EQ, a division by
-    zero makes its relation false and appends a diagnostic (when diagnostics
-    is a list), and a missing binding raises UnboundVariable."""
+    later call is one attribute read: the AST is never hashed, and an AST
+    of a shape already compiled compiles nothing. Relations short-circuit in
+    rule order, equality holds within EPS_EQ, a division by zero makes its
+    relation false and appends a diagnostic (when diagnostics is a list),
+    and a missing binding raises UnboundVariable."""
     try:
         return ast._holds
     except AttributeError:
@@ -180,8 +199,8 @@ def compile_label(ast: RuleAst, bounds: Bounds) -> Label:
     x binds every name of bounds within its [lo, hi] (NaN and infinities are
     outside), and then returns Outcome.PASS where the rule holds and
     Outcome.FAIL elsewhere, as compile_rule's function decides it. The
-    guard and the rule are one generated function from one compile; nothing
-    is kept on the AST."""
+    guard and the rule are one generated function, compiled once per shape;
+    nothing is kept on the AST."""
     return _build(ast, bounds)
 
 

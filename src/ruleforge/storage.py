@@ -3,6 +3,8 @@
 * Dataset CSV: feature columns plus a final ``outcome`` column of
   Pass/Fail, UTF-8, comma separated. Numbers are written in canonical
   decimal form so store(load(path)) is byte-identical for canonical files.
+  Loaded with an ODD, a run lists its features in ODD order, then any other
+  columns in file order, so the column order of a file changes no artifact.
   Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
   a faulty block is walked row by row to name the line on which its first
   faulty record starts. A clean block's row dicts are filled a column at a
@@ -68,7 +70,9 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
     """The runs of a dataset CSV, in file order. Given odd, a run outside
     its declared domain cannot be searched or scored: a header without a
     column for one of its variables, and a record whose value lies outside
-    a variable's range, are refused like any other fault of the file."""
+    a variable's range, are refused like any other fault of the file. Each
+    run's features are keyed in column order, or given odd, in ODD order
+    followed by the other columns in column order."""
     path = Path(path)
     try:
         # utf-8-sig: a leading byte-order mark is not part of the first column name
@@ -93,6 +97,9 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
                 if name not in features:
                     _fail(path, f"no column for ODD variable {name!r}")
                 ranges.append((features.index(name), lo, hi))
+            # a run's keys in ODD order, then the other columns in file order
+            order = [j for j, _, _ in ranges]
+            order += [j for j in range(len(features)) if j not in order]
             runs = []
             while rows := list(islice(reader, BLOCK_ROWS)):
                 block = _block_columns(rows, len(header), ranges)
@@ -101,9 +108,9 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
                 del rows  # its cells are freed before the runs take their memory
                 columns, ys = block
                 xs = [{} for _ in ys]
-                for name, column in zip(features, columns):
+                for j in order:
                     # one C loop of x[name] = value over the block's rows
-                    deque(map(setitem, xs, repeat(name), column), maxlen=0)
+                    deque(map(setitem, xs, repeat(features[j]), columns[j]), maxlen=0)
                 runs += map(_run, zip(xs, ys))
     except UnicodeDecodeError as exc:
         _fail(path, f"not UTF-8 text: {exc.reason}")

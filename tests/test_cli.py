@@ -386,6 +386,38 @@ class TestArtifactsAgree:
         assert len(evidence["pairs"]) == result["n_mismatch"]
 
 
+class TestColumnOrder:
+    """A dataset's runs list their features in ODD order, whatever the order
+    of its columns, so permuting the columns of a dataset changes no byte of
+    refine's artifacts and none of cf's evidence but its dataset_ref."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_permuted_columns_write_the_same_artifacts(self, tmp_path, seed):
+        work = tmp_path / "work"
+        assert main(["sim", "--reference-fixture", "--seed", str(seed), "--out", str(work)]) == 0
+        with open(work / "dataset.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        order = [rows[0].index(name)
+                 for name in ("lane_offset", "ego_speed", "dist_front", "outcome")]
+        assert order != sorted(order)
+        permuted = tmp_path / "permuted.csv"
+        with open(permuted, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([row[j] for j in order] for row in rows)
+        artifacts = []
+        for dataset in (work / "dataset.csv", permuted):
+            out = tmp_path / dataset.stem
+            inputs = ["--rules", str(work / "rules.json"), "--dataset", str(dataset),
+                      "--config", str(work / "oracle_config.json")]
+            assert main(["refine", *inputs, "--generator", "local", "--out", str(out)]) == 0
+            assert main(["cf", *inputs, "--out", str(out / "evidence.json")]) == 0
+            # key order kept: a point's features are compared in their order
+            evidence = json.loads((out / "evidence.json").read_text(), object_pairs_hook=list)
+            evidence.remove(("dataset_ref", str(dataset)))
+            artifacts.append(((out / "outcome.json").read_bytes(),
+                              (out / "report.txt").read_bytes(), evidence))
+        assert artifacts[0] == artifacts[1]
+
+
 class TestOutUnderMissingDirectory:
     """Every verb creates the parent of the file --out names, as `sim` and
     `refine` create their output directory."""

@@ -367,9 +367,10 @@ class TestOracleCallPath:
         assert oracle.queries > 0 and len(calls) == oracle.queries
 
     def test_fixture_refine_compiles_each_rule_once(self, tmp_path, monkeypatch):
-        """A fixture refine compiles the baseline, the oracle's label and the
-        three candidates scored, each once: five compiles, the safe region's
-        one of them."""
+        """A fixture refine compiles one rule shape, shared by the baseline
+        and the candidates scored, and the oracle's label: two compiles from
+        an empty code table. A second refine compiles nothing and writes the
+        same bytes."""
         assert main(["sim", "--reference-fixture", "--seed", "42", "--out", str(tmp_path)]) == 0
         names = []
 
@@ -378,10 +379,14 @@ class TestOracleCallPath:
             return builtins.compile(source, filename, mode)
 
         monkeypatch.setattr(semantics, "compile", counting, raising=False)
-        assert main(["refine", "--rules", str(tmp_path / "rules.json"),
-                     "--dataset", str(tmp_path / "dataset.csv"),
-                     "--config", str(tmp_path / "oracle_config.json"),
-                     "--generator", "local", "--out", str(tmp_path / "run")]) == 0
-        assert len(names) <= 5
-        safe_region = print_rule(parse_rule(scenario.DEFAULT_SAFE_REGION))
-        assert names.count(f"<rule {safe_region}>") == 1
+        semantics._code.cache_clear()
+        outputs = []
+        for run in ("run", "run-again"):
+            out = tmp_path / run
+            assert main(["refine", "--rules", str(tmp_path / "rules.json"),
+                         "--dataset", str(tmp_path / "dataset.csv"),
+                         "--config", str(tmp_path / "oracle_config.json"),
+                         "--generator", "local", "--out", str(out)]) == 0
+            assert sorted(names) == ["<label>", "<rule>"]
+            outputs.append([(out / name).read_bytes() for name in ("outcome.json", "report.txt")])
+        assert outputs[0] == outputs[1]

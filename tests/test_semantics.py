@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from ruleforge import (DecisivenessReport, EmptyDataset, LabeledRun, Outcome, PolarizedRule,
                        Polarity, UnboundVariable, decisiveness, evaluate, odd_spec, parse_rule,
                        print_rule, random_rule, semantics)
-from ruleforge.grammar import Const, RelOp, Var, direct_bound, print_relation
-from ruleforge.semantics import EPS_EQ
+from ruleforge.grammar import (BinOp, Conjunct, Const, Relation, RelOp, RuleAst, Var, direct_bound,
+                               print_relation)
+from ruleforge.scenario import OracleConfig
+from ruleforge.semantics import EPS_EQ, OutOfDomain, compile_rule
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
 R1 = parse_rule("(dist_front < 5.0) and (ego_speed > 0)")
@@ -287,20 +289,45 @@ def _probe_points(ast, odd, rng):
     return points
 
 
+def _other_constants(expr, step):
+    """expr with step added to every constant: the same shape, whose
+    relations print, and so diagnose a division, with other texts."""
+    if isinstance(expr, Const):
+        return Const(expr.value + step)
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, _other_constants(expr.left, step),
+                     _other_constants(expr.right, step))
+    return expr
+
+
+def _same_shape(ast, step):
+    return RuleAst(tuple(
+        Conjunct(tuple(Relation(_other_constants(rel.lhs, step), rel.op,
+                                _other_constants(rel.rhs, step)) for rel in conj.relations))
+        for conj in ast.disjuncts))
+
+
 class TestCompiledEvaluator:
     def test_matches_the_tree_walk(self):
+        """Each rule is compiled after a rule of its shape with other
+        constants, whose code it shares; both still evaluate as the tree
+        walk does, each by its own constants and diagnostic texts."""
         rng = random.Random(31)
         asts = ([random_rule(seed, DIV_DOMAIN, 3, 3) for seed in range(500)]
                 + [parse_rule(text) for text in DIV_RULES])
+        semantics._code.cache_clear()
         divisions = 0
         for ast in asts:
+            twin = _same_shape(ast, rng.choice([-1.5, 0.5, 2.0]))
+            assert compile_rule(twin).__code__ is compile_rule(ast).__code__
             for x in _probe_points(ast, DIV_DOMAIN, rng):
-                expected = _outcome(_ref_evaluate, ast, x)
-                got = _outcome(evaluate, ast, x)
-                assert got == expected, (print_rule(ast), x)
-                if isinstance(expected[0], bool):
-                    assert got[0] is expected[0]  # a real bool, never a truthy operand
-                divisions += bool(expected[1])
+                for rule in (ast, twin):
+                    expected = _outcome(_ref_evaluate, rule, x)
+                    got = _outcome(evaluate, rule, x)
+                    assert got == expected, (print_rule(rule), x)
+                    if isinstance(expected[0], bool):
+                        assert got[0] is expected[0]  # a real bool, never a truthy operand
+                    divisions += bool(expected[1])
                 # one variable missing: the same name is unbound, or the
                 # short-circuit never reads it in either evaluator
                 drop = rng.choice(DIV_DOMAIN.names)
@@ -308,6 +335,21 @@ class TestCompiledEvaluator:
                 assert (_outcome(evaluate, ast, partial)
                         == _outcome(_ref_evaluate, ast, partial))
         assert divisions > 100
+
+    def test_labels_of_one_shape_refuse_by_their_own_ranges(self):
+        """Two configs with one safe region over the same names share the
+        label's code, and each refuses a point by its own ranges."""
+        region = parse_rule("(a / b > 1) or (c == 2)")
+        narrow, wide = (OracleConfig(odd_spec([("a", -2.0, hi, 0.5), ("b", -1.0, 1.0, 0.25),
+                                               ("c", 0.0, 3.0 * hi, 1.0)]), region, 0)
+                        for hi in (2.0, 4.0))
+        assert narrow.label.__code__ is wide.label.__code__
+        inside = {"a": 3.0, "b": 0.5, "c": 6.0}
+        assert wide.label(inside) is Outcome.PASS
+        with pytest.raises(OutOfDomain):
+            narrow.label(inside)
+        assert narrow.label({"a": 1.0, "b": 0.0, "c": 2.0}) is Outcome.PASS
+        assert wide.label({"a": 1.0, "b": 0.0, "c": 2.5}) is Outcome.FAIL
 
     def test_decisiveness_reports_match(self):
         rng = random.Random(5)

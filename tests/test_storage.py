@@ -192,7 +192,8 @@ class TestDatasetCsv:
 
 def _ref_load_dataset(path, odd=None):
     """The row-by-row loader, kept as the reference only; given odd, it
-    refuses as the CLI once did after loading, by contains_point."""
+    refuses as the CLI once did after loading, by contains_point, and keys
+    each run in ODD order, then the other columns in file order."""
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -229,6 +230,8 @@ def _ref_load_dataset(path, odd=None):
                                         f"got {row[-1]!r}")
                 if odd is not None and not odd.contains_point(x):
                     storage._fail(path, f"line {lineno}: run outside the declared domain: {x}")
+                if odd is not None:
+                    x = {**{name: x[name] for name in odd.names}, **x}
                 runs.append(LabeledRun(x=x, y=y))
     except UnicodeDecodeError as exc:
         storage._fail(path, f"not UTF-8 text: {exc.reason}")
@@ -335,14 +338,18 @@ class TestLoadMatchesRowByRowReference:
     @settings(max_examples=300, deadline=None)
     @given(text=_dataset_texts(), ranges=st.lists(
         st.sampled_from([(-1.0, 5.0), (0.0, 4.05), (2.5, 2.5), (-1e300, 1e300)]),
-        min_size=1, max_size=5))
-    def test_domain_refusal_equal_in_blocks_of_three(self, tmp_path_factory, text, ranges):
+        min_size=1, max_size=5), reverse=st.booleans())
+    @example(text="f0,f1,f2,outcome\n1,2,3,Pass\n", ranges=[(-1.0, 5.0)] * 2, reverse=True)
+    def test_domain_refusal_equal_in_blocks_of_three(self, tmp_path_factory, text, ranges,
+                                                     reverse):
         """Given an ODD over f0.. (one more variable than the file may have
-        columns), equal runs or an equal refusal: a missing column, or the
-        first fault in line order, a run outside the domain included."""
+        columns), in column order or reversed, equal runs (key order
+        included) or an equal refusal: a missing column, or the first fault
+        in line order, a run outside the domain included."""
         path = tmp_path_factory.getbasetemp() / "domain.csv"
         path.write_text(text, encoding="utf-8")
-        odd = odd_spec([(f"f{i}", lo, hi, 0.5) for i, (lo, hi) in enumerate(ranges)])
+        variables = [(f"f{i}", lo, hi, 0.5) for i, (lo, hi) in enumerate(ranges)]
+        odd = odd_spec(variables[::-1] if reverse else variables)
 
         def result(load):
             try:
