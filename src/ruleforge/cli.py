@@ -68,10 +68,10 @@ def _load_inputs(loader, path, *args):
 
 
 def _load_in_domain(rules_path, dataset_path, config_path):
-    """Load an oracle config, a dataset within its declared domain and
-    rules. A run outside the domain (or lacking one of its variables) cannot
-    be searched or scored, nor can a rule naming a variable the domain
-    lacks: both are refused as format errors."""
+    """Load an oracle config, a dataset on its declared step grid and
+    rules. A run off the grid (or lacking one of its variables) cannot be
+    searched or scored, nor can a rule naming a variable the domain lacks:
+    both are refused as format errors."""
     config = _load_inputs(storage.load_oracle_config, config_path)
     runs = _load_inputs(storage.load_dataset, dataset_path, config.odd)
     rules = _load_inputs(storage.load_rules, rules_path, config.odd.names)

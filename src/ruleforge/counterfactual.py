@@ -6,9 +6,10 @@ returns the first probe whose observed outcome flips. Enumeration order is
 fixed so results are reproducible: rings of increasing total step count;
 within a ring, offset vectors ordered feature-major in declared ODD order
 with negative offsets before positive ones and untouched-feature
-continuations last. Offsets that would leave a feature's [min, max] range
-are never enumerated, so every probe stays inside the domain, each probe
-costs exactly one oracle query, and the step-unit L1 of the result is exact.
+continuations last. A feature at grid index k (OddVariable.index_of) moves
+by offsets m in [-k, grid_count - 1 - k] to grid value k + m, so every probe
+is a grid point of the domain, each probe costs exactly one oracle query,
+and the step-unit L1 of the result is exact.
 A search calls the oracle's `label` itself, once per probe, and adds its
 probes to the oracle's `queries` when it ends, however it ends: it is the
 only writer of that count. The query budget is checked once per ring (or,
@@ -37,18 +38,16 @@ working dict merged with one table entry, a new dict per oracle query, so
 no oracle sees a dict that is later changed.
 
 Either way, probe values are computed ring by ring, and a probe's delta only
-when its outcome flips. The Decimal forms of an ODD variable's bounds and
-step are computed once per variable.
+when its outcome flips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .grammar import OddSpec, print_rule
+from .grammar import OddSpec, _Memo, exact_moves, print_rule
 from .semantics import Label, LabeledRun, Outcome, PolarizedRule, decisiveness
 
 DEFAULT_BUDGET = 10_000
@@ -110,26 +109,6 @@ class EvidenceFile:
     dataset_ref: str
     pairs: tuple[CounterfactualPair, ...]
     unresolved: tuple[int, ...]  # run indices with no counterfactual in budget
-
-
-def _dec(value: float) -> Decimal:
-    return Decimal(repr(value))
-
-
-class _Memo(dict):
-    """A dict that makes a missing key's value with `make(key)` on first
-    lookup, and keeps it."""
-    __slots__ = ("make",)
-
-    @classmethod
-    def of(cls, make: Callable) -> _Memo:
-        memo = cls()
-        memo.make = make
-        return memo
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def _trailing(n: int) -> int:
@@ -264,14 +243,12 @@ class _Rings:
 
 
 def _pair(x: dict[str, float], y: Outcome, y_cf: Outcome, names: list[str],
-          values: list[dict[int, float]], steps: list[Decimal], radius: int,
-          moves: Moves) -> CounterfactualPair:
+          values: list[dict[int, float]], radius: int, moves: Moves) -> CounterfactualPair:
     """The pair of x and its flipped probe, the copy of x that moves makes."""
     x_cf = x.copy()
     for i, m in moves:
         x_cf[names[i]] = values[i][m]
-    delta = {names[i]: float(steps[i] * m) for i, m in moves}
-    l1 = float(sum((abs(_dec(d)) for d in delta.values()), Decimal(0)))
+    delta, l1 = exact_moves(x, x_cf, [names[i] for i, _ in moves])
     return CounterfactualPair(x=dict(x), y=y, x_cf=x_cf, y_cf=y_cf,
                               delta=delta, l1=l1, l1_steps=radius)
 
@@ -283,18 +260,15 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     outcome differs from y. No in-domain step-grid point with a strictly
     smaller step-unit L1 flips the outcome.
 
-    Raises CounterfactualNotFound when the radius limit is exhausted and
-    OracleBudgetExceeded when the query budget runs out mid-ring.
+    Raises ValueError when x lies off the step grid, CounterfactualNotFound when
+    the radius limit is exhausted, OracleBudgetExceeded when the budget runs out mid-ring.
     """
-    if not odd.contains_point(x):
-        raise ValueError("input lies outside the declared domain")
     names = odd.names
-    exact = [v.exact for v in odd.variables]
-    base = [_dec(x[name]) for name in names]
-    steps = [step for _, _, step in exact]
-    # Largest in-range magnitude per feature, per direction.
-    down = [int((b - lo) / s) for (lo, _, s), b in zip(exact, base)]
-    up = [int((hi - b) / s) for (_, hi, s), b in zip(exact, base)]
+    # Per feature, x's grid index, which is also the largest offset down.
+    down = [v.index_of(x[v.name]) if v.name in x else None for v in odd.variables]
+    if None in down:
+        raise ValueError("input lies outside the declared domain's grid")
+    up = [v.grid_count - 1 - k for v, k in zip(odd.variables, down)]
     # Per feature, the probe value of each offset m walked so far: m -> value.
     # Offset 0 is the run's own value; ring r adds its in-range -r and r.
     values = [{0: x[name]} for name in names]
@@ -308,10 +282,10 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     used = 0
     try:
         for radius in range(1, max_radius_steps + 1):
-            for table, b, s, d, u in zip(values, base, steps, down, up):
+            for table, v, k, u in zip(values, odd.variables, down, up):
                 for m in (-radius, radius):
-                    if -d <= m <= u:
-                        table[m] = float(b + s * m)
+                    if -k <= m <= u:
+                        table[m] = v.points[k + m]
             if rings is None:
                 ring = _RINGS[n, radius]
                 chunks = (_within(ring, down, up) if radius >= edge else ring,)
@@ -331,7 +305,7 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
                         used += 1
                         y_cf = label(probe)
                         if y_cf is not y:
-                            return _pair(x, y, y_cf, names, values, steps, radius, moves)
+                            return _pair(x, y, y_cf, names, values, radius, moves)
                 else:
                     for trail, moved in chunk:
                         used += 1
@@ -340,7 +314,7 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
                             lead = rings.lead
                             moves = (*((i, m) for i, m in enumerate(rings.offsets) if m),
                                      *((lead + i, m) for i, m in trail))
-                            return _pair(x, y, y_cf, names, values, steps, radius, moves)
+                            return _pair(x, y, y_cf, names, values, radius, moves)
                 if short:
                     raise OracleBudgetExceeded(f"budget of {budget} queries exhausted "
                                                f"at radius {radius}")

@@ -156,6 +156,22 @@ def rule(*disjuncts) -> RuleAst:
     return RuleAst(tuple(Conjunct(tuple(rels)) for rels in disjuncts))
 
 
+class _Memo(dict):
+    """A dict that makes a missing key's value with `make(key)` on first
+    lookup, and keeps it."""
+    __slots__ = ("make",)
+
+    @classmethod
+    def of(cls, make: Callable) -> _Memo:
+        memo = cls()
+        memo.make = make
+        return memo
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # ODD: the declared input domain, one bounded stepped range per variable.
 # ---------------------------------------------------------------------------
@@ -178,6 +194,12 @@ class OddVariable:
             raise GrammarError(f"bad range for {self.name}: [{self.min}, {self.max}]")
         if not (math.isfinite(self.step) and self.step > 0):
             raise GrammarError(f"step for {self.name} must be positive")
+        # index_of finds every grid value's index only where 8 ulps at the range's ends are
+        # finer than the step and the grid's decimal places (or DOMAIN_TOL, if they are finer)
+        if 8 * math.ulp(max(abs(self.min), abs(self.max))) > min(
+                self.step, max(10.0 ** -self.decimals, DOMAIN_TOL)):
+            raise GrammarError(f"the step grid of {self.name} is finer than floats resolve "
+                               f"over [{self.min}, {self.max}]")
         # Interned, as the names in compiled rule and label code are: a dict
         # lookup of one by the other then matches by identity.
         object.__setattr__(self, "name", sys.intern(self.name))
@@ -186,28 +208,46 @@ class OddVariable:
     # coordinate drawn: each is computed on first use and kept on the
     # instance (outside the fields, so equality, hash and repr ignore it).
     @cached_property
-    def exact(self) -> tuple[Decimal, Decimal, Decimal]:
-        """min, max and step as the Decimals of their reprs, for exact grid
-        arithmetic."""
-        return Decimal(repr(self.min)), Decimal(repr(self.max)), Decimal(repr(self.step))
-
-    @cached_property
     def decimals(self) -> int:
         """Decimal places of min and step, the most a grid value min + k*step
         can have; grid values are rounded to this."""
-        lo, _, step = self.exact
-        return max(0, -lo.as_tuple().exponent, -step.as_tuple().exponent)
+        return max(0, *(-Decimal(repr(x)).as_tuple().exponent for x in (self.min, self.step)))
 
     @cached_property
     def grid_count(self) -> int:
-        """Number of grid points in [min, max] at step spacing."""
-        return int(math.floor((self.max - self.min) / self.step + 1e-9)) + 1
+        """Number of grid points in [min, max] at step spacing, none past max + DOMAIN_TOL."""
+        count = int(math.floor((self.max - self.min) / self.step + 1e-9)) + 1
+        return count - (self.grid_value(count - 1) > self.max + DOMAIN_TOL)
 
     def grid_value(self, k: int) -> float:
         return round(self.min + k * self.step, self.decimals)
 
+    @cached_property
+    def points(self) -> dict[int, float]:
+        """grid_value(k) by index k, each computed on first lookup and kept."""
+        return _Memo.of(self.grid_value)
+
     def grid_values(self) -> list[float]:
         return [self.grid_value(k) for k in range(self.grid_count)]
+
+    def index_of(self, value: float) -> int | None:
+        """The index k of the grid point within DOMAIN_TOL of value, if value is
+        within DOMAIN_TOL of the range as the oracle label admits it; else None."""
+        if not self.min - DOMAIN_TOL <= value <= self.max + DOMAIN_TOL:
+            return None
+        k = round((value - self.min) / self.step)
+        return k if 0 <= k < self.grid_count and abs(value - self.points[k]) <= DOMAIN_TOL else None
+
+    def index_range(self, lo: float, hi: float) -> range:
+        """The indices of the grid values in [lo, hi], and at most one more at either end."""
+        return range(max(0, math.floor((lo - self.min) / self.step)),
+                     min(self.grid_count, math.ceil((hi - self.min) / self.step) + 1))
+
+
+def exact_moves(x: dict[str, float], x_cf: dict[str, float], names) -> tuple[dict, float]:
+    """x_cf - x for each of names and the sum of their magnitudes, exact to the reprs."""
+    moves = {name: Decimal(repr(x_cf[name])) - Decimal(repr(x[name])) for name in names}
+    return {name: float(d) for name, d in moves.items()}, float(sum(map(abs, moves.values())))
 
 
 @dataclass(frozen=True)
@@ -219,8 +259,8 @@ class OddSpec:
         if len(set(names)) != len(names):
             raise GrammarError("ODD variable names must be unique")
         # The one place where DOMAIN_TOL widens the ranges, done once:
-        # (name, min - DOMAIN_TOL, max + DOMAIN_TOL) per variable, read by
-        # contains_point and compiled into every oracle label.
+        # (name, min - DOMAIN_TOL, max + DOMAIN_TOL) per variable, compiled into
+        # every oracle label and read by the contradiction gate's widened proof.
         object.__setattr__(self, "bounds", tuple(
             (v.name, v.min - DOMAIN_TOL, v.max + DOMAIN_TOL) for v in self.variables))
 
@@ -236,17 +276,6 @@ class OddSpec:
 
     def __contains__(self, name: str) -> bool:
         return any(v.name == name for v in self.variables)
-
-    def contains_point(self, x: dict[str, float]) -> bool:
-        """Every variable is bound in x and within its range, up to
-        DOMAIN_TOL; NaN and infinities are outside."""
-        try:
-            for name, lo, hi in self.bounds:
-                if not lo <= x[name] <= hi:
-                    return False
-        except KeyError:
-            return False
-        return True
 
 
 def odd_spec(variables: list[tuple[str, float, float, float]]) -> OddSpec:

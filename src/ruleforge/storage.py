@@ -3,8 +3,8 @@
 * Dataset CSV: feature columns plus a final ``outcome`` column of
   Pass/Fail, UTF-8, comma separated. Numbers are written in canonical
   decimal form so store(load(path)) is byte-identical for canonical files.
-  Loaded with an ODD, a run lists its features in ODD order, then any other
-  columns in file order, so the column order of a file changes no artifact.
+  Loaded with an ODD, runs lie on its step grid and list features in ODD
+  order, then other columns in file order: column order changes no artifact.
   Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
   a faulty block is walked row by row to name the line on which its first
   faulty record starts. A clean block's row dicts are filled a column at a
@@ -30,9 +30,9 @@ from itertools import islice, repeat
 from operator import setitem
 from pathlib import Path
 
-from .counterfactual import EvidenceFile, _Memo
-from .grammar import (GrammarError, OddSpec, OddVariable, ParseError, RuleAst, fmt_number,
-                      parse_rule, print_rule)
+from .counterfactual import EvidenceFile
+from .grammar import (GrammarError, OddSpec, OddVariable, ParseError, RuleAst, _Memo,
+                      fmt_number, parse_rule, print_rule)
 from .metrics import MetricsReport
 from .scenario import ConstructionFailure, OracleConfig
 from .semantics import LabeledRun, Outcome, PolarizedRule, Polarity
@@ -67,12 +67,12 @@ BLOCK_ROWS = 1024
 
 
 def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRun]:
-    """The runs of a dataset CSV, in file order. Given odd, a run outside
-    its declared domain cannot be searched or scored: a header without a
-    column for one of its variables, and a record whose value lies outside
-    a variable's range, are refused like any other fault of the file. Each
-    run's features are keyed in column order, or given odd, in ODD order
-    followed by the other columns in column order."""
+    """The runs of a dataset CSV, in file order. Given odd, a run off its
+    step grid cannot be searched or scored: a header without a column for
+    one of its variables, and a record with a value on no grid point
+    (OddVariable.index_of), are refused like any other fault of the file.
+    Each run's features are keyed in column order, or given odd, in ODD
+    order followed by the other columns in column order."""
     path = Path(path)
     try:
         # utf-8-sig: a leading byte-order mark is not part of the first column name
@@ -91,20 +91,19 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
                 # a run keyed by column name would keep only the last copy
                 duplicate = next(name for i, name in enumerate(header) if name in header[:i])
                 _fail(path, f"duplicated column {duplicate!r}")
-            # (column, lo, hi) per ODD variable: the ranges contains_point admits
-            ranges = []
-            for name, lo, hi in odd.bounds if odd is not None else ():
-                if name not in features:
-                    _fail(path, f"no column for ODD variable {name!r}")
-                ranges.append((features.index(name), lo, hi))
+            grids = []
+            for v in odd.variables if odd is not None else ():
+                if v.name not in features:
+                    _fail(path, f"no column for ODD variable {v.name!r}")
+                grids.append((features.index(v.name), v))
             # a run's keys in ODD order, then the other columns in file order
-            order = [j for j, _, _ in ranges]
+            order = [j for j, _ in grids]
             order += [j for j in range(len(features)) if j not in order]
             runs = []
             while rows := list(islice(reader, BLOCK_ROWS)):
-                block = _block_columns(rows, len(header), ranges)
+                block = _block_columns(rows, len(header), grids)
                 if block is None:
-                    _row_fault(path, rows, reader.line_num, features, ranges)
+                    _row_fault(path, rows, reader.line_num, features, grids)
                 del rows  # its cells are freed before the runs take their memory
                 columns, ys = block
                 xs = [{} for _ in ys]
@@ -121,12 +120,12 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
     return runs
 
 
-def _block_columns(rows: list[list[str]], width: int, ranges: list[tuple[int, float, float]]
+def _block_columns(rows: list[list[str]], width: int, grids: list[tuple[int, OddVariable]]
                    ) -> tuple[list[list[float]], list[Outcome]] | None:
     """The feature columns of a block of rows, as floats, and its outcomes,
     each converted a column at a time; None when any row is faulty, which
-    _row_fault then names. ranges holds (column, lo, hi) per column that
-    must lie within [lo, hi]."""
+    _row_fault then names. grids holds (column, variable) per column whose
+    distinct values must each lie on the variable's grid."""
     if set(map(len, rows)) != {width}:
         return None
     *cells, labels = zip(*rows)
@@ -137,13 +136,13 @@ def _block_columns(rows: list[list[str]], width: int, ranges: list[tuple[int, fl
     ys = list(map(_OUTCOMES.get, labels))
     if None in ys or not all(all(map(math.isfinite, column)) for column in columns):
         return None
-    if not all(lo <= min(columns[j]) and max(columns[j]) <= hi for j, lo, hi in ranges):
+    if any(None in map(v.index_of, set(columns[j])) for j, v in grids):
         return None
     return columns, ys
 
 
 def _row_fault(path, rows: list[list[str]], end: int, features: list[str],
-               ranges: list[tuple[int, float, float]]):
+               grids: list[tuple[int, OddVariable]]):
     """Refuse the first faulty row of rows, the last of which ends on line
     end, by the line its record starts on: the one place a row's fault is
     worded. Its checks are those of _block_columns, so a block that one
@@ -161,7 +160,7 @@ def _row_fault(path, rows: list[list[str]], end: int, features: list[str],
             _fail(path, f"line {lineno}: non-finite feature value")
         if row[-1] not in _OUTCOMES:
             _fail(path, f"line {lineno}: outcome must be Pass or Fail, got {row[-1]!r}")
-        if not all(lo <= values[j] <= hi for j, lo, hi in ranges):
+        if any(v.index_of(values[j]) is None for j, v in grids):
             _fail(path, f"line {lineno}: run outside the declared domain: "
                         f"{dict(zip(features, values))}")
         lineno += _lines(row)

@@ -217,9 +217,7 @@ def _grid_in_box(box, odd: OddSpec):
     axes = []
     for v in odd.variables:
         lo, hi = box[v.name]
-        first = max(0, math.floor((lo[0] - v.min) / v.step))
-        last = min(v.grid_count - 1, math.ceil((hi[0] - v.min) / v.step))
-        values = (v.grid_value(k) for k in range(first, last + 1))
+        values = map(v.grid_value, v.index_range(lo[0], hi[0]))
         axes.append([x for x in values if lo < (x, True) and (x, False) < hi])
     if math.prod(map(len, axes)) > GRID_CAP:
         per_dim = max(1, int(GRID_CAP ** (1.0 / len(axes))))
@@ -238,14 +236,14 @@ def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
     of the domain is empty, or when interval subdivision refutes its other
     relations over that box. Each pair is proven first over the declared
     ranges, then, if every pair is, over the ranges widened by DOMAIN_TOL
-    (odd.bounds, the runs contains_point admits); when both prove every
+    (odd.bounds, the ranges the oracle label admits); when both prove every
     pair, the result is Clear without compiling a rule or reading a run.
     Otherwise the dataset is scanned for the first run where both rules
     hold, and then the step grid of each pair left unproven over the
-    declared ranges. Runs that contains_point refuses are outside the
+    declared ranges. Runs outside the widened ranges are outside the
     check's domain and are not to be passed: no proof covers them, so such
     a run may or may not flag a pair (the CLI loads refine_loop's runs
-    through a domain check that refuses them).
+    through a grid check that refuses them).
 
     A pair comes out Unknown in three ways: the subdivision depth runs out,
     a possible division by zero taints the bounds, or the rules overlap only
@@ -276,7 +274,7 @@ def _unproven_box(relations, odd: OddSpec, widened: bool = False):
 def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
                  dataset) -> tuple[ContradictionStatus, dict[str, float] | None]:
     # Clear without a scan needs both proofs: the widened one covers every
-    # run contains_point admits, so no run can flag the rules, and the
+    # run within the label's ranges, so no run can flag the rules, and the
     # declared one is what the dataset-first order would have rested on.
     pairs = [ca.relations + cb.relations for ca in a.disjuncts for cb in b.disjuncts]
     open_boxes = [box for box in (_unproven_box(rels, odd) for rels in pairs)

@@ -537,17 +537,23 @@ GOLDEN_OUTCOME = Path(__file__).parent / "golden" / "outcome.json"
 
 
 class TestOutOfDomainRows:
-    """A run outside the config's domain is refused before any output, by
-    every command that loads a dataset and a config."""
+    """A run outside the config's domain, past a range or off the step grid
+    within it, is refused before any output, by every command that loads a
+    dataset and a config."""
 
     @pytest.fixture()
     def off_domain(self, workspace, tmp_path):
-        # an inconsistent run for the baseline (holds, observed Fail) at a
-        # speed past the declared 0..30 range
-        text = (workspace / "dataset.csv").read_text() + "99,4.4,0,Fail\n"
-        path = tmp_path / "off_domain.csv"
-        path.write_text(text)
-        return path, len(text.splitlines())
+        """(path, last line) of the dataset with one run appended: an
+        inconsistent run for the baseline (holds, observed Fail) at a speed
+        past the declared 0..30 range, or at a dist_front between two points
+        of its 0.2 grid."""
+        datasets = []
+        for name, row in (("off_range", "99,4.4,0,Fail"), ("off_grid", "8,4.3,0,Fail")):
+            text = (workspace / "dataset.csv").read_text() + row + "\n"
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            datasets.append((path, len(text.splitlines())))
+        return datasets
 
     @pytest.mark.parametrize("command,extra", [
         ("cf", []),
@@ -556,31 +562,32 @@ class TestOutOfDomainRows:
     ])
     def test_exit_2_and_no_output(self, workspace, tmp_path, capsys, off_domain,
                                   command, extra):
-        dataset, last_line = off_domain
-        out = tmp_path / "out"
-        code = main([command, "--rules", str(workspace / "rules.json"),
-                     "--dataset", str(dataset),
-                     "--config", str(workspace / "oracle_config.json"),
-                     *extra, "--out", str(out)])
-        assert code == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert f"line {last_line}: run outside the declared domain" in err
+        for dataset, last_line in off_domain:
+            out = tmp_path / "out"
+            code = main([command, "--rules", str(workspace / "rules.json"),
+                         "--dataset", str(dataset),
+                         "--config", str(workspace / "oracle_config.json"),
+                         *extra, "--out", str(out)])
+            assert code == 2
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert f"line {last_line}: run outside the declared domain" in err
 
     def test_refusal_names_the_physical_line(self, workspace, tmp_path, capsys, off_domain):
         """A record over two lines earlier in the file moves the refused run
         one physical line down, and the refusal names that line."""
-        dataset, _ = off_domain
-        head, first, rest = dataset.read_text().split("\n", 2)
-        cell, others = first.split(",", 1)
-        dataset.write_text(f'{head}\n"{cell}\n",{others}\n{rest}')
-        last_line = len(dataset.read_text().splitlines())
-        code = main(["cf", "--rules", str(workspace / "rules.json"), "--dataset", str(dataset),
-                     "--config", str(workspace / "oracle_config.json")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"line {last_line}: run outside the declared domain" in err
-        assert "Traceback" not in err
+        for dataset, _ in off_domain:
+            head, first, rest = dataset.read_text().split("\n", 2)
+            cell, others = first.split(",", 1)
+            dataset.write_text(f'{head}\n"{cell}\n",{others}\n{rest}')
+            last_line = len(dataset.read_text().splitlines())
+            code = main(["cf", "--rules", str(workspace / "rules.json"),
+                         "--dataset", str(dataset),
+                         "--config", str(workspace / "oracle_config.json")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"line {last_line}: run outside the declared domain" in err
+            assert "Traceback" not in err
 
     def test_missing_variable_column_is_named(self, workspace, tmp_path, capsys):
         rows = list(csv.reader((workspace / "dataset.csv").read_text().splitlines()))
@@ -751,11 +758,17 @@ def _odd_fault(fault):
             variables[0]["name"] = "ego speed"
         elif fault == "name-keyword":
             variables[0]["name"] = "And"
+        elif fault == "grid-past-floats":
+            variables[0].update(min=-1e300, max=1e300, step=0.5)
         else:
             variables[1]["name"] = variables[0]["name"]
         return data
     return spoil
 
+
+# an ODD variable whose 0.5-step grid the floats near 1e300 cannot index
+_GRID_PAST_FLOATS = ("bad variable entry: the step grid of ego_speed is finer than floats "
+                     "resolve over [-1e+300, 1e+300]")
 
 _INPUT_REFUSALS = {
     "odd-without-variables": (2, "format", 'expected an object with a "variables" list',
@@ -771,6 +784,12 @@ _INPUT_REFUSALS = {
         lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("name-not-identifier"))),
     "odd-name-keyword": (2, "format", "bad variable entry: invalid ODD variable name: 'And'",
                          lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("name-keyword"))),
+    "odd-grid-past-floats": (2, "format", _GRID_PAST_FLOATS,
+                             lambda ws, tmp: _sim_on(ws, tmp, _odd_fault("grid-past-floats"))),
+    "odd-grid-past-floats-refine": (2, "format", _GRID_PAST_FLOATS, lambda ws, tmp: [
+        "refine", *_sim_on(ws, tmp, _odd_fault("grid-past-floats"))[3:5],
+        "--rules", str(ws / "rules.json"), "--dataset", str(ws / "dataset.csv"),
+        "--out", str(tmp / "run")]),
     "config-a-list": (2, "format", "oracle config must be a JSON object",
                       lambda ws, tmp: _sim_on(ws, tmp, lambda data: [data])),
     "rules-an-object": (2, "format", "rules file must be a JSON list", lambda ws, tmp: [

@@ -102,9 +102,29 @@ class TestSearchContract:
             # oracle_label raises OutOfDomain on out-of-range probes, so this
             # re-check also certifies domain safety
             assert make_oracle(config).label(pair.x_cf) is pair.y_cf
-            assert config.odd.contains_point(pair.x_cf)
+            assert all(v.index_of(pair.x_cf[v.name]) is not None for v in config.odd.variables)
             for name, value in pair.delta.items():
                 assert abs(pair.x_cf[name] - pair.x[name] - value) < 1e-12
+
+    def test_near_grid_run_moves_by_its_delta(self, fixture42):
+        """A run within DOMAIN_TOL of its grid points is searched from their
+        indices: the features it moves land on grid values, the others keep
+        the run's values, and the pair's delta is still x_cf - x."""
+        config = fixture42.config
+        evidence = build_evidence(fixture42.baseline_rule, fixture42.dataset,
+                                  make_oracle(config), config.odd)
+        for i, pair in enumerate(evidence.pairs):
+            x = {name: value + (-4e-10 if i % 2 else 4e-10) for name, value in pair.x.items()}
+            near = search_counterfactual(x, pair.y, make_oracle(config), config.odd)
+            assert near.x == x and near.y_cf is not near.y
+            assert make_oracle(config).label(near.x_cf) is near.y_cf
+            for name, value in near.x_cf.items():
+                if name in near.delta:
+                    assert value in config.odd.get(name).grid_values()
+                    assert abs(value - x[name] - near.delta[name]) < 1e-12
+                else:
+                    assert value == x[name]
+            assert near.l1 == pytest.approx(sum(map(abs, near.delta.values())), abs=1e-12)
 
     def test_out_of_domain_input_rejected(self, fixture42):
         oracle = make_oracle(fixture42.config)

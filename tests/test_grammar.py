@@ -4,17 +4,19 @@ import math
 import pickle
 import random
 import time
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruleforge import (ParseError, RelOp, TokenKind, Var, check_vocabulary, evaluate,
-                       parse_rule, print_rule, random_rule, tokenize)
-from ruleforge.grammar import (GRAMMAR_TEXT, Conjunct, Const, GrammarError, OddVariable, Relation,
-                               RuleAst, Token, fmt_number, parse_relation, rule)
+from ruleforge import (OracleConfig, ParseError, RelOp, TokenKind, Var, check_vocabulary,
+                       evaluate, odd_spec, parse_rule, print_rule, random_rule, sample_dataset,
+                       tokenize)
+from ruleforge.grammar import (DOMAIN_TOL, GRAMMAR_TEXT, Conjunct, Const, GrammarError,
+                               OddVariable, Relation, RuleAst, Token, fmt_number, parse_relation,
+                               rule)
 
 R1 = "(dist_front < 5.0) and (ego_speed > 0)"
 EXEMPLAR = "(0 < ARG2 < 5) and (ARG1 > 0) or (8 < ARG2 < 12)"
@@ -429,6 +431,60 @@ def _assert_grid_facts_match(v):
         assert v.grid_value(k) == _ref_grid_value(v, k)
 
 
+def _wide_grid_variables(seed):
+    """Variables with steps of 0.001 to 7 and up to 10^7 grid points, their
+    min of at most three decimals or a whole number of steps, so that every
+    grid value is the float of its shortest decimal text."""
+    rng = random.Random(seed)
+    for count in (1, 2, 10 ** 3, 10 ** 5, 10 ** 7):
+        for _ in range(3):
+            step = max(0.001, round(rng.uniform(0.001, 7.0), rng.randrange(1, 4)))
+            lo = rng.choice([round(rng.uniform(-50, 50), rng.randrange(4)),
+                             rng.randrange(-20, 20) * step])
+            yield OddVariable("v", lo, lo + (count - 1) * step, step)
+
+
+def _ref_index(v, value):
+    """(k, distance) in exact decimal arithmetic: the grid index nearest to
+    the value's repr, and how far that repr lies from min + k*step, each
+    read as its repr."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lo, step, x = (Decimal(repr(number)) for number in (v.min, v.step, value))
+        k = int(((x - lo) / step).to_integral_value(ROUND_HALF_EVEN))
+        return k, abs(x - lo - k * step)
+
+
+def _ref_in_range(v, value):
+    """value lies within DOMAIN_TOL of [min, max], each read as its repr."""
+    lo, hi, x, tol = (Decimal(repr(n)) for n in (v.min, v.max, value, DOMAIN_TOL))
+    return lo - tol <= x <= hi + tol
+
+
+def _indices_to_check(v, rng):
+    """Every index of a grid of at most 1000 points, else both ends and a
+    sample between them."""
+    if v.grid_count <= 1000:
+        return range(v.grid_count)
+    return [0, 1, v.grid_count - 2, v.grid_count - 1,
+            *(rng.randrange(v.grid_count) for _ in range(300))]
+
+
+def _index_probes(v, k):
+    """(value, expected index) around grid point k: the grid value itself
+    and DOMAIN_TOL/2 either side (k, unless past the range the oracle label
+    admits), half a step either side (None), and 3*DOMAIN_TOL either side
+    (None) where the float there can hold that offset."""
+    value = v.grid_value(k)
+    near = [value + DOMAIN_TOL / 2, value - DOMAIN_TOL / 2]
+    probes = [(value, k), *((x, k if v.min - DOMAIN_TOL <= x <= v.max + DOMAIN_TOL else None)
+                            for x in near),
+              (value + v.step / 2, None), (value - v.step / 2, None)]
+    if math.ulp(value) <= DOMAIN_TOL:
+        probes += [(value + 3 * DOMAIN_TOL, None), (value - 3 * DOMAIN_TOL, None)]
+    return probes
+
+
 class TestGridFacts:
     @pytest.mark.parametrize("seed", range(4))
     def test_match_the_per_call_formulas(self, seed):
@@ -468,6 +524,83 @@ class TestGridFacts:
         values = OddVariable("v", lo, hi, step).grid_values()
         assert values[0] == lo and values == sorted(set(values))
         assert values[-1] <= hi
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_index_of_matches_the_exact_reference(self, seed):
+        """index_of against exact decimal arithmetic: every grid value maps
+        to its index, and so does a value within DOMAIN_TOL/2 of it and
+        within the label's range; half a step or 3*DOMAIN_TOL away maps to
+        None. Each probe agrees with the reference wherever floats can tell:
+        away from the tolerance edge by more than two ulps of the value."""
+        rng = random.Random(seed)
+        checked = 0
+        for v in (*_grid_variables(seed), *_wide_grid_variables(seed)):
+            for k in _indices_to_check(v, rng):
+                for value, expected in _index_probes(v, k):
+                    assert v.index_of(value) == expected, (v, k, value)
+                    ref_k, distance = _ref_index(v, value)
+                    if abs(distance - Decimal(DOMAIN_TOL)) > 2 * Decimal(math.ulp(value)):
+                        on_grid = (distance <= Decimal(DOMAIN_TOL) and 0 <= ref_k < v.grid_count
+                                   and _ref_in_range(v, value))
+                        assert expected == (ref_k if on_grid else None), (v, k, value)
+                        checked += 1
+        assert checked > 10_000
+
+    def test_index_of_refuses_nan_infinities_and_values_past_the_ends(self):
+        for v in (*_grid_variables(0), *_wide_grid_variables(0)):
+            last = v.grid_value(v.grid_count - 1)
+            outside = [math.nan, math.inf, -math.inf, 1e308, -1e308, v.grid_value(-1),
+                       v.grid_value(v.grid_count), v.min - v.step / 2, last + v.step / 2]
+            if math.ulp(last) <= DOMAIN_TOL:
+                outside += [v.min - 3 * DOMAIN_TOL, last + 3 * DOMAIN_TOL]
+            for value in outside:
+                assert v.index_of(value) is None, (v, value)
+
+    def test_no_grid_point_or_index_past_the_labels_range(self):
+        """The oracle label admits [min - DOMAIN_TOL, max + DOMAIN_TOL]. With
+        max 5e-10 steps below 4000, the count's slack for float error would
+        let in 4000, 5e-9 past max: it is no grid point, and sampling the
+        domain never draws it. With max 5e-10 below 4000, 4000 is one, but a
+        value 8e-10 above it, within DOMAIN_TOL of it, is past the range."""
+        v = OddVariable("v", 0.0, 3999.999999995, 10.0)
+        assert v.grid_count == 400 and v.grid_values()[-1] == 3990.0
+        assert v.index_of(4000.0) is None
+        config = OracleConfig(odd_spec([("v", 0.0, 3999.999999995, 10.0)]), parse_rule("v > 1"), 0)
+        assert {run.x["v"] for run in sample_dataset(config, 2000)} <= set(v.grid_values())
+        w = OddVariable("w", 0.0, 3999.9999999995, 10.0)
+        assert w.index_of(4000.0) == 400
+        assert w.index_of(4000.0000000008) is None
+
+    @pytest.mark.parametrize("lo,hi,step", [(-1e300, 1e300, 0.5), (0.0, 2.0 ** 53, 0.5),
+                                            (0.0, 1e15, 0.1), (-5.0, 1e4, 1e-12),
+                                            (0.0, 1e7, 0.1 + 0.2)])
+    def test_a_grid_floats_cannot_index_is_refused(self, lo, hi, step):
+        """Near 1e300 the 0.5 steps vanish in rounding: index_of would find
+        none of them, and a search would never move."""
+        with pytest.raises(GrammarError, match="the step grid of v is finer than floats resolve"):
+            OddVariable("v", lo, hi, step)
+
+    def test_every_grid_admitted_is_indexed(self):
+        """Over magnitudes up to 2**70, a variable is refused or index_of
+        maps each grid value, and the float of each exact grid point, to its
+        index; the largest ranges admitted reach 1e12 to 1e13."""
+        rng = random.Random(5)
+        largest = {}
+        for step in (0.001, 0.015, 0.1, 0.15, 0.25, 0.7, 1.0, 2.5, 7.0, 1e-7, 0.1 + 0.2):
+            for e in range(70):
+                lo = rng.choice([0.0, -1.0, 3.7, rng.uniform(-50, 50)])
+                try:
+                    v = OddVariable("v", lo, max(lo, 1.3 * 2.0 ** e), step)
+                except GrammarError:
+                    continue
+                largest[step] = v.max
+                for k in {0, v.grid_count - 1, *(rng.randrange(v.grid_count) for _ in range(30))}:
+                    assert v.index_of(v.grid_value(k)) == k, (v, k)
+                    exact = Decimal(repr(v.min)) + Decimal(repr(v.step)) * k
+                    if v.decimals <= 12:
+                        assert v.index_of(float(exact)) == k, (v, k)
+        assert min(largest[s] for s in (0.001, 0.1, 7.0)) > 1e11
+        assert max(largest.values()) < 1e14
 
     def test_equality_hash_and_repr_are_the_fields(self):
         a = OddVariable("v", -1.0, 2.0, 0.05)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ruleforge import (DeterministicGenerator, build_evidence, default_config, make_oracle,
                        parse_rule, refine_loop, sample_dataset)
-from ruleforge.grammar import fmt_number, odd_spec
+from ruleforge.grammar import DOMAIN_TOL, fmt_number, odd_spec
 from ruleforge.semantics import LabeledRun, Outcome, PolarizedRule, Polarity
 from ruleforge import storage
 from ruleforge.cli import main
@@ -192,8 +192,10 @@ class TestDatasetCsv:
 
 def _ref_load_dataset(path, odd=None):
     """The row-by-row loader, kept as the reference only; given odd, it
-    refuses as the CLI once did after loading, by contains_point, and keys
-    each run in ODD order, then the other columns in file order."""
+    refuses a run with a value on no point of its variable's step grid (the
+    nearest index k in range, and the value within DOMAIN_TOL of
+    grid_value(k) and of the range), and keys each run in ODD order, then
+    the other columns in file order."""
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -228,8 +230,16 @@ def _ref_load_dataset(path, odd=None):
                 if y is None:
                     storage._fail(path, f"line {lineno}: outcome must be Pass or Fail, "
                                         f"got {row[-1]!r}")
-                if odd is not None and not odd.contains_point(x):
-                    storage._fail(path, f"line {lineno}: run outside the declared domain: {x}")
+                for v in odd.variables if odd is not None else ():
+                    try:
+                        k = round((x[v.name] - v.min) / v.step)
+                    except OverflowError:  # a quotient past the floats: on no point
+                        k = -1
+                    if not (0 <= k < v.grid_count
+                            and abs(x[v.name] - v.grid_value(k)) <= DOMAIN_TOL
+                            and v.min - DOMAIN_TOL <= x[v.name] <= v.max + DOMAIN_TOL):
+                        storage._fail(path, f"line {lineno}: run outside the declared "
+                                            f"domain: {x}")
                 if odd is not None:
                     x = {**{name: x[name] for name in odd.names}, **x}
                 runs.append(LabeledRun(x=x, y=y))
@@ -337,15 +347,21 @@ class TestLoadMatchesRowByRowReference:
 
     @settings(max_examples=300, deadline=None)
     @given(text=_dataset_texts(), ranges=st.lists(
-        st.sampled_from([(-1.0, 5.0), (0.0, 4.05), (2.5, 2.5), (-1e300, 1e300)]),
+        st.sampled_from([(-1.0, 5.0), (0.0, 4.05), (2.5, 2.5), (-1e12, 1e12)]),
         min_size=1, max_size=5), reverse=st.booleans())
     @example(text="f0,f1,f2,outcome\n1,2,3,Pass\n", ranges=[(-1.0, 5.0)] * 2, reverse=True)
+    @example(text="f0,f1,outcome\n1,2.5,Pass\n1.0000000005,-0.5,Fail\n4.5,1.25,Pass\n"
+                  "2,2,Fail\n", ranges=[(-1.0, 5.0)] * 2, reverse=False)
+    @example(text="f0,outcome\n0.5,Pass\n4,Fail\n4.05,Pass\n", ranges=[(0.0, 4.05)],
+             reverse=False)
+    @example(text="f0,outcome\n0,Pass\n1e12,Fail\n2.5,Pass\n2.25,Fail\n",
+             ranges=[(-1e12, 1e12)], reverse=False)
     def test_domain_refusal_equal_in_blocks_of_three(self, tmp_path_factory, text, ranges,
                                                      reverse):
         """Given an ODD over f0.. (one more variable than the file may have
         columns), in column order or reversed, equal runs (key order
         included) or an equal refusal: a missing column, or the first fault
-        in line order, a run outside the domain included."""
+        in line order, a run off the step grid (in range or not) included."""
         path = tmp_path_factory.getbasetemp() / "domain.csv"
         path.write_text(text, encoding="utf-8")
         variables = [(f"f{i}", lo, hi, 0.5) for i, (lo, hi) in enumerate(ranges)]

@@ -161,12 +161,12 @@ class TestCheckContradiction:
             assert both(result.witness)
 
     def test_run_just_outside_the_domain_flags_a_pair_the_box_clears(self, odd):
-        # contains_point admits a run up to DOMAIN_TOL below min, but _cut_box
+        # the grid admits a run up to DOMAIN_TOL below min, but _cut_box
         # cuts at min itself: the dataset run flags what the box alone clears.
         candidate = _pass("(dist_front < 0) and (ego_speed > 0)")
         opposing = [_fail("(dist_front < 1)")]
         run = {"ego_speed": 8.0, "dist_front": -5e-10, "lane_offset": 0.0}
-        assert odd.contains_point(run)
+        assert all(v.index_of(run[v.name]) is not None for v in odd.variables)
         (flagged,) = check_contradiction(candidate, opposing, odd,
                                          dataset=[LabeledRun(run, Outcome.FAIL)])
         assert flagged.status is ContradictionStatus.FLAGGED
@@ -176,11 +176,13 @@ class TestCheckContradiction:
 
     def test_run_just_past_an_equality_band_flags_its_negation(self):
         # the != holds where the rounded abs(a - 4) exceeds EPS_EQ, so a run
-        # contains_point admits just above max flags what the band test
-        # must not clear
+        # the oracle label admits just above max flags what the band test
+        # must not clear (the loader refuses it: it lies off the grid by
+        # that same rounded difference)
         odd = odd_spec([("a", 0.0, 4.0, 1.0)])
         run = {"a": 4.000000001}
-        assert odd.contains_point(run) and abs(run["a"] - 4) > EPS_EQ
+        assert run["a"] <= 4.0 + DOMAIN_TOL and abs(run["a"] - 4) > EPS_EQ
+        assert odd.get("a").index_of(run["a"]) is None
         (result,) = check_contradiction(_pass("(4 <= a)"), [_fail("(a != 4)")], odd,
                                         dataset=[LabeledRun(run, Outcome.PASS)])
         assert result.status is ContradictionStatus.FLAGGED
