@@ -239,7 +239,11 @@ class OddVariable:
         return k if 0 <= k < self.grid_count and abs(value - self.points[k]) <= DOMAIN_TOL else None
 
     def index_range(self, lo: float, hi: float) -> range:
-        """The indices of the grid values in [lo, hi], and at most one more at either end."""
+        """The indices of the grid values in [lo, hi], and at most one more at either end.
+        lo and hi are first held within a step of the range, so that no quotient overflows."""
+        below, above = self.min - self.step, self.max + self.step
+        lo = below if lo < below else above if lo > above else lo
+        hi = below if hi < below else above if hi > above else hi
         return range(max(0, math.floor((lo - self.min) / self.step)),
                      min(self.grid_count, math.ceil((hi - self.min) / self.step) + 1))
 
@@ -259,8 +263,8 @@ class OddSpec:
         if len(set(names)) != len(names):
             raise GrammarError("ODD variable names must be unique")
         # The one place where DOMAIN_TOL widens the ranges, done once:
-        # (name, min - DOMAIN_TOL, max + DOMAIN_TOL) per variable, compiled into
-        # every oracle label and read by the contradiction gate's widened proof.
+        # (name, min - DOMAIN_TOL, max + DOMAIN_TOL) per variable. Only the
+        # oracle label reads it: it is compiled into every label's guard.
         object.__setattr__(self, "bounds", tuple(
             (v.name, v.min - DOMAIN_TOL, v.max + DOMAIN_TOL) for v in self.variables))
 

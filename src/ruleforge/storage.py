@@ -3,8 +3,9 @@
 * Dataset CSV: feature columns plus a final ``outcome`` column of
   Pass/Fail, UTF-8, comma separated. Numbers are written in canonical
   decimal form so store(load(path)) is byte-identical for canonical files.
-  Loaded with an ODD, runs lie on its step grid and list features in ODD
-  order, then other columns in file order: column order changes no artifact.
+  Loaded with an ODD, runs are points of its step grid, each value read as
+  its grid point, and list features in ODD order, then other columns in
+  file order: column order changes no artifact.
   Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
   a faulty block is walked row by row to name the line on which its first
   faulty record starts. A clean block's row dicts are filled a column at a
@@ -70,7 +71,8 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
     """The runs of a dataset CSV, in file order. Given odd, a run off its
     step grid cannot be searched or scored: a header without a column for
     one of its variables, and a record with a value on no grid point
-    (OddVariable.index_of), are refused like any other fault of the file.
+    (OddVariable.index_of), are refused like any other fault of the file,
+    and a value within DOMAIN_TOL of its grid point is read as that point.
     Each run's features are keyed in column order, or given odd, in ODD
     order followed by the other columns in column order."""
     path = Path(path)
@@ -125,7 +127,8 @@ def _block_columns(rows: list[list[str]], width: int, grids: list[tuple[int, Odd
     """The feature columns of a block of rows, as floats, and its outcomes,
     each converted a column at a time; None when any row is faulty, which
     _row_fault then names. grids holds (column, variable) per column whose
-    distinct values must each lie on the variable's grid."""
+    distinct values must each lie on the variable's grid; each such value
+    is replaced by its grid point."""
     if set(map(len, rows)) != {width}:
         return None
     *cells, labels = zip(*rows)
@@ -136,8 +139,15 @@ def _block_columns(rows: list[list[str]], width: int, grids: list[tuple[int, Odd
     ys = list(map(_OUTCOMES.get, labels))
     if None in ys or not all(all(map(math.isfinite, column)) for column in columns):
         return None
-    if any(None in map(v.index_of, set(columns[j])) for j, v in grids):
-        return None
+    for j, v in grids:
+        distinct = list(set(columns[j]))
+        indices = list(map(v.index_of, distinct))
+        if None in indices:
+            return None
+        points = list(map(v.points.__getitem__, indices))
+        if points != distinct:  # a value off its grid point by DOMAIN_TOL at most reads as it
+            snap = {x: p for x, p in zip(distinct, points) if x != p}
+            columns[j] = list(map(snap.get, columns[j], columns[j]))
     return columns, ys
 
 

@@ -2,7 +2,7 @@
 
 A candidate replaces its target only after it clears, in order: the
 vocabulary whitelist (its one copy, for every generator), satisfiability of
-overlap with every opposite-polarity rule (no point in the domain may
+overlap with every opposite-polarity rule (no grid point of the domain may
 trigger a pass rule and a fail rule at once), strict reduction of the
 target's mismatch count, and preservation. Rules classify runs
 independently of one another, so swapping the target leaves every
@@ -15,21 +15,23 @@ both decisiveness scores, so no caller scores the rules again. Its change
 log is rebuilt here, once, by diff_rules from the target, whichever
 generator wrote the rule. A report's contradiction verdict is the first
 non-Clear ContradictionResult, or an all-Clear one with no opposing rule id.
-Overlap is decided per pair of conjuncts, one from each rule, over the box
-that the pair's direct bounds cut out of the domain: an empty box, or one in
-which interval subdivision refutes the pair's other relations, proves the
-pair disjoint. The proofs come first, over the declared ranges and over the
-ranges widened by DOMAIN_TOL that admit a run; when both prove every pair,
-the rules are Clear without being compiled or reading a run. Otherwise a
-dataset run where both rules hold flags them, then a step-grid point in the
-box of a pair left unproven over the declared ranges. Unknown is treated as
-a rejection.
+Overlap is decided over the step grid of the domain, the one domain of the
+gate: Clear means no grid point satisfies both rules, Flagged comes with a
+point that does, and Unknown means NODE_BUDGET ran out. Each pair of
+conjuncts, one from each rule, is one depth-first branch and bound over
+boxes of grid indices: its direct bounds cut the root box, interval bounds
+over a box's grid values refute it, a box that is not refuted is split at an
+index midpoint, and a box of one point is evaluated with the compiled rules.
+The root boxes come first: when every one is empty or refuted, the rules are
+Clear without being compiled or reading a run. Otherwise a dataset run (a
+grid point, as the loader reads it) where both rules hold flags them, then
+the first grid point the search finds. Unknown is treated as a rejection.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,8 +50,7 @@ class ContradictionStatus(Enum):
     UNKNOWN = "Unknown"
 
 
-GRID_CAP = 100_000  # max grid probes per pair of conjuncts
-SUBDIVISION_DEPTH = 12
+NODE_BUDGET = 10_000  # max index boxes searched per pair of conjuncts
 
 
 @dataclass(frozen=True)
@@ -138,21 +139,6 @@ def _relation_truth(rel: Relation, box) -> bool | None:
     return not inner  # NE
 
 
-def _eq_band(c: float) -> tuple[float, float]:
-    """The least and greatest floats x with abs(x - c) <= EPS_EQ, the
-    difference rounded as a compiled == rounds it. The rounded difference
-    grows with x, so the floats between the two are those == admits."""
-    ends = []
-    for start, away in ((c - EPS_EQ, -math.inf), (c + EPS_EQ, math.inf)):
-        x = start
-        while abs(x - c) > EPS_EQ:
-            x = math.nextafter(x, c)
-        while abs(math.nextafter(x, away) - c) <= EPS_EQ:
-            x = math.nextafter(x, away)
-        ends.append(x)
-    return ends[0], ends[1]
-
-
 def _and3(values) -> bool | None:
     result: bool | None = True
     for v in values:
@@ -163,39 +149,25 @@ def _and3(values) -> bool | None:
     return result
 
 
-def _refute(relations: list[Relation], box, depth: int) -> bool:
-    """True when interval subdivision proves that the conjunction of the
-    relations holds nowhere in the closed box."""
-    truth = _and3(_relation_truth(r, box) for r in relations)
-    if truth is not None:
-        return not truth
-    if depth <= 0 or not box:
-        return False
-    name, (lo, hi) = max(box.items(), key=lambda kv: kv[1][1] - kv[1][0])
-    mid = (lo + hi) / 2
-    return all(_refute(relations, {**box, name: sub}, depth - 1)
-               for sub in ((lo, mid), (mid, hi)))
-
-
 # ---------------------------------------------------------------------------
-# Boxes cut out of the domain by direct bounds.
+# Branch and bound over boxes of grid indices.
 # ---------------------------------------------------------------------------
 
+#: x op c as a compiled direct bound tests it, either way round.
+_CUT_TEST = {RelOp.LT: operator.lt, RelOp.LE: operator.le, RelOp.GT: operator.gt,
+             RelOp.GE: operator.ge, RelOp.EQ: lambda x, c: abs(x - c) <= EPS_EQ}
 
-def _cut_box(relations, odd: OddSpec, widened: bool = False):
-    """(box, residual): the box {name: (lower end, upper end)} that the
-    direct bounds among the relations cut out of the domain (its declared
-    ranges, or with widened the ranges odd.bounds widens by DOMAIN_TOL), and
-    the relations that are no box (!= and compound sides). == is the closed
-    band of the floats it admits, _eq_band(c).
 
-    A lower end is (value, open) and an upper end (value, closed), so tuple
-    order makes max()/min() pick the tighter end, x lies inside when
-    lower < (x, True) and (x, False) < upper, and the box is empty when some
-    lower >= upper."""
-    ranges = odd.bounds if widened else [(v.name, v.min, v.max) for v in odd.variables]
-    lower = {name: (lo, False) for name, lo, _ in ranges}
-    upper = {name: (hi, True) for name, _, hi in ranges}
+def _cut_box(relations, odd: OddSpec):
+    """(box, residual): the box {name: (lo, hi)} of grid indices lo <= k < hi,
+    in ODD order, that the direct bounds among the relations cut out of the
+    grid, and the relations that are no cut (!= and compound sides).
+
+    Every index below near holds a value < c, and every one above it a value
+    > c, each further from c than EPS_EQ; only near's values are tested, and
+    those that pass are a prefix of near (< and <=), a suffix (> and >=) or a
+    run within it (==)."""
+    box = {v.name: (0, v.grid_count) for v in odd.variables}
     residual = []
     for rel in relations:
         bound = direct_bound(rel)
@@ -203,51 +175,68 @@ def _cut_box(relations, odd: OddSpec, widened: bool = False):
             residual.append(rel)
             continue
         name, op, c = bound
-        least, greatest = _eq_band(c) if op is RelOp.EQ else (c, c)
-        if op in (RelOp.GT, RelOp.GE, RelOp.EQ):
-            lower[name] = max(lower[name], (least, op is RelOp.GT))
-        if op in (RelOp.LT, RelOp.LE, RelOp.EQ):
-            upper[name] = min(upper[name], (greatest, op is not RelOp.LT))
-    return {name: (lower[name], upper[name]) for name in lower}, residual
+        v, test = odd.get(name), _CUT_TEST[op]
+        near = v.index_range(c - EPS_EQ, c + EPS_EQ)
+        hits = [k for k in near if test(v.points[k], c)]
+        if op is RelOp.EQ:
+            lo, hi = (hits[0], hits[-1] + 1) if hits else (0, 0)
+        elif op in (RelOp.LT, RelOp.LE):
+            lo, hi = 0, near.start + len(hits)
+        else:
+            lo, hi = near.stop - len(hits), v.grid_count
+        box[name] = (max(box[name][0], lo), min(box[name][1], hi))
+    return box, residual
 
 
-def _grid_in_box(box, odd: OddSpec):
-    """The step-grid points inside the box, lowest first, strided per axis
-    to at most GRID_CAP points."""
-    axes = []
-    for v in odd.variables:
-        lo, hi = box[v.name]
-        values = map(v.grid_value, v.index_range(lo[0], hi[0]))
-        axes.append([x for x in values if lo < (x, True) and (x, False) < hi])
-    if math.prod(map(len, axes)) > GRID_CAP:
-        per_dim = max(1, int(GRID_CAP ** (1.0 / len(axes))))
-        axes = [xs[::math.ceil(len(xs) / per_dim)] for xs in axes]
-    for combo in itertools.product(*axes):
-        yield dict(zip(odd.names, combo))
+def _rules_out(residual, box, axes) -> bool:
+    """True when interval bounds over the grid values of the box prove some
+    residual relation false at every point in it. axes are the variables
+    of the residual relations."""
+    hull = {v.name: (v.points[box[v.name][0]], v.points[box[v.name][1] - 1]) for v in axes}
+    return _and3(_relation_truth(r, hull) for r in residual) is False
+
+
+def _search(box, residual, axes, odd: OddSpec, both):
+    """Depth first over the box: a box the bounds refute is dropped, any
+    other is split at the index midpoint of its first axis (in ODD order)
+    with more than one index, lower half first, and a box of one point is
+    evaluated at it. Variables outside the axes stay at their lowest index,
+    so the first point found is the least in ODD order. (Flagged, point)
+    for that point, Clear when there is none, Unknown once NODE_BUDGET boxes
+    were visited."""
+    stack = [box]
+    for _ in range(NODE_BUDGET):
+        if not stack:
+            break
+        node = stack.pop()
+        split = next((v.name for v in axes if node[v.name][1] - node[v.name][0] > 1), None)
+        if split is None:
+            point = {v.name: v.points[lo] for v, (lo, _) in zip(odd.variables, node.values())}
+            if both(point):
+                return (ContradictionStatus.FLAGGED, point)
+        elif not _rules_out(residual, node, axes):
+            lo, hi = node[split]
+            mid = (lo + hi) // 2
+            stack += ({**node, split: (mid, hi)}, {**node, split: (lo, mid)})
+    return (ContradictionStatus.UNKNOWN if stack else ContradictionStatus.CLEAR, None)
 
 
 def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule], odd: OddSpec,
                         dataset: list[LabeledRun] | None = None) -> list[ContradictionResult]:
-    """Per opposing rule: Flagged with a witness where both rules hold (a
-    dataset run first, else a step-grid point), Clear when every pair of
-    conjuncts, one from each rule, is proven disjoint, Unknown otherwise.
+    """Per opposing rule, over the step grid of the domain: Flagged with a
+    witness where both rules hold (a dataset run first, else the least grid
+    point in ODD order of the first pair of conjuncts that has one), Clear
+    when no grid point satisfies both, Unknown when the search of some pair
+    of conjuncts, one from each rule, visits NODE_BUDGET boxes without
+    deciding it.
 
-    A pair of conjuncts is disjoint when the box its direct bounds cut out
-    of the domain is empty, or when interval subdivision refutes its other
-    relations over that box. Each pair is proven first over the declared
-    ranges, then, if every pair is, over the ranges widened by DOMAIN_TOL
-    (odd.bounds, the ranges the oracle label admits); when both prove every
-    pair, the result is Clear without compiling a rule or reading a run.
-    Otherwise the dataset is scanned for the first run where both rules
-    hold, and then the step grid of each pair left unproven over the
-    declared ranges. Runs outside the widened ranges are outside the
-    check's domain and are not to be passed: no proof covers them, so such
-    a run may or may not flag a pair (the CLI loads refine_loop's runs
-    through a grid check that refuses them).
-
-    A pair comes out Unknown in three ways: the subdivision depth runs out,
-    a possible division by zero taints the bounds, or the rules overlap only
-    off the step grid (ego_speed == 0 against ego_speed > 0)."""
+    Each pair is first cut to the box of grid indices its direct bounds
+    allow and bounded there; when every box is empty or refuted, the result
+    is Clear without compiling a rule or reading a run. Otherwise the
+    dataset is scanned for the first run where both rules hold, and then
+    each open pair searched (_search). Runs passed in must be grid points,
+    as load_dataset(path, odd) returns them: a Clear verdict says nothing of
+    a point off the grid."""
     results = []
     for other in opposing:
         if other.polarity is candidate.polarity:
@@ -257,30 +246,20 @@ def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
     return results
 
 
-def _unproven_box(relations, odd: OddSpec, widened: bool = False):
-    """The box that the relations' direct bounds cut out of the domain, or
-    None when the relations are proven to hold nowhere in it: the box is
-    empty, or interval subdivision refutes the other relations over it."""
-    box, residual = _cut_box(relations, odd, widened)
-    if any(lo >= hi for lo, hi in box.values()):
-        return None
-    # cheaper than walking the box; splits only the residual's variables
-    closure = {n: (box[n][0][0], box[n][1][0])
-               for rel in residual for side in (rel.lhs, rel.rhs)
-               for n in expr_variables(side)}
-    return None if _refute(residual, closure, SUBDIVISION_DEPTH) else box
-
-
 def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
                  dataset) -> tuple[ContradictionStatus, dict[str, float] | None]:
-    # Clear without a scan needs both proofs: the widened one covers every
-    # run within the label's ranges, so no run can flag the rules, and the
-    # declared one is what the dataset-first order would have rested on.
-    pairs = [ca.relations + cb.relations for ca in a.disjuncts for cb in b.disjuncts]
-    open_boxes = [box for box in (_unproven_box(rels, odd) for rels in pairs)
-                  if box is not None]
-    if not open_boxes and all(_unproven_box(rels, odd, widened=True) is None
-                              for rels in pairs):
+    open_pairs = []
+    for ca in a.disjuncts:
+        for cb in b.disjuncts:
+            box, residual = _cut_box(ca.relations + cb.relations, odd)
+            if any(lo >= hi for lo, hi in box.values()):
+                continue
+            names = {n for rel in residual for side in (rel.lhs, rel.rhs)
+                     for n in expr_variables(side)}
+            axes = [v for v in odd.variables if v.name in names]
+            if not (residual and _rules_out(residual, box, axes)):
+                open_pairs.append((box, residual, axes))
+    if not open_pairs:
         return (ContradictionStatus.CLEAR, None)
     holds_a, holds_b = compile_rule(a), compile_rule(b)
 
@@ -290,12 +269,14 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
     for run in dataset or []:
         if both(run.x):
             return (ContradictionStatus.FLAGGED, dict(run.x))
-    for box in open_boxes:
-        for point in _grid_in_box(box, odd):
-            if both(point):
-                return (ContradictionStatus.FLAGGED, point)
-    return (ContradictionStatus.UNKNOWN if open_boxes else ContradictionStatus.CLEAR, None)
-
+    status = ContradictionStatus.CLEAR
+    for box, residual, axes in open_pairs:
+        found, witness = _search(box, residual, axes, odd, both)
+        if found is ContradictionStatus.FLAGGED:
+            return (found, witness)
+        if found is ContradictionStatus.UNKNOWN:
+            status = found
+    return (status, None)
 
 # ---------------------------------------------------------------------------
 # Preservation check.

@@ -46,6 +46,17 @@ class TestDatasetCsv:
         assert lines[0] == "ego_speed,dist_front,lane_offset,outcome"
         assert len(lines) == 199
 
+    def test_a_value_near_a_grid_point_loads_as_that_point(self, tmp_path):
+        """Against an ODD, a value within DOMAIN_TOL of a grid point is read
+        as the point itself, in range or just below it; without an ODD, as
+        written."""
+        odd = odd_spec([("a", 0.0, 4.0, 0.5), ("b", 0.0, 4.0, 0.5)])
+        path = tmp_path / "near.csv"
+        path.write_text("a,b,outcome\n0.5000000004,-0.0000000005,Pass\n1,2,Fail\n")
+        assert [run.x for run in storage.load_dataset(path, odd)] == [
+            {"a": 0.5, "b": 0.0}, {"a": 1.0, "b": 2.0}]
+        assert storage.load_dataset(path)[0].x == {"a": 0.5000000004, "b": -5e-10}
+
     def test_leading_byte_order_mark_is_skipped(self, fixture42, tmp_path, capsys):
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         storage.store_dataset(plain, fixture42.dataset)
@@ -194,7 +205,8 @@ def _ref_load_dataset(path, odd=None):
     """The row-by-row loader, kept as the reference only; given odd, it
     refuses a run with a value on no point of its variable's step grid (the
     nearest index k in range, and the value within DOMAIN_TOL of
-    grid_value(k) and of the range), and keys each run in ODD order, then
+    grid_value(k) and of the range), reads a value that differs from
+    grid_value(k) as grid_value(k), and keys each run in ODD order, then
     the other columns in file order."""
     path = Path(path)
     try:
@@ -230,6 +242,7 @@ def _ref_load_dataset(path, odd=None):
                 if y is None:
                     storage._fail(path, f"line {lineno}: outcome must be Pass or Fail, "
                                         f"got {row[-1]!r}")
+                points = {}
                 for v in odd.variables if odd is not None else ():
                     try:
                         k = round((x[v.name] - v.min) / v.step)
@@ -240,6 +253,9 @@ def _ref_load_dataset(path, odd=None):
                             and v.min - DOMAIN_TOL <= x[v.name] <= v.max + DOMAIN_TOL):
                         storage._fail(path, f"line {lineno}: run outside the declared "
                                             f"domain: {x}")
+                    points[v.name] = v.grid_value(k)
+                # a refusal names the values as written
+                x.update((name, p) for name, p in points.items() if x[name] != p)
                 if odd is not None:
                     x = {**{name: x[name] for name in odd.names}, **x}
                 runs.append(LabeledRun(x=x, y=y))
@@ -356,6 +372,8 @@ class TestLoadMatchesRowByRowReference:
              reverse=False)
     @example(text="f0,outcome\n0,Pass\n1e12,Fail\n2.5,Pass\n2.25,Fail\n",
              ranges=[(-1e12, 1e12)], reverse=False)
+    @example(text="f0,f1,outcome\n-0,2.4999999996,Pass\n-5e-10,0.5,Fail\n0,4.0000000008,Pass\n"
+                  "-0.0,1,Fail\n", ranges=[(0.0, 4.05), (0.0, 4.05)], reverse=False)
     def test_domain_refusal_equal_in_blocks_of_three(self, tmp_path_factory, text, ranges,
                                                      reverse):
         """Given an ODD over f0.. (one more variable than the file may have

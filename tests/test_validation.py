@@ -11,10 +11,8 @@ from ruleforge import (ContradictionStatus, DeterministicGenerator, Exhausted, L
                        TargetNotInRuleset, check_contradiction, check_preserved_consistency,
                        decisiveness, evaluate, make_oracle, odd_spec, parse_rule, print_rule,
                        random_rule, refine_loop)
-from ruleforge import validation
-from ruleforge.grammar import (DOMAIN_TOL, ArithOp, BinOp, Const, Relation, RelOp, Var,
-                               direct_bound, expr_variables, rule)
-from ruleforge.semantics import EPS_EQ, compile_rule
+from ruleforge import storage, validation
+from ruleforge.grammar import ArithOp, BinOp, Const, Relation, RelOp, Var, rule
 
 R1_STAR = "(dist_front < 4.1) and (ego_speed > 0)"
 
@@ -45,11 +43,12 @@ class TestCheckContradiction:
         assert evaluate(parse_rule("(dist_front < 5)"), result.witness)
         assert evaluate(parse_rule("(dist_front < 3)"), result.witness)
 
-    def test_division_near_zero_with_tight_budget_is_unknown(self):
+    def test_division_near_zero_is_clear(self):
+        # no grid point has ARG1 / ARG2 above 20; ARG2 = 0 makes both false
         odd = odd_spec([("ARG1", 1.0, 10.0, 1.0), ("ARG2", -1.0, 1.0, 0.5)])
         (result,) = check_contradiction(_pass("(ARG1 / ARG2 > 100)"),
                                         [_fail("(ARG1 / ARG2 > 200)")], odd)
-        assert result.status is ContradictionStatus.UNKNOWN
+        assert result.status is ContradictionStatus.CLEAR
 
     def test_complementary_pair_at_a_shared_boundary_is_clear(self, odd):
         (result,) = check_contradiction(_pass("(dist_front < 4.2) and (ego_speed > 0)"),
@@ -68,11 +67,11 @@ class TestCheckContradiction:
         assert result.status is ContradictionStatus.FLAGGED
         assert result.witness["dist_front"] == 4.2
 
-    def test_overlap_only_off_the_grid_is_unknown(self, odd):
+    def test_overlap_only_off_the_grid_is_clear(self, odd):
         # both hold on 0 < ego_speed <= EPS_EQ, which holds no grid point
         (result,) = check_contradiction(_pass("(ego_speed == 0)"),
                                         [_fail("(ego_speed > 0)")], odd)
-        assert result.status is ContradictionStatus.UNKNOWN
+        assert result.status is ContradictionStatus.CLEAR
         assert result.witness is None
 
     @pytest.mark.parametrize("c", ["0", "1", "2.5", "3"])
@@ -143,15 +142,14 @@ class TestCheckContradiction:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_dataset_runs_decide_before_the_box(self, data):
-        """With a dataset, a Clear verdict has no run where both rules hold,
-        and a Flagged witness satisfies both; runs may lie up to DOMAIN_TOL
-        outside [min, max], as the domain admits them."""
+        """With a dataset of grid points, a Clear verdict has no run where
+        both rules hold, and a Flagged witness satisfies both."""
         odd = data.draw(st.sampled_from(_SMALL_DOMAINS))
         seeds = st.integers(min_value=0, max_value=10 ** 6)
         pass_rule = _pass_from_seed(data.draw(seeds), odd)
         fail_rule = _fail_from_seed(data.draw(seeds), odd)
         runs = data.draw(st.lists(st.fixed_dictionaries(
-            {v.name: _domain_coordinate(v) for v in odd.variables}), max_size=8))
+            {v.name: _grid_coordinate(v) for v in odd.variables}), max_size=8))
         (result,) = check_contradiction(pass_rule, [fail_rule], odd,
                                         dataset=[LabeledRun(x, Outcome.PASS) for x in runs])
         both = lambda x: evaluate(pass_rule.ast, x) and evaluate(fail_rule.ast, x)
@@ -160,33 +158,19 @@ class TestCheckContradiction:
         elif result.status is ContradictionStatus.FLAGGED:
             assert both(result.witness)
 
-    def test_run_just_outside_the_domain_flags_a_pair_the_box_clears(self, odd):
-        # the grid admits a run up to DOMAIN_TOL below min, but _cut_box
-        # cuts at min itself: the dataset run flags what the box alone clears.
+    def test_run_just_outside_the_domain_flags_a_pair_the_box_clears(self, odd, tmp_path):
+        # the loader admits a run up to DOMAIN_TOL below min and reads it as
+        # the grid point min, where the candidate does not hold
         candidate = _pass("(dist_front < 0) and (ego_speed > 0)")
         opposing = [_fail("(dist_front < 1)")]
-        run = {"ego_speed": 8.0, "dist_front": -5e-10, "lane_offset": 0.0}
-        assert all(v.index_of(run[v.name]) is not None for v in odd.variables)
-        (flagged,) = check_contradiction(candidate, opposing, odd,
-                                         dataset=[LabeledRun(run, Outcome.FAIL)])
-        assert flagged.status is ContradictionStatus.FLAGGED
-        assert flagged.witness == run
-        (clear,) = check_contradiction(candidate, opposing, odd)
-        assert clear.status is ContradictionStatus.CLEAR
-
-    def test_run_just_past_an_equality_band_flags_its_negation(self):
-        # the != holds where the rounded abs(a - 4) exceeds EPS_EQ, so a run
-        # the oracle label admits just above max flags what the band test
-        # must not clear (the loader refuses it: it lies off the grid by
-        # that same rounded difference)
-        odd = odd_spec([("a", 0.0, 4.0, 1.0)])
-        run = {"a": 4.000000001}
-        assert run["a"] <= 4.0 + DOMAIN_TOL and abs(run["a"] - 4) > EPS_EQ
-        assert odd.get("a").index_of(run["a"]) is None
-        (result,) = check_contradiction(_pass("(4 <= a)"), [_fail("(a != 4)")], odd,
-                                        dataset=[LabeledRun(run, Outcome.PASS)])
-        assert result.status is ContradictionStatus.FLAGGED
-        assert result.witness == run
+        path = tmp_path / "near.csv"
+        path.write_text("ego_speed,dist_front,lane_offset,outcome\n8,-5e-10,0,Fail\n")
+        dataset = storage.load_dataset(path, odd)
+        assert [run.x for run in dataset] == [
+            {"ego_speed": 8.0, "dist_front": 0.0, "lane_offset": 0.0}]
+        for runs in (dataset, None):
+            (clear,) = check_contradiction(candidate, opposing, odd, dataset=runs)
+            assert clear.status is ContradictionStatus.CLEAR
 
     def test_grid_equivalence_on_random_pairs(self):
         rng = random.Random(9)
@@ -274,37 +258,56 @@ class TestIntervalGateBranches:
         assert any(expr is relation.lhs and not result[2] and math.inf in result[:2]
                    for expr, result in calls if result)
 
+    def test_a_zero_divisor_isolated_by_the_split_is_clear(self):
+        # b = 0 divides by zero, which makes the relation false, and b >= 0.5
+        # gives a / b + 1 >= 1: the split reaches b = 0 as a box of one point
+        (result,) = check_contradiction(_pass("(a / b) + 1 < 0"), [_fail("(b >= 0)")],
+                                        _GATE_DOMAIN)
+        assert result.status is ContradictionStatus.CLEAR
 
-def test_grid_in_box_strides_a_box_above_the_cap():
-    odd = odd_spec([("a", 0.0, 100.0, 1.0), ("b", 0.0, 100.0, 1.0), ("c", -5.0, 5.0, 0.1)])
-    box, residual = validation._cut_box(
-        list(parse_rule("(a > 0.5) and (b <= 90)").disjuncts[0].relations), odd)
-    assert residual == []
-    assert 100 * 91 * 101 > validation.GRID_CAP
-    points = list(validation._grid_in_box(box, odd))
-    assert 0 < len(points) <= validation.GRID_CAP
-    assert all(box[name][0] < (x[name], True) and (x[name], False) < box[name][1]
-               for x in points for name in odd.names)
-    rows = [tuple(x[name] for name in odd.names) for x in points]
-    assert rows == sorted(rows) and rows[0] == (1.0, 0.0, -5.0)
-    for var in odd.variables:
-        steps = sorted({round((x[var.name] - var.min) / var.step) for x in points})
-        strides = {b - a for a, b in zip(steps, steps[1:])}
-        assert len(strides) == 1 and strides != {1}  # one stride per axis, and not the grid's
-    assert len(points) == math.prod(len({x[name] for x in points}) for name in odd.names)
+
+class TestIndexBoxSearch:
+    """One branch and bound over boxes of grid indices decides each pair of
+    conjuncts; running out of NODE_BUDGET is the one way to Unknown."""
+
+    MILLION = odd_spec([("x", 0.0, 1e6, 1.0)])
+    NOWHERE = ("(x > 0) and (x * x == 3)", "(x < 500000)")  # no grid point has x * x == 3
+
+    def test_a_million_points_take_fewer_than_64_boxes(self, monkeypatch):
+        # each split halves the box, so the search is as deep as log2 of its points
+        monkeypatch.setattr(validation, "NODE_BUDGET", 64)
+        candidate, opposing = self.NOWHERE
+        (result,) = check_contradiction(_pass(candidate), [_fail(opposing)], self.MILLION)
+        assert result.status is ContradictionStatus.CLEAR
+
+    def test_a_pair_that_needs_a_split_is_unknown_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(validation, "NODE_BUDGET", 1)
+        candidate, opposing = self.NOWHERE
+        (result,) = check_contradiction(_pass(candidate), [_fail(opposing)], self.MILLION)
+        assert result.status is ContradictionStatus.UNKNOWN
+        assert result.witness is None
+
+    @pytest.mark.parametrize("bound,status", [
+        (f"x < {10 ** 308}", ContradictionStatus.FLAGGED),
+        (f"x > {10 ** 308}", ContradictionStatus.CLEAR),
+        (f"x > -{10 ** 308}", ContradictionStatus.FLAGGED),
+        (f"x == -{10 ** 308}", ContradictionStatus.CLEAR),
+    ])
+    def test_a_constant_far_past_the_range_cuts_the_box(self, bound, status):
+        # (c - min) / step is past the floats here; the cut needs no such quotient
+        odd = odd_spec([("x", 0.0, 10.0, 0.5)])
+        (result,) = check_contradiction(_pass(f"({bound})"), [_fail("(x >= 9)")], odd)
+        assert result.status is status
+        assert result.witness == ({"x": 9.0} if status is ContradictionStatus.FLAGGED else None)
 
 
 _SMALL_DOMAINS = (odd_spec([("a", 0.0, 4.0, 1.0)]),
                   odd_spec([("a", 0.0, 4.0, 1.0), ("b", -1.0, 1.0, 0.5)]))
 
 
-def _domain_coordinate(var):
-    """A grid value, any value in the range, or one at most DOMAIN_TOL
-    outside either end."""
-    return st.one_of(st.integers(0, var.grid_count - 1).map(var.grid_value),
-                     st.floats(var.min, var.max),
-                     st.floats(0.0, DOMAIN_TOL).map(lambda d: var.min - d),
-                     st.floats(0.0, DOMAIN_TOL).map(lambda d: var.max + d))
+def _grid_coordinate(var):
+    """A grid value of the variable, as a loaded run holds it."""
+    return st.integers(0, var.grid_count - 1).map(var.grid_value)
 
 
 def _pass_from_seed(seed, odd):
@@ -326,8 +329,8 @@ def _grid_sat(a, b, odd):
 
 
 def _check_pairs_against_brute_force(rng, trials, same_share):
-    """Clear iff no reference point satisfies both rules; Flagged iff some
-    grid point does, with a witness that satisfies both."""
+    """Clear iff no grid point satisfies both rules; Flagged iff some grid
+    point does, with a witness that satisfies both."""
     domains = [odd_spec([("a", 0.0, 4.0, 1.0)]),
                odd_spec([("a", 0.0, 4.0, 1.0), ("b", -1.0, 1.0, 0.5)])]
     seen = set()
@@ -337,15 +340,13 @@ def _check_pairs_against_brute_force(rng, trials, same_share):
         fail_rule = PolarizedRule("f", Polarity.FAIL_RULE, _random_bound_rule(rng, odd, same_share))
         (result,) = check_contradiction(pass_rule, [fail_rule], odd)
         both = lambda x: evaluate(pass_rule.ast, x) and evaluate(fail_rule.ast, x)
-        reference_sat = any(both(x) for x in _reference_points(odd, pass_rule.ast,
-                                                                fail_rule.ast))
         grid_sat = _grid_sat(pass_rule.ast, fail_rule.ast, odd)
-        assert (result.status is ContradictionStatus.CLEAR) == (not reference_sat)
+        assert (result.status is ContradictionStatus.CLEAR) == (not grid_sat)
         assert (result.status is ContradictionStatus.FLAGGED) == grid_sat
         if grid_sat:
             assert both(result.witness)
         seen.add(result.status)
-    assert seen == set(ContradictionStatus)
+    assert seen == {ContradictionStatus.CLEAR, ContradictionStatus.FLAGGED}
 
 
 def _random_bound_rule(rng, odd, same_share=0.0):
@@ -369,63 +370,27 @@ def _random_bound_rule(rng, odd, same_share=0.0):
     return rule(*conjuncts)
 
 
-def _reference_points(odd, *asts):
-    """Per variable: every grid value, every constant c bounding it and
-    c +- EPS_EQ, and the midpoints between consecutive such values; the
-    points are their product over the domain."""
-    axes = []
-    for var in odd.variables:
-        values = set(var.grid_values())
-        for ast in asts:
-            for _, rel in ast.relations():
-                name, _, c = direct_bound(rel) or (None, None, None)
-                if name == var.name:
-                    values |= {c, c - EPS_EQ, c + EPS_EQ}
-        values = sorted(x for x in values if var.min <= x <= var.max)
-        axes.append(values + [(lo + hi) / 2 for lo, hi in zip(values, values[1:])])
-    for combo in itertools.product(*axes):
-        yield dict(zip(odd.names, combo))
-
-
-def _reference_decide_pair(a, b, odd, dataset):
-    """Reference only: the pair decided dataset first, as before the proofs
-    led. Both rules are compiled, the dataset is scanned for a run where
-    both hold, and then each pair of conjuncts is proven over the declared
-    ranges or its box's step grid walked."""
-    holds_a, holds_b = compile_rule(a), compile_rule(b)
-
-    def both(x):
-        return holds_a(x, None) and holds_b(x, None)
-
-    for run in dataset or []:
-        if both(run.x):
-            return (ContradictionStatus.FLAGGED, dict(run.x))
-    status = ContradictionStatus.CLEAR
-    for ca in a.disjuncts:
-        for cb in b.disjuncts:
-            box, residual = validation._cut_box(ca.relations + cb.relations, odd)
-            if any(lo >= hi for lo, hi in box.values()):
-                continue
-            closure = {n: (box[n][0][0], box[n][1][0])
-                       for rel in residual for side in (rel.lhs, rel.rhs)
-                       for n in expr_variables(side)}
-            if validation._refute(residual, closure, validation.SUBDIVISION_DEPTH):
-                continue
-            for point in validation._grid_in_box(box, odd):
-                if both(point):
-                    return (ContradictionStatus.FLAGGED, point)
-            status = ContradictionStatus.UNKNOWN
-    return (status, None)
+def _assert_decided_by_brute_force(result, a, b, odd, dataset):
+    """Reference only: the first dataset run where both rules hold is the
+    witness; else Flagged, with a witness where both hold, iff some grid
+    point has both; else Clear."""
+    both = lambda x: evaluate(a, x) and evaluate(b, x)
+    run = next((run.x for run in dataset or [] if both(run.x)), None)
+    if run is not None:
+        assert (result.status, result.witness) == (ContradictionStatus.FLAGGED, run)
+    elif _grid_sat(a, b, odd):
+        assert result.status is ContradictionStatus.FLAGGED and both(result.witness)
+    else:
+        assert (result.status, result.witness) == (ContradictionStatus.CLEAR, None)
 
 
 class TestProofsFirst:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_every_verdict_and_witness_matches_the_dataset_first_order(self, data):
-        """Runs may lie up to DOMAIN_TOL outside [min, max]. The candidate
-        may hold only beyond one end of a range (x < min or x > max in every
-        conjunct), so a run in that band can flag a pair that the declared
-        ranges alone prove disjoint."""
+        """Runs are grid points. The candidate may hold only beyond one end
+        of a range (x < min or x > max in every conjunct), where no grid
+        point lies."""
         odd = data.draw(st.sampled_from(_SMALL_DOMAINS))
         seeds = st.integers(min_value=0, max_value=10 ** 6)
         candidate = random_rule(data.draw(seeds), odd, 3, 2)
@@ -438,12 +403,11 @@ class TestProofsFirst:
         opposing = [PolarizedRule(f"f{k}", Polarity.FAIL_RULE, random_rule(seed, odd, 3, 2))
                     for k, seed in enumerate(data.draw(st.lists(seeds, min_size=1, max_size=3)))]
         runs = data.draw(st.none() | st.lists(st.fixed_dictionaries(
-            {v.name: _domain_coordinate(v) for v in odd.variables}), max_size=16))
+            {v.name: _grid_coordinate(v) for v in odd.variables}), max_size=16))
         dataset = None if runs is None else [LabeledRun(x, Outcome.PASS) for x in runs]
         results = check_contradiction(candidate, opposing, odd, dataset=dataset)
         for other, result in zip(opposing, results):
-            assert (result.status, result.witness) == _reference_decide_pair(
-                candidate.ast, other.ast, odd, dataset)
+            _assert_decided_by_brute_force(result, candidate.ast, other.ast, odd, dataset)
 
     def test_a_pair_the_box_settles_compiles_no_rule(self, fixture42, monkeypatch):
         compiled = []
@@ -463,8 +427,7 @@ class TestProofsFirst:
         assert compiled == [candidate.ast, standing.ast]
         assert result.status is ContradictionStatus.FLAGGED
         assert result.witness in [run.x for run in dataset]
-        assert (result.status, result.witness) == _reference_decide_pair(
-            candidate.ast, standing.ast, odd, dataset)
+        _assert_decided_by_brute_force(result, candidate.ast, standing.ast, odd, dataset)
 
 
 def _refine(fixture, text, ruleset=None, target=None):
