@@ -19,13 +19,16 @@ Overlap is decided over the step grid of the domain, the one domain of the
 gate: Clear means no grid point satisfies both rules, Flagged comes with a
 point that does, and Unknown means NODE_BUDGET ran out. Each pair of
 conjuncts, one from each rule, is one depth-first branch and bound over
-boxes of grid indices: its direct bounds cut the root box, interval bounds
-over a box's grid values refute it, a box that is not refuted is split at an
-index midpoint, and a box of one point is evaluated with the compiled rules.
-The root boxes come first: when every one is empty or refuted, the rules are
-Clear without being compiled or reading a run. Otherwise a dataset run (a
-grid point, as the loader reads it) where both rules hold flags them, then
-the first grid point the search finds. Unknown is treated as a rejection.
+boxes of grid indices: its direct bounds cut the root box, and interval
+bounds over a box's grid values prove each other relation true, false or
+neither there. A false one refutes the box, a true one is dropped from it,
+and the box is split at an index midpoint of a variable of an undecided
+one, or, with none to split, evaluated at its least point with the
+compiled rules. The root boxes come first: when every one is empty or
+refuted, the rules are Clear without being compiled or reading a run.
+Otherwise a dataset run (a grid point, as the loader reads it) where both
+rules hold flags them, then the first grid point the search finds. Unknown
+is treated as a rejection.
 """
 
 from __future__ import annotations
@@ -74,9 +77,9 @@ _FULL_LINE = (-math.inf, math.inf, True)
 def _interval(expr: Expr, box: dict[str, tuple[float, float]]
               ) -> tuple[float, float, bool] | None:
     """(lo, hi, tainted): bounds of the expression over the box. tainted
-    means a division by zero is possible inside, so no truth value may be
-    concluded from the bounds. None means some divisor is 0 everywhere in
-    the box, so the expression divides by zero at every point."""
+    means a division by zero or a nan (inf * 0, inf / inf) is possible
+    inside, so the bounds decide no truth value. None means some divisor
+    is 0 everywhere in the box, so it divides by zero at every point."""
     if isinstance(expr, Const):
         return (expr.value, expr.value, False)
     if isinstance(expr, Var):
@@ -95,19 +98,12 @@ def _interval(expr: Expr, box: dict[str, tuple[float, float]]
         if expr.left == expr.right and math.isfinite(llo) and math.isfinite(lhi):
             return (0.0, 0.0, False)  # e - e is exactly 0 wherever e is finite
         return (llo - rhi, lhi - rlo, False)
-    if op == "*":
-        products = [_safe_mul(a, b) for a in (llo, lhi) for b in (rlo, rhi)]
-        return (min(products), max(products), False)
-    if rlo <= 0 <= rhi:
+    if op == "/" and rlo <= 0 <= rhi:
         return None if rlo == rhi == 0 else _FULL_LINE
-    quotients = [a / b for a in (llo, lhi) for b in (rlo, rhi)]
-    return (min(quotients), max(quotients), False)
-
-
-def _safe_mul(a: float, b: float) -> float:
-    if a == 0 or b == 0:
-        return 0.0
-    return a * b
+    corners = [a * b if op == "*" else a / b for a in (llo, lhi) for b in (rlo, rhi)]
+    if any(map(math.isnan, corners)):
+        return _FULL_LINE
+    return (min(corners), max(corners), False)
 
 
 def _relation_truth(rel: Relation, box) -> bool | None:
@@ -137,16 +133,6 @@ def _relation_truth(rel: Relation, box) -> bool | None:
     if rel.op is RelOp.EQ or inner is None:
         return inner
     return not inner  # NE
-
-
-def _and3(values) -> bool | None:
-    result: bool | None = True
-    for v in values:
-        if v is False:
-            return False
-        if v is None:
-            result = None
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -188,36 +174,52 @@ def _cut_box(relations, odd: OddSpec):
     return box, residual
 
 
-def _rules_out(residual, box, axes) -> bool:
-    """True when interval bounds over the grid values of the box prove some
-    residual relation false at every point in it. axes are the variables
-    of the residual relations."""
-    hull = {v.name: (v.points[box[v.name][0]], v.points[box[v.name][1] - 1]) for v in axes}
-    return _and3(_relation_truth(r, hull) for r in residual) is False
+def _undecided(relations, box, odd: OddSpec) -> list[Relation] | None:
+    """The relations that interval bounds over the grid values of the index
+    box do not prove true throughout it, or None when they prove one false."""
+    hull = {v.name: (v.points[lo], v.points[hi - 1])
+            for v, (lo, hi) in zip(odd.variables, box.values())}
+    undecided = []
+    for rel in relations:
+        truth = _relation_truth(rel, hull)
+        if truth is False:
+            return None
+        if truth is None:
+            undecided.append(rel)
+    return undecided
 
 
-def _search(box, residual, axes, odd: OddSpec, both):
-    """Depth first over the box: a box the bounds refute is dropped, any
-    other is split at the index midpoint of its first axis (in ODD order)
-    with more than one index, lower half first, and a box of one point is
-    evaluated at it. Variables outside the axes stay at their lowest index,
-    so the first point found is the least in ODD order. (Flagged, point)
-    for that point, Clear when there is none, Unknown once NODE_BUDGET boxes
-    were visited."""
-    stack = [box]
+def _search(box, relations, odd: OddSpec, both):
+    """Depth first over the box, each carrying down the relations still
+    undecided (_undecided) over its parent: a refuted box is dropped; any
+    other is split at the index midpoint of the first variable (in ODD
+    order) of its undecided relations that spans more than one index,
+    lower half first, or with no such variable evaluated at its least
+    point. So the first point found is the least in ODD order where the
+    relations hold (a relation that overflows at it is left to the
+    compiled rules). (Flagged, point) for that point, Clear when there is
+    none, Unknown once NODE_BUDGET boxes were visited."""
+    stack = [(box, relations)]
     for _ in range(NODE_BUDGET):
         if not stack:
             break
-        node = stack.pop()
-        split = next((v.name for v in axes if node[v.name][1] - node[v.name][0] > 1), None)
+        node, relations = stack.pop()
+        relations = _undecided(relations, node, odd)
+        if relations is None:
+            continue
+        names = {n for rel in relations for side in (rel.lhs, rel.rhs)
+                 for n in expr_variables(side)}
+        split = next((v.name for v in odd.variables
+                      if v.name in names and node[v.name][1] - node[v.name][0] > 1), None)
         if split is None:
             point = {v.name: v.points[lo] for v, (lo, _) in zip(odd.variables, node.values())}
             if both(point):
                 return (ContradictionStatus.FLAGGED, point)
-        elif not _rules_out(residual, node, axes):
+        else:
             lo, hi = node[split]
             mid = (lo + hi) // 2
-            stack += ({**node, split: (mid, hi)}, {**node, split: (lo, mid)})
+            stack += (({**node, split: (mid, hi)}, relations),
+                      ({**node, split: (lo, mid)}, relations))
     return (ContradictionStatus.UNKNOWN if stack else ContradictionStatus.CLEAR, None)
 
 
@@ -254,11 +256,9 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
             box, residual = _cut_box(ca.relations + cb.relations, odd)
             if any(lo >= hi for lo, hi in box.values()):
                 continue
-            names = {n for rel in residual for side in (rel.lhs, rel.rhs)
-                     for n in expr_variables(side)}
-            axes = [v for v in odd.variables if v.name in names]
-            if not (residual and _rules_out(residual, box, axes)):
-                open_pairs.append((box, residual, axes))
+            undecided = _undecided(residual, box, odd)
+            if undecided is not None:
+                open_pairs.append((box, undecided))
     if not open_pairs:
         return (ContradictionStatus.CLEAR, None)
     holds_a, holds_b = compile_rule(a), compile_rule(b)
@@ -270,8 +270,8 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
         if both(run.x):
             return (ContradictionStatus.FLAGGED, dict(run.x))
     status = ContradictionStatus.CLEAR
-    for box, residual, axes in open_pairs:
-        found, witness = _search(box, residual, axes, odd, both)
+    for box, relations in open_pairs:
+        found, witness = _search(box, relations, odd, both)
         if found is ContradictionStatus.FLAGGED:
             return (found, witness)
         if found is ContradictionStatus.UNKNOWN:

@@ -12,7 +12,8 @@ from ruleforge import (ContradictionStatus, DeterministicGenerator, Exhausted, L
                        decisiveness, evaluate, make_oracle, odd_spec, parse_rule, print_rule,
                        random_rule, refine_loop)
 from ruleforge import storage, validation
-from ruleforge.grammar import ArithOp, BinOp, Const, Relation, RelOp, Var, rule
+from ruleforge.grammar import ArithOp, BinOp, Const, Relation, RelOp, Var, print_relation, rule
+from ruleforge.semantics import compile_rule
 
 R1_STAR = "(dist_front < 4.1) and (ego_speed > 0)"
 
@@ -265,6 +266,49 @@ class TestIntervalGateBranches:
                                         _GATE_DOMAIN)
         assert result.status is ContradictionStatus.CLEAR
 
+    def test_a_nan_leaves_its_relation_undecided(self):
+        # (4 - x) * 10**308 is inf for x <= 2, and inf * 0 is nan, which fails
+        # every relation: the relation holds at x = 3 and 4 only
+        nan_rule = f"(((4 - x) * {10 ** 308}) * 0 < 1)"
+        (relation,) = parse_rule(nan_rule).disjuncts[0].relations
+        assert validation._relation_truth(relation, {"x": (0.0, 4.0)}) is None
+        odd = odd_spec([("x", 0.0, 4.0, 1.0)])
+        (result,) = check_contradiction(_pass(nan_rule), [_fail("(x < 4)")], odd)
+        assert (result.status, result.witness) == (ContradictionStatus.FLAGGED, {"x": 3.0})
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_decided_relation_is_decided_at_every_grid_point_of_the_box(self, seed):
+        # True or False over a box of grid indices must be the compiled
+        # relation's value at each of its points, overflow and nan included
+        rng = random.Random(seed)
+        variables = _GATE_DOMAIN.variables
+        for _ in range(1000):
+            relation = Relation(_random_expr(rng, 3), rng.choice(list(RelOp)),
+                                _random_expr(rng, 3))
+            box = {}
+            for v in variables:
+                lo = rng.randrange(v.grid_count)
+                box[v.name] = (lo, rng.randrange(lo + 1, v.grid_count + 1))
+            undecided = validation._undecided([relation], box, _GATE_DOMAIN)
+            if undecided:
+                continue
+            holds = compile_rule(rule([relation]))
+            for combo in itertools.product(*(range(*box[v.name]) for v in variables)):
+                x = {v.name: v.points[k] for v, k in zip(variables, combo)}
+                assert holds(x, None) is (undecided is not None), (print_relation(relation), box)
+
+
+_CONSTANTS = (0.0, 0.5, 1.0, -2.0, 4.0, 1e308, -1e308, 1e-308)
+
+
+def _random_expr(rng, depth):
+    """A random expression over _GATE_DOMAIN, at most depth operators deep."""
+    if depth == 0 or rng.random() < 0.3:
+        return (Var(rng.choice(_GATE_DOMAIN.names)) if rng.random() < 0.5
+                else Const(rng.choice(_CONSTANTS)))
+    return BinOp(rng.choice(list(ArithOp)), _random_expr(rng, depth - 1),
+                 _random_expr(rng, depth - 1))
+
 
 class TestIndexBoxSearch:
     """One branch and bound over boxes of grid indices decides each pair of
@@ -286,6 +330,27 @@ class TestIndexBoxSearch:
         (result,) = check_contradiction(_pass(candidate), [_fail(opposing)], self.MILLION)
         assert result.status is ContradictionStatus.UNKNOWN
         assert result.witness is None
+
+    def test_relations_true_throughout_a_box_are_not_split(self, odd, monkeypatch):
+        # 31.8 != dist_front holds on every box that misses 31.8; a search that
+        # splits dist_front there too, in every ego_speed box, needs 9,044 boxes
+        monkeypatch.setattr(validation, "NODE_BUDGET", 1000)
+        (result,) = check_contradiction(
+            _pass("((ego_speed == 23) and (dist_front <= 43.2)) or (31.8 != dist_front)"
+                  " or ((dist_front > 18.4) and (lane_offset < 1.2))"),
+            [_fail("(lane_offset * 4.6 == 0.9) and (ego_speed <= 13.5)"
+                   " and (lane_offset >= ego_speed)")], odd)
+        assert result.status is ContradictionStatus.CLEAR
+
+    def test_only_the_variables_of_undecided_relations_are_split(self, odd):
+        # the != relations and dist_front / 0.5 > 1 hold on most boxes; a
+        # search that splits dist_front there too runs out of NODE_BUDGET
+        (result,) = check_contradiction(
+            _pass("(lane_offset != -0.3) and (7.5 != ego_speed)"),
+            [_fail("((ego_speed < 15.5) and (dist_front >= 29.4) and (ego_speed > 15.5))"
+                   " or ((ego_speed >= lane_offset) and (dist_front / 0.5 > 1)"
+                   " and (lane_offset > ego_speed))")], odd)
+        assert result.status is ContradictionStatus.CLEAR
 
     @pytest.mark.parametrize("bound,status", [
         (f"x < {10 ** 308}", ContradictionStatus.FLAGGED),
@@ -345,6 +410,7 @@ def _check_pairs_against_brute_force(rng, trials, same_share):
         assert (result.status is ContradictionStatus.FLAGGED) == grid_sat
         if grid_sat:
             assert both(result.witness)
+            assert result.witness == _first_pair_point(pass_rule.ast, fail_rule.ast, odd)
         seen.add(result.status)
     assert seen == {ContradictionStatus.CLEAR, ContradictionStatus.FLAGGED}
 
@@ -370,16 +436,31 @@ def _random_bound_rule(rng, odd, same_share=0.0):
     return rule(*conjuncts)
 
 
+def _first_pair_point(a, b, odd):
+    """The least grid point, in ODD order, of the first pair of conjuncts (one
+    from each rule, in rule order) that holds at one; None if none does."""
+    points = [dict(zip(odd.names, combo))
+              for combo in itertools.product(*(v.grid_values() for v in odd.variables))]
+    for ca in a.disjuncts:
+        for cb in b.disjuncts:
+            pair = rule(ca.relations + cb.relations)
+            point = next((x for x in points if evaluate(pair, x)), None)
+            if point is not None:
+                return point
+    return None
+
+
 def _assert_decided_by_brute_force(result, a, b, odd, dataset):
     """Reference only: the first dataset run where both rules hold is the
     witness; else Flagged, with a witness where both hold, iff some grid
-    point has both; else Clear."""
+    point has both, and the witness is _first_pair_point; else Clear."""
     both = lambda x: evaluate(a, x) and evaluate(b, x)
     run = next((run.x for run in dataset or [] if both(run.x)), None)
     if run is not None:
         assert (result.status, result.witness) == (ContradictionStatus.FLAGGED, run)
     elif _grid_sat(a, b, odd):
         assert result.status is ContradictionStatus.FLAGGED and both(result.witness)
+        assert result.witness == _first_pair_point(a, b, odd)
     else:
         assert (result.status, result.witness) == (ContradictionStatus.CLEAR, None)
 
