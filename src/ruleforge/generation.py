@@ -378,48 +378,34 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
                            odd: OddSpec) -> list[RuleAst]:
     """All single-edit candidates in the fixed generation order: midpoint
     threshold moves, strictness swaps, midpoint bounds on the perturbed
-    feature, then removals. Duplicates (same resulting rule) keep their
-    first position; an edit already built once (same relation at the same
-    position, or the same bound on the same disjunct) is skipped before its
-    rule is built."""
-    out: list[RuleAst] = []
-    seen: set[str] = {print_rule(target)}
-    built: set[tuple] = set()
+    feature, then removals. Candidates are keyed by the rule itself (two
+    rules are equal exactly when they print equal), so a duplicate keeps its
+    first position and the target is never one."""
+    out: dict[RuleAst, None] = {}
 
     def add(d: int, relations: tuple[Relation, ...]):
         """Keep the target with disjunct d's relations replaced (none: removed)."""
         middle = (Conjunct(relations),) if relations else ()
-        ast = RuleAst(target.disjuncts[:d] + middle + target.disjuncts[d + 1:])
-        key = print_rule(ast)
-        if key not in seen:
-            seen.add(key)
-            out.append(ast)
+        out.setdefault(RuleAst(target.disjuncts[:d] + middle + target.disjuncts[d + 1:]))
 
-    moves = [
+    moves = dict.fromkeys(
         (d, j, rel, feature, pair.x_cf[feature] < pair.x[feature],
          _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals))
         for pair in evidence.pairs
         for feature in _changed_features(pair, odd)
-        for d, j, rel in _var_const_positions(target, feature)
-    ]
+        for d, j, rel in _var_const_positions(target, feature))
     for d, j, rel, feature, down, mid in moves:
-        new_rel = _adjust_threshold(rel, mid)
-        if new_rel != rel and ("move", d, j, new_rel) not in built:
-            built.add(("move", d, j, new_rel))
-            rels = target.disjuncts[d].relations
-            add(d, rels[:j] + (new_rel,) + rels[j + 1:])
-    for d, j, rel, feature, down, mid in moves:
+        rels = target.disjuncts[d].relations
+        add(d, rels[:j] + (_adjust_threshold(rel, mid),) + rels[j + 1:])
+    for d, j, rel in dict.fromkeys(move[:3] for move in moves):
         swapped = _swap_strictness(rel)
-        if swapped is not None and ("swap", d, j) not in built:
-            built.add(("swap", d, j))
+        if swapped is not None:
             rels = target.disjuncts[d].relations
             add(d, rels[:j] + (swapped,) + rels[j + 1:])
     for d, j, rel, feature, down, mid in moves:
         new_rel = Relation(Var(feature), RelOp.LT if down else RelOp.GT, Const(mid))
-        if ("bound", d, new_rel) in built or new_rel in target.disjuncts[d].relations:
-            continue
-        built.add(("bound", d, new_rel))
-        add(d, target.disjuncts[d].relations + (new_rel,))
+        if new_rel not in target.disjuncts[d].relations:
+            add(d, target.disjuncts[d].relations + (new_rel,))
     for (d, j), rel in target.relations():
         rels = target.disjuncts[d].relations
         if len(rels) > 1:
@@ -427,7 +413,8 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
     if len(target.disjuncts) > 1:
         for d in range(len(target.disjuncts)):
             add(d, ())
-    return out
+    out.pop(target, None)
+    return list(out)
 
 
 class DeterministicGenerator:

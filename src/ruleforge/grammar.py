@@ -262,9 +262,10 @@ class OddSpec:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise GrammarError("ODD variable names must be unique")
-        # The one place where DOMAIN_TOL widens the ranges, done once:
+        # The ranges as the oracle label admits them, widened once:
         # (name, min - DOMAIN_TOL, max + DOMAIN_TOL) per variable. Only the
-        # oracle label reads it: it is compiled into every label's guard.
+        # label reads it, compiled into its guard; OddVariable.index_of and
+        # grid_count widen the range by DOMAIN_TOL on their own.
         object.__setattr__(self, "bounds", tuple(
             (v.name, v.min - DOMAIN_TOL, v.max + DOMAIN_TOL) for v in self.variables))
 

@@ -23,12 +23,13 @@ boxes of grid indices: its direct bounds cut the root box, and interval
 bounds over a box's grid values prove each other relation true, false or
 neither there. A false one refutes the box, a true one is dropped from it,
 and the box is split at an index midpoint of a variable of an undecided
-one, or, with none to split, evaluated at its least point with the
-compiled rules. The root boxes come first: when every one is empty or
-refuted, the rules are Clear without being compiled or reading a run.
-Otherwise a dataset run (a grid point, as the loader reads it) where both
-rules hold flags them, then the first grid point the search finds. Unknown
-is treated as a rejection.
+one, or, with none to split, flags its least point when no relation is
+left undecided or the pair's own relations, compiled, hold there.
+The root boxes come first: when every one is empty or refuted, the rules
+are Clear without being compiled or reading a run. Otherwise a dataset run
+(a grid point, as the loader reads it) where both rules hold flags them,
+then the first grid point the search finds. Unknown is treated as a
+rejection.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .counterfactual import EvidenceFile, Oracle, SearchLimits, build_evidence
 from .generation import (Edit, GenerationFailure, RefinementContext, diff_rules,
                          generate_candidate)
 from .grammar import (Const, Expr, OddSpec, Relation, RelOp, RuleAst, Var, check_vocabulary,
-                      direct_bound, expr_variables, print_rule)
+                      direct_bound, expr_variables, print_rule, rule)
 from .semantics import (EPS_EQ, DecisivenessReport, LabeledRun, PolarizedRule, compile_rule,
                         decisiveness)
 
@@ -189,37 +190,41 @@ def _undecided(relations, box, odd: OddSpec) -> list[Relation] | None:
     return undecided
 
 
-def _search(box, relations, odd: OddSpec, both):
+def _search(box, relations, odd: OddSpec):
     """Depth first over the box, each carrying down the relations still
     undecided (_undecided) over its parent: a refuted box is dropped; any
     other is split at the index midpoint of the first variable (in ODD
     order) of its undecided relations that spans more than one index,
-    lower half first, or with no such variable evaluated at its least
-    point. So the first point found is the least in ODD order where the
-    relations hold (a relation that overflows at it is left to the
-    compiled rules). (Flagged, point) for that point, Clear when there is
-    none, Unknown once NODE_BUDGET boxes were visited."""
+    lower half first; with no such variable, the box's least point is
+    found when no relation is left undecided, or else when the search's
+    own relations, compiled once, hold there. So the first point found is
+    the least in ODD order where the relations hold. (Flagged, point) for
+    it, Clear when there is none, Unknown once NODE_BUDGET boxes were
+    visited."""
+    holds = None
     stack = [(box, relations)]
     for _ in range(NODE_BUDGET):
         if not stack:
             break
-        node, relations = stack.pop()
-        relations = _undecided(relations, node, odd)
-        if relations is None:
+        node, undecided = stack.pop()
+        undecided = _undecided(undecided, node, odd)
+        if undecided is None:
             continue
-        names = {n for rel in relations for side in (rel.lhs, rel.rhs)
+        names = {n for rel in undecided for side in (rel.lhs, rel.rhs)
                  for n in expr_variables(side)}
         split = next((v.name for v in odd.variables
                       if v.name in names and node[v.name][1] - node[v.name][0] > 1), None)
         if split is None:
             point = {v.name: v.points[lo] for v, (lo, _) in zip(odd.variables, node.values())}
-            if both(point):
+            if undecided:
+                holds = holds or compile_rule(rule(relations))
+            if not undecided or holds(point, None):
                 return (ContradictionStatus.FLAGGED, point)
         else:
             lo, hi = node[split]
             mid = (lo + hi) // 2
-            stack += (({**node, split: (mid, hi)}, relations),
-                      ({**node, split: (lo, mid)}, relations))
+            stack += (({**node, split: (mid, hi)}, undecided),
+                      ({**node, split: (lo, mid)}, undecided))
     return (ContradictionStatus.UNKNOWN if stack else ContradictionStatus.CLEAR, None)
 
 
@@ -234,9 +239,10 @@ def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
 
     Each pair is first cut to the box of grid indices its direct bounds
     allow and bounded there; when every box is empty or refuted, the result
-    is Clear without compiling a rule or reading a run. Otherwise the
-    dataset is scanned for the first run where both rules hold, and then
-    each open pair searched (_search). Runs passed in must be grid points,
+    is Clear without compiling a rule or reading a run. Otherwise a
+    non-empty dataset is scanned, with both rules compiled, for the first
+    run where both hold, and then each open pair searched by its own
+    relations (_search). Runs passed in must be grid points,
     as load_dataset(path, odd) returns them: a Clear verdict says nothing of
     a point off the grid."""
     results = []
@@ -261,17 +267,14 @@ def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
                 open_pairs.append((box, undecided))
     if not open_pairs:
         return (ContradictionStatus.CLEAR, None)
-    holds_a, holds_b = compile_rule(a), compile_rule(b)
-
-    def both(x: dict[str, float]) -> bool:
-        return holds_a(x, None) and holds_b(x, None)
-
-    for run in dataset or []:
-        if both(run.x):
-            return (ContradictionStatus.FLAGGED, dict(run.x))
+    if dataset:
+        holds_a, holds_b = compile_rule(a), compile_rule(b)
+        for run in dataset:
+            if holds_a(run.x, None) and holds_b(run.x, None):
+                return (ContradictionStatus.FLAGGED, dict(run.x))
     status = ContradictionStatus.CLEAR
     for box, relations in open_pairs:
-        found, witness = _search(box, relations, odd, both)
+        found, witness = _search(box, relations, odd)
         if found is ContradictionStatus.FLAGGED:
             return (found, witness)
         if found is ContradictionStatus.UNKNOWN:

@@ -276,6 +276,17 @@ class TestIntervalGateBranches:
         (result,) = check_contradiction(_pass(nan_rule), [_fail("(x < 4)")], odd)
         assert (result.status, result.witness) == (ContradictionStatus.FLAGGED, {"x": 3.0})
 
+    def test_a_relation_overflowing_at_a_point_is_decided_by_its_own_pair(self):
+        # x * 10**308 is inf at x = 2, 3 and 4, so the first pair of conjuncts
+        # holds nowhere; x == 2 holds at x = 2 only in the third pair, so the
+        # witness is the point of the second, x == 4 with x >= 2
+        odd = odd_spec([("x", 0.0, 4.0, 1.0)])
+        candidate = _pass(f"(x * {10 ** 308} < 0) or (x == 4) or (x == 2)")
+        opposing = _fail("(x >= 2)")
+        (result,) = check_contradiction(candidate, [opposing], odd)
+        assert (result.status, result.witness) == (ContradictionStatus.FLAGGED, {"x": 4.0})
+        assert result.witness == _first_pair_point(candidate.ast, opposing.ast, odd)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_a_decided_relation_is_decided_at_every_grid_point_of_the_box(self, seed):
         # True or False over a box of grid indices must be the compiled
@@ -510,6 +521,22 @@ class TestProofsFirst:
         assert result.witness in [run.x for run in dataset]
         _assert_decided_by_brute_force(result, candidate.ast, standing.ast, odd, dataset)
 
+
+    def test_a_pair_the_cuts_and_intervals_settle_flags_without_compiling(self, odd,
+                                                                           monkeypatch):
+        # the cuts leave dist_front in [0, 2.8] and ego_speed in [0.5, 30], where
+        # ego_speed * 2 >= 1 holds throughout: the least point of that box is the
+        # witness, and no rule is compiled to find it
+        compiled = []
+        real_compile = validation.compile_rule
+        monkeypatch.setattr(validation, "compile_rule",
+                            lambda ast: compiled.append(ast) or real_compile(ast))
+        candidate, standing = _pass(R1_STAR), _fail("(dist_front < 3) and (ego_speed * 2 >= 1)")
+        (result,) = check_contradiction(candidate, [standing], odd)
+        assert compiled == []
+        assert result.status is ContradictionStatus.FLAGGED
+        assert result.witness == {"ego_speed": 0.5, "dist_front": 0.0, "lane_offset": -2.0}
+        assert evaluate(candidate.ast, result.witness) and evaluate(standing.ast, result.witness)
 
 def _refine(fixture, text, ruleset=None, target=None):
     """refine_loop on the fixture with one scripted candidate."""
