@@ -5,7 +5,8 @@
   decimal form so store(load(path)) is byte-identical for canonical files.
   Loaded with an ODD, runs are points of its step grid, each value read as
   its grid point, and list features in ODD order, then other columns in
-  file order: column order changes no artifact.
+  file order: column order changes no artifact. Each distinct value of
+  an ODD variable's column is checked against its grid once per load.
   Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
   a faulty block is walked row by row to name the line on which its first
   faulty record starts. A clean block's row dicts are filled a column at a
@@ -16,6 +17,10 @@
 * Rules JSON: a bare list of {"id", "polarity": "pass"|"fail", "text"}.
 * Engine-owned JSON artifacts (oracle config, evidence, outcome, metrics)
   carry a schema_version header.
+* Every JSON artifact has one form, that of json.dumps(indent=2,
+  ensure_ascii=False) plus a newline (json_text). Containers of leaf
+  values are written by the C encoder; only containers of containers are
+  joined in Python.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import json
 import math
 import sys
 from collections import deque
-from functools import partial
+from functools import cache, partial
 from itertools import islice, repeat
+from json.encoder import c_make_encoder, encode_basestring
 from operator import setitem
 from pathlib import Path
 
@@ -101,9 +107,10 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
             # a run's keys in ODD order, then the other columns in file order
             order = [j for j, _ in grids]
             order += [j for j in range(len(features)) if j not in order]
+            checked = [{} for _ in grids]
             runs = []
             while rows := list(islice(reader, BLOCK_ROWS)):
-                block = _block_columns(rows, len(header), grids)
+                block = _block_columns(rows, len(header), grids, checked)
                 if block is None:
                     _row_fault(path, rows, reader.line_num, features, grids)
                 del rows  # its cells are freed before the runs take their memory
@@ -122,13 +129,16 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
     return runs
 
 
-def _block_columns(rows: list[list[str]], width: int, grids: list[tuple[int, OddVariable]]
+def _block_columns(rows: list[list[str]], width: int, grids: list[tuple[int, OddVariable]],
+                   checked: list[dict[float, float]]
                    ) -> tuple[list[list[float]], list[Outcome]] | None:
     """The feature columns of a block of rows, as floats, and its outcomes,
     each converted a column at a time; None when any row is faulty, which
     _row_fault then names. grids holds (column, variable) per column whose
     distinct values must each lie on the variable's grid; each such value
-    is replaced by its grid point."""
+    is replaced by its grid point. checked holds, per entry of grids, the
+    grid point of each value an earlier block of the load has checked, and
+    gains this block's: a load checks each distinct value once."""
     if set(map(len, rows)) != {width}:
         return None
     *cells, labels = zip(*rows)
@@ -139,12 +149,15 @@ def _block_columns(rows: list[list[str]], width: int, grids: list[tuple[int, Odd
     ys = list(map(_OUTCOMES.get, labels))
     if None in ys or not all(all(map(math.isfinite, column)) for column in columns):
         return None
-    for j, v in grids:
-        distinct = list(set(columns[j]))
-        indices = list(map(v.index_of, distinct))
-        if None in indices:
-            return None
-        points = list(map(v.points.__getitem__, indices))
+    for (j, v), known in zip(grids, checked):
+        distinct = set(columns[j])
+        if new := list(distinct.difference(known)):
+            indices = list(map(v.index_of, new))
+            if None in indices:
+                return None
+            known.update(zip(new, map(v.points.__getitem__, indices)))
+        distinct = list(distinct)
+        points = list(map(known.__getitem__, distinct))
         if points != distinct:  # a value off its grid point by DOMAIN_TOL at most reads as it
             snap = {x: p for x, p in zip(distinct, points) if x != p}
             columns[j] = list(map(snap.get, columns[j], columns[j]))
@@ -204,10 +217,59 @@ def store_dataset(path: str | Path, runs: list[LabeledRun]) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: The exact types whose JSON text is a C encoder's, wherever they stand.
+_LEAF_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
 def json_text(payload) -> str:
-    """The one JSON form of every artifact: indented, non-ASCII kept as is,
-    newline-terminated."""
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    """The one JSON form of every artifact: the text of json.dumps(payload,
+    indent=2, ensure_ascii=False), newline-terminated. CPython 3.10 and
+    3.11 serve any indent with the pure-Python encoder; here a container
+    whose children all have leaf types is one call of the C encoder, whose
+    item separator carries the children's indent, and only containers of
+    containers are joined in Python."""
+    return _text(payload, "\n") + "\n"
+
+
+@cache
+def _encoder(newline: str):
+    """The C encoder whose item separator is a comma and newline, that is
+    a newline and the items' indent. It makes no circular check, as a leaf
+    cannot hold itself; an unsupported value raises stdlib's TypeError."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None,
+                          ": ", "," + newline, False, False, True)
+
+
+def _text(o, newline: str) -> str:
+    """o as json.dumps(indent=2, ensure_ascii=False) writes it inside a
+    payload; newline is a newline and o's own indent, which precede its
+    closing bracket."""
+    kind = type(o)
+    if kind is str:
+        return encode_basestring(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is float and math.isfinite(o):
+        return float.__repr__(o)
+    if isinstance(o, (list, tuple, dict)) and o:
+        inner = newline + "  "
+        is_dict = isinstance(o, dict)
+        if _LEAF_TYPES.issuperset(map(type, o.values() if is_dict else o)):
+            text = "".join(_encoder(inner)(o, 0))
+            return text[0] + inner + text[1:-1] + newline + text[-1]
+        if is_dict:
+            items = [f"{_key(k)}: {_text(v, inner)}" for k, v in o.items()]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + newline + "]"
+    # None, a bool, NaN or an infinity, an empty container, a subclass of a
+    # leaf type, or a value JSON cannot hold
+    return "".join(_encoder(newline)(o, 0))
+
+
+def _key(k) -> str:
+    """The text of a key of a container of containers; a key that is not a
+    str is converted, or refused, by the C encoder."""
+    return encode_basestring(k) if type(k) is str else "".join(_encoder("")({k: 0}, 0))[1:-4]
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ruleforge import (DeterministicGenerator, build_evidence, default_config, make_oracle,
                        parse_rule, refine_loop, sample_dataset)
-from ruleforge.grammar import DOMAIN_TOL, fmt_number, odd_spec
+from ruleforge.grammar import DOMAIN_TOL, OddVariable, fmt_number, odd_spec
 from ruleforge.semantics import LabeledRun, Outcome, PolarizedRule, Polarity
 from ruleforge import storage
 from ruleforge.cli import main
@@ -396,6 +396,37 @@ class TestLoadMatchesRowByRowReference:
             assert result(storage.load_dataset) == result(_ref_load_dataset)
 
 
+class TestGridCheckedOncePerLoad:
+    def test_each_distinct_value_is_checked_once(self, tmp_path):
+        """In blocks of 3 rows, exact values repeated across blocks, signed
+        zeros and a value within DOMAIN_TOL that first appears in block 3
+        load as in the row-by-row reference, and each distinct value of a
+        grid column reaches index_of once in the whole load."""
+        rows = ["1,2,4,Pass", "1.5,-0.0,4,Fail", "1,2,4,Pass",
+                "1,2,4,Pass", "2,0,4,Fail", "1.5,2,4,Pass",
+                "1.0000000004,2,4,Pass", "-0,2.4999999996,4,Fail", "1,2,4,Pass"]
+        path = tmp_path / "blocks.csv"
+        path.write_text("\n".join(["f0,f1,g,outcome"] + rows) + "\n", encoding="utf-8")
+        odd = odd_spec([("f0", -1.0, 4.0, 0.5), ("f1", -1.0, 5.0, 0.5)])
+        calls = []
+        index_of = OddVariable.index_of
+
+        def counted(v, value):
+            calls.append((v.name, value))
+            return index_of(v, value)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage, "BLOCK_ROWS", 3)
+            patch.setattr(OddVariable, "index_of", counted)
+            runs = storage.load_dataset(path, odd)
+        assert [(repr(run.x), run.y) for run in runs] == \
+            [(repr(run.x), run.y) for run in _ref_load_dataset(path, odd)]
+        assert runs[6].x["f0"] == 1.0 and runs[7].x["f1"] == 2.5
+        assert sorted(calls) == sorted(set(calls))
+        assert set(calls) == {("f0", 1.0), ("f0", 1.5), ("f0", 2.0), ("f0", 1.0000000004),
+                              ("f0", 0.0), ("f1", 2.0), ("f1", 0.0), ("f1", 2.4999999996)}
+
+
 def _ref_dataset_bytes(runs):
     """The writer formatting every cell on its own, kept as the reference only."""
     features = list(runs[0].x.keys())
@@ -646,3 +677,58 @@ class TestOutcomeJson:
         assert data["schema_version"] == 1
         assert data["dg_after"] == 1.0
         assert data["reports"][0]["accepted"] is True
+
+
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é'), st.characters()),
+                     max_size=6)
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 80, 2 ** 80), st.floats(),
+                         _JSON_TEXT)
+_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(-2 ** 70, 2 ** 70), st.floats(), st.booleans(),
+                       st.none())
+_JSON_PAYLOADS = st.recursive(_JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_JSON_KEYS, children, max_size=4)), max_leaves=16)
+
+
+def _stdlib_text(payload) -> str:
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class TestJsonText:
+    """json_text writes the text of json.dumps(indent=2, ensure_ascii=False)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=_JSON_PAYLOADS)
+    @example(payload={"x": {"a": 1.5, "b": -0.0}, "pairs": [{"d": [], "e": {}}, []], 1: [[]]})
+    @example(payload={float("nan"): [float("inf"), {None: -float("inf")}], True: [{}, "\U0001f600"]})
+    @example(payload={"leaf": [_Int(3), _Float(0.5), _Str("s")],
+                      "mixed": _Dict(k=[_Int(4), {_Str("k"): _Float(-0.0)}], e=_Dict()),
+                      _Str("tuple"): (1, [2, (3,)]), 7: [_Float("nan")]})
+    def test_same_text_as_stdlib(self, payload):
+        assert storage.json_text(payload) == _stdlib_text(payload)
+
+    @pytest.mark.parametrize("payload", [
+        object(), [1, {1, 2}], {"a": [{}, b"bytes"]}, {"a": {"b": [1j, []]}},
+        {(1,): 1}, {"a": [], (1,): []}])
+    def test_an_unsupported_value_or_key_raises_stdlibs_error(self, payload):
+        with pytest.raises(TypeError) as expected:
+            _stdlib_text(payload)
+        with pytest.raises(TypeError) as got:
+            storage.json_text(payload)
+        assert str(got.value) == str(expected.value)
