@@ -78,13 +78,6 @@ def _load_in_domain(rules_path, dataset_path, config_path):
     return rules, runs, config
 
 
-def _made_parent(path: Path) -> Path:
-    """path, once the directory it lies in exists: a file named by --out may
-    lie under directories not made yet, as sim and refine's --out may."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 @click.group(no_args_is_help=False)  # no command is a usage error, one line like any other
 # main reads --json itself: click may refuse the command line before any callback runs
 @click.option("--json", is_flag=True, expose_value=False,
@@ -123,7 +116,6 @@ def sim(ctx, config_path, n, seed, reference_fixture, out_dir):
             config = replace(config, seed=seed)
         runs = sample_dataset(config, n)
         rules = None
-    out_dir.mkdir(parents=True, exist_ok=True)
     storage.store_dataset(out_dir / "dataset.csv", runs)
     storage.store_oracle_config(out_dir / "oracle_config.json", config)
     if rules is not None:
@@ -162,7 +154,7 @@ def eval_cmd(rules_path, dataset_path, out_path):
                          if definitive_dgs else None),
     }
     if out_path:
-        storage.write_json(_made_parent(out_path), payload)
+        storage.write_json(out_path, payload)
     else:
         click.echo(storage.json_text(payload), nl=False)
 
@@ -193,7 +185,7 @@ def cf(rules_path, rule_id, dataset_path, config_path, max_radius, search_budget
     limits = SearchLimits(max_radius_steps=max_radius, budget=search_budget)
     evidence = build_evidence(rule, runs, make_oracle(config), config.odd, limits,
                               dataset_ref=str(dataset_path))
-    storage.store_evidence(_made_parent(out_path), evidence)
+    storage.store_evidence(out_path, evidence)
     click.echo(f"wrote {len(evidence.pairs)} pairs "
                f"({len(evidence.unresolved)} unresolved) to {out_path}")
 
@@ -249,17 +241,16 @@ def refine(rules_path, rule_id, dataset_path, config_path, generator,
         summary = "; ".join(r.failure_summary or "" for r in exc.reports)
         raise Refusal(f"exhausted after {len(exc.reports)} attempts: {summary}",
                       "refinement", EXIT_REFINEMENT)
-    out_dir.mkdir(parents=True, exist_ok=True)
     storage.store_outcome(out_dir / "outcome.json", outcome)
-    (out_dir / "report.txt").write_text(_render_report(target, outcome), encoding="utf-8")
+    storage.write_text(out_dir / "report.txt", _render_report(target, outcome))
     _write_transcripts(out_dir, gen)
     click.echo(f"accepted on attempt {outcome.attempts}: {print_rule(outcome.refined)}")
     click.echo(f"dg {outcome.dg_before:.4f} -> {outcome.dg_after:.4f}")
 
 
 def _write_transcripts(out_dir: Path, gen) -> None:
-    """Write the generator's transcript, if it keeps one, making out_dir
-    only then: a generator without one leaves no directory behind."""
+    """Write the generator's transcript, if it keeps one. Storage makes
+    out_dir only to write a file in it, so none is left without one."""
     transcript = getattr(gen, "transcript", None)
     if transcript is None:
         return
@@ -267,7 +258,7 @@ def _write_transcripts(out_dir: Path, gen) -> None:
         "schema_version": storage.SCHEMA_VERSION,
         "transcripts": [{"prompt": t.prompt, "response": t.response} for t in transcript],
     }
-    storage.write_json(_made_parent(out_dir / "transcripts.json"), payload)
+    storage.write_json(out_dir / "transcripts.json", payload)
 
 
 def _render_report(target, outcome) -> str:
@@ -310,7 +301,7 @@ def metrics_cmd(rules_path, rule_id, dataset_path, config_path, outcome_path, ra
         before=decisiveness(target, runs),
         after=decisiveness(PolarizedRule(target.id, target.polarity, refined), runs),
         refined=refined, original=target.ast, odd=config.odd, raw_text=raw_text)
-    storage.store_metrics(_made_parent(out_path), report)
+    storage.store_metrics(out_path, report)
     click.echo(metrics_table(report, label=target.id[:12]))
 
 

@@ -24,15 +24,15 @@ vectors that stay in its range, which leaves the order as it is.
 
 A domain of at most TABLE_FEATURES features reads its rings whole from that
 table, and each probe is a copy of the run with its moves written in. A
-wider domain splits the offset vector in two. The leading features are
-walked by one iterative stack walk, which descends only into prefixes whose
-remainder the later features can take up, so no step of the walk is wasted;
-it writes each leading feature's value into one working dict only when the
-feature's offset changes. At each complete prefix, the trailing features
-(fewer than half of the domain's, and at most TABLE_FEATURES) take up the
-remainder from the shared ring of that many features, kept to their bounds:
-the search's table for that remainder, each vector with the values it
-moves, made when first needed and kept for the rest of the search. So a
+wider domain splits the offset vector in two. The leading features, all
+but the last TABLE_FEATURES, are walked by one iterative stack walk, which
+descends only into prefixes whose remainder the later features can take
+up, so no step of the walk is wasted; it writes each leading feature's
+value into one working dict only when the feature's offset changes. At
+each complete prefix, the last TABLE_FEATURES features take up the
+remainder from the shared ring of that many features, kept to their
+bounds: the search's table for that remainder, each vector with the values
+it moves, made when first needed and kept for the rest of the search. So a
 prefix hands out its probes without stepping the walk. A probe is the
 working dict merged with one table entry, a new dict per oracle query, so
 no oracle sees a dict that is later changed.
@@ -53,7 +53,7 @@ from .semantics import Label, LabeledRun, Outcome, PolarizedRule, decisiveness
 DEFAULT_BUDGET = 10_000
 DEFAULT_MAX_RADIUS_STEPS = 20
 # The most features a domain may have for its searches to read the shared
-# rings whole, and the most trailing features a wider search reads from
+# rings whole, and how many trailing features a wider search reads from
 # them. A ring over three features holds at most 4r^2 + 2 vectors at r, so
 # the shared rings of three features hold at most about 11,500 entries up to
 # the default radius, and so do one wider search's tables.
@@ -111,13 +111,6 @@ class EvidenceFile:
     unresolved: tuple[int, ...]  # run indices with no counterfactual in budget
 
 
-def _trailing(n: int) -> int:
-    """How many of a domain's n features the tables cover: fewer than
-    half, so that every table is reused by many prefixes, and at most
-    TABLE_FEATURES."""
-    return min(TABLE_FEATURES, (n - 1) // 2) if n else 0
-
-
 def _choices(down: int, up: int, after: int, rest: int) -> tuple[int, ...]:
     """A feature's offsets at remainder rest, in enumeration order: those
     within [-down, up] whose remainder the later features, which take up at
@@ -172,20 +165,21 @@ class _Rings:
     value at m is values[i][m], where values[i][0] must be x's own value and
     the offsets +-r must be there before ring r is walked.
 
-    The leading features are walked in enumeration order: per feature the
-    nonzero offsets ascending (negatives first), then 0. A leading feature
-    is offered only the offsets whose remainder the later features can take
-    up, so every choice ends in at least one vector. The trailing features'
-    vectors at a remainder are that shared ring of theirs, kept to their
-    bounds. A feature's choices at a remainder, and the table of a
-    remainder, are made on first use and kept for the rest of the search.
+    The leading features, all but the last TABLE_FEATURES, are walked in
+    enumeration order: per feature the nonzero offsets ascending (negatives
+    first), then 0. A leading feature is offered only the offsets whose
+    remainder the later features can take up, so every choice ends in at
+    least one vector. The trailing features' vectors at a remainder are
+    that shared ring of theirs, kept to their bounds. A feature's choices at
+    a remainder, and the table of a remainder, are made on first use and
+    kept for the rest of the search.
     """
 
     def __init__(self, x: dict[str, float], names: list[str], values: list[dict[int, float]],
                  down: list[int], up: list[int]):
         n = len(names)
         self.names, self.values = names, values
-        self.lead = lead = n - _trailing(n)
+        self.lead = lead = n - TABLE_FEATURES
         # reach[i]: the most steps features i.. can take up together.
         self.reach = reach = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
@@ -198,7 +192,7 @@ class _Rings:
         trail, tvalues, tdown, tup = names[lead:], values[lead:], down[lead:], up[lead:]
         self.tables = _Memo.of(lambda rest: [
             (moves, {trail[i]: tvalues[i][m] for i, m in moves})
-            for moves in _within(_RINGS[n - lead, rest], tdown, tup)])
+            for moves in _within(_RINGS[TABLE_FEATURES, rest], tdown, tup)])
         #: The probe's values of the leading features, x's own elsewhere.
         self.work = dict(x)
         #: The leading features' offsets at the current leaf.
@@ -215,12 +209,8 @@ class _Rings:
         """
         if total > self.reach[0]:
             return
-        tables = self.tables
-        if not self.lead:  # no features: the empty vector
-            yield tables[total]
-            return
         work, names, values, choices = self.work, self.names, self.values, self.choices
-        offsets, rests, last = self.offsets, self._rests, self.lead - 1
+        tables, offsets, rests, last = self.tables, self.offsets, self._rests, self.lead - 1
         rests[0] = total
         stack = [iter(choices[0][total])]
         while stack:

@@ -418,8 +418,8 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
 
 
 class DeterministicGenerator:
-    """Offline generator: best single edit by (fewest mismatches, fewest
-    edits, enumeration order). Fails when no edit strictly reduces the
+    """Offline generator: best single edit by (fewest mismatches,
+    enumeration order). Fails when no edit strictly reduces the
     target's mismatch count (`mismatch_before`), over the context's dataset
     and domain, which are refine_loop's own.
 

@@ -262,12 +262,6 @@ class OddSpec:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise GrammarError("ODD variable names must be unique")
-        # The ranges as the oracle label admits them, widened once:
-        # (name, min - DOMAIN_TOL, max + DOMAIN_TOL) per variable. Only the
-        # label reads it, compiled into its guard; OddVariable.index_of and
-        # grid_count widen the range by DOMAIN_TOL on their own.
-        object.__setattr__(self, "bounds", tuple(
-            (v.name, v.min - DOMAIN_TOL, v.max + DOMAIN_TOL) for v in self.variables))
 
     @property
     def names(self) -> list[str]:

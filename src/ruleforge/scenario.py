@@ -3,10 +3,10 @@
 Stands in for an expensive simulator: a ground-truth safe region expressed
 in the rule DSL labels any in-domain input deterministically. Every label
 is one call of the config's label function (OracleConfig.label), which
-semantics.compile_label generates from the ODD's bounds and the safe region
-on first use, compiling only a shape that no earlier label had: it checks
-the point against every ODD bound and itself raises OutOfDomain (defined in
-semantics, exported here) for a point outside, then evaluates the safe
+semantics.compile_label generates from the ODD's ranges, widened by
+DOMAIN_TOL, and the safe region on first use, compiling only a shape that
+no earlier label had: it raises OutOfDomain (defined in semantics,
+exported here) for a point outside those ranges, then evaluates the safe
 region inline. The canned fixture pairs a 198-run dataset with a baseline
 pass rule that mismatches the oracle on exactly 27 runs, so refinement
 experiments have a stable, reproducible starting point.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .counterfactual import Oracle
-from .grammar import OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
+from .grammar import DOMAIN_TOL, OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
 from .semantics import (Label, LabeledRun, Outcome, OutOfDomain, PolarizedRule, Polarity,
                         compile_label, evaluate)
 
@@ -56,10 +56,11 @@ class OracleConfig:
 
     @cached_property
     def label(self) -> Label:
-        """The oracle label of this config, built on first use. It is kept
-        on the instance, outside the fields, so equality, hash and repr
-        ignore it, and dataclasses.replace builds a new one."""
-        return compile_label(self.safe_region, self.odd.bounds)
+        """The label over the ODD's ranges widened by DOMAIN_TOL, built on first
+        use. It is kept on the instance, outside the fields, so equality, hash
+        and repr ignore it, and dataclasses.replace builds a new one."""
+        return compile_label(self.safe_region, tuple(
+            (v.name, v.min - DOMAIN_TOL, v.max + DOMAIN_TOL) for v in self.odd.variables))
 
     def __getstate__(self):
         # The fields only: the compiled label cannot be pickled and is

@@ -21,6 +21,8 @@
   ensure_ascii=False) plus a newline (json_text). Containers of leaf
   values are written by the C encoder; only containers of containers are
   joined in Python.
+* Every file is written by one primitive, which first makes the
+  directories the file lies in.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ class FormatError(ValueError):
 
 def _fail(path, message: str):
     raise FormatError(f"{path}: {message}")
+
+
+def _write(path: str | Path, data: bytes) -> None:
+    """Write data to path, first making the directories it lies in: every
+    file is written here, so an output may name a directory not made yet."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +219,7 @@ def dataset_bytes(runs: list[LabeledRun]) -> bytes:
 
 
 def store_dataset(path: str | Path, runs: list[LabeledRun]) -> None:
-    Path(path).write_bytes(dataset_bytes(runs))
+    _write(path, dataset_bytes(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +237,13 @@ def json_text(payload) -> str:
     3.11 serve any indent with the pure-Python encoder; here a container
     whose children all have leaf types is one call of the C encoder, whose
     item separator carries the children's indent, and only containers of
-    containers are joined in Python."""
-    return _text(payload, "\n") + "\n"
+    containers are joined in Python. What JSON cannot hold raises stdlib's
+    own TypeError: the C encoder names a refused key's class in full."""
+    try:
+        return _text(payload, "\n") + "\n"
+    except TypeError:
+        json.dumps(payload, indent=2, ensure_ascii=False)
+        raise
 
 
 @cache
@@ -273,7 +288,11 @@ def _key(k) -> str:
 
 
 def write_json(path: str | Path, payload) -> None:
-    Path(path).write_bytes(json_text(payload).encode("utf-8"))
+    _write(path, json_text(payload).encode("utf-8"))
+
+
+def write_text(path: str | Path, text: str) -> None:
+    _write(path, text.encode("utf-8"))
 
 
 def read_text(path: str | Path) -> str:

@@ -439,6 +439,23 @@ class TestOutUnderMissingDirectory:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["dg_after"] == 1.0
 
+    @pytest.mark.parametrize("verb", ["cf", "metrics", "sim"])
+    def test_same_bytes_as_into_an_existing_directory(self, workspace, tmp_path, verb):
+        """cf and metrics write a file, and sim a directory, under
+        directories not made yet, with the bytes they write where those
+        directories exist."""
+        extra, name = {
+            "cf": (_args(workspace), "evidence.json"),
+            "metrics": ([*_args(workspace), "--outcome", str(GOLDEN_OUTCOME)], "metrics.json"),
+            "sim": (["--reference-fixture", "--seed", "42"], "run"),
+        }[verb]
+        written = []
+        for out in (tmp_path / name, tmp_path / "not-yet" / "deeper" / name):
+            assert main([verb, *extra, "--out", str(out)]) == 0
+            files = sorted(out.iterdir()) if out.is_dir() else [out]
+            written.append({path.name: path.read_bytes() for path in files})
+        assert written[0] == written[1] and len(written[0]) == (3 if verb == "sim" else 1)
+
 
 class TestExitCodesAndFailFast:
     def test_missing_file_is_usage_error(self, workspace, tmp_path):

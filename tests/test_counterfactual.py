@@ -218,7 +218,7 @@ class TestBudget:
     @pytest.mark.parametrize("features,max_radius", [(6, 3), (3, 5)],
                              ids=["walk", "shared-rings"])
     def test_budget_ending_inside_a_table(self, features, max_radius):
-        """On a 6-feature domain, whose last two features come from tables,
+        """On a 6-feature domain, whose last three features come from tables,
         and on a 3-feature domain, whose rings come from the shared table
         and are cut by the bounds from radius 2 on, every budget short of
         the whole search makes exactly `budget` label calls, the reference's
@@ -347,14 +347,19 @@ def _walk_offsets(down, up, total):
 
 
 class TestOffsetEnumeration:
+    """The walk of a domain wider than TABLE_FEATURES, leading features and
+    tables together, gives the reference's offset vectors in its order."""
+
     @pytest.mark.parametrize("down,up,total", [
-        ([], [], 0), ([], [], 1),                      # zero features
-        ([3, 2], [1, 4], 0), ([0], [0], 0),            # total == 0
-        ([0, 0, 0], [2, 1, 3], 3),                     # no room below
-        ([2, 1, 3], [0, 0, 0], 4),                     # no room above
-        ([0], [0], 1), ([0, 0], [0, 0], 2),            # no room at all
-        ([3, 3, 1], [0, 3, 0], 6), ([4, 4, 1], [4, 4, 0], 5),  # last feature short
-        ([1, 1], [1, 1], 5),                           # beyond every feature's reach
+        ([0] * 4, [0] * 4, 0), ([0] * 6, [0] * 6, 1),  # no room at all, at total 0 and 1
+        ([3, 2, 0, 1], [1, 4, 2, 0], 0),               # total == 0
+        ([0, 1, 2, 0, 3, 1, 0], [2, 0, 0, 1, 0, 0, 3], 0),
+        ([0, 0, 0, 0], [2, 1, 3, 1], 3),               # no room below
+        ([2, 1, 3, 1], [0, 0, 0, 0], 4),               # no room above
+        ([0] * 4, [0] * 4, 1), ([0] * 5, [0] * 5, 2),  # no room at all
+        ([2, 3, 3, 1], [0, 1, 3, 0], 6),               # last feature short
+        ([4, 2, 4, 4, 1], [4, 0, 4, 4, 0], 5),
+        ([1, 1, 1, 1], [1, 1, 1, 0], 5),               # beyond every feature's reach
     ])
     def test_edge_cases_match_the_recursive_reference(self, down, up, total):
         assert _walk_offsets(down, up, total) == list(_ref_offset_vectors(down, up, total))
@@ -363,7 +368,7 @@ class TestOffsetEnumeration:
         rng = random.Random(7)
         nonempty = 0
         for _ in range(400):
-            n = rng.randint(0, 5)
+            n = rng.randint(TABLE_FEATURES + 1, 7)
             down = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
             up = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
             total = rng.randint(0, 12)
@@ -463,10 +468,10 @@ def random_stepped_instance(rng):
 
 
 def random_wide_instance(rng):
-    """5-8 features on grids of 1-6 points, and a run x on an edge or a
+    """4-8 features on grids of 1-6 points, and a run x on an edge or a
     corner of most of them, whose keys come in a shuffled order."""
     variables = []
-    for i in range(rng.randint(5, 8)):
+    for i in range(rng.randint(4, 8)):
         step = rng.choice((0.1, 0.25, 0.3, 0.5, 1.0))
         lo = rng.choice((-1.5, -0.3, 0.0, 0.7))
         variables.append((f"f{i}", lo, round(lo + step * rng.randint(0, 5), 6), step))
@@ -521,8 +526,8 @@ class TestProbeSequence:
         assert flipped >= 100
 
     def test_wide_domains_match_the_reference(self):
-        """5-8 features, where the trailing features come from tables: every
-        probe, the flipped pair, and where a budget cuts the search."""
+        """4-8 features, where the last three features come from tables:
+        every probe, the flipped pair, and where a budget cuts the search."""
         rng = random.Random(29)
         outcomes = {"flipped": 0, "budget": 0, "not found": 0}
         for _ in range(100):

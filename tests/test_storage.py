@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -467,6 +468,23 @@ class TestDatasetWriter:
         assert storage.dataset_bytes(fixture42.dataset) == _ref_dataset_bytes(fixture42.dataset)
 
 
+class TestWritersMakeTheirDirectory:
+    """Every writer makes the directories its file lies in, and writes the
+    same bytes there as into a directory that exists."""
+
+    @pytest.mark.parametrize("writer", ["write_json", "write_text", "store_dataset"])
+    def test_same_bytes_under_a_missing_directory(self, fixture42, tmp_path, writer):
+        content = {"write_json": {"schema_version": 1, "runs": [[1.5, "Pass"], []]},
+                   "write_text": "rule r (pass)\n  \u00e9t\u00e9\n",
+                   "store_dataset": fixture42.dataset}[writer]
+        here, deep = tmp_path / "out.txt", tmp_path / "not-yet" / "deeper" / "out.txt"
+        for path in (here, deep):
+            getattr(storage, writer)(path, content)
+        assert deep.read_bytes() == here.read_bytes()
+        if writer == "write_text":
+            assert here.read_bytes() == content.encode("utf-8")
+
+
 class TestRulesJson:
     def test_round_trip(self, fixture42, tmp_path):
         path = tmp_path / "rules.json"
@@ -725,7 +743,7 @@ class TestJsonText:
 
     @pytest.mark.parametrize("payload", [
         object(), [1, {1, 2}], {"a": [{}, b"bytes"]}, {"a": {"b": [1j, []]}},
-        {(1,): 1}, {"a": [], (1,): []}])
+        {(1,): 1}, {"a": [], (1,): []}, {Decimal(1): 1}, {Decimal(1): [[1]]}])
     def test_an_unsupported_value_or_key_raises_stdlibs_error(self, payload):
         with pytest.raises(TypeError) as expected:
             _stdlib_text(payload)

@@ -13,7 +13,7 @@ from ruleforge import (ContradictionStatus, DeterministicGenerator, Exhausted, L
                        random_rule, refine_loop)
 from ruleforge import storage, validation
 from ruleforge.grammar import ArithOp, BinOp, Const, Relation, RelOp, Var, print_relation, rule
-from ruleforge.semantics import compile_rule
+from ruleforge.semantics import EPS_EQ, compile_rule
 
 R1_STAR = "(dist_front < 4.1) and (ego_speed > 0)"
 
@@ -375,6 +375,44 @@ class TestIndexBoxSearch:
         (result,) = check_contradiction(_pass(f"({bound})"), [_fail("(x >= 9)")], odd)
         assert result.status is status
         assert result.witness == ({"x": 9.0} if status is ContradictionStatus.FLAGGED else None)
+
+
+class TestCutBox:
+    """Each direct bound cuts the root box to exactly the grid indices where
+    the compiled relation holds, by brute force over one-variable domains."""
+
+    @pytest.mark.parametrize("odd", [
+        odd_spec([("x", 0.0, 3.0, 0.5)]),
+        odd_spec([("x", -3.0, -0.6, 0.3)]),
+        odd_spec([("x", 0.0, 2e-9, 2.5e-10)]),  # a step finer than EPS_EQ
+    ], ids=["half-step", "negative", "finer-than-eps"])
+    def test_cuts_where_the_relation_holds(self, odd):
+        v = odd.variables[0]
+        points = v.grid_values()
+        constants = {v.min - v.step, v.max + v.step}
+        for a, b in zip(points, points[1:]):
+            constants.add((a + b) / 2)  # between grid points
+        for p in points:  # on a grid point, and within or just past EPS_EQ of one
+            for d in (0.0, EPS_EQ / 2, EPS_EQ, 2 * EPS_EQ):
+                for c in (p - d, p + d):
+                    constants.update((c, math.nextafter(c, -math.inf),
+                                      math.nextafter(c, math.inf)))
+        cuts = 0
+        for c, op in itertools.product(sorted(constants), (RelOp.LT, RelOp.LE, RelOp.GT,
+                                                             RelOp.GE, RelOp.EQ)):
+            for rel in (Relation(Var("x"), op, Const(c)),
+                        Relation(Const(c), op, Var("x"))):
+                holds = compile_rule(rule([rel]))
+                expected = [k for k, value in enumerate(points) if holds({"x": value}, None)]
+                box, residual = validation._cut_box([rel], odd)
+                assert list(range(*box["x"])) == expected and residual == [], (rel, box)
+                cuts += 0 < len(expected) < len(points)
+        assert cuts >= 400  # relations that keep some of the grid, not all or none
+
+    def test_not_equal_is_no_cut(self):
+        odd = odd_spec([("x", 0.0, 3.0, 0.5)])
+        rel = Relation(Var("x"), RelOp.NE, Const(1.0))
+        assert validation._cut_box([rel], odd) == ({"x": (0, 7)}, [rel])
 
 
 _SMALL_DOMAINS = (odd_spec([("a", 0.0, 4.0, 1.0)]),
