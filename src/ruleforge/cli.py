@@ -132,27 +132,7 @@ def eval_cmd(rules_path, dataset_path, out_path):
     """Per-rule decisiveness over a labeled dataset."""
     runs = _load_inputs(storage.load_dataset, dataset_path)
     rules = _load_inputs(storage.load_rules, rules_path, runs[0].x)
-    results = []
-    definitive_dgs = []
-    for rule in rules:
-        report = decisiveness(rule, runs)
-        if not report.fully_inconclusive:
-            definitive_dgs.append(report.dg)
-        results.append({
-            "rule_id": rule.id,
-            "dg": report.dg,
-            "n": report.n,
-            "n_mismatch": report.n_mismatch,
-            "mismatches": list(report.mismatches),
-            "fully_inconclusive": report.fully_inconclusive,
-        })
-    payload = {
-        "schema_version": storage.SCHEMA_VERSION,
-        "results": results,
-        # rule-set aggregate: mean over rules with at least one definitive verdict
-        "aggregate_dg": (sum(definitive_dgs) / len(definitive_dgs)
-                         if definitive_dgs else None),
-    }
+    payload = storage.eval_report_to_json({rule.id: decisiveness(rule, runs) for rule in rules})
     if out_path:
         storage.write_json(out_path, payload)
     else:
@@ -252,13 +232,8 @@ def _write_transcripts(out_dir: Path, gen) -> None:
     """Write the generator's transcript, if it keeps one. Storage makes
     out_dir only to write a file in it, so none is left without one."""
     transcript = getattr(gen, "transcript", None)
-    if transcript is None:
-        return
-    payload = {
-        "schema_version": storage.SCHEMA_VERSION,
-        "transcripts": [{"prompt": t.prompt, "response": t.response} for t in transcript],
-    }
-    storage.write_json(out_dir / "transcripts.json", payload)
+    if transcript is not None:
+        storage.store_transcripts(out_dir / "transcripts.json", transcript)
 
 
 def _render_report(target, outcome) -> str:

@@ -344,9 +344,9 @@ def apply_edits(original: RuleAst, edits: tuple[Edit, ...]) -> RuleAst:
 # ---------------------------------------------------------------------------
 
 
-def _midpoint(a: float, b: float, decimals: int) -> float:
-    mid = (Decimal(repr(a)) + Decimal(repr(b))) / 2
-    return round(float(mid), decimals)
+def _midpoint(a: float, b: float) -> float:
+    """The threshold halfway between two grid points, exact to their decimal text."""
+    return float((Decimal(repr(a)) + Decimal(repr(b))) / 2)
 
 
 def _changed_features(pair: CounterfactualPair, odd: OddSpec) -> list[str]:
@@ -390,7 +390,7 @@ def enumerate_single_edits(target: RuleAst, evidence: EvidenceFile,
 
     moves = dict.fromkeys(
         (d, j, rel, feature, pair.x_cf[feature] < pair.x[feature],
-         _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals))
+         _midpoint(pair.x[feature], pair.x_cf[feature]))
         for pair in evidence.pairs
         for feature in _changed_features(pair, odd)
         for d, j, rel in _var_const_positions(target, feature))

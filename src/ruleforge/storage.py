@@ -15,8 +15,9 @@
   interned, so each run's keys are the very strings that compiled rules,
   labels and ODD variables look up.
 * Rules JSON: a bare list of {"id", "polarity": "pass"|"fail", "text"}.
-* Engine-owned JSON artifacts (oracle config, evidence, outcome, metrics)
-  carry a schema_version header.
+* Engine-owned JSON artifacts (oracle config, eval report, evidence,
+  outcome, metrics, transcripts) carry a schema_version header, and each
+  is built here.
 * Every JSON artifact has one form, that of json.dumps(indent=2,
   ensure_ascii=False) plus a newline (json_text). Containers of leaf
   values are written by the C encoder; only containers of containers are
@@ -40,11 +41,12 @@ from operator import setitem
 from pathlib import Path
 
 from .counterfactual import EvidenceFile
+from .generation import TranscriptEntry
 from .grammar import (GrammarError, OddSpec, OddVariable, ParseError, RuleAst, _Memo,
                       fmt_number, parse_rule, print_rule)
 from .metrics import MetricsReport
 from .scenario import ConstructionFailure, OracleConfig
-from .semantics import LabeledRun, Outcome, PolarizedRule, Polarity
+from .semantics import DecisivenessReport, LabeledRun, Outcome, PolarizedRule, Polarity
 from .validation import RefinementOutcome, ValidationReport
 
 SCHEMA_VERSION = 1
@@ -579,3 +581,36 @@ def metrics_to_json(report: MetricsReport) -> dict:
 
 def store_metrics(path: str | Path, report: MetricsReport) -> None:
     write_json(path, metrics_to_json(report))
+
+
+# ---------------------------------------------------------------------------
+# Eval report and generator transcripts.
+# ---------------------------------------------------------------------------
+
+
+def eval_report_to_json(reports: dict[str, DecisivenessReport]) -> dict:
+    """Each rule's decisiveness by rule id, and the rule set's aggregate:
+    the mean dg over the rules with at least one definitive verdict."""
+    definitive = [report.dg for report in reports.values() if not report.fully_inconclusive]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "results": [
+            {
+                "rule_id": rule_id,
+                "dg": report.dg,
+                "n": report.n,
+                "n_mismatch": report.n_mismatch,
+                "mismatches": list(report.mismatches),
+                "fully_inconclusive": report.fully_inconclusive,
+            }
+            for rule_id, report in reports.items()
+        ],
+        "aggregate_dg": sum(definitive) / len(definitive) if definitive else None,
+    }
+
+
+def store_transcripts(path: str | Path, transcript: list[TranscriptEntry]) -> None:
+    write_json(path, {
+        "schema_version": SCHEMA_VERSION,
+        "transcripts": [{"prompt": t.prompt, "response": t.response} for t in transcript],
+    })

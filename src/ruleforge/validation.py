@@ -25,15 +25,15 @@ neither there. A false one refutes the box, a true one is dropped from it,
 and the box is split at an index midpoint of a variable of an undecided
 one, or, with none to split, flags its least point when no relation is
 left undecided or the pair's own relations, compiled, hold there.
-The root boxes come first: when every one is empty or refuted, the rules
-are Clear without being compiled or reading a run. Otherwise a dataset run
-(a grid point, as the loader reads it) where both rules hold flags them,
-then the first grid point the search finds. Unknown is treated as a
-rejection.
+The pairs are searched in order, each once, until one is Flagged. Only a
+verdict that is not Clear reads the dataset: a run (a grid point, as the
+loader reads it) where both rules hold flags them and is the witness in
+place of the searched point. Unknown is treated as a rejection.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -237,49 +237,36 @@ def check_contradiction(candidate: PolarizedRule, opposing: list[PolarizedRule],
     of conjuncts, one from each rule, visits NODE_BUDGET boxes without
     deciding it.
 
-    Each pair is first cut to the box of grid indices its direct bounds
-    allow and bounded there; when every box is empty or refuted, the result
-    is Clear without compiling a rule or reading a run. Otherwise a
-    non-empty dataset is scanned, with both rules compiled, for the first
-    run where both hold, and then each open pair searched by its own
-    relations (_search). Runs passed in must be grid points,
-    as load_dataset(path, odd) returns them: a Clear verdict says nothing of
-    a point off the grid."""
+    Each pair, in order, is cut to the box of grid indices its direct bounds
+    allow and, unless that box is empty, searched there by its other
+    relations (_search); the first Flagged pair ends the rule's search. Only
+    a verdict that is not Clear reads the dataset: the first run where both
+    rules hold, both compiled, flags them and replaces the search's point as
+    witness. Runs passed in must be grid points, as load_dataset(path, odd)
+    returns them, so no run can flag rules the search clears; a Clear
+    verdict says nothing of a point off the grid."""
     results = []
     for other in opposing:
         if other.polarity is candidate.polarity:
             raise ValueError(f"rule {other.id!r} has the same polarity as the candidate")
-        results.append(ContradictionResult(other.id, *_decide_pair(
-            candidate.ast, other.ast, odd, dataset)))
-    return results
-
-
-def _decide_pair(a: RuleAst, b: RuleAst, odd: OddSpec,
-                 dataset) -> tuple[ContradictionStatus, dict[str, float] | None]:
-    open_pairs = []
-    for ca in a.disjuncts:
-        for cb in b.disjuncts:
+        status, witness = ContradictionStatus.CLEAR, None
+        for ca, cb in itertools.product(candidate.ast.disjuncts, other.ast.disjuncts):
             box, residual = _cut_box(ca.relations + cb.relations, odd)
             if any(lo >= hi for lo, hi in box.values()):
                 continue
-            undecided = _undecided(residual, box, odd)
-            if undecided is not None:
-                open_pairs.append((box, undecided))
-    if not open_pairs:
-        return (ContradictionStatus.CLEAR, None)
-    if dataset:
-        holds_a, holds_b = compile_rule(a), compile_rule(b)
-        for run in dataset:
-            if holds_a(run.x, None) and holds_b(run.x, None):
-                return (ContradictionStatus.FLAGGED, dict(run.x))
-    status = ContradictionStatus.CLEAR
-    for box, relations in open_pairs:
-        found, witness = _search(box, relations, odd)
-        if found is ContradictionStatus.FLAGGED:
-            return (found, witness)
-        if found is ContradictionStatus.UNKNOWN:
-            status = found
-    return (status, None)
+            found, witness = _search(box, residual, odd)
+            if found is not ContradictionStatus.CLEAR:
+                status = found
+            if found is ContradictionStatus.FLAGGED:
+                break
+        if status is not ContradictionStatus.CLEAR and dataset:
+            holds_a, holds_b = compile_rule(candidate.ast), compile_rule(other.ast)
+            run = next((run for run in dataset if holds_a(run.x, None) and holds_b(run.x, None)),
+                       None)
+            if run is not None:
+                status, witness = ContradictionStatus.FLAGGED, dict(run.x)
+        results.append(ContradictionResult(other.id, status, witness))
+    return results
 
 # ---------------------------------------------------------------------------
 # Preservation check.

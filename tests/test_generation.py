@@ -219,6 +219,19 @@ class TestDeterministicGenerator:
         assert EditKind.THRESHOLD_ADJUST in kinds[:first_add]
         assert all(k is not EditKind.THRESHOLD_ADJUST for k in kinds[first_add:])
 
+    def test_midpoint_lies_strictly_between_adjacent_grid_points(self):
+        # rounded to the grid's decimal places, a half step can land on an end:
+        # -0.45 on lane_offset's 0.1 grid, 4.5 on a grid of whole numbers
+        from ruleforge.grammar import OddVariable
+        from ruleforge.scenario import DEFAULT_ODD
+        for v in DEFAULT_ODD.variables + (OddVariable("count", -5.0, 10.0, 1.0),):
+            points = v.grid_values()
+            for a, b in zip(points, points[1:]):
+                assert a < _midpoint(a, b) < b, (v.name, a, b)
+                assert a < _midpoint(b, a) < b, (v.name, b, a)
+        assert _midpoint(-0.5, -0.4) == -0.45
+        assert (_midpoint(4, 5), _midpoint(5, 6)) == (4.5, 5.5)
+
 
 def _pair(x, x_cf, delta):
     from ruleforge import CounterfactualPair
@@ -442,7 +455,7 @@ def _reference_single_edits(target, evidence, odd):
         for d, j, rel in _var_const_positions(target, feature)
     ]
     for pair, feature, d, j, rel in pair_feature_rel:
-        mid = _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals)
+        mid = _midpoint(pair.x[feature], pair.x_cf[feature])
         new_rel = _adjust_threshold(rel, mid)
         if new_rel != rel:
             add(_replace_relation(target, d, j, new_rel),
@@ -453,7 +466,7 @@ def _reference_single_edits(target, evidence, odd):
             add(_replace_relation(target, d, j, swapped),
                 Edit(EditKind.OPERATOR_REPLACE, (d, j), print_relation(rel), print_relation(swapped)))
     for pair, feature, d, j, rel in pair_feature_rel:
-        mid = _midpoint(pair.x[feature], pair.x_cf[feature], odd.get(feature).decimals)
+        mid = _midpoint(pair.x[feature], pair.x_cf[feature])
         op = RelOp.LT if pair.x_cf[feature] < pair.x[feature] else RelOp.GT
         new_rel = Relation(Var(feature), op, Const(mid))
         work = [list(c.relations) for c in target.disjuncts]

@@ -576,6 +576,55 @@ class TestProofsFirst:
         assert result.witness == {"ego_speed": 0.5, "dist_front": 0.0, "lane_offset": -2.0}
         assert evaluate(candidate.ast, result.witness) and evaluate(standing.ast, result.witness)
 
+    def test_rules_the_search_clears_read_no_run(self, fixture42, monkeypatch):
+        # the root box is left open by the != relations, and the search clears
+        # the pair: neither whole rule is compiled, and the dataset is not read
+        compiled = []
+        real_compile = validation.compile_rule
+        monkeypatch.setattr(validation, "compile_rule",
+                            lambda ast: compiled.append(ast) or real_compile(ast))
+        runs = _CountedRuns(fixture42.dataset)
+        candidate = _pass(R1_STAR)
+        blind_split = _fail("(ego_speed != 7.25) and (dist_front != 31.8)"
+                            " and (lane_offset * 4.6 == 0.9)", "blind-split")
+        (result,) = check_contradiction(candidate, [blind_split], fixture42.config.odd,
+                                        dataset=runs)
+        assert (result.status, result.witness) == (ContradictionStatus.CLEAR, None)
+        assert candidate.ast not in compiled and blind_split.ast not in compiled
+        assert runs.read == 0
+
+    @pytest.mark.parametrize("standing", [
+        "(dist_front * 2 < 3)",
+        "(dist_front * 2 < 3) or (dist_front * 2 > 90)",  # a cleared pair keeps the Unknown
+    ], ids=["one-pair", "then-a-cleared-pair"])
+    def test_unknown_with_a_dataset_is_flagged_at_a_run_in_the_overlap(self, odd, monkeypatch,
+                                                                        standing):
+        # dist_front * 2 < 3 is undecided over the cut box, so the search
+        # splits it and runs out of its one box; a run where both rules hold
+        # flags the pair, the first such run being the witness
+        monkeypatch.setattr(validation, "NODE_BUDGET", 1)
+        candidate, standing = _pass(R1_STAR), _fail(standing)
+        outside = {"ego_speed": 5.0, "dist_front": 2.0, "lane_offset": 0.0}
+        inside = {"ego_speed": 5.0, "dist_front": 1.2, "lane_offset": 0.0}
+        runs = [LabeledRun(x, Outcome.PASS)
+                for x in (outside, inside, {**inside, "dist_front": 1.0})]
+        (result,) = check_contradiction(candidate, [standing], odd, dataset=runs)
+        assert (result.status, result.witness) == (ContradictionStatus.FLAGGED, inside)
+        for dataset in (None, runs[:1]):
+            (result,) = check_contradiction(candidate, [standing], odd, dataset=dataset)
+            assert (result.status, result.witness) == (ContradictionStatus.UNKNOWN, None)
+
+
+class _CountedRuns(list):
+    """A dataset that counts the runs read from it."""
+
+    read = 0
+
+    def __iter__(self):
+        for run in super().__iter__():
+            self.read += 1
+            yield run
+
 def _refine(fixture, text, ruleset=None, target=None):
     """refine_loop on the fixture with one scripted candidate."""
     gen = MockGenerator([f"Rule: {text}"])
