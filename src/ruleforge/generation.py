@@ -17,11 +17,14 @@ dataset and domain from the context it is given, and returns a rule and an
 explanation only. The loop applies the vocabulary whitelist and every other
 gate to each candidate, whichever generator wrote it, and rebuilds the change
 log of the accepted rule with diff_rules, the one producer of change logs.
+diff_rules prints edit_script, the one alignment of two rules, which
+metrics.change_minimality counts on the two rules put in a common order.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
@@ -214,106 +217,145 @@ def parse_candidate_response(raw: str) -> RefinementCandidate:
 
 
 # ---------------------------------------------------------------------------
-# Change logs: diff two rules into the six edit kinds and replay them.
+# Change logs: one alignment of two rules, printed by diff_rules, counted by
+# metrics.change_minimality, and replayed by apply_edits.
 # ---------------------------------------------------------------------------
 
 _INF = 10 ** 9
+_GAP = 4  # removing or adding one relation; a disjunct costs this per relation
 
 
-def _relation_edit_cost(old: Relation, new: Relation) -> int:
+def _relation_sub(old: Relation, new: Relation) -> tuple[int, EditKind | None]:
+    """The cost of writing new in old's place, and its edit (None: kept). A
+    respelled bound (5 < x for x > 5) costs less than any real edit and stays
+    in the log as a ThresholdAdjust, so that the log replays exactly."""
     if old == new:
-        return 0
+        return 0, None
     ob, nb = direct_bound(old), direct_bound(new)
-    if ob is not None and nb is not None and ob[0] == nb[0]:
-        return 1  # threshold and/or operator change on the same variable
-    return _INF  # unrelated; prefer remove + add
+    if ob is None or nb is None or ob[0] != nb[0]:
+        return _INF, None  # unrelated; remove and add instead
+    if ob[1] is not nb[1]:
+        return 3, EditKind.OPERATOR_REPLACE
+    return (1 if ob == nb else 2), EditKind.THRESHOLD_ADJUST
 
 
-def _classify_substitution(old: Relation, new: Relation) -> EditKind:
-    ob, nb = direct_bound(old), direct_bound(new)
-    if ob is not None and nb is not None and ob[0] == nb[0] and ob[1] is nb[1]:
-        return EditKind.THRESHOLD_ADJUST
-    return EditKind.OPERATOR_REPLACE
+def _disjunct_sub(old: Conjunct, new: Conjunct, in_order: bool) -> tuple[int, list]:
+    """Editing a disjunct in place costs one more than its relations'
+    distance, so one where nothing is kept or replaced is swapped whole."""
+    if old == new:
+        return 0, []
+    pair = ((old.relations, new.relations) if in_order
+            else _in_common_order(old.relations, new.relations, _bound_order))
+    cost, steps = _align(*pair, _relation_sub, lambda rel: _GAP)
+    return cost + 1, steps
 
 
-def _align(old: list, new: list, sub_cost) -> list[tuple[str, int, int]]:
-    """Minimal edit script between two sequences: ops are
-    ('keep'|'sub'|'del'|'ins', old_index, new_index)."""
+def _meaning(part: Conjunct | Relation):
+    """A bound as direct_bound reads it (5 < x is x > 5); a disjunct as the
+    meanings of its relations, in any order."""
+    if isinstance(part, Conjunct):
+        return Counter(map(_meaning, part.relations))
+    return direct_bound(part) or part
+
+
+def _bound_order(rel: Relation) -> tuple[str, str]:
+    bound = direct_bound(rel)
+    return (bound[0], bound[1].value) if bound else ("", "")
+
+
+def _in_common_order(old: tuple, new: tuple, key=lambda part: 0) -> tuple[tuple, tuple]:
+    """old and new reordered, which changes nothing they mean: the parts that
+    mean the same on both sides go first, paired in old's order, then the
+    rest of each, sorted by key."""
+    old_rest, new_rest, shared = list(old), list(new), []
+    meanings = [_meaning(part) for part in new]
+    for part in old:
+        if (meaning := _meaning(part)) in meanings:
+            i = meanings.index(meaning)
+            del meanings[i]
+            old_rest.remove(part)
+            shared.append((part, new_rest.pop(i)))
+    return (tuple(part for part, _ in shared) + tuple(sorted(old_rest, key=key)),
+            tuple(twin for _, twin in shared) + tuple(sorted(new_rest, key=key)))
+
+
+def _align(old: tuple, new: tuple, sub, gap) -> tuple[int, list]:
+    """The cheapest alignment of two sequences: its cost, and its steps in
+    order, (old item or None, new item or None, what sub said of the pair).
+    sub(a, b) is the (cost, detail) of writing b in a's place; gap(x) is the
+    cost of removing or adding x."""
     n, m = len(old), len(new)
+    subs = [[sub(a, b) for b in new] for a in old]
     dist = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
-        dist[i][0] = i
+        dist[i][0] = dist[i - 1][0] + gap(old[i - 1])
     for j in range(1, m + 1):
-        dist[0][j] = j
+        dist[0][j] = dist[0][j - 1] + gap(new[j - 1])
     for i in range(1, n + 1):
         for j in range(1, m + 1):
-            cost = sub_cost(old[i - 1], new[j - 1])
-            dist[i][j] = min(dist[i - 1][j] + 1, dist[i][j - 1] + 1, dist[i - 1][j - 1] + cost)
-    ops: list[tuple[str, int, int]] = []
+            dist[i][j] = min(dist[i - 1][j] + gap(old[i - 1]), dist[i][j - 1] + gap(new[j - 1]),
+                             dist[i - 1][j - 1] + subs[i - 1][j - 1][0])
+    steps: list = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            cost = sub_cost(old[i - 1], new[j - 1])
-            if dist[i][j] == dist[i - 1][j - 1] + cost:
-                ops.append(("keep" if cost == 0 else "sub", i - 1, j - 1))
-                i, j = i - 1, j - 1
-                continue
-        if i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            ops.append(("del", i - 1, -1))
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + subs[i - 1][j - 1][0]:
+            i, j = i - 1, j - 1
+            steps.append((old[i], new[j], subs[i][j][1]))
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + gap(old[i - 1]):
             i -= 1
-            continue
-        ops.append(("ins", -1, j - 1))
-        j -= 1
-    ops.reverse()
-    return ops
+            steps.append((old[i], None, None))
+        else:
+            j -= 1
+            steps.append((None, new[j], None))
+    steps.reverse()
+    return dist[n][m], steps
 
 
-def _conjunct_cost(old: Conjunct, new: Conjunct) -> int:
-    if old == new:
-        return 0
-    return sum(1 if op == "sub" else (2 if op in ("del", "ins") else 0)
-               for op, _, _ in _align(list(old.relations), list(new.relations), _relation_edit_cost))
+def edit_script(original: RuleAst, refined: RuleAst, in_order: bool = True) -> list[tuple]:
+    """The cheapest script turning original into refined, in the six edit
+    kinds, as (kind, path, old, new): old and new are the Conjunct or
+    Relation removed, added or replaced, None on a side that has none. A kept
+    relation costs 0, a respelled bound 1, a threshold move 2, an operator
+    change 3, removing or adding a relation 4 and a disjunct 4 per relation.
+
+    The kinds have no move, so a part that only moved is removed and added
+    again. With in_order False, the disjuncts, and the relations of each
+    pair of disjuncts, are first put in a common order (_in_common_order):
+    a reordering then costs nothing, and the paths index the reordered rules.
+    """
+    pair = ((original.disjuncts, refined.disjuncts) if in_order
+            else _in_common_order(original.disjuncts, refined.disjuncts))
+    _, steps = _align(*pair, lambda a, b: _disjunct_sub(a, b, in_order),
+                      lambda conj: _GAP * len(conj.relations))
+    script: list[tuple] = []
+    d = 0  # disjunct index in the evolving rule
+    for old, new, rel_steps in steps:
+        if old is None or new is None:
+            kind = EditKind.REMOVE_DISJUNCT if new is None else EditKind.ADD_DISJUNCT
+            script.append((kind, (d,), old, new))
+        j = 0  # relation index in disjunct d
+        for old_rel, new_rel, kind in rel_steps or ():
+            if old_rel is None or new_rel is None:
+                kind = EditKind.REMOVE_CONJUNCT if new_rel is None else EditKind.ADD_CONJUNCT
+            if kind is not None:
+                script.append((kind, (d, j), old_rel, new_rel))
+            j += new_rel is not None
+        d += new is not None
+    return script
+
+
+def _text(part: Conjunct | Relation | None) -> str:
+    if isinstance(part, Conjunct):
+        return print_conjunct(part, wrap=False)
+    return "" if part is None else print_relation(part)
 
 
 def diff_rules(original: RuleAst, refined: RuleAst) -> tuple[Edit, ...]:
-    """Edit script turning original into refined, using only the six allowed
-    edit kinds. apply_edits(original, diff_rules(original, refined)) equals
-    refined exactly."""
-    edits: list[Edit] = []
-    disjunct_ops = _align(list(original.disjuncts), list(refined.disjuncts), _conjunct_cost)
-    d = 0  # disjunct index in the evolving rule
-    for op, oi, ni in disjunct_ops:
-        if op == "keep":
-            d += 1
-        elif op == "del":
-            edits.append(Edit(EditKind.REMOVE_DISJUNCT, (d,),
-                              print_conjunct(original.disjuncts[oi], wrap=False), ""))
-        elif op == "ins":
-            edits.append(Edit(EditKind.ADD_DISJUNCT, (d,), "",
-                              print_conjunct(refined.disjuncts[ni], wrap=False)))
-            d += 1
-        else:  # sub: relation-level edits inside disjunct d
-            rel_ops = _align(list(original.disjuncts[oi].relations),
-                             list(refined.disjuncts[ni].relations), _relation_edit_cost)
-            j = 0
-            for rop, roi, rni in rel_ops:
-                old_rel = original.disjuncts[oi].relations[roi] if roi >= 0 else None
-                new_rel = refined.disjuncts[ni].relations[rni] if rni >= 0 else None
-                if rop == "keep":
-                    j += 1
-                elif rop == "del":
-                    edits.append(Edit(EditKind.REMOVE_CONJUNCT, (d, j),
-                                      print_relation(old_rel), ""))
-                elif rop == "ins":
-                    edits.append(Edit(EditKind.ADD_CONJUNCT, (d, j), "",
-                                      print_relation(new_rel)))
-                    j += 1
-                else:
-                    edits.append(Edit(_classify_substitution(old_rel, new_rel), (d, j),
-                                      print_relation(old_rel), print_relation(new_rel)))
-                    j += 1
-            d += 1
-    return tuple(edits)
+    """edit_script(original, refined) as a change log.
+    apply_edits(original, diff_rules(original, refined)) equals refined
+    exactly."""
+    return tuple(Edit(kind, path, _text(old), _text(new))
+                 for kind, path, old, new in edit_script(original, refined))
 
 
 def apply_edits(original: RuleAst, edits: tuple[Edit, ...]) -> RuleAst:

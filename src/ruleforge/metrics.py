@@ -14,14 +14,17 @@
   well defined and grows monotonically with corruption.
 * Change minimality (cm): how conservative the rewrite is, banded from
   Optimal (core-preserving pruning and threshold shifts) down to Low
-  (extensive rewrites or new variables). The banding rules are this tool's
-  decision-tree surrogate for an expert rating; see change_minimality.
+  (extensive rewrites or new variables), counted from the edits of the
+  change log's alignment (generation.edit_script) of the two rules put in a
+  common order. The banding rules are this tool's decision-tree surrogate
+  for an expert rating; see change_minimality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .generation import EditKind, edit_script
 from .grammar import (OddSpec, ParseError, Relation, RelOp, RuleAst, Token, TokenKind,
                       check_vocabulary, direct_bound, parse_tokens, print_relation, rule,
                       tokenize)
@@ -116,8 +119,9 @@ class CmReport:
 
 
 def change_minimality(original: RuleAst, refined: RuleAst) -> CmReport:
-    """Greedy predicate alignment (exact, then variable+operator, then
-    variable only) followed by band classification:
+    """Counts the edits of diff_rules' alignment (generation.edit_script)
+    of the two rules put in a common order, so that a reordering changes
+    nothing, then classifies into a band:
 
     * Low: new variables appear, or most original predicates are rewritten.
     * OverConstrained: a previously one-sided variable bound becomes
@@ -127,43 +131,25 @@ def change_minimality(original: RuleAst, refined: RuleAst) -> CmReport:
     * Optimal: only removals and threshold shifts, with at least two thirds
       of the refined predicates carried over unchanged.
 
-    cm is the band midpoint nudged by 0.05 up or down on the unchanged
-    fraction, clamped to [0, 1].
+    A respelled bound (5 < x for x > 5) is logged as a ThresholdAdjust and
+    counted unchanged. cm is the band midpoint nudged by 0.05 up or down on
+    the unchanged fraction, clamped to [0, 1].
     """
     orig = [rel for _, rel in original.relations()]
     ref = [rel for _, rel in refined.relations()]
     orig_vars = original.variables()
 
-    remaining_orig = list(orig)
-    unchanged = 0
-    threshold_shifted = 0
-    operator_changed = 0
+    threshold_shifted = operator_changed = removed = 0
     added: list[Relation] = []
-
-    def take(predicate) -> Relation | None:
-        for i, rel in enumerate(remaining_orig):
-            if predicate(rel):
-                return remaining_orig.pop(i)
-        return None
-
-    for rel in ref:
-        rb = direct_bound(rel)
-        # a bound is compared as direct_bound reads it, so 5 < x is x > 5
-        if take(lambda o: (direct_bound(o) or o) == (rb or rel)) is not None:
-            unchanged += 1
-            continue
-        if rb is not None:
-            match = take(lambda o: (db := direct_bound(o)) is not None
-                         and db[0] == rb[0] and db[1] is rb[1])
-            if match is not None:
-                threshold_shifted += 1
-                continue
-            match = take(lambda o: (db := direct_bound(o)) is not None and db[0] == rb[0])
-            if match is not None:
-                operator_changed += 1
-                continue
-        added.append(rel)
-    removed = len(remaining_orig)
+    for kind, _, old, new in edit_script(original, refined, in_order=False):
+        if kind is EditKind.THRESHOLD_ADJUST:  # a respelled bound is unchanged
+            threshold_shifted += direct_bound(old) != direct_bound(new)
+        elif kind is EditKind.OPERATOR_REPLACE:
+            operator_changed += 1
+        elif new is not None:
+            added.extend(new.relations if kind is EditKind.ADD_DISJUNCT else (new,))
+        else:
+            removed += len(old.relations) if kind is EditKind.REMOVE_DISJUNCT else 1
     added_new_vars = sum(
         1 for rel in added
         if not rule([rel]).variables() <= orig_vars)
@@ -172,6 +158,7 @@ def change_minimality(original: RuleAst, refined: RuleAst) -> CmReport:
     removed_redundant = removed - rewritten
 
     n_orig, n_ref = len(orig), len(ref)
+    unchanged = n_ref - threshold_shifted - operator_changed - len(added)
     touched_fraction = (threshold_shifted + operator_changed + rewritten) / n_orig
     unchanged_fraction = unchanged / n_ref
 

@@ -668,8 +668,8 @@ class TestGeneratorContract:
         assert outcome.change_log == diff_rules(target.ast, outcome.refined)
         assert apply_edits(target.ast, outcome.change_log) == outcome.refined
         if kind != "local":
-            assert [e.kind for e in outcome.change_log] == [EditKind.ADD_DISJUNCT,
-                                                            EditKind.REMOVE_DISJUNCT]
+            assert [e.kind for e in outcome.change_log] == [EditKind.THRESHOLD_ADJUST,
+                                                            EditKind.ADD_CONJUNCT]
 
 
 def test_readme_library_example_runs():

@@ -1,6 +1,7 @@
-from ruleforge import (change_minimality, grammar_compliance, parse_rule, print_rule,
-                       random_rule, semantic_validity)
-from ruleforge.grammar import MIRROR, Conjunct, Relation, RuleAst, direct_bound
+from ruleforge import (EditKind, change_minimality, diff_rules, grammar_compliance, parse_rule,
+                       print_rule, random_rule, semantic_validity)
+from ruleforge.generation import _adjust_threshold
+from ruleforge.grammar import MIRROR, Conjunct, Relation, RuleAst, direct_bound, parse_relation
 
 TUPLE_TEXT = "[[('greater_than_func','ARG1','0')]]"
 
@@ -132,6 +133,32 @@ class TestChangeMinimality:
         assert report.edit_stats["operator_changed"] == 1
         assert report.edit_stats["unchanged"] == 0
 
+    def test_an_untouched_disjunct_stays_unchanged(self):
+        # a greedy match over the whole rule paired the first disjunct's
+        # changes with the second disjunct's bounds, two threshold shifts there
+        kept = "((lane_offset <= 1.4) and (ego_speed != 13.5) and (ego_speed != 0))"
+        report = change_minimality(
+            parse_rule(f"((lane_offset != ego_speed) and (lane_offset <= -0.6)) or {kept}"),
+            parse_rule(f"((ego_speed != 22) and (lane_offset != 2)) or {kept}"))
+        assert report.edit_stats["unchanged"] == 3
+        assert report.edit_stats["threshold_shifted"] == 0
+        assert report.band == "Conservative"
+
+    def test_reordered_conjuncts_and_disjuncts_are_unchanged(self):
+        for original, refined in (
+                ("(dist_front < 5) and (ego_speed > 0)", "(ego_speed > 0) and (dist_front < 5)"),
+                ("(dist_front < 5) or (ego_speed > 0)", "(ego_speed > 0) or (dist_front < 5)")):
+            report = change_minimality(parse_rule(original), parse_rule(refined))
+            assert (report.band, report.cm) == ("Optimal", 1.0)
+            assert report.edit_stats["unchanged"] == report.edit_stats["n_refined"] == 2
+
+    def test_a_reorder_with_a_threshold_move_is_one_shift(self):
+        report = change_minimality(parse_rule("(dist_front < 5) and (ego_speed > 0)"),
+                                   parse_rule("(ego_speed > 0) and (dist_front < 4.1)"))
+        assert report.edit_stats["threshold_shifted"] == 1
+        assert report.edit_stats["unchanged"] == 1
+        assert report.edit_stats["rewritten"] == 0
+
     def test_scores_within_unit_interval(self, odd):
         for seed in range(40):
             original = random_rule(seed, odd, 2, 3)
@@ -139,6 +166,83 @@ class TestChangeMinimality:
             report = change_minimality(original, refined)
             assert 0.0 <= report.cm <= 1.0
             assert report.band in ("Optimal", "Conservative", "OverConstrained", "Low")
+
+
+def _pairs(seed, odd):
+    """An original random rule and four refinements of it: an unrelated rule,
+    its first disjunct followed by that rule's, that rule's first disjunct
+    in place of its own, and both rules' disjuncts."""
+    original = random_rule(seed, odd, 3, 3)
+    other = random_rule(seed + 999, odd, 3, 3)
+    for refined in (other, RuleAst((original.disjuncts[0], *other.disjuncts)),
+                    RuleAst((other.disjuncts[0], *original.disjuncts[1:])),
+                    RuleAst(original.disjuncts + other.disjuncts)):
+        yield original, refined
+
+
+def _respelled(edit):
+    return (edit.kind is EditKind.THRESHOLD_ADJUST
+            and direct_bound(parse_relation(edit.before)) == direct_bound(parse_relation(edit.after)))
+
+
+class TestOneAlignment:
+    """Change minimality counts the edits of the alignment that diff_rules
+    logs, run on the two rules put in a common order. Where no part of
+    either rule moved, those are the edits of the log itself."""
+
+    def test_changed_relations_are_the_ones_the_log_writes(self, odd):
+        for seed in range(300):
+            for original, refined in _pairs(seed, odd):
+                stats = change_minimality(original, refined).edit_stats
+                written = sum(len(list(parse_rule(edit.after).relations()))
+                              for edit in diff_rules(original, refined)
+                              if edit.after and not _respelled(edit))
+                assert stats["n_refined"] - stats["unchanged"] == written, (
+                    print_rule(original), print_rule(refined))
+
+    def test_no_log_removes_and_adds_the_same_text(self, odd):
+        for seed in range(300):
+            for original, refined in _pairs(seed, odd):
+                edits = diff_rules(original, refined)
+                for removal, addition in ((EditKind.REMOVE_DISJUNCT, EditKind.ADD_DISJUNCT),
+                                          (EditKind.REMOVE_CONJUNCT, EditKind.ADD_CONJUNCT)):
+                    removed = {edit.before for edit in edits if edit.kind is removal}
+                    added = {edit.after for edit in edits if edit.kind is addition}
+                    assert not removed & added, (print_rule(original), print_rule(refined))
+
+    def test_a_respelled_rule_is_logged_as_respellings_and_reads_optimal(self, odd):
+        for seed in range(300):
+            original = random_rule(seed, odd, 3, 3)
+            turned = _turned(original)
+            assert all(_respelled(edit) for edit in diff_rules(original, turned))
+            report = change_minimality(original, turned)
+            assert (report.band, report.cm) == ("Optimal", 1.0)
+
+    def test_a_reordered_rule_reads_optimal(self, odd):
+        for seed in range(300):
+            original = random_rule(seed, odd, 3, 3)
+            report = change_minimality(original, _reordered(original))
+            assert (report.band, report.cm) == ("Optimal", 1.0), print_rule(original)
+            assert report.edit_stats["unchanged"] == report.edit_stats["n_refined"]
+
+    def test_a_reordered_rule_with_a_moved_threshold_reads_one_shift(self, odd):
+        for seed in range(300):
+            original = random_rule(seed, odd, 3, 3)
+            if not any(direct_bound(rel) for _, rel in original.relations()):
+                continue
+            moved = _reordered(_moved(original))
+            stats = change_minimality(original, moved).edit_stats
+            assert stats["threshold_shifted"] == 1, (print_rule(original), print_rule(moved))
+            assert stats["unchanged"] == stats["n_refined"] - 1
+
+    def test_the_order_of_relations_changes_nothing(self, odd):
+        for seed in range(300):
+            for original, refined in _pairs(seed, odd):
+                turned = RuleAst(tuple(Conjunct(conj.relations[::-1])
+                                       for conj in refined.disjuncts))
+                assert change_minimality(original, turned) == change_minimality(original,
+                                                                                 refined)
+
 
 
 class TestMetricsReport:
@@ -165,3 +269,20 @@ def _turned(ast: RuleAst) -> RuleAst:
         Conjunct(tuple(Relation(rel.rhs, MIRROR[rel.op], rel.lhs) if direct_bound(rel) else rel
                        for rel in conj.relations))
         for conj in ast.disjuncts))
+
+
+def _reordered(ast: RuleAst) -> RuleAst:
+    """ast with its disjuncts, and the relations of each, in reverse order."""
+    return RuleAst(tuple(Conjunct(conj.relations[::-1]) for conj in reversed(ast.disjuncts)))
+
+
+def _moved(ast: RuleAst) -> RuleAst:
+    """ast with the threshold of its first variable-against-constant relation
+    moved to one that no relation of ast uses."""
+    (d, j), rel = next((at, rel) for at, rel in ast.relations() if direct_bound(rel))
+    used = {direct_bound(other)[2] for _, other in ast.relations() if direct_bound(other)}
+    moved = _adjust_threshold(rel, max(used) + 1)
+    conj = ast.disjuncts[d]
+    return RuleAst(ast.disjuncts[:d]
+                   + (Conjunct(conj.relations[:j] + (moved,) + conj.relations[j + 1:]),)
+                   + ast.disjuncts[d + 1:])
