@@ -3,10 +3,11 @@
 Three interchangeable generators produce candidate rewrites of an
 inconsistent rule from counterfactual evidence:
 
-* DeterministicGenerator enumerates single edits (threshold moves to the
-  midpoint between a mismatching input and its counterfactual, strictness
-  swaps, midpoint bounds on the perturbed feature, removals) and picks the
-  one with the fewest remaining mismatches.
+* DeterministicGenerator enumerates single edits (moves of a <, <=, > or >=
+  threshold to the midpoint between a mismatching input and its
+  counterfactual, strictness swaps, midpoint bounds on a perturbed feature
+  that such a threshold names, removals) and picks the one with the fewest
+  remaining mismatches.
 * LlmGenerator sends the assembled prompt to a chat-completion endpoint and
   runs the reply through strict parsing.
 * MockGenerator replays scripted response texts through the same parsing
@@ -396,10 +397,13 @@ def _changed_features(pair: CounterfactualPair, odd: OddSpec) -> list[str]:
 
 
 def _var_const_positions(ast: RuleAst, feature: str) -> list[tuple[int, int, Relation]]:
+    """The ordering bounds (<, <=, >, >=) on feature, by position. An == or !=
+    is left out: with a half-step constant an == holds at no grid point and
+    a != at every one."""
     positions = []
     for (d, j), rel in ast.relations():
         bound = direct_bound(rel)
-        if bound is not None and bound[0] == feature:
+        if bound is not None and bound[0] == feature and bound[1] in STRICTNESS_SWAP:
             positions.append((d, j, rel))
     return positions
 

@@ -220,15 +220,26 @@ class OddVariable:
         return count - (self.grid_value(count - 1) > self.max + DOMAIN_TOL)
 
     def grid_value(self, k: int) -> float:
-        return round(self.min + k * self.step, self.decimals)
+        """The grid value at index k: the memo's one float, shared by every caller."""
+        return self.points[k]
 
     @cached_property
     def points(self) -> dict[int, float]:
-        """grid_value(k) by index k, each computed on first lookup and kept."""
-        return _Memo.of(self.grid_value)
+        """Grid values by index: k's is rounded on first lookup and kept, so
+        every caller of grid_value(k), each run drawn at k and each search
+        probe of it, holds the one float. The memo gains an entry per distinct
+        index the process looks up and drops none, as index_of's lookups on
+        every load and search already did: at most grid_count entries, plus
+        any index past the ends a caller asks for. So n runs drawn over a grid
+        much finer than n add about n entries per variable, of about 90 bytes."""
+        return _Memo.of(self._round_point)
+
+    def _round_point(self, k: int) -> float:
+        # A method, not a lambda: the memo keeps it and must pickle.
+        return round(self.min + k * self.step, self.decimals)
 
     def grid_values(self) -> list[float]:
-        return [self.grid_value(k) for k in range(self.grid_count)]
+        return list(map(self.points.__getitem__, range(self.grid_count)))
 
     def index_of(self, value: float) -> int | None:
         """The index k of the grid point within DOMAIN_TOL of value, if value is

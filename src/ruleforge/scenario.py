@@ -7,7 +7,9 @@ semantics.compile_label generates from the ODD's ranges, widened by
 DOMAIN_TOL, and the safe region on first use, compiling only a shape that
 no earlier label had: it raises OutOfDomain (defined in semantics,
 exported here) for a point outside those ranges, then evaluates the safe
-region inline. The canned fixture pairs a 198-run dataset with a baseline
+region inline. Samples are drawn over the step grid, and each grid value
+is made once per variable (OddVariable.points) and shared by every run
+drawn at it. The canned fixture pairs a 198-run dataset with a baseline
 pass rule that mismatches the oracle on exactly 27 runs, so refinement
 experiments have a stable, reproducible starting point.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 from .counterfactual import Oracle
 from .grammar import DOMAIN_TOL, OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
@@ -85,8 +88,13 @@ def make_oracle(config: OracleConfig) -> Oracle:
     return Oracle(lambda x: oracle_label(config, x))
 
 
-def _random_grid_point(rng: random.Random, odd: OddSpec) -> dict[str, float]:
-    return {v.name: v.grid_value(rng.randrange(v.grid_count)) for v in odd.variables}
+def _grid_draw(rng: random.Random, odd: OddSpec) -> Callable[[], dict[str, float]]:
+    """A function that draws one point uniformly over the step grid of odd
+    with rng, one randrange per variable in ODD order. Each coordinate is the
+    variable's own grid value object (OddVariable.points)."""
+    randrange = rng.randrange
+    axes = [(v.name, v.points, v.grid_count) for v in odd.variables]
+    return lambda: {name: points[randrange(count)] for name, points, count in axes}
 
 
 def sample_dataset(config: OracleConfig, n: int) -> list[LabeledRun]:
@@ -94,10 +102,10 @@ def sample_dataset(config: OracleConfig, n: int) -> list[LabeledRun]:
     drawn with config.seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = random.Random(config.seed)
+    draw = _grid_draw(random.Random(config.seed), config.odd)
     runs = []
     for _ in range(n):
-        x = _random_grid_point(rng, config.odd)
+        x = draw()
         runs.append(LabeledRun(x=x, y=oracle_label(config, x)))
     return runs
 
@@ -140,8 +148,9 @@ def make_reference_fixture(seed: int = 42) -> Fixture:
             "lane_offset": lane.grid_value(rng.randrange(lane.grid_count)),
         }
         runs.append(LabeledRun(x=x, y=Outcome.FAIL))
+    draw = _grid_draw(rng, odd)
     while len(runs) < FIXTURE_SIZE:
-        x = _random_grid_point(rng, odd)
+        x = draw()
         if not in_mismatch_region(x):
             runs.append(LabeledRun(x=x, y=oracle_label(config, x)))
     rng.shuffle(runs)

@@ -20,8 +20,8 @@ from ruleforge import generation
 from ruleforge.generation import (FORMAT_EXEMPLAR, Edit, _adjust_threshold, _changed_features,
                                   _midpoint, _swap_strictness, _var_const_positions,
                                   enumerate_single_edits)
-from ruleforge.grammar import (GRAMMAR_TEXT, Const, Relation, RelOp, Var, print_conjunct,
-                               print_relation, rule)
+from ruleforge.grammar import (GRAMMAR_TEXT, Const, Relation, RelOp, Var, direct_bound,
+                               print_conjunct, print_relation, rule)
 from ruleforge.semantics import compile_rule, decisiveness
 
 X1 = {"ego_speed": 8.0, "dist_front": 4.2, "lane_offset": 0.1}
@@ -628,6 +628,33 @@ class TestEnumeratedEditsAreTheirDiffs:
         assume(world is not None)
         odd, _, ctx = world
         _assert_diff_is_the_enumerated_edit(ctx.target.ast, ctx.evidence, odd)
+
+
+class TestEqualityConstantsStayOnTheGrid:
+    """A threshold move writes a half-step constant. In an == that holds at no
+    grid point and in a != at every one, so the moves take ordering bounds only."""
+
+    def test_positions_are_the_ordering_bounds(self):
+        ast = parse_rule("(c == 30) and (2.5 >= c) or (c != 5) and (c < 20) and (a > c)")
+        assert [(d, j) for d, j, _ in _var_const_positions(ast, "c")] == [(0, 1), (1, 1)]
+
+    def test_no_enumerated_equality_constant_lies_off_the_grid(self):
+        """Brute force over small worlds: every == and != bound of every
+        candidate compares its variable with one of its grid values."""
+        checked = 0
+        for seed in range(300):
+            world = _small_world(seed)
+            if world is None:
+                continue
+            odd, _, ctx = world
+            for ast in enumerate_single_edits(ctx.target.ast, ctx.evidence, odd):
+                for _, rel in ast.relations():
+                    bound = direct_bound(rel)
+                    if bound is not None and bound[1] in (RelOp.EQ, RelOp.NE):
+                        assert odd.get(bound[0]).index_of(bound[2]) is not None, (
+                            seed, print_rule(ast))
+                        checked += 1
+        assert checked > 1000
 
 
 class _LibraryGenerator:

@@ -496,6 +496,22 @@ class TestGridFacts:
             v = OddVariable("v", 7.25, 7.25, step)
             assert v.grid_count == 1 and v.grid_values() == [_ref_grid_value(v, 0)]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_grid_value_is_the_memos_one_float(self, seed):
+        """grid_value and grid_values hand out the memo's own objects, equal
+        in repr (so in sign, at zero) to the per-call formula's."""
+        for v in _grid_variables(seed):
+            values = v.grid_values()
+            for k in (*range(v.grid_count), -1, v.grid_count):
+                assert v.grid_value(k) is v.points[k]
+                assert repr(v.grid_value(k)) == repr(_ref_grid_value(v, k))
+            assert all(value is v.points[k] for k, value in enumerate(values))
+
+    def test_a_negative_zero_grid_value_keeps_its_sign(self):
+        v = OddVariable("v", -0.9, 0.9, 0.3)
+        assert repr(v.grid_value(3)) == repr(_ref_grid_value(v, 3)) == "-0.0"
+        assert repr(v.grid_values()[3]) == "-0.0"
+
     @pytest.mark.parametrize("seed", range(2))
     def test_survive_pickling(self, seed):
         for v in _grid_variables(seed):

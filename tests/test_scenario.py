@@ -66,6 +66,26 @@ class TestSampleDataset:
                 assert 0 <= k < v.grid_count
                 assert abs(value - v.grid_value(k)) < 1e-9
 
+    @pytest.mark.parametrize("odd", [DEFAULT_ODD, odd_spec([("a", -1.05, 1.0, 0.1),
+                                                            ("b", -3.0, 3.0, 0.25),
+                                                            ("c", -0.9, 0.9, 0.3)])],
+                             ids=lambda odd: ",".join(odd.names))
+    def test_every_coordinate_is_its_variables_grid_value(self, odd):
+        """Each coordinate is the very float object of the variable's memo,
+        and the sample is the one the per-call formula draws with the same
+        randrange calls in the same order, signed zeros included."""
+        config = OracleConfig(odd, parse_rule("(a > 0)" if "a" in odd else "(ego_speed > 0)"), 5)
+        rng = random.Random(config.seed)
+        runs = sample_dataset(config, 2000)
+        if "c" in odd:
+            assert "-0.0" in {repr(run.x["c"]) for run in runs}
+        for run in runs:
+            for v in odd.variables:
+                value = run.x[v.name]
+                assert value is v.points[v.index_of(value)]
+                assert repr(value) == repr(round(v.min + rng.randrange(v.grid_count) * v.step,
+                                                 v.decimals))
+
     def test_label_frequency_matches_region_volume(self):
         # Grid integration of the safe region over the variables it uses;
         # unused dimensions contribute uniformly.
@@ -105,6 +125,13 @@ class TestReferenceFixture:
             assert _ref_contains_point(config.odd, run.x)
             for v in config.odd.variables:
                 assert run.x[v.name] == v.grid_value(round((run.x[v.name] - v.min) / v.step))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_coordinate_is_its_variables_grid_value(self, seed):
+        odd = default_config(seed).odd
+        for run in make_reference_fixture(seed).dataset:
+            for v in odd.variables:
+                assert run.x[v.name] is v.points[v.index_of(run.x[v.name])]
 
     def test_labels_agree_with_oracle(self, fixture42):
         for run in fixture42.dataset:
