@@ -226,12 +226,14 @@ class OddVariable:
     @cached_property
     def points(self) -> dict[int, float]:
         """Grid values by index: k's is rounded on first lookup and kept, so
-        every caller of grid_value(k), each run drawn at k and each search
-        probe of it, holds the one float. The memo gains an entry per distinct
-        index the process looks up and drops none, as index_of's lookups on
-        every load and search already did: at most grid_count entries, plus
-        any index past the ends a caller asks for. So n runs drawn over a grid
-        much finer than n add about n entries per variable, of about 90 bytes."""
+        every caller of grid_value(k), each run drawn at k, each run loaded
+        at it and each search probe of it, holds the one float. The memo
+        gains an entry per distinct index the process looks up and drops
+        none. A load's cells add none of their own: index_of looks up each
+        distinct value's index anyway. So it holds at most grid_count
+        entries, plus any index past the ends a caller asks for. n runs
+        drawn over a grid much finer than n add about n entries per
+        variable, of about 90 bytes."""
         return _Memo.of(self._round_point)
 
     def _round_point(self, k: int) -> float:

@@ -5,15 +5,19 @@
   decimal form so store(load(path)) is byte-identical for canonical files.
   Loaded with an ODD, runs are points of its step grid, each value read as
   its grid point, and list features in ODD order, then other columns in
-  file order: column order changes no artifact. Each distinct value of
-  an ODD variable's column is checked against its grid once per load.
+  file order: column order changes no artifact. Each distinct cell text of
+  an ODD variable's column is read once per load, and each distinct value
+  checked against its grid once; the cell holds the variable's own float
+  for its grid point (OddVariable.points), so a load keeps one float per
+  grid point, not one per cell. Other columns read one float per cell.
   Rows are converted a block of BLOCK_ROWS at a time, a column at a time;
   a faulty block is walked row by row to name the line on which its first
   faulty record starts. A clean block's row dicts are filled a column at a
   time too, without generated code, and its runs are built by the tuple
   constructor, not LabeledRun's own. The header's feature names are
   interned, so each run's keys are the very strings that compiled rules,
-  labels and ODD variables look up.
+  labels and ODD variables look up. The writer formats a column at a time,
+  each distinct value once.
 * Rules JSON: a bare list of {"id", "polarity": "pass"|"fail", "text"}.
 * Engine-owned JSON artifacts (oracle config, eval report, evidence,
   outcome, metrics, transcripts) carry a schema_version header, and each
@@ -37,8 +41,9 @@ from collections import deque
 from functools import cache, partial
 from itertools import islice, repeat
 from json.encoder import c_make_encoder, encode_basestring
-from operator import setitem
+from operator import itemgetter, setitem
 from pathlib import Path
+from typing import Callable
 
 from .counterfactual import EvidenceFile
 from .generation import TranscriptEntry
@@ -119,10 +124,12 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
             # a run's keys in ODD order, then the other columns in file order
             order = [j for j, _ in grids]
             order += [j for j in range(len(features)) if j not in order]
-            checked = [{} for _ in grids]
+            readers = [float] * len(features)
+            for j, v in grids:
+                readers[j] = _grid_reader(v)
             runs = []
             while rows := list(islice(reader, BLOCK_ROWS)):
-                block = _block_columns(rows, len(header), grids, checked)
+                block = _block_columns(rows, len(header), readers)
                 if block is None:
                     _row_fault(path, rows, reader.line_num, features, grids)
                 del rows  # its cells are freed before the runs take their memory
@@ -141,38 +148,48 @@ def load_dataset(path: str | Path, odd: OddSpec | None = None) -> list[LabeledRu
     return runs
 
 
-def _block_columns(rows: list[list[str]], width: int, grids: list[tuple[int, OddVariable]],
-                   checked: list[dict[float, float]]
+def _grid_reader(v: OddVariable) -> Callable[[str], float]:
+    """The reader of v's column for one load: a cell text's value, each
+    distinct text read once and each distinct value checked against v's
+    grid once (OddVariable.index_of, which refuses a non-finite value too).
+    A text that is no number, or whose value is on no grid point, raises
+    ValueError. A value reads as its grid point, the variable's own float
+    (OddVariable.points), shared by every run of every load; a zero whose
+    sign differs from its point's keeps it, as a value equal to its point
+    is read as written."""
+    points = {}  # the grid point of each distinct value read
+
+    def value(text: str) -> float:
+        x = float(text)
+        p = points.get(x)
+        if p is None:
+            k = v.index_of(x)
+            if k is None:
+                raise ValueError(f"{x!r} is on no grid point of {v.name}")
+            p = points[x] = v.points[k]
+        return x if x == p == 0.0 and math.copysign(1.0, x) != math.copysign(1.0, p) else p
+
+    return _Memo.of(value).__getitem__
+
+
+def _block_columns(rows: list[list[str]], width: int, readers: list[Callable[[str], float]]
                    ) -> tuple[list[list[float]], list[Outcome]] | None:
-    """The feature columns of a block of rows, as floats, and its outcomes,
-    each converted a column at a time; None when any row is faulty, which
-    _row_fault then names. grids holds (column, variable) per column whose
-    distinct values must each lie on the variable's grid; each such value
-    is replaced by its grid point. checked holds, per entry of grids, the
-    grid point of each value an earlier block of the load has checked, and
-    gains this block's: a load checks each distinct value once."""
+    """The feature columns of a block of rows, each cell read by its
+    column's reader, and its outcomes, each converted a column at a time;
+    None when any row is faulty, which _row_fault then names. A column read
+    by float is checked finite here; any other reader is a grid column's
+    (_grid_reader), which refuses what is off its grid itself."""
     if set(map(len, rows)) != {width}:
         return None
     *cells, labels = zip(*rows)
     try:
-        columns = [list(map(float, column)) for column in cells]
+        columns = [list(map(read, column)) for read, column in zip(readers, cells)]
     except ValueError:
         return None
     ys = list(map(_OUTCOMES.get, labels))
-    if None in ys or not all(all(map(math.isfinite, column)) for column in columns):
+    if None in ys or not all(all(map(math.isfinite, column))
+                             for read, column in zip(readers, columns) if read is float):
         return None
-    for (j, v), known in zip(grids, checked):
-        distinct = set(columns[j])
-        if new := list(distinct.difference(known)):
-            indices = list(map(v.index_of, new))
-            if None in indices:
-                return None
-            known.update(zip(new, map(v.points.__getitem__, indices)))
-        distinct = list(distinct)
-        points = list(map(known.__getitem__, distinct))
-        if points != distinct:  # a value off its grid point by DOMAIN_TOL at most reads as it
-            snap = {x: p for x, p in zip(distinct, points) if x != p}
-            columns[j] = list(map(snap.get, columns[j], columns[j]))
     return columns, ys
 
 
@@ -212,11 +229,13 @@ def dataset_bytes(runs: list[LabeledRun]) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(features + ["outcome"])
-    # Grid datasets repeat a few hundred values per column: format each once.
-    # Exact as a cache: the only distinct floats that compare equal, -0.0 and
-    # 0.0, both print "0".
-    text = _Memo.of(fmt_number)
-    writer.writerows([text[run.x[name]] for name in features] + [run.y.value] for run in runs)
+    # Grid datasets repeat a few hundred values per column: format each once,
+    # a column at a time. Exact as a cache: the only distinct floats that
+    # compare equal, -0.0 and 0.0, both print "0".
+    text = _Memo.of(fmt_number).__getitem__
+    xs = [run.x for run in runs]
+    columns = [list(map(text, map(itemgetter(name), xs))) for name in features]
+    writer.writerows(zip(*columns, [run.y.value for run in runs]))
     return buffer.getvalue().encode("utf-8")
 
 

@@ -428,6 +428,43 @@ class TestGridCheckedOncePerLoad:
                               ("f0", 0.0), ("f1", 2.0), ("f1", 0.0), ("f1", 2.4999999996)}
 
 
+class TestGridCellsAreTheMemosFloats:
+    def test_each_cell_is_its_grid_point_but_a_zero_of_the_other_sign(self, tmp_path):
+        """In blocks of 3 rows, every spelling of a grid value loads as the
+        variable's memo float itself (OddVariable.points), one object per
+        grid point across blocks and columns of the load; a zero written
+        with the sign its +0.0 point lacks keeps that sign, as in the
+        row-by-row reference."""
+        texts = ["1", "1.0", "0.5000000004", "0", "-0", "-0.0"]
+        rows = [f"{a},{b},Pass" for a in texts for b in texts[::-1]]
+        path = tmp_path / "spellings.csv"
+        path.write_text("\n".join(["f0,f1,outcome"] + rows) + "\n", encoding="utf-8")
+        odd = odd_spec([("f0", -1.0, 4.0, 0.5), ("f1", 0.0, 4.0, 0.5)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage, "BLOCK_ROWS", 3)
+            runs = storage.load_dataset(path, odd)
+        assert [(repr(run.x), run.y) for run in runs] == \
+            [(repr(run.x), run.y) for run in _ref_load_dataset(path, odd)]
+        cells = [(run.x[v.name], text) for run, row in zip(runs, rows)
+                 for v, text in zip(odd.variables, row.split(",")) if text.startswith("-")]
+        assert cells and all(repr(x) == "-0.0" for x, _ in cells)
+        for run, row in zip(runs, rows):
+            for v, text in zip(odd.variables, row.split(",")):
+                if not text.startswith("-"):
+                    assert run.x[v.name] is v.points[v.index_of(float(text))], (row, v.name)
+
+    def test_a_zero_on_a_negative_zero_point_keeps_its_sign(self, tmp_path):
+        """[-0.9, 0.9] step 0.3 has -0.0 at index 3: "-0" loads as that
+        point itself, and "0" keeps its own +0.0."""
+        odd = odd_spec([("g", -0.9, 0.9, 0.3)])
+        v = odd.variables[0]
+        assert repr(v.points[3]) == "-0.0"
+        path = tmp_path / "zeros.csv"
+        path.write_text("g,outcome\n-0,Pass\n0,Fail\n0.3,Pass\n", encoding="utf-8")
+        a, b, c = (run.x["g"] for run in storage.load_dataset(path, odd))
+        assert a is v.points[3] and repr(b) == "0.0" and c is v.points[4]
+
+
 def _ref_dataset_bytes(runs):
     """The writer formatting every cell on its own, kept as the reference only."""
     features = list(runs[0].x.keys())
@@ -451,7 +488,14 @@ class TestDatasetWriter:
         runs = [LabeledRun({name: rng.choice(WRITER_VALUES + [rng.uniform(-1e3, 1e3)])
                             for name in names}, rng.choice(list(Outcome)))
                 for _ in range(300)]
-        assert storage.dataset_bytes(runs) == _ref_dataset_bytes(runs)
+        # the same runs with their keys in shuffled orders: cells are read by name
+        runs += [LabeledRun(dict(rng.sample(list(run.x.items()), len(names))), run.y)
+                 for run in runs]
+        assert {tuple(run.x) for run in runs[300:]} != {tuple(names)}
+        data = storage.dataset_bytes(runs)
+        assert data == _ref_dataset_bytes(runs)
+        lines = data.split(b"\n")
+        assert lines[0] == b"a,b_2,lane_offset,outcome" and lines[1:301] == lines[301:601]
 
     def test_signed_zeros_both_print_zero(self):
         runs = [LabeledRun({"a": -0.0, "b": 0.0}, Outcome.PASS),
