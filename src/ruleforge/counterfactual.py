@@ -9,7 +9,10 @@ with negative offsets before positive ones and untouched-feature
 continuations last. A feature at grid index k (OddVariable.index_of) moves
 by offsets m in [-k, grid_count - 1 - k] to grid value k + m, so every probe
 is a grid point of the domain, each probe costs exactly one oracle query,
-and the step-unit L1 of the result is exact.
+and the step-unit L1 of the result is exact. The run itself is checked
+against the domain once, when its grid indices are taken, and no probe is
+checked again: the oracle of scenario.make_oracle labels a probe without a
+domain guard, which could refuse none of them.
 A search calls the oracle's `label` itself, once per probe, and adds its
 probes to the oracle's `queries` when it ends, however it ends: it is the
 only writer of that count. The query budget is checked once per ring (or,

@@ -2,16 +2,20 @@
 
 Stands in for an expensive simulator: a ground-truth safe region expressed
 in the rule DSL labels any in-domain input deterministically. Every label
-is one call of the config's label function (OracleConfig.label), which
-semantics.compile_label generates from the ODD's ranges, widened by
-DOMAIN_TOL, and the safe region on first use, compiling only a shape that
-no earlier label had: it raises OutOfDomain (defined in semantics,
-exported here) for a point outside those ranges, then evaluates the safe
-region inline. Samples are drawn over the step grid, and each grid value
-is made once per variable (OddVariable.points) and shared by every run
-drawn at it. The canned fixture pairs a 198-run dataset with a baseline
-pass rule that mismatches the oracle on exactly 27 runs, so refinement
-experiments have a stable, reproducible starting point.
+is one call of a label function that semantics.compile_label generates on
+first use, compiling only a shape that no earlier label had. A config's own
+(OracleConfig.label) is built from the ODD's ranges, widened by DOMAIN_TOL,
+and the safe region: it raises OutOfDomain (defined in semantics, exported
+here) for a point outside those ranges, then evaluates the safe region
+inline. The oracle of a counterfactual search (make_oracle) labels through
+the config's on-grid view instead, the safe region with no domain guard,
+since every probe of the search is a point of the ODD's step grid; the
+samplers and the fixture label through the guarded one. Samples are drawn
+over the step grid, and each grid value is made once per variable
+(OddVariable.points) and shared by every run drawn at it. The canned
+fixture pairs a 198-run dataset with a baseline pass rule that mismatches
+the oracle on exactly 27 runs, so refinement experiments have a stable,
+reproducible starting point.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .counterfactual import Oracle
 from .grammar import DOMAIN_TOL, OddSpec, RuleAst, check_vocabulary, odd_spec, parse_rule
@@ -45,6 +49,12 @@ class ConstructionFailure(RuntimeError):
     """The safe region names a variable outside the config's ODD."""
 
 
+class OnGrid(NamedTuple):
+    """A config's view for the points of its ODD's step grid: its label is
+    the safe region with no domain guard."""
+    label: Label
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     odd: OddSpec
@@ -65,8 +75,15 @@ class OracleConfig:
         return compile_label(self.safe_region, tuple(
             (v.name, v.min - DOMAIN_TOL, v.max + DOMAIN_TOL) for v in self.odd.variables))
 
+    @cached_property
+    def on_grid(self) -> OnGrid:
+        """The on-grid view, built on first use and kept as label is: its
+        label is compile_label of the safe region with no bounds, which
+        checks nothing before the rule."""
+        return OnGrid(compile_label(self.safe_region, ()))
+
     def __getstate__(self):
-        # The fields only: the compiled label cannot be pickled and is
+        # The fields only: the compiled labels cannot be pickled and are
         # rebuilt on use.
         return {"odd": self.odd, "safe_region": self.safe_region, "seed": self.seed}
 
@@ -75,17 +92,29 @@ def default_config(seed: int = 42) -> OracleConfig:
     return OracleConfig(odd=DEFAULT_ODD, safe_region=parse_rule(DEFAULT_SAFE_REGION), seed=seed)
 
 
-def oracle_label(config: OracleConfig, x: dict[str, float]) -> Outcome:
-    """Pass iff x satisfies the configured safe region; OutOfDomain unless x
-    binds every ODD variable within its range. Deterministic. One call of
-    config.label, which runs the full domain guard on every query."""
+def oracle_label(config: OracleConfig | OnGrid, x: dict[str, float]) -> Outcome:
+    """Pass iff x satisfies the configured safe region. Deterministic. One
+    call of config.label: on an OracleConfig, that runs the full domain
+    guard, so it raises OutOfDomain unless x binds every ODD variable within
+    its range; on its OnGrid view, it checks nothing first."""
     return config.label(x)
 
 
 def make_oracle(config: OracleConfig) -> Oracle:
+    """The oracle of counterfactual searches over config.odd, and only over
+    that ODD: this pairing is its contract, which every caller keeps.
+
+    Each query labels through config.on_grid, with no domain guard.
+    search_counterfactual checks its run once against the ODD it is given
+    (OddVariable.index_of puts each value within DOMAIN_TOL of a grid point,
+    inside the widened range the guard admits) and then probes only grid
+    points of that ODD, so the guard could refuse no probe. A point off
+    that grid gets a verdict, not a refusal: label it with
+    oracle_label(config, x)."""
+    view = config.on_grid
     # oracle_label is looked up by name on every query, so a wrapper put on
     # it after the oracle is made (the benchmark's tracer) sees every query.
-    return Oracle(lambda x: oracle_label(config, x))
+    return Oracle(lambda x: oracle_label(view, x))
 
 
 def _grid_draw(rng: random.Random, odd: OddSpec) -> Callable[[], dict[str, float]]:

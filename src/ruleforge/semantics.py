@@ -10,7 +10,8 @@ zero makes its relation false and appends "division by zero in <relation>"
 to the diagnostics, in rule order; a variable missing from the input raises
 UnboundVariable. The oracle's safe region is built the same way, once, into
 a label that checks the domain first (compile_label) and itself raises
-OutOfDomain, defined here, for a point outside it. Constants never enter the
+OutOfDomain, defined here, for a point outside it; a label given no domain
+checks nothing before the rule. Constants never enter the
 generated source, so rules that differ only in constants share one compiled
 code object from a bounded table (_code): a refine compiles each rule shape
 once, however many thresholds it tries.
@@ -142,14 +143,14 @@ def _build(ast: RuleAst, bounds: Bounds | None = None) -> Holds | Label:
         # The label keeps no diagnostics: its division helpers get diag=None.
         slots.update(OutOfDomain=OutOfDomain, PASS=Outcome.PASS, FAIL=Outcome.FAIL, diag=None)
         inside = " and ".join(f"{slot(lo)} <= x[{var!r}] <= {slot(hi)}"
-                              for var, lo, hi in bounds) or "True"
+                              for var, lo, hi in bounds)
         name, params, verdicts = "label", "x", ("PASS", "FAIL")
         refusal = 'raise OutOfDomain(f"input outside declared ranges: {x}")'
         guard = ("        try:\n"
                  f"            if not ({inside}):\n"
                  f"                {refusal}\n"
                  "        except KeyError:\n"
-                 f"            {refusal} from None\n")
+                 f"            {refusal} from None\n") if inside else ""
     source = (f"def make({', '.join(slots)}):\n" + "".join(helpers)
               + f"    def {name}({params}):\n" + guard
               + "        try:\n"
@@ -198,9 +199,10 @@ def compile_label(ast: RuleAst, bounds: Bounds) -> Label:
     label(x) raises OutOfDomain("input outside declared ranges: {x}") unless
     x binds every name of bounds within its [lo, hi] (NaN and infinities are
     outside), and then returns Outcome.PASS where the rule holds and
-    Outcome.FAIL elsewhere, as compile_rule's function decides it. The
-    guard and the rule are one generated function, compiled once per shape;
-    nothing is kept on the AST."""
+    Outcome.FAIL elsewhere, as compile_rule's function decides it. With no
+    bounds there is no guard: a variable the rule reads and x lacks raises
+    UnboundVariable. The guard and the rule are one generated function,
+    compiled once per shape; nothing is kept on the AST."""
     return _build(ast, bounds)
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from ruleforge import (CounterfactualNotFound, NoInconsistency, Oracle,
                        OracleBudgetExceeded, Outcome, PolarizedRule, Polarity, SearchLimits,
-                       build_evidence, decisiveness, make_oracle, odd_spec, parse_rule,
-                       search_counterfactual)
+                       build_evidence, decisiveness, make_oracle, odd_spec, oracle_label,
+                       parse_rule, search_counterfactual)
 from ruleforge.cli import main
 from ruleforge import counterfactual
 from ruleforge.counterfactual import TABLE_FEATURES, _Rings
@@ -99,9 +99,10 @@ class TestSearchContract:
         assert len(evidence.pairs) == 27 and evidence.unresolved == ()
         for pair in evidence.pairs:
             assert pair.y_cf is not pair.y
-            # oracle_label raises OutOfDomain on out-of-range probes, so this
-            # re-check also certifies domain safety
-            assert make_oracle(config).label(pair.x_cf) is pair.y_cf
+            # oracle_label on the config raises OutOfDomain on out-of-range
+            # points, so this re-check also certifies domain safety (the
+            # search's own oracle does not check the domain)
+            assert oracle_label(config, pair.x_cf) is pair.y_cf
             assert all(v.index_of(pair.x_cf[v.name]) is not None for v in config.odd.variables)
             for name, value in pair.delta.items():
                 assert abs(pair.x_cf[name] - pair.x[name] - value) < 1e-12
@@ -117,7 +118,7 @@ class TestSearchContract:
             x = {name: value + (-4e-10 if i % 2 else 4e-10) for name, value in pair.x.items()}
             near = search_counterfactual(x, pair.y, make_oracle(config), config.odd)
             assert near.x == x and near.y_cf is not near.y
-            assert make_oracle(config).label(near.x_cf) is near.y_cf
+            assert oracle_label(config, near.x_cf) is near.y_cf  # in the domain, as above
             for name, value in near.x_cf.items():
                 if name in near.delta:
                     assert value in config.odd.get(name).grid_values()

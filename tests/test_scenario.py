@@ -4,13 +4,15 @@ import itertools
 import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
-from ruleforge import (Outcome, OutOfDomain, build_evidence, decisiveness, default_config,
-                       evaluate, make_oracle, make_reference_fixture, odd_spec, oracle_label,
-                       parse_rule, print_rule, sample_dataset, scenario, search_counterfactual,
-                       semantics)
+from ruleforge import (CounterfactualNotFound, DeterministicGenerator, OracleBudgetExceeded,
+                       Outcome, OutOfDomain, SearchLimits, build_evidence, decisiveness,
+                       default_config, evaluate, make_oracle, make_reference_fixture, odd_spec,
+                       oracle_label, parse_rule, print_rule, refine_loop, sample_dataset,
+                       scenario, search_counterfactual, semantics, storage)
 from ruleforge.cli import main
 from ruleforge.scenario import DEFAULT_ODD, ConstructionFailure, OracleConfig
 from ruleforge.semantics import compile_rule
@@ -363,9 +365,13 @@ class TestCompiledLabel:
     def test_the_label_is_built_once_per_config_and_not_pickled(self):
         config = default_config(5)
         assert config.label is config.label
+        assert config.on_grid is config.on_grid
+        assert {"label", "on_grid"} <= set(config.__dict__)
         state = pickle.loads(pickle.dumps(config)).__dict__
         assert set(state) == {"odd", "safe_region", "seed"}
-        assert dataclasses.replace(config, seed=6).label is not config.label
+        copy = dataclasses.replace(config, seed=6)
+        assert copy.label is not config.label
+        assert copy.on_grid is not config.on_grid and copy.on_grid.label is not config.on_grid.label
 
 
 class TestOracleCallPath:
@@ -408,3 +414,81 @@ class TestOracleCallPath:
             assert sorted(names) == ["<label>", "<rule>"]
             outputs.append([(out / name).read_bytes() for name in ("outcome.json", "report.txt")])
         assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# The search's oracle labels through the config's on-grid view, which has no
+# domain guard: every probe must be one the guarded label admits, with the
+# same verdict.
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+#: Inputs as the CLI loads them: the reference fixture and the 8-feature domain.
+GRID_CASES = [GOLDEN / "sim" / "fixture", GOLDEN / "wide"]
+
+
+def _load_case(directory):
+    """A config fresh from its file, its dataset loaded against its ODD, and its rules."""
+    config = storage.load_oracle_config(directory / "oracle_config.json")
+    runs = storage.load_dataset(directory / "dataset.csv", config.odd)
+    return config, runs, storage.load_rules(directory / "rules.json", config.odd.names)
+
+
+def _edge_runs(odd, rng):
+    """Per variable, a run at its grid index 0 and one at grid_count - 1, the
+    other variables drawn on the grid; then each of them moved off its grid
+    points by 4e-10 one way or the other, within DOMAIN_TOL."""
+    runs = []
+    for v in odd.variables:
+        for k in (0, v.grid_count - 1):
+            x = {w.name: w.points[rng.randrange(w.grid_count)] for w in odd.variables}
+            runs.append({**x, v.name: v.points[k]})
+    return runs + [{name: value + (4e-10 if (i + j) % 2 else -4e-10)
+                    for j, (name, value) in enumerate(x.items())} for i, x in enumerate(runs)]
+
+
+class TestOnGridOracle:
+    @pytest.mark.parametrize("directory", GRID_CASES, ids=lambda d: d.name)
+    def test_every_probe_gets_the_guarded_verdict(self, directory):
+        config, runs, rules = _load_case(directory)
+        oracle = make_oracle(config)
+        probes, label = [], oracle.label
+
+        def recording(x):
+            y = label(x)
+            probes.append((x, y))
+            return y
+
+        oracle.label = recording
+        evidence = build_evidence(rules[0], runs, oracle, config.odd,
+                                  SearchLimits(budget=2_000))
+        assert "label" not in config.__dict__  # the search never built the guarded label
+        searched = len(probes)
+        for x in _edge_runs(config.odd, random.Random(3)):
+            try:
+                search_counterfactual(x, oracle_label(config, x), oracle, config.odd,
+                                      max_radius_steps=6, budget=500)
+            except (CounterfactualNotFound, OracleBudgetExceeded):
+                pass
+        assert evidence.pairs and 0 < searched < len(probes) == oracle.queries
+        for x, y in probes:
+            assert oracle_label(config, x) is y, x  # an OutOfDomain fails it too
+
+    @pytest.mark.parametrize("directory", GRID_CASES, ids=lambda d: d.name)
+    def test_a_refine_never_builds_the_guarded_label(self, directory):
+        config, runs, rules = _load_case(directory)
+        refine_loop(rules[0], rules, runs, make_oracle(config), config.odd,
+                    DeterministicGenerator())
+        assert "label" not in config.__dict__ and "on_grid" in config.__dict__
+
+    def test_the_view_checks_no_domain(self):
+        """Off the grid the view gives a verdict where the config refuses, and
+        a variable the safe region reads and x lacks is unbound."""
+        config = default_config()
+        x = {"ego_speed": 31.0, "dist_front": 1.0, "lane_offset": 9.0}
+        with pytest.raises(OutOfDomain):
+            oracle_label(config, x)
+        assert oracle_label(config.on_grid, x) is Outcome.PASS
+        assert make_oracle(config).label(x) is Outcome.PASS
+        with pytest.raises(semantics.UnboundVariable):
+            oracle_label(config.on_grid, {"ego_speed": 1.0})
