@@ -13,11 +13,13 @@ and the step-unit L1 of the result is exact. The run itself is checked
 against the domain once, when its grid indices are taken, and no probe is
 checked again: the oracle of scenario.make_oracle labels a probe without a
 domain guard, which could refuse none of them.
-A search calls the oracle's `label` itself, once per probe, and adds its
-probes to the oracle's `queries` when it ends, however it ends: it is the
-only writer of that count. The query budget is checked once per ring (or,
-on a wide domain, once per table), not once per probe: a ring longer than
-the budget left is walked only that far.
+A search reads the oracle's `label` once, when it starts, and calls it
+itself, once per probe; it adds its probes to the oracle's `queries` when it
+ends, however it ends: it is the only writer of that count. The query budget
+is checked once per ring (or, on a wide domain, once per table), not once per
+probe: a ring or table longer than the budget left is walked only that far,
+and the probes it holds are counted when its walk starts, less those left
+unlabeled when a flip or a raise ends it.
 
 Every ring's offset vectors come from one table that every search of the
 process shares: ring r of an n-feature domain with no bound, as each
@@ -27,18 +29,22 @@ vectors that stay in its range, which leaves the order as it is.
 
 A domain of at most TABLE_FEATURES features reads its rings whole from that
 table, and each probe is a copy of the run with its moves written in. A
-wider domain splits the offset vector in two. The leading features, all
-but the last TABLE_FEATURES, are walked by one iterative stack walk, which
-descends only into prefixes whose remainder the later features can take
-up, so no step of the walk is wasted; it writes each leading feature's
-value into one working dict only when the feature's offset changes. At
-each complete prefix, the last TABLE_FEATURES features take up the
-remainder from the shared ring of that many features, kept to their
-bounds: the search's table for that remainder, each vector with the values
-it moves, made when first needed and kept for the rest of the search. So a
-prefix hands out its probes without stepping the walk. A probe is the
-working dict merged with one table entry, a new dict per oracle query, so
-no oracle sees a dict that is later changed.
+wider domain splits the offset vector in two. The leading features are all
+but the last TABLE_FEATURES. All of them but the last are walked by one
+iterative stack walk, which descends only into prefixes whose remainder the
+later features can take up, so no step of the walk is wasted; it writes
+each walked feature's value into one working dict only when the feature's
+offset changes. At each complete prefix the walk hands out the search's row
+for the remainder R: each offset m of the last leading feature, with its
+value and the trailing table of R - |m|, which is the shared ring of the
+last TABLE_FEATURES features at that remainder, kept to their bounds, as
+two parallel lists: each vector's moves and the values it moves. Rows and
+tables are made when first needed and kept for the rest of the search. The
+search walks a row inline: it writes the last leading feature's value into
+the working dict, then labels the dict merged with each table entry, a new
+dict per oracle query, so no oracle sees a dict that is later changed. A
+domain with one leading feature has no stack walk and reads one row per
+ring.
 
 Either way, probe values are computed ring by ring, and a probe's delta only
 when its outcome flips.
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import length_hint
 from typing import Iterator, Sequence
 
 from .grammar import OddSpec, _Memo, exact_moves, print_rule
@@ -78,9 +85,10 @@ class NoInconsistency(ValueError):
 class Oracle:
     """Ground-truth labeling interface with a query counter.
 
-    `label` must be deterministic: equal inputs, equal outcomes. The search
-    is the only writer of `queries`: it calls `label` itself, once per
-    probe, and adds its probe count when it ends.
+    `label` must be deterministic: equal inputs, equal outcomes. A search
+    reads `label` once, when it starts, and is the only writer of `queries`:
+    it calls the label itself, once per probe, and adds its probe count when
+    it ends.
     """
 
     def __init__(self, label: Label):
@@ -129,6 +137,12 @@ def _choices(down: int, up: int, after: int, rest: int) -> tuple[int, ...]:
 Moves = tuple[tuple[int, int], ...]
 
 
+# One row of a wide search: per offset m of its last leading feature, m, the
+# feature's value at m, and a trailing table as parallel lists of each
+# vector's moves and the values it moves.
+Row = list[tuple[int, float, list[Moves], list[dict[str, float]]]]
+
+
 #: One tuple per (feature, offset) move, which every ring that makes it holds.
 _MOVES = _Memo.of(lambda move: move)
 
@@ -162,20 +176,24 @@ def _within(ring: tuple[Moves, ...], down: list[int], up: list[int]) -> list[Mov
 
 
 class _Rings:
-    """The probes of one search's rings around x, leaf by leaf.
+    """The probes of one search's rings around x, row by row.
 
     Feature i may move by an offset m within [-down[i], up[i]]; its probe
     value at m is values[i][m], where values[i][0] must be x's own value and
     the offsets +-r must be there before ring r is walked.
 
-    The leading features, all but the last TABLE_FEATURES, are walked in
-    enumeration order: per feature the nonzero offsets ascending (negatives
-    first), then 0. A leading feature is offered only the offsets whose
-    remainder the later features can take up, so every choice ends in at
-    least one vector. The trailing features' vectors at a remainder are
-    that shared ring of theirs, kept to their bounds. A feature's choices at
-    a remainder, and the table of a remainder, are made on first use and
-    kept for the rest of the search.
+    The leading features, all but the last TABLE_FEATURES, are offered their
+    offsets in enumeration order: per feature the nonzero offsets ascending
+    (negatives first), then 0, and only those whose remainder the later
+    features can take up, so every choice ends in at least one vector. All
+    leading features but the last are walked; the last one is the first
+    column of the rows. rows[R] holds one entry (m, value, moves, moved) per
+    offset m of the last leading feature at remainder R: value is its probe
+    value, and moves and moved are the trailing table of R - |m|, that
+    shared ring of the trailing features kept to their bounds, as each
+    vector's moves and the values it moves, in parallel lists. A leading
+    feature's choices at a remainder, a row and a table are made on first
+    use and kept for the rest of the search.
     """
 
     def __init__(self, x: dict[str, float], names: list[str], values: list[dict[int, float]],
@@ -183,6 +201,7 @@ class _Rings:
         n = len(names)
         self.names, self.values = names, values
         self.lead = lead = n - TABLE_FEATURES
+        last = lead - 1
         # reach[i]: the most steps features i.. can take up together.
         self.reach = reach = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
@@ -190,30 +209,40 @@ class _Rings:
         # choices[i][r]: leading feature i's offsets at remainder r.
         self.choices = [_Memo.of(partial(_choices, down[i], up[i], reach[i + 1]))
                         for i in range(lead)]
-        # tables[r]: the trailing features' ring r, kept to their bounds,
-        # each vector as its moves with the values it moves.
         trail, tvalues, tdown, tup = names[lead:], values[lead:], down[lead:], up[lead:]
-        self.tables = _Memo.of(lambda rest: [
-            (moves, {trail[i]: tvalues[i][m] for i, m in moves})
-            for moves in _within(_RINGS[TABLE_FEATURES, rest], tdown, tup)])
+
+        def table(rest: int) -> tuple[list[Moves], list[dict[str, float]]]:
+            kept = _within(_RINGS[TABLE_FEATURES, rest], tdown, tup)
+            return kept, [{trail[i]: tvalues[i][m] for i, m in moves} for moves in kept]
+
+        tables = _Memo.of(table)
+        offered, lvalues = self.choices[last], values[last]
+        self.rows = _Memo.of(lambda rest: [(m, lvalues[m], *tables[rest - abs(m)])
+                                           for m in offered[rest]])
         #: The probe's values of the leading features, x's own elsewhere.
         self.work = dict(x)
-        #: The leading features' offsets at the current leaf.
-        self.offsets = [0] * lead
-        self._rests = [0] * lead
+        #: The walked features' offsets at the current prefix.
+        self.offsets = [0] * last
+        self._rests = [0] * last
 
-    def leaves(self, total: int) -> Iterator[list[tuple[Moves, dict[str, float]]]]:
-        """The probes of ring `total`, every offset vector with sum of
-        magnitudes exactly `total`, in enumeration order: one table per
-        complete prefix of the leading features. Each probe is `work`, as it
-        stands when the table is yielded, merged with one entry's values;
-        `offsets` then holds the prefix. Once the ring is walked to its end
-        both are as they were at its start.
+    def walk(self, total: int) -> Iterator[Row]:
+        """The rows of ring `total`, every offset vector with sum of
+        magnitudes exactly `total`, in enumeration order: one row per
+        complete prefix of the walked features. The probes of a row entry
+        (m, value, moves, moved) are `work`, as it stands when the row is
+        yielded and with the last leading feature set to value, merged with
+        each dict of moved; `offsets` then holds the prefix. Once the ring is
+        walked to its end both are as they were at its start, but for the
+        last leading feature, which each entry sets before its probes.
         """
         if total > self.reach[0]:
             return
+        rows, last = self.rows, self.lead - 2
+        if last < 0:  # no walked feature: the one leading feature's row
+            yield rows[total]
+            return
         work, names, values, choices = self.work, self.names, self.values, self.choices
-        tables, offsets, rests, last = self.tables, self.offsets, self._rests, self.lead - 1
+        offsets, rests = self.offsets, self._rests
         rests[0] = total
         stack = [iter(choices[0][total])]
         while stack:
@@ -227,12 +256,24 @@ class _Rings:
                     rests[i + 1] = rest
                     stack.append(iter(choices[i + 1][rest]))
                     break
-                yield tables[rest]
+                yield rows[rest]
             else:
                 stack.pop()
                 if offsets[i]:
                     offsets[i] = 0
                     work[name] = table[0]
+
+    def moves(self, m: int, trail: Moves) -> Moves:
+        """The moves of the probe at the current prefix, with the last
+        leading feature at offset m and the trailing features' moves trail."""
+        lead = self.lead
+        return (*((i, k) for i, k in enumerate((*self.offsets, m)) if k),
+                *((lead + i, k) for i, k in trail))
+
+
+def _exhausted(budget: int, radius: int) -> OracleBudgetExceeded:
+    """The error of a search whose budget ran out at ring `radius`."""
+    return OracleBudgetExceeded(f"budget of {budget} queries exhausted at radius {radius}")
 
 
 def _pair(x: dict[str, float], y: Outcome, y_cf: Outcome, names: list[str],
@@ -268,11 +309,15 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
     n = len(names)
     # a wider domain's walk; None where the shared rings serve
     rings = _Rings(x, names, values, down, up) if n > TABLE_FEATURES else None
-    work = rings.work if rings else None
+    # the walk's working dict and the name of its last leading feature
+    work, lead_name = (rings.work, names[rings.lead - 1]) if rings else (None, None)
     # the first ring that a bound cuts
     edge = min(down + up, default=max_radius_steps) + 1
     label = oracle.label
     used = 0
+    # The ring or table being walked. Its probes are counted in used when its
+    # walk starts; those it has left when the search ends were never labeled.
+    walked = iter(())
     try:
         for radius in range(1, max_radius_steps + 1):
             for table, v, k, u in zip(values, odd.variables, down, up):
@@ -281,38 +326,43 @@ def search_counterfactual(x: dict[str, float], y: Outcome, oracle: Oracle, odd: 
                         table[m] = v.points[k + m]
             if rings is None:
                 ring = _RINGS[n, radius]
-                chunks = (_within(ring, down, up) if radius >= edge else ring,)
-            else:
-                chunks = rings.leaves(radius)
-            for chunk in chunks:
-                # one budget check per ring or table: walk no more of it than is left
-                left = budget - used
-                short = len(chunk) > left
+                if radius >= edge:
+                    ring = _within(ring, down, up)
+                # one budget check per ring: walk no more of it than is left
+                short = len(ring) > budget - used
                 if short:
-                    chunk = chunk[:max(left, 0)]
-                if rings is None:
-                    for moves in chunk:
-                        probe = x.copy()
-                        for i, m in moves:
-                            probe[names[i]] = values[i][m]
-                        used += 1
-                        y_cf = label(probe)
-                        if y_cf is not y:
-                            return _pair(x, y, y_cf, names, values, radius, moves)
-                else:
-                    for trail, moved in chunk:
-                        used += 1
-                        y_cf = label(work | moved)
-                        if y_cf is not y:
-                            lead = rings.lead
-                            moves = (*((i, m) for i, m in enumerate(rings.offsets) if m),
-                                     *((lead + i, m) for i, m in trail))
-                            return _pair(x, y, y_cf, names, values, radius, moves)
+                    ring = ring[:max(budget - used, 0)]
+                used += len(ring)
+                walked = iter(ring)
+                for moves in walked:
+                    probe = x.copy()
+                    for i, m in moves:
+                        probe[names[i]] = values[i][m]
+                    y_cf = label(probe)
+                    if y_cf is not y:
+                        return _pair(x, y, y_cf, names, values, radius, moves)
                 if short:
-                    raise OracleBudgetExceeded(f"budget of {budget} queries exhausted "
-                                               f"at radius {radius}")
+                    raise _exhausted(budget, radius)
+                continue
+            for row in rings.walk(radius):
+                for m, value, trail, moved in row:
+                    # one budget check per table: walk no more of it than is left
+                    short = len(moved) > budget - used
+                    if short:
+                        moved = moved[:max(budget - used, 0)]
+                    work[lead_name] = value
+                    used += len(moved)
+                    walked = iter(moved)
+                    for entry in walked:
+                        y_cf = label(work | entry)
+                        if y_cf is not y:
+                            j = len(moved) - 1 - length_hint(walked)
+                            return _pair(x, y, y_cf, names, values, radius,
+                                         rings.moves(m, trail[j]))
+                    if short:
+                        raise _exhausted(budget, radius)
     finally:
-        oracle.queries += used
+        oracle.queries += used - length_hint(walked)
     raise CounterfactualNotFound(f"no flip within {max_radius_steps} steps")
 
 

@@ -9,9 +9,10 @@ and the safe region: it raises OutOfDomain (defined in semantics, exported
 here) for a point outside those ranges, then evaluates the safe region
 inline. The oracle of a counterfactual search (make_oracle) labels through
 the config's on-grid view instead, the safe region with no domain guard,
-since every probe of the search is a point of the ODD's step grid; the
-samplers and the fixture label through the guarded one. Samples are drawn
-over the step grid, and each grid value is made once per variable
+since every probe of the search is a point of the ODD's step grid: its label
+is oracle_label bound to that view, looked up once per search. The samplers
+and the fixture label through the guarded one. Samples are drawn over the
+step grid, and each grid value is made once per variable
 (OddVariable.points) and shared by every run drawn at it. The canned
 fixture pairs a 198-run dataset with a baseline pass rule that mismatches
 the oracle on exactly 27 runs, so refinement experiments have a stable,
@@ -23,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from types import MethodType
 from typing import Callable, NamedTuple
 
 from .counterfactual import Oracle
@@ -100,6 +102,22 @@ def oracle_label(config: OracleConfig | OnGrid, x: dict[str, float]) -> Outcome:
     return config.label(x)
 
 
+class _GridOracle(Oracle):
+    """make_oracle's oracle. Until a label is assigned to it, reading its
+    `label` looks up the module-level oracle_label and binds it to the view."""
+
+    def __init__(self, view: OnGrid):
+        # not Oracle.__init__, which would assign a label
+        self.view, self.queries = view, 0
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute the instance lacks: `label` until one
+        # is assigned, which then replaces this lookup.
+        if name == "label":
+            return MethodType(oracle_label, self.view)
+        raise AttributeError(name)
+
+
 def make_oracle(config: OracleConfig) -> Oracle:
     """The oracle of counterfactual searches over config.odd, and only over
     that ODD: this pairing is its contract, which every caller keeps.
@@ -110,11 +128,14 @@ def make_oracle(config: OracleConfig) -> Oracle:
     inside the widened range the guard admits) and then probes only grid
     points of that ODD, so the guard could refuse no probe. A point off
     that grid gets a verdict, not a refusal: label it with
-    oracle_label(config, x)."""
-    view = config.on_grid
-    # oracle_label is looked up by name on every query, so a wrapper put on
-    # it after the oracle is made (the benchmark's tracer) sees every query.
-    return Oracle(lambda x: oracle_label(view, x))
+    oracle_label(config, x).
+
+    The oracle's label is oracle_label bound to the view, looked up by name
+    each time `label` is read, which a search does once, when it starts; a
+    query then costs one call of oracle_label and no frame around it."""
+    # A wrapper put on oracle_label after the oracle is made (the benchmark's
+    # tracer) sees every query of each search that starts after it is put.
+    return _GridOracle(config.on_grid)
 
 
 def _grid_draw(rng: random.Random, odd: OddSpec) -> Callable[[], dict[str, float]]:

@@ -235,8 +235,8 @@ class TestBudget:
             values = [{m: 1.0 + m for m in range(-1, 3)} for _ in names]
             rings = _Rings(x, names, values, [1] * features, [2] * features)
             ends = set(itertools.accumulate(
-                len(leaf) for radius in range(1, max_radius + 1)
-                for leaf in rings.leaves(radius)))
+                len(moved) for radius in range(1, max_radius + 1)
+                for row in rings.walk(radius) for _, _, _, moved in row))
         else:  # a ring is checked as a whole
             ends = {k for k in range(1, len(radii)) if radii[k] != radii[k - 1]}
             ends.add(len(expected))
@@ -324,26 +324,34 @@ def _ref_offset_vectors(down, up, total):
 
 def _walk_offsets(down, up, total):
     """The offset vectors of one ring, read from the walk's prefix `offsets`
-    and each table entry's trailing moves at each probe; each probe must
-    hold exactly the values its vector selects."""
+    and each row entry's last leading offset and trailing moves; each probe,
+    `work` with the entry's value written in as the search writes it and
+    merged with one of the entry's dicts, must hold exactly the values its
+    vector selects."""
     names = [f"f{i}" for i in range(len(down))]
     # distinct values per feature and offset, so a stale write shows
     values = [{m: 100.0 * i + m for m in range(-d, u + 1)}
               for i, (d, u) in enumerate(zip(down, up))]
     x = {name: table[0] for name, table in zip(names, values)}
     rings = _Rings(x, names, values, down, up)
+    last = rings.lead - 1
     vectors = []
-    for leaf in rings.leaves(total):
-        for trail, moved in leaf:
-            offsets = [*rings.offsets, *[0] * (len(down) - rings.lead)]
-            for i, m in trail:
-                offsets[rings.lead + i] = m
-            offsets = tuple(offsets)
-            probe = rings.work | moved
-            assert probe == {name: table[m] for name, table, m in zip(names, values, offsets)}
-            vectors.append(offsets)
-    # a ring walked to its end leaves no offset or value behind
-    assert rings.offsets == [0] * rings.lead and rings.work == x
+    for row in rings.walk(total):
+        for m, value, moves, moved in row:
+            assert len(moves) == len(moved)
+            rings.work[names[last]] = value
+            for trail, entry in zip(moves, moved):
+                offsets = [*rings.offsets, m, *[0] * (len(down) - rings.lead)]
+                for i, k in trail:
+                    offsets[rings.lead + i] = k
+                offsets = tuple(offsets)
+                probe = rings.work | entry
+                assert probe == {name: table[k] for name, table, k in zip(names, values, offsets)}
+                vectors.append(offsets)
+    # a ring walked to its end leaves no offset or value behind, but for the
+    # last leading feature, which every row entry sets before its probes
+    assert rings.offsets == [0] * last
+    assert {**rings.work, names[last]: x[names[last]]} == x
     return vectors
 
 
@@ -566,6 +574,69 @@ class TestProbeSequence:
             assert copies == expected[:min(flip_at + 1, budget)]
             assert oracle.queries == len(copies)
         assert min(outcomes.values()) >= 8, outcomes
+
+
+class TestWideProbeOrder:
+    """Black box, through search_counterfactual alone: on domains wider than
+    TABLE_FEATURES, the probes, the flip, the budget and the query count
+    are those of the reference, whatever the walk's rows and tables."""
+
+    def test_probes_and_budgets_match_the_reference(self):
+        """Seeded domains of TABLE_FEATURES + 1 to 7 features, with runs at
+        grid index 0, 1, grid_count - 1 and random ones: the whole search's
+        probes in order; a flip; every budget up to the first 200 probes,
+        which makes exactly `budget` label calls and then raises with the
+        radius where it ran out; and a label that raises."""
+        rng = random.Random(43)
+        budgets = 0
+        for case in range(16):
+            variables = []
+            for i in range(rng.randint(TABLE_FEATURES + 1, 7)):
+                step = rng.choice((0.1, 0.25, 0.5, 1.0))
+                lo = rng.choice((-1.5, 0.0, 0.7))
+                variables.append((f"f{i}", lo, round(lo + step * rng.randint(1, 5), 6), step))
+            odd = odd_spec(variables)
+            x = {v.name: v.points[rng.choice((0, 1, v.grid_count - 1,
+                                              rng.randrange(v.grid_count)))]
+                 for v in odd.variables}
+            max_radius = rng.randint(3, 6)
+            expected = list(_ref_probes(x, odd, max_radius))
+            radii = [round(sum(abs(probe[v.name] - x[v.name]) / v.step for v in odd.variables))
+                     for probe in expected]
+
+            def search(budget, flip_at=None, raise_at=None):
+                seen = []
+
+                def label(probe):
+                    seen.append(dict(probe))
+                    if len(seen) == raise_at:
+                        raise RuntimeError("simulator crashed")
+                    return Outcome.PASS if len(seen) == flip_at else Outcome.FAIL
+
+                oracle = Oracle(label)
+                try:
+                    return search_counterfactual(x, Outcome.FAIL, oracle, odd, max_radius,
+                                                 budget), seen, oracle
+                except (CounterfactualNotFound, OracleBudgetExceeded, RuntimeError) as exc:
+                    return exc, seen, oracle
+
+            result, seen, oracle = search(len(expected))
+            assert isinstance(result, CounterfactualNotFound), case
+            assert seen == expected and oracle.queries == len(expected), case
+            k = rng.randint(1, len(expected))
+            pair, seen, oracle = search(len(expected), flip_at=k)
+            assert pair.x_cf == expected[k - 1] and pair.l1_steps == radii[k - 1], case
+            assert seen == expected[:k] and oracle.queries == k, case
+            error, seen, oracle = search(len(expected), raise_at=k)
+            assert isinstance(error, RuntimeError) and oracle.queries == len(seen) == k, case
+            for budget in range(min(len(expected), 201)):
+                error, seen, oracle = search(budget)
+                assert isinstance(error, OracleBudgetExceeded), (case, budget)
+                assert str(error) == (f"budget of {budget} queries exhausted "
+                                      f"at radius {radii[budget]}"), (case, budget)
+                assert seen == expected[:budget] and oracle.queries == budget, (case, budget)
+                budgets += 1
+        assert budgets >= 1500
 
 
 GOLDEN_EVIDENCE = Path(__file__).parent / "golden" / "evidence.json"

@@ -390,6 +390,65 @@ class TestOracleCallPath:
         build_evidence(fixture42.baseline_rule, fixture42.dataset, oracle, fixture42.config.odd)
         assert oracle.queries > 0 and len(calls) == oracle.queries
 
+    def test_a_wrapper_put_between_two_searches_sees_the_second(self, fixture42, monkeypatch):
+        """The label is looked up when a search starts: a wrapper put on
+        scenario.oracle_label after one search of an oracle sees every query
+        of its next search, and the first search's queries stay counted."""
+        config = fixture42.config
+        oracle = make_oracle(config)
+        first, second = [run for run in fixture42.dataset
+                         if evaluate(fixture42.baseline_rule.ast, run.x)
+                         and run.y is Outcome.FAIL][:2]
+        search_counterfactual(first.x, first.y, oracle, config.odd)
+        before = oracle.queries
+        calls = []
+        original = scenario.oracle_label
+        monkeypatch.setattr(scenario, "oracle_label",
+                            lambda view, x: calls.append(x) or original(view, x))
+        search_counterfactual(second.x, second.y, oracle, config.odd)
+        assert before > 0 and len(calls) == oracle.queries - before > 0
+
+    def test_an_assigned_label_replaces_the_lookup(self, fixture42, monkeypatch):
+        """`oracle.label = f` makes f the label of every later search; the
+        module-level oracle_label is then not called."""
+        config = fixture42.config
+        oracle = make_oracle(config)
+        module_calls, calls = [], []
+        original = scenario.oracle_label
+        monkeypatch.setattr(scenario, "oracle_label",
+                            lambda view, x: module_calls.append(x) or original(view, x))
+
+        def label(x):
+            calls.append(x)
+            return Outcome.FAIL
+
+        oracle.label = label
+        assert oracle.label is label
+        with pytest.raises(CounterfactualNotFound):
+            search_counterfactual(X1, Outcome.FAIL, oracle, config.odd, max_radius_steps=2)
+        assert module_calls == [] and len(calls) == oracle.queries > 0
+
+    @pytest.mark.parametrize("case", ["sim/fixture", "wide"])
+    def test_a_refine_labels_as_a_fresh_evidence_build(self, case, tmp_path, monkeypatch):
+        """A wrapper put on scenario.oracle_label before a CLI refine counts
+        exactly the queries of a fresh build_evidence of its target, the
+        check the benchmark's traced mode makes, on the reference fixture
+        and on the 8-feature domain."""
+        directory = Path(__file__).parent / "golden" / case
+        calls = []
+        original = scenario.oracle_label
+        monkeypatch.setattr(scenario, "oracle_label",
+                            lambda view, x: calls.append(x) or original(view, x))
+        assert main(["refine", "--rules", str(directory / "rules.json"),
+                     "--dataset", str(directory / "dataset.csv"),
+                     "--config", str(directory / "oracle_config.json"),
+                     "--generator", "local", "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        config, runs, rules = _load_case(directory)
+        oracle = make_oracle(config)
+        build_evidence(rules[0], runs, oracle, config.odd)
+        assert len(calls) == oracle.queries > 0
+
     def test_fixture_refine_compiles_each_rule_once(self, tmp_path, monkeypatch):
         """A fixture refine compiles one rule shape, shared by the baseline
         and the candidates scored, and the oracle's label: two compiles from
